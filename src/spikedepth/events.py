@@ -1,14 +1,19 @@
-"""Event stream parsing, cumulative stacking, and ground-truth alignment.
+"""Event streams, cumulative stacking, and ground-truth alignment.
+
+An event stream is an EventArray: four read-only int64 columns (t, x, y, p)
+sorted by t, with polarity +1/-1. Timestamps are microseconds; the
+constructor rejects a decrease, so a window is the index range that
+np.searchsorted finds on t.
 
 Event CSV dialect: header line "t_us,x,y,p", then one record per line with
-unsigned decimal fields. Polarity is stored as 0/1 on disk and carried as
--1/+1 in memory. Timestamps are microseconds and must be non-decreasing.
+unsigned decimal fields; polarity is 0/1 on disk.
 
 Stacking splits a window of length L into T equal sub-bins and emits T
 frames of per-pixel, per-polarity event counts. Frame tau of the cumulative
 mode counts everything from the window start through the end of sub-bin tau,
 so frames are nested supersets and frame T-1 holds the whole window. The
-repeat mode emits the whole-window histogram at every step.
+repeat mode emits the whole-window histogram at every step. Only events
+inside the window are checked against the sensor geometry.
 
 Ground-truth depth files: first line "H W t_us", then H rows of W values in
 meters; the token "nan" marks an invalid pixel. Invalid pixels are stored as
@@ -39,12 +44,38 @@ class AlignmentError(ValueError):
     """No ground-truth frame close enough to a window boundary."""
 
 
-@dataclass(frozen=True)
-class Event:
-    t: int
-    x: int
-    y: int
-    p: int  # +1 or -1
+def _first_decrease(t):
+    """Index i of the first t[i] < t[i - 1], or -1 when t never decreases."""
+    down = np.flatnonzero(t[1:] < t[:-1])
+    return int(down[0]) + 1 if down.size else -1
+
+
+class EventArray:
+    """Events as read-only int64 columns t, x, y, p (+1/-1), sorted by t."""
+
+    __slots__ = ("t", "x", "y", "p")
+
+    def __init__(self, t, x, y, p):
+        cols = [np.array(c, dtype=np.int64) for c in (t, x, y, p)]
+        if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
+            raise tz.DimensionError("event columns must be rank 1 and equal length, got %s"
+                                    % [c.shape for c in cols])
+        if not np.isin(cols[3], (-1, 1)).all():
+            raise tz.ArgumentError("polarity must be +1 or -1")
+        i = _first_decrease(cols[0])
+        if i >= 0:
+            raise OrderingError("event %d: timestamp %d decreases from %d"
+                                % (i, cols[0][i], cols[0][i - 1]))
+        for c in cols:
+            c.flags.writeable = False
+        self.t, self.x, self.y, self.p = cols
+
+    def __len__(self):
+        return self.t.size
+
+    def __eq__(self, other):
+        return isinstance(other, EventArray) and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in self.__slots__)
 
 
 @dataclass
@@ -80,44 +111,74 @@ class DepthFrame:
 
 
 EVENT_HEADER = "t_us,x,y,p"
+_MAX_DIGITS = 18  # every 18-digit decimal fits in int64
+
+
+def _line_error(lineno, line):
+    """The ParseError for a record the vectorised scan flagged."""
+    parts = line.split(",")
+    if len(parts) != 4:
+        return ParseError("line %d: expected 4 fields, got %d" % (lineno, len(parts)))
+    for field in parts:
+        if not (field.isascii() and field.isdigit()) or len(field) > _MAX_DIGITS:
+            return ParseError("line %d: field %r is not an unsigned integer of at most "
+                              "%d digits" % (lineno, field, _MAX_DIGITS))
+    return ParseError("line %d: polarity must be 0 or 1, got %d" % (lineno, int(parts[3])))
+
+
+# Bytes scanned at a time: temporaries follow the block, not the file, and stay under the
+# 4 MiB from which numpy asks for huge pages, which make peak memory erratic on the heap.
+_SCAN_BYTES = 1 << 18
 
 
 def parse_events(text):
-    """Parse the CSV dialect into a time-ordered event list."""
+    """Parse the CSV dialect into an EventArray; errors name the first bad line."""
     if hasattr(text, "read"):
         text = text.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines = lines[:-1]
-    if not lines or lines[0] != EVENT_HEADER:
+    head, _, body = text.partition("\n")
+    if head != EVENT_HEADER:
         raise ParseError("line 1: expected header %r" % EVENT_HEADER)
-    out = []
-    last_t = -1
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ParseError("line %d: expected 4 fields, got %d" % (i, len(parts)))
-        vals = []
-        for field in parts:
-            if not field.isdigit():
-                raise ParseError("line %d: field %r is not an unsigned integer" % (i, field))
-            vals.append(int(field))
-        t, x, y, p = vals
-        if p not in (0, 1):
-            raise ParseError("line %d: polarity must be 0 or 1, got %d" % (i, p))
-        if t < last_t:
-            raise OrderingError("line %d: timestamp %d decreases from %d" % (i, t, last_t))
-        last_t = t
-        out.append(Event(t=t, x=x, y=y, p=1 if p == 1 else -1))
-    return out
+    if body and not body.endswith("\n"):
+        body += "\n"
+    raw = body.encode()
+    blocks, start, ok = [np.zeros((0, 4), dtype=np.int64)], 0, True
+    while ok and start < len(raw):  # blocks end at a newline
+        stop = (raw.rfind(b"\n", start, start + _SCAN_BYTES) + 1
+                or raw.index(b"\n", start + _SCAN_BYTES) + 1)
+        buf = np.frombuffer(raw, np.uint8, stop - start, start)
+        # every non-digit byte ends a field; record k owns separators 4k..4k+3
+        seps = np.flatnonzero((buf < ord("0")) | (buf > ord("9")))
+        width = np.diff(seps, prepend=-1) - 1
+        want = np.where(np.arange(seps.size) % 4 == 3, ord("\n"), ord(","))
+        hits = np.flatnonzero((buf[seps] != want) | (width < 1) | (width > _MAX_DIGITS))
+        good = int(hits[0]) // 4 if hits.size else seps.size // 4
+        end = seps[4 * good - 1] + 1 if good else 0  # records before `good` are ASCII
+        cols = np.fromstring(buf[:end].tobytes().replace(b"\n", b","), dtype=np.int64,
+                             sep=",").reshape(-1, 4)
+        high = np.flatnonzero(cols[:, 3] > 1)
+        blocks.append(cols[:high[0]] if high.size else cols)
+        ok, start = not (hits.size or high.size), stop
+    t, x, y, p = (np.concatenate([b[:, j] for b in blocks]) for j in range(4))
+    i = _first_decrease(t)
+    if i >= 0:
+        raise OrderingError("line %d: timestamp %d decreases from %d" % (i + 2, t[i], t[i - 1]))
+    if not ok:
+        raise _line_error(t.size + 2, body.split("\n")[t.size])
+    return EventArray(t, x, y, 2 * p - 1)
+
+
+def _csv_pieces(events, rows=1 << 14):
+    """Canonical CSV text in pieces of `rows` records, none a copy of the whole file."""
+    yield EVENT_HEADER + "\n"
+    pos = events.p > 0
+    for lo in range(0, len(events), rows):
+        cols = (c[lo:lo + rows].tolist() for c in (events.t, events.x, events.y, pos))
+        yield "".join(map("%d,%d,%d,%d\n".__mod__, zip(*cols)))
 
 
 def serialize_events(events):
     """Canonical CSV text: header plus one record per line, newline-terminated."""
-    rows = [EVENT_HEADER]
-    for ev in events:
-        rows.append("%d,%d,%d,%d" % (ev.t, ev.x, ev.y, 1 if ev.p > 0 else 0))
-    return "\n".join(rows) + "\n"
+    return "".join(_csv_pieces(events))
 
 
 def load_events(path):
@@ -127,32 +188,22 @@ def load_events(path):
 
 def save_events(path, events):
     with open(path, "w") as fh:
-        fh.write(serialize_events(events))
+        fh.writelines(_csv_pieces(events))
 
 
-def _check_geometry(events, height, width, lo, hi):
-    for ev in events:
-        if lo <= ev.t < hi:
-            if not (0 <= ev.x < width and 0 <= ev.y < height):
-                raise BoundsError("event at t=%d has (x=%d, y=%d) outside %dx%d"
-                                  % (ev.t, ev.x, ev.y, height, width))
-
-
-def _bin_counts(events, window_start, window_len, t_steps, height, width):
-    """Per-sub-bin histograms [T, 2, H, W]; channel 0 positive, 1 negative."""
-    hi = window_start + window_len
-    counts = np.zeros((t_steps, 2, height, width))
-    ts = np.array([ev.t for ev in events], dtype=np.int64)
-    keep = (ts >= window_start) & (ts < hi)
-    if keep.any():
-        xs = np.array([ev.x for ev in events], dtype=np.int64)[keep]
-        ys = np.array([ev.y for ev in events], dtype=np.int64)[keep]
-        ps = np.array([0 if ev.p > 0 else 1 for ev in events], dtype=np.int64)[keep]
-        tk = ts[keep]
-        taus = (tk - window_start) * t_steps // window_len
-        flat = ((taus * 2 + ps) * height + ys) * width + xs
-        np.add.at(counts.reshape(-1), flat, 1.0)
-    return counts
+def _window_counts(events, window_start, window_len, t_steps, height, width):
+    """Per-sub-bin histograms [T, 2, H, W] of the window; channel 0 positive."""
+    lo, hi = np.searchsorted(events.t, (window_start, window_start + window_len))
+    t, x, y, p = (c[lo:hi] for c in (events.t, events.x, events.y, events.p))
+    outside = np.flatnonzero((x < 0) | (x >= width) | (y < 0) | (y >= height))
+    if outside.size:
+        i = outside[0]
+        raise BoundsError("event at t=%d has (x=%d, y=%d) outside %dx%d"
+                          % (t[i], x[i], y[i], height, width))
+    taus = (t - window_start) * t_steps // window_len
+    flat = ((taus * 2 + (p < 0)) * height + y) * width + x
+    counts = np.bincount(flat, minlength=t_steps * 2 * height * width)
+    return counts.astype(np.float64).reshape(t_steps, 2, height, width)
 
 
 def _validate_stack_args(window_len, t_steps, height, width):
@@ -171,28 +222,23 @@ def cumulative_stack(events, window_start, window_len, t_steps, height, width,
                      binarize=False):
     """Nested event-count frames over one window."""
     _validate_stack_args(window_len, t_steps, height, width)
-    _check_geometry(events, height, width, window_start, window_start + window_len)
-    counts = _bin_counts(events, window_start, window_len, t_steps, height, width)
-    data = np.cumsum(counts, axis=0)
-    return _finish_stack(data, window_start, window_len, binarize)
+    counts = _window_counts(events, window_start, window_len, t_steps, height, width)
+    return _finish_stack(np.cumsum(counts, axis=0), window_start, window_len, binarize)
 
 
 def repeat_stack(events, window_start, window_len, t_steps, height, width,
                  binarize=False):
     """The whole-window histogram replicated at every step."""
     _validate_stack_args(window_len, t_steps, height, width)
-    _check_geometry(events, height, width, window_start, window_start + window_len)
-    counts = _bin_counts(events, window_start, window_len, 1, height, width)
-    data = np.repeat(counts, t_steps, axis=0)
-    return _finish_stack(data, window_start, window_len, binarize)
+    counts = _window_counts(events, window_start, window_len, 1, height, width)
+    return _finish_stack(np.repeat(counts, t_steps, axis=0), window_start, window_len, binarize)
 
 
 def _finish_stack(data, window_start, window_len, binarize):
     if binarize:
         data = (data > 0).astype(np.float64)
     t = Tensor(data)
-    if binarize:
-        t.is_spike = True
+    t.is_spike = bool(binarize)
     return StackedTensor(data=t, window_start=window_start, window_len=window_len)
 
 
@@ -219,12 +265,8 @@ def align_ground_truth(frames, window_start, window_len):
     if not frames:
         raise AlignmentError("no ground-truth frames given")
     edge = window_start + window_len
-    best = None
-    best_d = None
-    for fr in frames:
-        d = abs(fr.t - edge)
-        if best is None or d < best_d:
-            best, best_d = fr, d
+    best = min(frames, key=lambda fr: abs(fr.t - edge))  # min keeps the first of equals
+    best_d = abs(best.t - edge)
     if best_d > window_len // 2:
         raise AlignmentError("nearest ground truth at t=%d is %d us from window end %d "
                              "(tolerance %d)" % (best.t, best_d, edge, window_len // 2))
@@ -270,13 +312,9 @@ def parse_depth_frame(text):
 
 def serialize_depth_frame(frame):
     h, w = frame.depth.data.shape
-    rows = ["%d %d %d" % (h, w, frame.t)]
-    for r in range(h):
-        cells = []
-        for c in range(w):
-            cells.append(repr(float(frame.depth.data[r, c])) if frame.valid[r, c] else "nan")
-        rows.append(" ".join(cells))
-    return "\n".join(rows) + "\n"
+    rows = [" ".join(repr(v) if ok else "nan" for v, ok in zip(row, valid))
+            for row, valid in zip(frame.depth.data.tolist(), frame.valid.tolist())]
+    return "\n".join(["%d %d %d" % (h, w, frame.t)] + rows) + "\n"
 
 
 def load_depth_frame(path):

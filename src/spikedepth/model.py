@@ -27,6 +27,7 @@ spike tensors, counted from actual spike positions) from the dense
 multiply-accumulate total that the same network would spend with no sparsity.
 """
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -408,30 +409,44 @@ _ATT_BITS = {"T": 1, "C": 2, "S": 4}
 
 
 def save_checkpoint(path, entries):
-    """Write named tensors in order: magic, count, then (name, tensor) pairs."""
-    with open(path, "wb") as fh:
-        fh.write(_CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(entries)))
-        for name, value in entries.items():
-            raw = name.encode("utf-8")
-            if len(raw) > 0xFFFF:
-                raise tz.ArgumentError("entry name too long: %r" % name[:40])
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            tz.write_tensor(fh, value)
+    """Write named tensors in order: magic, count, then (name, tensor) pairs.
+
+    The bytes go to a temporary file beside `path` that then replaces it, so
+    a write cut off part-way leaves the previous checkpoint intact.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", len(entries)))
+            for name, value in entries.items():
+                raw = name.encode("utf-8")
+                if len(raw) > 0xFFFF:
+                    raise tz.ArgumentError("entry name too long: %r" % name[:40])
+                fh.write(struct.pack("<H", len(raw)))
+                fh.write(raw)
+                tz.write_tensor(fh, value)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _CHECKPOINT_MAGIC:
-            raise tz.ArgumentError("%s: bad checkpoint magic %r" % (path, magic))
-        (count,) = struct.unpack("<I", fh.read(4))
-        entries = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            entries[name] = tz.read_tensor(fh)
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(8)
+            if magic != _CHECKPOINT_MAGIC:
+                raise tz.ArgumentError("bad checkpoint magic %r" % (magic,))
+            (count,) = struct.unpack("<I", tz.read_exact(fh, 4))
+            entries = {}
+            for _ in range(count):
+                (nlen,) = struct.unpack("<H", tz.read_exact(fh, 2))
+                name = tz.read_exact(fh, nlen).decode("utf-8")
+                entries[name] = tz.read_tensor(fh)
+    except (tz.ArgumentError, UnicodeDecodeError) as e:
+        raise tz.ArgumentError("%s: %s" % (path, e)) from None
     return entries
 
 

@@ -93,12 +93,10 @@ class SceneSpec:
                                       % (p.x0, p.y0, p.width, p.height,
                                          self.height, self.width))
             cover[p.y0:p.y0 + p.height, p.x0:p.x0 + p.width] += 1
-        if (cover > 1).any():
-            y, x = np.argwhere(cover > 1)[0]
-            raise ValidationError("plane regions overlap at (x=%d, y=%d)" % (x, y))
-        if (cover == 0).any():
-            y, x = np.argwhere(cover == 0)[0]
-            raise ValidationError("plane regions leave a gap at (x=%d, y=%d)" % (x, y))
+        for bad, what in ((cover > 1, "overlap"), (cover == 0, "leave a gap")):
+            if bad.any():
+                y, x = np.argwhere(bad)[0]
+                raise ValidationError("plane regions %s at (x=%d, y=%d)" % (what, x, y))
 
     @property
     def duration_us(self):
@@ -137,56 +135,57 @@ def _column_crossings(u0, omega, duration_s, threshold):
         la = amp * _triangle(u0 - omega * a)
         lb = amp * _triangle(u0 - omega * b)
         if lb > la:
-            k_first = int(np.floor(la / threshold)) + 1
-            k_last = int(np.floor(lb / threshold))
-            for k in range(k_first, k_last + 1):
-                q = k * threshold
-                if abs(q) >= amp:
-                    continue
-                out.append((a + (q - la) / (lb - la) * (b - a), 1))
+            pol, levels = 1, range(int(np.floor(la / threshold)) + 1,
+                                   int(np.floor(lb / threshold)) + 1)
         elif lb < la:
-            k_first = int(np.ceil(la / threshold)) - 1
-            k_last = int(np.ceil(lb / threshold))
-            for k in range(k_first, k_last - 1, -1):
-                q = k * threshold
-                if abs(q) >= amp:
-                    continue
-                out.append((a + (q - la) / (lb - la) * (b - a), -1))
+            pol, levels = -1, range(int(np.ceil(la / threshold)) - 1,
+                                    int(np.ceil(lb / threshold)) - 1, -1)
+        else:
+            continue
+        for k in levels:
+            q = k * threshold
+            if abs(q) < amp:
+                out.append((a + (q - la) / (lb - la) * (b - a), pol))
     return out
 
 
 def _plane_events(spec, plane, rng):
-    """All left-view events of one plane, unsorted."""
+    """Left- and right-view events of one plane as unsorted (t, x, y, p) columns."""
     phase = rng.uniform(0.0, 1.0)
-    speed = spec.camera_velocity / plane.depth_m
-    omega = speed / plane.period_px
+    omega = spec.camera_velocity / plane.depth_m / plane.period_px
     duration_s = spec.duration_us * 1e-6
-    rows = range(plane.y0, plane.y0 + plane.height)
-    out = []
+    crossings = []
     for x in range(plane.x0, plane.x0 + plane.width):
         u0 = x / plane.period_px + phase
         for t_s, pol in _column_crossings(u0, omega, duration_s, spec.contrast_threshold):
             t_us = int(round(t_s * 1e6))
             if 0 <= t_us < spec.duration_us:
-                for y in rows:
-                    out.append(ev.Event(t=t_us, x=x, y=y, p=pol))
-    return out
+                crossings.append((t_us, x, pol))
+    t, x, p = np.array(crossings, dtype=np.int64).reshape(-1, 3).T
+    rows = np.arange(plane.y0, plane.y0 + plane.height)
+    t, x, y, p = (np.repeat(t, plane.height), np.repeat(x, plane.height),
+                  np.tile(rows, t.size), np.repeat(p, plane.height))
+    xr = x - disparity_px(spec, plane)
+    seen = (xr >= 0) & (xr < spec.width)
+    return (t, x, y, p), (t[seen], xr[seen], y[seen], p[seen])
 
 
 def _noise_events(spec, rng):
-    expected = spec.noise_rate_hz * spec.height * spec.width * spec.duration_us * 1e-6
-    count = int(round(expected))
-    out = []
-    for _ in range(count):
-        out.append(ev.Event(t=int(rng.integers(0, spec.duration_us)),
-                            x=int(rng.integers(0, spec.width)),
-                            y=int(rng.integers(0, spec.height)),
-                            p=int(rng.choice([-1, 1]))))
-    return out
+    count = int(round(spec.noise_rate_hz * spec.height * spec.width * spec.duration_us * 1e-6))
+    # scalar draws interleaved per event: batching them would change the datasets
+    out = [(rng.integers(0, spec.duration_us), rng.integers(0, spec.width),
+            rng.integers(0, spec.height), rng.choice([-1, 1])) for _ in range(count)]
+    return np.array(out, dtype=np.int64).reshape(-1, 4).T
 
 
-def _sort_events(events):
-    return sorted(events, key=lambda e: (e.t, e.y, e.x, e.p))
+def _sorted_events(parts):
+    """Join (t, x, y, p) column groups, ordered by (t, y, x, p); empties parts."""
+    t, x, y, p = (np.concatenate(cols) for cols in zip(*parts))
+    parts.clear()
+    order = np.lexsort((p, x, y, t))
+    for col in (t, x, y, p):  # one at a time, so no stream is held three times over
+        col[:] = col[order]
+    return ev.EventArray(t, x, y, p)
 
 
 def disparity_px(spec, plane):
@@ -196,28 +195,20 @@ def disparity_px(spec, plane):
 @dataclass
 class SceneData:
     spec: SceneSpec
-    events_left: list
-    events_right: list
+    events_left: ev.EventArray
+    events_right: ev.EventArray
     gt_frames: list
 
 
 def generate_scene(spec):
     """Render the event streams and ground-truth frames for one scene."""
     rng = np.random.default_rng(spec.seed)
-    left = []
-    right = []
-    for plane in spec.planes:
-        plane_left = _plane_events(spec, plane, rng)
-        left.extend(plane_left)
-        d = disparity_px(spec, plane)
-        for e in plane_left:
-            xr = e.x - d
-            if 0 <= xr < spec.width:
-                right.append(ev.Event(t=e.t, x=xr, y=e.y, p=e.p))
-    left.extend(_noise_events(spec, rng))
-    right.extend(_noise_events(spec, rng))
-    left = _sort_events(left)
-    right = _sort_events(right)
+    views = [_plane_events(spec, plane, rng) for plane in spec.planes]
+    left = [lv for lv, _ in views] + [_noise_events(spec, rng)]
+    right = [rv for _, rv in views] + [_noise_events(spec, rng)]
+    del views  # so that _sorted_events frees the views once it has joined them
+    left = _sorted_events(left)
+    right = _sorted_events(right)
 
     depth_map = np.zeros((spec.height, spec.width))
     for plane in spec.planes:
@@ -236,36 +227,16 @@ def generate_scene(spec):
 # scene spec files (key = value dialect)
 
 
-def _fmt(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+_SCENE_TYPES = {k: v for k, v in SceneSpec.__annotations__.items() if k != "planes"}
 
 
 def serialize_scene_spec(spec):
-    lines = [
-        "seed = %d" % spec.seed,
-        "height = %d" % spec.height,
-        "width = %d" % spec.width,
-        "n_windows = %d" % spec.n_windows,
-        "window_len_us = %d" % spec.window_len_us,
-        "camera_velocity = %s" % _fmt(spec.camera_velocity),
-        "contrast_threshold = %s" % _fmt(spec.contrast_threshold),
-        "baseline_px = %s" % _fmt(spec.baseline_px),
-        "noise_rate_hz = %s" % _fmt(spec.noise_rate_hz),
-    ]
+    lines = [("%s = %d" if kind is int else "%s = %r") % (key, getattr(spec, key))
+             for key, kind in _SCENE_TYPES.items()]
     for i, p in enumerate(spec.planes):
-        lines.append("plane.%d = %s, %d, %d, %d, %d, %s"
-                     % (i, _fmt(p.depth_m), p.x0, p.y0, p.width, p.height,
-                        _fmt(p.period_px)))
+        lines.append("plane.%d = %r, %d, %d, %d, %d, %r"
+                     % (i, p.depth_m, p.x0, p.y0, p.width, p.height, p.period_px))
     return "\n".join(lines) + "\n"
-
-
-_SCENE_INT_KEYS = ("seed", "height", "width", "n_windows", "window_len_us")
-_SCENE_FLOAT_KEYS = ("camera_velocity", "contrast_threshold", "baseline_px",
-                     "noise_rate_hz")
 
 
 def parse_scene_spec(text):
@@ -299,22 +270,15 @@ def parse_scene_spec(text):
                                         height=int(parts[4]), period_px=float(parts[5]))
             except ValueError:
                 raise ev.ParseError("line %d: bad plane fields %r" % (i, value))
-        elif key in _SCENE_INT_KEYS:
+        elif key in _SCENE_TYPES:
             if key in fields:
                 raise ev.ParseError("line %d: duplicate key %r" % (i, key))
+            kind = _SCENE_TYPES[key]
             try:
-                fields[key] = int(value)
+                fields[key] = kind(value)
             except ValueError:
-                raise ev.ParseError("line %d: %s must be an integer, got %r"
-                                    % (i, key, value))
-        elif key in _SCENE_FLOAT_KEYS:
-            if key in fields:
-                raise ev.ParseError("line %d: duplicate key %r" % (i, key))
-            try:
-                fields[key] = float(value)
-            except ValueError:
-                raise ev.ParseError("line %d: %s must be a number, got %r"
-                                    % (i, key, value))
+                raise ev.ParseError("line %d: %s must be %s, got %r" % (
+                    i, key, "an integer" if kind is int else "a number", value))
         else:
             raise ev.ParseError("line %d: unknown key %r" % (i, key))
     if planes:
@@ -357,31 +321,27 @@ def write_dataset(spec, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     ev.save_events(os.path.join(out_dir, "events_left.csv"), data.events_left)
     ev.save_events(os.path.join(out_dir, "events_right.csv"), data.events_right)
-    gt_files = []
-    for k, frame in enumerate(data.gt_frames):
-        name = "gt_%04d.txt" % k
+    gt_files = ["gt_%04d.txt" % k for k in range(len(data.gt_frames))]
+    for name, frame in zip(gt_files, data.gt_frames):
         ev.save_depth_frame(os.path.join(out_dir, name), frame)
-        gt_files.append(name)
 
-    lines = [
-        "height = %d" % spec.height,
-        "width = %d" % spec.width,
-        "window_len_us = %d" % spec.window_len_us,
-        "n_windows = %d" % spec.n_windows,
-        "binocular = true",
-        "events_left = events_left.csv",
-        "events_right = events_right.csv",
-    ]
-    for k in range(spec.n_windows):
-        lines.append("window.%d = %d" % (k, k * spec.window_len_us))
-    for k, name in enumerate(gt_files):
-        lines.append("gt.%d = %s" % (k, name))
-    for spec_line in serialize_scene_spec(spec).strip().split("\n"):
-        key, _, value = spec_line.partition(" = ")
-        lines.append("spec.%s = %s" % (key, value))
+    lines = ["%s = %d" % (key, getattr(spec, key))
+             for key in ("height", "width", "window_len_us", "n_windows")]
+    lines += ["binocular = true", "events_left = events_left.csv",
+              "events_right = events_right.csv"]
+    lines += ["window.%d = %d" % (k, k * spec.window_len_us) for k in range(spec.n_windows)]
+    lines += ["gt.%d = %s" % (k, name) for k, name in enumerate(gt_files)]
+    lines += ["spec." + line for line in serialize_scene_spec(spec).strip().split("\n")]
     with open(os.path.join(out_dir, MANIFEST_NAME), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return load_manifest(os.path.join(out_dir, MANIFEST_NAME))
+
+
+def _manifest_int(i, text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ev.ParseError("line %d: expected an integer, got %r" % (i, text)) from None
 
 
 def load_manifest(path):
@@ -401,11 +361,11 @@ def load_manifest(path):
         if key.startswith("spec."):
             continue
         if key.startswith("window."):
-            windows[int(key.split(".", 1)[1])] = int(value)
+            windows[_manifest_int(i, key[len("window."):])] = _manifest_int(i, value)
         elif key.startswith("gt."):
-            gts[int(key.split(".", 1)[1])] = value
+            gts[_manifest_int(i, key[len("gt."):])] = value
         elif key in ("height", "width", "window_len_us", "n_windows"):
-            fields[key] = int(value)
+            fields[key] = _manifest_int(i, value)
         elif key == "binocular":
             fields[key] = value == "true"
         elif key in ("events_left", "events_right"):

@@ -10,6 +10,7 @@ trailing singleton axes, so a per-step gate of shape [T] scales a [T,C,H,W]
 activation without any manual reshape.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -760,22 +761,31 @@ def write_tensor(fh, array):
     fh.write(a.astype("<f8").tobytes())
 
 
+def read_exact(fh, n):
+    """Exactly n bytes from a seekable binary file; ArgumentError if fewer remain.
+
+    The length is checked before reading, so a corrupt size field cannot make
+    the read allocate more than the file holds.
+    """
+    here = fh.tell()
+    left = fh.seek(0, 2) - here
+    fh.seek(here)
+    if n > left:
+        raise ArgumentError("truncated: wanted %d bytes at offset %d, %d left"
+                            % (n, here, left))
+    return fh.read(n)
+
+
 def read_tensor(fh):
     magic = fh.read(8)
     if magic != _TENSOR_MAGIC:
         raise ArgumentError("bad tensor magic %r" % (magic,))
-    (rank,) = struct.unpack("<I", fh.read(4))
-    dims = []
-    for _ in range(rank):
-        (d,) = struct.unpack("<I", fh.read(4))
-        dims.append(d)
-    count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-    payload = fh.read(8 * count)
-    if len(payload) != 8 * count:
-        raise ArgumentError("truncated tensor payload: wanted %d bytes, got %d"
-                            % (8 * count, len(payload)))
-    a = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return a.reshape(tuple(dims))
+    (rank,) = struct.unpack("<I", read_exact(fh, 4))
+    if rank > 32:
+        raise ArgumentError("tensor rank %d is above numpy's portable limit of 32" % rank)
+    dims = struct.unpack("<%dI" % rank, read_exact(fh, 4 * rank))
+    payload = read_exact(fh, 8 * math.prod(dims))
+    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
 
 
 def save_tensor(path, array):

@@ -7,6 +7,7 @@ the other way around.
 
 import numpy as np
 
+from spikedepth import events as ev
 from spikedepth import tensor as tz
 
 
@@ -106,6 +107,18 @@ def brute_if_trace(inputs, v_th, v_reset, mode="spiking"):
     return np.stack(spikes, axis=0), v
 
 
+def make_events(rows):
+    """EventArray from (t, x, y, p) rows already in time order."""
+    t, x, y, p = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return ev.EventArray(t, x, y, p)
+
+
+def event_rows(events):
+    """The (t, x, y, p) rows of an EventArray as Python ints."""
+    return list(zip(events.t.tolist(), events.x.tolist(), events.y.tolist(),
+                    events.p.tolist()))
+
+
 def recount_stack(events, window_start, window_len, t_steps, height, width,
                   mode="cumulative"):
     """Per-(frame, channel, pixel) recount of the stacking definition."""
@@ -115,8 +128,29 @@ def recount_stack(events, window_start, window_len, t_steps, height, width,
             hi = window_start + (tau + 1) * window_len // t_steps
         else:
             hi = window_start + window_len
-        for ev in events:
-            if window_start <= ev.t < hi:
-                ch = 0 if ev.p > 0 else 1
-                out[tau, ch, ev.y, ev.x] += 1.0
+        for t, x, y, p in event_rows(events):
+            if window_start <= t < hi:
+                ch = 0 if p > 0 else 1
+                out[tau, ch, y, x] += 1.0
+    return out
+
+
+def scalar_stack(events, window_start, window_len, t_steps, height, width,
+                 mode="cumulative"):
+    """Per-event reference of the binning, one event at a time.
+
+    An event with window_start <= t < window_start + window_len falls in
+    sub-bin (t - window_start) * t_steps // window_len and counts in that
+    frame and every later one (cumulative) or in every frame (repeat). Events
+    outside the window are skipped unseen; one inside it but off the sensor
+    raises BoundsError.
+    """
+    out = np.zeros((t_steps, 2, height, width))
+    for t, x, y, p in event_rows(events):
+        if not window_start <= t < window_start + window_len:
+            continue
+        if not (0 <= x < width and 0 <= y < height):
+            raise ev.BoundsError("event at t=%d is off the sensor" % t)
+        first = (t - window_start) * t_steps // window_len if mode == "cumulative" else 0
+        out[first:, 0 if p > 0 else 1, y, x] += 1.0
     return out

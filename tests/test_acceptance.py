@@ -30,7 +30,7 @@ from spikedepth import tensor as tz
 from spikedepth.cli import (load_run_config, load_windows, parse_run_config,
                             serialize_run_config)
 
-from helpers import brute_if_trace, check_op_gradient, recount_stack
+from helpers import brute_if_trace, check_op_gradient, make_events, recount_stack
 
 
 def _report(n, ok, detail):
@@ -208,10 +208,10 @@ def test_c03_stacking_matches_recount():
         ws = int(rng.integers(0, 500))
         n = int(rng.integers(0, 60))
         times = rng.integers(max(0, ws - 50), ws + window_len + 50, size=n)
-        evs = sorted((ev.Event(t=int(t), x=int(rng.integers(0, w)),
-                               y=int(rng.integers(0, h)),
-                               p=int(rng.choice((-1, 1)))) for t in times),
-                     key=lambda e: e.t)
+        evs = make_events(sorted(((int(t), int(rng.integers(0, w)),
+                                   int(rng.integers(0, h)),
+                                   int(rng.choice((-1, 1)))) for t in times),
+                                 key=lambda e: e[0]))
         cum = ev.cumulative_stack(evs, ws, window_len, t_steps, h, w).data.data
         rep = ev.repeat_stack(evs, ws, window_len, t_steps, h, w).data.data
         if not np.array_equal(cum, recount_stack(evs, ws, window_len, t_steps,
@@ -376,10 +376,10 @@ def test_c07_multistep_witness():
     n1 = sum(t.data.size for _, t in m1.params)
 
     # same multiset of (x, y, p); only the timestamps trade places
-    evs_a = ([ev.Event(t=1000 + i, x=2, y=2, p=1) for i in range(12)]
-             + [ev.Event(t=45000 + i, x=5, y=4, p=-1) for i in range(5)])
-    evs_b = ([ev.Event(t=1000 + i, x=5, y=4, p=-1) for i in range(5)]
-             + [ev.Event(t=45000 + i, x=2, y=2, p=1) for i in range(12)])
+    evs_a = make_events([(1000 + i, 2, 2, 1) for i in range(12)]
+                        + [(45000 + i, 5, 4, -1) for i in range(5)])
+    evs_b = make_events([(1000 + i, 5, 4, -1) for i in range(5)]
+                        + [(45000 + i, 2, 2, 1) for i in range(12)])
     cum_a = ev.cumulative_stack(evs_a, 0, 50000, 5, 8, 8)
     cum_b = ev.cumulative_stack(evs_b, 0, 50000, 5, 8, 8)
     rep_a = ev.repeat_stack(evs_a, 0, 50000, 1, 8, 8)
@@ -425,9 +425,9 @@ def test_c08_sensor_geometry():
 def crafted_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("inspect")
     rng = np.random.default_rng(29)
-    evs = [ev.Event(t=t, x=int(rng.integers(0, 8)), y=int(rng.integers(0, 8)),
-                    p=int(rng.choice((-1, 1))))
-           for t in sorted(int(v) for v in rng.integers(0, 2000, size=40))]
+    evs = make_events([(t, int(rng.integers(0, 8)), int(rng.integers(0, 8)),
+                        int(rng.choice((-1, 1))))
+                       for t in sorted(int(v) for v in rng.integers(0, 2000, size=40))])
     ev.save_events(str(root / "left.csv"), evs)
     for k in range(2):
         frame = ev.DepthFrame(depth=tz.Tensor(np.full((8, 8), 1.5)),

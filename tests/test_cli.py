@@ -1,6 +1,9 @@
 """CLI behavior: config handling, command wiring, exit codes, artifacts."""
 
 import os
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -407,6 +410,44 @@ def test_corrupt_checkpoint_is_exit_2(tmp_path, dataset, capsys):
         fh.write(b"NOTACKPT" + b"\x00" * 16)
     assert main(["eval", "--model", bad, "--data", dataset]) == 2
     assert "bad.spkc" in capsys.readouterr().err
+
+
+def run_cli(*args):
+    """The CLI in a fresh interpreter, so an escaping exception shows as exit 1."""
+    return subprocess.run([sys.executable, "-m", "spikedepth"] + list(args),
+                          capture_output=True, text=True)
+
+
+def assert_single_error_line(result):
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    return lines[0]
+
+
+@pytest.mark.parametrize("keep", [10, 15, -8])
+def test_truncated_checkpoint_is_exit_2(tmp_path, dataset, keep):
+    cfg = md.ModelConfig(height=16, width=16, base_channels=2, layers=2)
+    ckpt = tmp_path / "model.spkc"
+    md.save_model(str(ckpt), md.DepthNet(cfg, seed=0))
+    ckpt.write_bytes(ckpt.read_bytes()[:keep])
+    line = assert_single_error_line(run_cli("eval", "--model", str(ckpt), "--data", dataset))
+    assert "model.spkc" in line and "truncated" in line
+
+
+def test_manifest_non_integer_is_exit_2(tmp_path, dataset):
+    cfg = md.ModelConfig(height=16, width=16, base_channels=2, layers=2)
+    ckpt = str(tmp_path / "model.spkc")
+    md.save_model(ckpt, md.DepthNet(cfg, seed=0))
+    data = tmp_path / "data"
+    shutil.copytree(dataset, str(data))
+    manifest = data / "manifest.txt"
+    text = manifest.read_text()
+    assert "\nn_windows = 4\n" in text
+    manifest.write_text(text.replace("\nn_windows = 4\n", "\nn_windows = x\n"))
+    line = assert_single_error_line(run_cli("eval", "--model", ckpt, "--data", str(data)))
+    assert "line 4" in line
 
 
 def test_missing_manifest_is_exit_2(tmp_path, capsys):

@@ -1,14 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spikedepth import tensor as tz
 from spikedepth import events as ev
-from helpers import recount_stack
-
-
-def make_events(triples):
-    return [ev.Event(t=t, x=x, y=y, p=p) for (t, x, y, p) in triples]
+from helpers import make_events, recount_stack, scalar_stack
 
 
 # ---------------------------------------------------------------------------
@@ -22,7 +20,7 @@ def test_parse_basic_and_polarity_mapping():
 
 
 def test_parse_empty_body():
-    assert ev.parse_events("t_us,x,y,p\n") == []
+    assert ev.parse_events("t_us,x,y,p\n") == make_events([])
 
 
 def test_parse_missing_header():
@@ -46,11 +44,79 @@ def test_parse_decreasing_timestamp():
         ev.parse_events("t_us,x,y,p\n100,1,1,1\n99,1,1,1\n")
 
 
+def test_parse_rejects_overlong_and_non_ascii_fields():
+    with pytest.raises(ev.ParseError, match="line 3"):
+        ev.parse_events("t_us,x,y,p\n1,1,1,1\n%s,1,1,1\n" % ("9" * 19))
+    with pytest.raises(ev.ParseError, match="line 2"):
+        ev.parse_events("t_us,x,y,p\n1,\u0663,1,1\n")
+    assert ev.parse_events("t_us,x,y,p\n%s,1,1,1\n" % ("9" * 18)).t[0] == 10**18 - 1
+
+
+# block sizes that cut the scan mid-record, at every record, and never
+SCAN_SIZES = (1, 7, 16, 64, ev._SCAN_BYTES)
+
+
+FIELD_MUTATIONS = (
+    lambda f, k: f[:k] + f[k + 1:],                       # drop a field
+    lambda f, k: f + ["0"],                               # add a field
+    lambda f, k: f[:k] + [""] + f[k + 1:],                # empty a field
+    lambda f, k: f[:k] + [f[k] + "x"] + f[k + 1:],        # stray character
+    lambda f, k: f[:k] + ["-" + f[k]] + f[k + 1:],        # signed field
+    lambda f, k: f[:k] + ["1" * 19] + f[k + 1:],          # too many digits
+    lambda f, k: f[:3] + [str(2 + k)],                    # polarity out of range
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 999),
+                          st.integers(0, 999), st.sampled_from((-1, 1))),
+                min_size=1, max_size=30),
+       st.data())
+def test_parse_error_names_the_mutated_line(rows, data):
+    rows = sorted(rows)
+    lines = ev.serialize_events(make_events(rows)).split("\n")
+    j = data.draw(st.integers(1, len(rows)), label="record line index")
+    k = data.draw(st.integers(0, 3), label="field")
+    mutate = data.draw(st.sampled_from(FIELD_MUTATIONS), label="mutation")
+    lines[j] = ",".join(mutate(lines[j].split(","), k))
+    scan = data.draw(st.sampled_from(SCAN_SIZES), label="scan block bytes")
+    with mock.patch.object(ev, "_SCAN_BYTES", scan), \
+            pytest.raises(ev.ParseError, match="^line %d:" % (j + 1)):
+        ev.parse_events("\n".join(lines))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**17), st.integers(0, 999),
+                          st.integers(0, 999), st.sampled_from((-1, 1))),
+                max_size=40),
+       st.sampled_from(SCAN_SIZES))
+def test_parse_is_independent_of_the_scan_block(rows, scan):
+    events = make_events(sorted(rows))
+    text = ev.serialize_events(events)
+    with mock.patch.object(ev, "_SCAN_BYTES", scan):
+        assert ev.parse_events(text) == events
+
+
 def test_serialize_roundtrip_byte_identity():
     text = "t_us,x,y,p\n5000,1,2,1\n5000,3,2,0\n45000,0,0,0\n"
     events = ev.parse_events(text)
     assert ev.serialize_events(events) == text
     assert ev.parse_events(ev.serialize_events(events)) == events
+
+
+def test_event_array_checks_its_invariants():
+    with pytest.raises(ev.OrderingError, match="event 2"):
+        ev.EventArray([1, 5, 4], [0, 0, 0], [0, 0, 0], [1, 1, 1])
+    with pytest.raises(tz.ArgumentError, match="polarity"):
+        ev.EventArray([1], [0], [0], [0])
+    with pytest.raises(tz.DimensionError):
+        ev.EventArray([1, 2], [0], [0, 0], [1, 1])
+    events = make_events([(1, 0, 0, 1), (1, 1, 0, -1)])
+    assert len(events) == 2 and events.t.dtype == np.int64
+    with pytest.raises(ValueError):
+        events.t[0] = 9
+    assert events == make_events([(1, 0, 0, 1), (1, 1, 0, -1)])
+    assert events != make_events([(1, 0, 0, 1), (1, 1, 0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -68,12 +134,12 @@ def test_cumulative_worked_example():
 
 
 def test_stack_no_events_is_zero():
-    st_ = ev.cumulative_stack([], 0, 50000, 5, 3, 3)
+    st_ = ev.cumulative_stack(make_events([]), 0, 50000, 5, 3, 3)
     assert st_.data.data.sum() == 0.0
 
 
 def test_stack_ignores_out_of_window():
-    events = make_events([(49999, 0, 0, 1), (50000, 0, 0, 1), (123456, 1, 1, 0)])
+    events = make_events([(49999, 0, 0, 1), (50000, 0, 0, 1), (123456, 1, 1, -1)])
     st_ = ev.cumulative_stack(events, 0, 50000, 5, 3, 3)
     assert st_.data.data[4].sum() == 1.0
 
@@ -90,9 +156,9 @@ def test_stack_bounds_errors():
 
 def test_stack_argument_validation():
     with pytest.raises(tz.ArgumentError):
-        ev.cumulative_stack([], 0, 50000, 7, 3, 3)
+        ev.cumulative_stack(make_events([]), 0, 50000, 7, 3, 3)
     with pytest.raises(tz.ArgumentError):
-        ev.cumulative_stack([], 0, 50000, 0, 3, 3)
+        ev.cumulative_stack(make_events([]), 0, 50000, 0, 3, 3)
 
 
 def test_repeat_stack_replicates_final_histogram():
@@ -125,9 +191,9 @@ def test_stack_matches_recount_oracle(seed):
     t_steps = int(rng.choice([1, 2, 5]))
     n = int(rng.integers(0, 60))
     ts = np.sort(rng.integers(0, 50000, size=n))
-    events = [ev.Event(t=int(ts[i]), x=int(rng.integers(0, width)),
-                       y=int(rng.integers(0, height)), p=int(rng.choice([-1, 1])))
-              for i in range(n)]
+    events = make_events([(int(ts[i]), int(rng.integers(0, width)),
+                           int(rng.integers(0, height)), int(rng.choice([-1, 1])))
+                          for i in range(n)])
     got = ev.cumulative_stack(events, 0, 50000, t_steps, height, width)
     want = recount_stack(events, 0, 50000, t_steps, height, width)
     np.testing.assert_array_equal(got.data.data, want)
@@ -142,9 +208,9 @@ def test_stack_invariants(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 80))
     ts = np.sort(rng.integers(0, 50000, size=n))
-    events = [ev.Event(t=int(ts[i]), x=int(rng.integers(0, 4)),
-                       y=int(rng.integers(0, 4)), p=int(rng.choice([-1, 1])))
-              for i in range(n)]
+    events = make_events([(int(ts[i]), int(rng.integers(0, 4)),
+                           int(rng.integers(0, 4)), int(rng.choice([-1, 1])))
+                          for i in range(n)])
     st_ = ev.cumulative_stack(events, 0, 50000, 5, 4, 4)
     d = st_.data.data
     # frames are nested supersets
@@ -152,12 +218,66 @@ def test_stack_invariants(seed):
     # conservation: final frame counts every in-window event once
     assert d[-1].sum() == n
     # polarity separation
-    pos = sum(1 for e in events if e.p > 0)
+    pos = int((events.p > 0).sum())
     assert d[-1, 0].sum() == pos and d[-1, 1].sum() == n - pos
 
 
+@st.composite
+def stacking_cases(draw):
+    """A sorted stream around one window, with its geometry and bin count.
+
+    Every case holds events exactly at the window's first and last
+    microseconds and just outside both ends, plus off-sensor events outside
+    the window, which must be ignored rather than rejected.
+    """
+    t_steps = draw(st.integers(1, 6))
+    window_len = t_steps * draw(st.integers(1, 40))
+    ws = draw(st.integers(0, 300))
+    height, width = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    hi = ws + window_len
+    on = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1),
+                   st.sampled_from((-1, 1)))
+    off = st.tuples(st.sampled_from((-3, width, width + 7)), st.integers(-2, height + 2),
+                    st.sampled_from((-1, 1)))
+    times = [ws, hi - 1] + draw(st.lists(st.integers(ws, hi - 1), max_size=40))
+    rows = [(t,) + draw(on) for t in times]
+    outside = [max(ws - 1, 0), hi] + draw(st.lists(
+        st.one_of(st.integers(max(ws - 60, 0), max(ws - 1, 0)), st.integers(hi, hi + 60)),
+        max_size=10))
+    rows += [(t,) + draw(on if t == ws else off) for t in outside]
+    rows.sort(key=lambda r: r[0])
+    return rows, ws, window_len, t_steps, height, width
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacking_cases())
+def test_stacks_match_scalar_reference(case):
+    rows, ws, window_len, t_steps, height, width = case
+    events = make_events(rows)
+    for mode, stack in (("cumulative", ev.cumulative_stack), ("repeat", ev.repeat_stack)):
+        got = stack(events, ws, window_len, t_steps, height, width).data.data
+        want = scalar_stack(events, ws, window_len, t_steps, height, width, mode)
+        np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacking_cases(), st.data())
+def test_one_off_sensor_event_in_window_raises(case, data):
+    rows, ws, window_len, t_steps, height, width = case
+    t = data.draw(st.integers(ws, ws + window_len - 1), label="t")
+    x, y = data.draw(st.sampled_from(((-1, 0), (width, 0), (0, -1), (0, height))),
+                     label="off-sensor pixel")
+    rows = sorted(rows + [(t, x, y, 1)], key=lambda r: r[0])
+    events = make_events(rows)
+    with pytest.raises(ev.BoundsError):
+        scalar_stack(events, ws, window_len, t_steps, height, width)
+    for stack in (ev.cumulative_stack, ev.repeat_stack):
+        with pytest.raises(ev.BoundsError, match="t=%d" % t):
+            stack(events, ws, window_len, t_steps, height, width)
+
+
 def test_window_offset_respected():
-    events = make_events([(50000, 1, 1, 1), (99999, 2, 2, 0)])
+    events = make_events([(50000, 1, 1, 1), (99999, 2, 2, -1)])
     st_ = ev.cumulative_stack(events, 50000, 50000, 5, 4, 4)
     assert st_.data.data[0, 0, 1, 1] == 1.0
     assert st_.data.data[4].sum() == 2.0
@@ -170,7 +290,7 @@ def test_window_offset_respected():
 
 def test_binocular_concat_layout():
     left = ev.cumulative_stack(make_events([(1, 0, 0, 1)]), 0, 50000, 2, 2, 2)
-    right = ev.cumulative_stack(make_events([(1, 1, 1, 0)]), 0, 50000, 2, 2, 2)
+    right = ev.cumulative_stack(make_events([(1, 1, 1, -1)]), 0, 50000, 2, 2, 2)
     both = ev.binocular_concat(left, right)
     assert both.data.data.shape == (2, 4, 2, 2)
     np.testing.assert_array_equal(both.data.data[:, :2], left.data.data)
@@ -178,8 +298,8 @@ def test_binocular_concat_layout():
 
 
 def test_binocular_window_mismatch():
-    left = ev.cumulative_stack([], 0, 50000, 2, 2, 2)
-    right = ev.cumulative_stack([], 50000, 50000, 2, 2, 2)
+    left = ev.cumulative_stack(make_events([]), 0, 50000, 2, 2, 2)
+    right = ev.cumulative_stack(make_events([]), 50000, 50000, 2, 2, 2)
     with pytest.raises(ev.AlignmentError):
         ev.binocular_concat(left, right)
 

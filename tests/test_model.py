@@ -1,5 +1,8 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spikedepth import tensor as tz
 from spikedepth import neurons as nr
@@ -353,6 +356,38 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"NOPE1234" + b"\x00" * 8)
     with pytest.raises(tz.ArgumentError, match="magic"):
         md.load_checkpoint(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_max=True))
+def test_checkpoint_truncated_anywhere_is_argument_error(tmp_path_factory, fraction):
+    path = tmp_path_factory.mktemp("trunc") / "model.spkc"
+    md.save_checkpoint(path, md.model_entries(md.DepthNet(small_cfg(), seed=13)))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:int(fraction * len(raw))])
+    with pytest.raises(tz.ArgumentError, match="model.spkc"):
+        md.load_checkpoint(path)
+
+
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "last.spkc"
+    old = md.model_entries(md.DepthNet(small_cfg(), seed=14))
+    md.save_checkpoint(path, old)
+    before = path.read_bytes()
+    written = []
+
+    def write_then_fail(fh, value):
+        if written:
+            raise KeyboardInterrupt
+        written.append(value)
+        real_write(fh, value)
+
+    real_write = tz.write_tensor
+    monkeypatch.setattr(tz, "write_tensor", write_then_fail)
+    with pytest.raises(KeyboardInterrupt):
+        md.save_checkpoint(path, md.model_entries(md.DepthNet(small_cfg(), seed=15)))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["last.spkc"]
 
 
 def test_checkpoint_shape_mismatch(tmp_path):

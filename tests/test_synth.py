@@ -14,6 +14,8 @@ from spikedepth.synth import (PlaneSpec, SceneSpec, ValidationError,
                               serialize_scene_spec, write_dataset,
                               load_manifest, disparity_px)
 
+from helpers import event_rows, make_events
+
 
 def one_plane_spec(**kw):
     args = dict(seed=7, height=16, width=16, n_windows=4, window_len_us=50000,
@@ -99,16 +101,16 @@ def test_crossings_match_level_first_oracle(seed):
 
 def test_static_scene_emits_nothing():
     data = generate_scene(one_plane_spec(camera_velocity=0.0))
-    assert data.events_left == []
-    assert data.events_right == []
+    assert len(data.events_left) == 0
+    assert len(data.events_right) == 0
     assert len(data.gt_frames) == 4
 
 
 def test_polarity_balance():
     # Every crossed level is re-crossed on the way back: equal counts.
     data = generate_scene(one_plane_spec(n_windows=8))
-    pos = sum(1 for e in data.events_left if e.p == 1)
-    neg = sum(1 for e in data.events_left if e.p == -1)
+    pos = int((data.events_left.p == 1).sum())
+    neg = int((data.events_left.p == -1).sum())
     assert pos + neg == len(data.events_left)
     assert abs(pos - neg) <= 10 * 16 * 16
 
@@ -143,13 +145,14 @@ def test_events_sorted_and_in_bounds():
     data = generate_scene(spec)
     for evs in (data.events_left, data.events_right):
         assert len(evs) > 0
-        for a, b in zip(evs[:-1], evs[1:]):
-            assert (a.t, a.y, a.x, a.p) <= (b.t, b.y, b.x, b.p)
-        for e in evs:
-            assert 0 <= e.t < spec.duration_us
-            assert 0 <= e.x < spec.width
-            assert 0 <= e.y < spec.height
-            assert e.p in (-1, 1)
+        keys = [(t, y, x, p) for t, x, y, p in event_rows(evs)]
+        for a, b in zip(keys[:-1], keys[1:]):
+            assert a <= b
+        for t, x, y, p in event_rows(evs):
+            assert 0 <= t < spec.duration_us
+            assert 0 <= x < spec.width
+            assert 0 <= y < spec.height
+            assert p in (-1, 1)
 
 
 def two_plane_spec(**kw):
@@ -164,8 +167,8 @@ def two_plane_spec(**kw):
 
 def test_two_plane_counts_follow_depths():
     data = generate_scene(two_plane_spec(n_windows=7))
-    near = sum(1 for e in data.events_left if e.y < 16)
-    far = sum(1 for e in data.events_left if e.y >= 16)
+    near = int((data.events_left.y < 16).sum())
+    far = int((data.events_left.y >= 16).sum())
     assert abs(near / far - 2.0) < 0.04
 
 
@@ -173,12 +176,13 @@ def test_right_camera_is_per_plane_shift():
     spec = two_plane_spec()
     data = generate_scene(spec)
     shifted = []
-    for e in data.events_left:
-        d = 8 if e.y < 16 else 4  # round(8/1), round(8/2)
-        xr = e.x - d
+    for t, x, y, p in event_rows(data.events_left):
+        d = 8 if y < 16 else 4  # round(8/1), round(8/2)
+        xr = x - d
         if 0 <= xr < spec.width:
-            shifted.append(ev.Event(t=e.t, x=xr, y=e.y, p=e.p))
-    assert sorted(shifted, key=lambda e: (e.t, e.y, e.x, e.p)) == data.events_right
+            shifted.append((t, xr, y, p))
+    assert make_events(sorted(shifted, key=lambda e: (e[0], e[2], e[1], e[3]))) \
+        == data.events_right
 
 
 def test_disparity_rounds():
@@ -303,4 +307,21 @@ def test_manifest_rejects_unknown_key(tmp_path):
     path = tmp_path / "manifest.txt"
     path.write_text("height = 4\nfps = 30\n")
     with pytest.raises(ev.ParseError, match="unknown manifest key"):
+        load_manifest(str(path))
+
+
+@pytest.mark.parametrize("line,bad", [
+    (4, "n_windows = x"),
+    (1, "height = 1.5"),
+    (6, "window.0 = soon"),
+    (6, "window.first = 0"),
+    (7, "gt.x = g.txt"),
+])
+def test_manifest_rejects_non_integers_with_line(tmp_path, line, bad):
+    lines = ["height = 4", "width = 4", "window_len_us = 100", "n_windows = 1",
+             "events_left = e.csv", "window.0 = 0", "gt.0 = g.txt"]
+    lines[line - 1] = bad
+    path = tmp_path / "manifest.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ev.ParseError, match="^line %d: " % line):
         load_manifest(str(path))

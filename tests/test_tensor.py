@@ -475,3 +475,17 @@ def test_tensor_dump_bad_magic(tmp_path):
     path.write_bytes(b"XXXX0000" + b"\x00" * 16)
     with pytest.raises(tz.ArgumentError, match="magic"):
         tz.load_tensor(path)
+
+
+def test_tensor_dump_truncated_or_bad_rank_is_argument_error(tmp_path):
+    path = tmp_path / "t.spkt"
+    tz.save_tensor(path, np.arange(6.0).reshape(2, 3))
+    raw = path.read_bytes()
+    for keep in (10, 14, len(raw) - 1):
+        path.write_bytes(raw[:keep])
+        with pytest.raises(tz.ArgumentError, match="truncated"):
+            tz.load_tensor(path)
+    # a corrupt rank field must not reach numpy's own dimension limit
+    path.write_bytes(raw[:8] + (1024).to_bytes(4, "little") + b"\x01\x00\x00\x00" * 1024)
+    with pytest.raises(tz.ArgumentError, match="rank 1024"):
+        tz.load_tensor(path)
