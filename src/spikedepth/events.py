@@ -290,6 +290,8 @@ def parse_depth_frame(text):
         h, w, t = int(head[0]), int(head[1]), int(head[2])
     except ValueError:
         raise ParseError("line 1: expected integers in 'H W t_us', got %r" % lines[0])
+    if h < 1 or w < 1:
+        raise ParseError("line 1: depth frame size must be positive, got %d x %d" % (h, w))
     if len(lines) != 1 + h:
         raise ParseError("expected %d depth rows, got %d" % (h, len(lines) - 1))
     depth = np.zeros((h, w))

@@ -376,10 +376,13 @@ def load_manifest(path):
         if need not in fields:
             raise ev.ParseError("manifest lacks key %r" % need)
     n = fields["n_windows"]
-    starts = [windows.get(k) for k in range(n)]
-    gt_files = [gts.get(k) for k in range(n)]
-    if any(s is None for s in starts) or any(g is None for g in gt_files):
+    # windows and gts hold at most one entry per line; checking their sizes
+    # first bounds the work by the file rather than by n_windows
+    if (min(len(windows), len(gts)) < n
+            or any(k not in windows or k not in gts for k in range(n))):
         raise ev.ParseError("manifest needs window.k and gt.k for k in 0..%d" % (n - 1))
+    starts = [windows[k] for k in range(n)]
+    gt_files = [gts[k] for k in range(n)]
     return DatasetManifest(height=fields["height"], width=fields["width"],
                            window_len_us=fields["window_len_us"], n_windows=n,
                            binocular=fields.get("binocular", False),

@@ -524,14 +524,6 @@ def linear(x, weight, bias=None):
     return out
 
 
-def _windows(x4, k, stride, padding):
-    """Strided view of all kxk windows: [N, C, Ho, Wo, k, k]."""
-    if padding > 0:
-        x4 = np.pad(x4, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    view = np.lib.stride_tricks.sliding_window_view(x4, (k, k), axis=(2, 3))
-    return view[:, :, ::stride, ::stride], x4.shape
-
-
 def conv_out_size(size, k, stride, padding, axis_name):
     span = size + 2 * padding - k
     if span < 0:
@@ -540,11 +532,43 @@ def conv_out_size(size, k, stride, padding, axis_name):
     return span // stride + 1
 
 
+def _frame_columns(xd, k, stride, padding, ho, wo):
+    """im2col over the frames of xd [N, C_in, H, W], one frame at a time.
+
+    Returns cols(i) -> [C_in*k*k, Ho*Wo]: row (c, u, v), column (r, s) holds
+    input pixel (c, r*stride + u - padding, s*stride + v - padding), zero in
+    the padding. Each call refills the same buffer, so only one frame's
+    columns exist at once; a 1x1 stride-1 unpadded conv reads the frame.
+    """
+    c_in, h, w = xd.shape[1:]
+    if k == 1 and stride == 1 and padding == 0:
+        return lambda i: xd[i].reshape(c_in, h * w)
+    xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
+    cols = np.empty((c_in, k, k, ho, wo))
+
+    def cols_of(i):
+        xp[:, padding:padding + h, padding:padding + w] = xd[i]
+        for u in range(k):
+            for v in range(k):
+                cols[:, u, v] = xp[:, u:u + ho * stride:stride, v:v + wo * stride:stride]
+        return cols.reshape(c_in * k * k, ho * wo)
+
+    return cols_of
+
+
 def conv2d(x, weight, stride=1, padding=0):
     """2D cross-correlation with square odd kernels and symmetric padding.
 
     x is [C_in, H, W] or [T, C_in, H, W]; a leading time axis is handled as a
     batch. weight is [C_out, C_in, k, k], bias-free.
+
+    Each frame is one GEMM: its columns [C_in*k*k, Ho*Wo] (k*k strided
+    slices of the zero-padded frame, see _frame_columns) are multiplied by
+    the weight viewed as [C_out, C_in*k*k]. The backward rebuilds each
+    frame's columns rather than keeping them on the tape, adds g_i @ cols^T
+    into the weight gradient, and scatters W^T @ g_i back onto the padded
+    input gradient with k*k strided adds (col2im). The input gradient is
+    None when x does not require one.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     squeeze = x.data.ndim == 3
@@ -568,25 +592,30 @@ def conv2d(x, weight, stride=1, padding=0):
     ho = conv_out_size(h, k, stride, padding, "height")
     wo = conv_out_size(w, k, stride, padding, "width")
 
-    win, padded_shape = _windows(xd, k, stride, padding)
-    out4 = np.tensordot(win, weight.data, axes=([1, 4, 5], [1, 2, 3]))
-    out4 = out4.transpose(0, 3, 1, 2)
+    w2 = weight.data.reshape(c_out, c_in * k * k)
+    cols_of = _frame_columns(xd, k, stride, padding, ho, wo)
+    out4 = np.empty((n, c_out, ho, wo))
+    for i in range(n):
+        np.matmul(w2, cols_of(i), out=out4[i].reshape(c_out, ho * wo))
     out = Tensor(out4[0] if squeeze else out4)
-    wd = weight.data
 
     def bw(g):
-        g4 = g[None] if squeeze else g
-        gw = np.tensordot(g4, win, axes=([0, 2, 3], [0, 2, 3]))
-        gxp = np.zeros(padded_shape)
-        gwin = np.tensordot(g4, wd, axes=(1, 0))          # [N, Ho, Wo, C_in, k, k]
-        gwin = gwin.transpose(0, 3, 1, 2, 4, 5)           # [N, C_in, Ho, Wo, k, k]
-        for u in range(k):
-            for v in range(k):
-                gxp[:, :, u:u + ho * stride:stride, v:v + wo * stride:stride] += gwin[..., u, v]
-        if padding > 0:
-            gx = gxp[:, :, padding:padding + h, padding:padding + w]
-        else:
-            gx = gxp
+        g3 = (g[None] if squeeze else g).reshape(n, c_out, ho * wo)
+        cols_of = _frame_columns(xd, k, stride, padding, ho, wo)
+        gw = np.zeros((c_out, c_in * k * k))
+        for i in range(n):
+            gw += g3[i] @ cols_of(i).T
+        gw = gw.reshape(weight.data.shape)
+        if not x.requires_grad:
+            return (None, gw)
+        gxp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding))
+        gcols = np.empty((c_in, k, k, ho, wo))
+        for i in range(n):
+            np.matmul(w2.T, g3[i], out=gcols.reshape(c_in * k * k, ho * wo))
+            for u in range(k):
+                for v in range(k):
+                    gxp[i, :, u:u + ho * stride:stride, v:v + wo * stride:stride] += gcols[:, u, v]
+        gx = gxp[:, :, padding:padding + h, padding:padding + w]
         return (gx[0] if squeeze else gx, gw)
 
     record((out,), (x, weight), bw)

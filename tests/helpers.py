@@ -33,6 +33,35 @@ def naive_conv2d(x, w, stride=1, padding=0):
     return out
 
 
+def naive_conv2d_grads(x, w, g, stride=1, padding=0):
+    """Scalar-loop conv output and gradients for one rank-3 frame.
+
+    g is the gradient of some loss with respect to the output [C_out, Ho, Wo];
+    returns (out, d loss / d x, d loss / d w), each visited one tap at a time.
+    """
+    c_out, c_in, k, _ = w.shape
+    h, wd = x.shape[1], x.shape[2]
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (wd + 2 * padding - k) // stride + 1
+    out = np.zeros((c_out, ho, wo))
+    gx = np.zeros(x.shape)
+    gw = np.zeros(w.shape)
+    for o in range(c_out):
+        for i in range(ho):
+            for j in range(wo):
+                for c in range(c_in):
+                    for u in range(k):
+                        for v in range(k):
+                            r = i * stride + u - padding
+                            q = j * stride + v - padding
+                            if not (0 <= r < h and 0 <= q < wd):
+                                continue
+                            out[o, i, j] += x[c, r, q] * w[o, c, u, v]
+                            gx[c, r, q] += g[o, i, j] * w[o, c, u, v]
+                            gw[o, c, u, v] += g[o, i, j] * x[c, r, q]
+    return out, gx, gw
+
+
 def central_diff(f, arrays, eps=1e-5):
     """Central finite differences of scalar f() w.r.t. each array, in place."""
     grads = []

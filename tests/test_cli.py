@@ -450,6 +450,17 @@ def test_manifest_non_integer_is_exit_2(tmp_path, dataset):
     assert "line 4" in line
 
 
+def test_negative_depth_header_is_exit_2(tmp_path, dataset):
+    cfg = md.ModelConfig(height=16, width=16, base_channels=2, layers=2)
+    ckpt = str(tmp_path / "model.spkc")
+    md.save_model(ckpt, md.DepthNet(cfg, seed=0))
+    data = tmp_path / "data"
+    shutil.copytree(dataset, str(data))
+    (data / "gt_0000.txt").write_text("1 -1 50000\n1.0\n")
+    line = assert_single_error_line(run_cli("eval", "--model", ckpt, "--data", str(data)))
+    assert "line 1" in line
+
+
 def test_missing_manifest_is_exit_2(tmp_path, capsys):
     cfg = md.ModelConfig(height=16, width=16, base_channels=2, layers=2)
     ckpt = str(tmp_path / "model.spkc")

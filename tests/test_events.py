@@ -357,6 +357,9 @@ def test_depth_file_errors():
         ev.parse_depth_frame("1 2 0\n1.0 oops\n")
     with pytest.raises(ev.ParseError):
         ev.parse_depth_frame("1 1 0\n-3.0\n")
+    for head in ("1 -1 50000", "-1 1 50000", "0 1 50000"):
+        with pytest.raises(ev.ParseError, match="^line 1: "):
+            ev.parse_depth_frame(head + "\n1.0\n")
 
 
 def test_depth_frame_rejects_nonpositive_valid():

@@ -1,6 +1,7 @@
 """Scene generator: exact crossing times, rate scaling, stereo shift, layout."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,6 +302,20 @@ def test_manifest_rejects_missing_windows(tmp_path):
                     "events_left = e.csv\nwindow.0 = 0\ngt.0 = g.txt\n")
     with pytest.raises(ev.ParseError, match="window.k and gt.k"):
         load_manifest(str(path))
+
+
+def test_manifest_huge_window_count_fails_within_the_file(tmp_path):
+    path = tmp_path / "manifest.txt"
+    path.write_text("height = 4\nwidth = 4\nwindow_len_us = 100\nn_windows = %d\n"
+                    "events_left = e.csv\nwindow.0 = 0\ngt.0 = g.txt\n" % 10 ** 9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ev.ParseError, match="window.k and gt.k"):
+            load_manifest(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_manifest_rejects_unknown_key(tmp_path):

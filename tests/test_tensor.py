@@ -2,9 +2,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikedepth import tensor as tz
-from helpers import naive_conv2d, central_diff, assert_grads_close, check_op_gradient
+from helpers import (naive_conv2d, naive_conv2d_grads, central_diff, assert_grads_close,
+                     check_op_gradient)
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
@@ -49,6 +52,43 @@ def test_conv_matches_naive_loops(seed):
     out = tz.conv2d(tz.Tensor(x), tz.Tensor(wt), stride=stride, padding=padding)
     want = naive_conv2d(x, wt, stride=stride, padding=padding)
     np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.sampled_from([None, 1, 2, 3]), c_in=st.integers(1, 4), c_out=st.integers(1, 4),
+       k=st.sampled_from([1, 3, 5]), stride=st.integers(1, 3), padding=st.integers(0, 2),
+       dh=st.integers(0, 6), dw=st.integers(0, 6), x_needs_grad=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_conv_forward_and_backward_match_scalar_loops(t, c_in, c_out, k, stride, padding,
+                                                      dh, dw, x_needs_grad, seed):
+    """t None is a rank-3 input; an input that needs no gradient gets none."""
+    rng = np.random.default_rng(seed)
+    lead = () if t is None else (t,)
+    x = rng.standard_normal(lead + (c_in, k + dh, k + dw))
+    wt = rng.standard_normal((c_out, c_in, k, k))
+    xt = tz.Tensor(x, requires_grad=x_needs_grad)
+    wtt = tz.Tensor(wt, requires_grad=True)
+    with tz.Tape() as tape:
+        out = tz.conv2d(xt, wtt, stride=stride, padding=padding)
+        g = rng.standard_normal(out.data.shape)
+        loss = tz.sum_all(tz.mul(out, tz.Tensor(g)))
+    tz.backward(loss, tape)
+
+    frames = x.reshape((-1,) + x.shape[-3:])
+    g_frames = g.reshape((-1,) + g.shape[-3:])
+    want = [naive_conv2d_grads(f, wt, gf, stride, padding) for f, gf in zip(frames, g_frames)]
+    want_out = np.stack([o for o, _, _ in want]).reshape(out.data.shape)
+    want_gx = np.stack([gx for _, gx, _ in want]).reshape(x.shape)
+    want_gw = sum(gw for _, _, gw in want)
+    close = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out.data, want_out, **close)
+    np.testing.assert_allclose(wtt.grad, want_gw, **close)
+    if x_needs_grad:
+        np.testing.assert_allclose(xt.grad, want_gx, **close)
+    else:
+        assert xt.grad is None
+        _, _, conv_backward = tape._ops[0]
+        assert conv_backward(g)[0] is None
 
 
 def test_conv_time_axis_is_batch():
