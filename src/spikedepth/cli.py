@@ -195,10 +195,10 @@ def serialize_run_config(cfg):
 
 def load_run_config(path):
     try:
-        with open(path, "r") as fh:
-            return parse_run_config(fh)
+        text = ev.read_text(path)
     except OSError as e:
         raise CliError("cannot read config: %s" % e)
+    return parse_run_config(text)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,22 @@ class AlignmentError(ValueError):
     """No ground-truth frame close enough to a window boundary."""
 
 
+def read_text(path):
+    """The text of a UTF-8 file, CRLF and CR line ends read as LF as in text mode.
+
+    Bytes that are not UTF-8 raise ParseError naming the file and the line
+    they are on, not UnicodeDecodeError.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError("%s: line %d: byte 0x%02x is not valid UTF-8"
+                         % (path, raw.count(b"\n", 0, e.start) + 1, raw[e.start])) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _first_decrease(t):
     """Index i of the first t[i] < t[i - 1], or -1 when t never decreases."""
     down = np.flatnonzero(t[1:] < t[:-1])
@@ -51,12 +67,17 @@ def _first_decrease(t):
 
 
 class EventArray:
-    """Events as read-only int64 columns t, x, y, p (+1/-1), sorted by t."""
+    """Events as read-only int64 columns t, x, y, p (+1/-1), sorted by t.
+
+    The constructor takes ownership of int64 arrays it is given: they become
+    the columns without a copy and are frozen read-only in place, so a
+    caller must not keep writing to them. Other inputs are converted.
+    """
 
     __slots__ = ("t", "x", "y", "p")
 
     def __init__(self, t, x, y, p):
-        cols = [np.array(c, dtype=np.int64) for c in (t, x, y, p)]
+        cols = [np.asarray(c, dtype=np.int64) for c in (t, x, y, p)]
         if any(c.ndim != 1 or c.size != cols[0].size for c in cols):
             raise tz.DimensionError("event columns must be rank 1 and equal length, got %s"
                                     % [c.shape for c in cols])
@@ -182,8 +203,7 @@ def serialize_events(events):
 
 
 def load_events(path):
-    with open(path, "r") as fh:
-        return parse_events(fh)
+    return parse_events(read_text(path))
 
 
 def save_events(path, events):
@@ -320,8 +340,7 @@ def serialize_depth_frame(frame):
 
 
 def load_depth_frame(path):
-    with open(path, "r") as fh:
-        return parse_depth_frame(fh)
+    return parse_depth_frame(read_text(path))
 
 
 def save_depth_frame(path, frame):

@@ -291,8 +291,7 @@ def parse_scene_spec(text):
 
 
 def load_scene_spec(path):
-    with open(path, "r") as fh:
-        return parse_scene_spec(fh)
+    return parse_scene_spec(ev.read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +344,7 @@ def _manifest_int(i, text):
 
 
 def load_manifest(path):
-    with open(path, "r") as fh:
-        text = fh.read()
+    text = ev.read_text(path)
     fields = {}
     windows = {}
     gts = {}

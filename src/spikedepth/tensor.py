@@ -159,12 +159,17 @@ def record(outputs, inputs, backward):
 
 
 def backward(loss, tape):
-    """Accumulate d(loss)/d(tensor) into .grad for every tensor on the tape.
+    """Accumulate d(loss)/d(leaf) into .grad for every leaf of the tape.
 
-    loss must be a scalar produced under this tape. Gradients propagate
-    through a private map during the reverse sweep and are flushed into
-    .grad at the end, so repeated calls accumulate cleanly (no zeroing
-    between calls is implied). An empty tape is a no-op.
+    loss must be a scalar. A leaf is a tensor that requires a gradient and
+    that no op on this tape produced: parameters, inputs, and loss itself
+    when no op made it. Only leaves receive .grad; intermediates keep
+    grad = None. The sweep walks the tape in reverse and pops an op's output
+    gradients when it reaches that op: every consumer of a tensor comes
+    later on the tape, so the gradient is complete by then and is freed
+    once used. What is left at the end belongs to leaves and is added into
+    their .grad as an owned, writable copy, so repeated calls accumulate
+    (no zeroing between calls is implied). An empty tape is a no-op.
     """
     if not isinstance(loss, Tensor):
         raise ArgumentError("backward needs a Tensor loss")
@@ -172,10 +177,10 @@ def backward(loss, tape):
         raise ArgumentError("loss must be scalar, got shape %s" % (loss.data.shape,))
     if len(tape._ops) == 0:
         return
-    grads = {id(loss): np.ones((), dtype=np.float64)}
-    seen = {id(loss): loss}
+    # id -> (tensor, gradient so far); an op's outputs leave it when the op runs
+    pending = {id(loss): (loss, np.ones((), dtype=np.float64))}
     for outputs, inputs, bw in reversed(tape._ops):
-        gouts = tuple(grads.get(id(o)) for o in outputs)
+        gouts = tuple(pending.pop(id(o), (o, None))[1] for o in outputs)
         if all(g is None for g in gouts):
             continue
         gouts = tuple(np.zeros(o.data.shape) if g is None else g
@@ -184,17 +189,12 @@ def backward(loss, tape):
         for t, g in zip(inputs, gins):
             if g is None or not t.requires_grad:
                 continue
-            seen[id(t)] = t
-            if id(t) in grads:
-                grads[id(t)] = grads[id(t)] + g
-            else:
-                grads[id(t)] = g
-        for o in outputs:
-            seen[id(o)] = o
-    for key, t in seen.items():
-        if not t.requires_grad or key not in grads:
+            prev = pending.get(id(t))
+            pending[id(t)] = (t, g if prev is None else prev[1] + g)
+    for t, g in pending.values():
+        if not t.requires_grad:
             continue
-        g = np.asarray(grads[key], dtype=np.float64)
+        g = np.asarray(g, dtype=np.float64)
         t.grad = g.copy() if t.grad is None else t.grad + g
 
 
@@ -463,10 +463,10 @@ def pool(a, axes, mode="avg"):
 
     if mode == "avg":
         out = Tensor(flat.mean(axis=-1))
+        shape = a.data.shape
 
         def bw(g):
-            gf = np.repeat((g / red)[..., None], red, axis=-1)
-            return (_pool_restore(gf, kept_shape, moved.shape, perm),)
+            return (np.broadcast_to(np.expand_dims(g / red, axes), shape),)
     else:
         arg = flat.argmax(axis=-1)
         out = Tensor(np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0])
@@ -474,16 +474,10 @@ def pool(a, axes, mode="avg"):
         def bw(g):
             gf = np.zeros(flat.shape)
             np.put_along_axis(gf, arg[..., None], g[..., None], axis=-1)
-            return (_pool_restore(gf, kept_shape, moved.shape, perm),)
+            return (gf.reshape(moved.shape).transpose(np.argsort(perm)),)
 
     record((out,), (a,), bw)
     return out
-
-
-def _pool_restore(flat_grad, kept_shape, moved_shape, perm):
-    g = flat_grad.reshape(moved_shape)
-    inv = np.argsort(perm)
-    return g.transpose(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -635,12 +629,15 @@ def nearest_upsample(x, factor):
         return out
     up = np.repeat(np.repeat(x.data, factor, axis=-2), factor, axis=-1)
     out = Tensor(up)
-    h, w = x.data.shape[-2], x.data.shape[-1]
-    lead = x.data.shape[:-2]
 
     def bw(g):
-        g6 = g.reshape(lead + (h, factor, w, factor))
-        return (g6.sum(axis=(-3, -1)),)
+        # f*f strided-slice adds; a strided reduce over a 6-axis view is far slower
+        gx = g[..., ::factor, ::factor].copy()
+        for u in range(factor):
+            for v in range(factor):
+                if u or v:
+                    gx += g[..., u::factor, v::factor]
+        return (gx,)
 
     record((out,), (x,), bw)
     return out

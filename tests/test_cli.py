@@ -467,3 +467,37 @@ def test_missing_manifest_is_exit_2(tmp_path, capsys):
     md.save_model(ckpt, md.DepthNet(cfg, seed=0))
     assert main(["eval", "--model", ckpt, "--data", str(tmp_path / "nowhere")]) == 2
     assert "manifest" in capsys.readouterr().err
+
+
+def corrupt_line(path, lineno, byte):
+    """Insert one non-UTF-8 byte at the start of a 1-based line of a text file."""
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] = byte + lines[lineno - 1]
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("reader", ["config", "spec", "events", "depth", "manifest"])
+def test_non_utf8_text_input_is_exit_2(tmp_path, dataset, reader):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, str(data))
+    ckpt = str(tmp_path / "model.spkc")
+    md.save_model(ckpt, md.DepthNet(md.ModelConfig(height=16, width=16, base_channels=2,
+                                                   layers=2), seed=0))
+    if reader == "config":
+        bad = tmp_path / "run.cfg"
+        write_cfg(str(bad), data_dir=str(data), out_dir=str(tmp_path / "out"))
+        args = ("train", "--config", str(bad))
+    elif reader == "spec":
+        bad = tmp_path / "scene.spec"
+        bad.write_text(sy.serialize_scene_spec(scene_spec()))
+        args = ("synth", "--spec", str(bad), "--out", str(tmp_path / "new"))
+    elif reader == "events":
+        bad = data / "events_left.csv"
+        args = ("stack", "--events", str(bad), "--T", "5", "--height", "16", "--width", "16",
+                "--out", str(tmp_path / "x.spkt"))
+    else:
+        bad = data / ("gt_0000.txt" if reader == "depth" else "manifest.txt")
+        args = ("eval", "--model", ckpt, "--data", str(data))
+    corrupt_line(bad, 3, b"\xff" if reader != "spec" else b"\xfe")
+    line = assert_single_error_line(run_cli(*args))
+    assert bad.name in line and "line 3" in line and "UTF-8" in line, line

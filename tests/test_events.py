@@ -104,6 +104,25 @@ def test_serialize_roundtrip_byte_identity():
     assert ev.parse_events(ev.serialize_events(events)) == events
 
 
+def test_event_array_owns_int64_columns_without_a_copy():
+    cols = [np.array(c, dtype=np.int64) for c in ([1, 2, 2], [0, 3, 1], [4, 0, 2], [1, -1, 1])]
+    events = ev.EventArray(*cols)
+    for name, col in zip(("t", "x", "y", "p"), cols):
+        assert getattr(events, name) is col
+        assert not col.flags.writeable
+    listed = ev.EventArray([1, 2, 2], [0, 3, 1], [4, 0, 2], [1, -1, 1])
+    assert listed == events and listed.t.dtype == np.int64
+
+
+def test_read_text_translates_line_ends_and_names_bad_bytes(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"a\r\nb\rc\n")
+    assert ev.read_text(str(path)) == "a\nb\nc\n"
+    path.write_bytes(b"a\nb\n\xffc\n")
+    with pytest.raises(ev.ParseError, match="f.txt: line 3: byte 0xff"):
+        ev.read_text(str(path))
+
+
 def test_event_array_checks_its_invariants():
     with pytest.raises(ev.OrderingError, match="event 2"):
         ev.EventArray([1, 5, 4], [0, 0, 0], [0, 0, 0], [1, 1, 1])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spikedepth import tensor as tz
 from helpers import (naive_conv2d, naive_conv2d_grads, central_diff, assert_grads_close,
-                     check_op_gradient)
+                     check_op_gradient, reference_backward)
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
@@ -165,9 +165,19 @@ def test_upsample_then_avg_downsample_is_identity():
 
 
 def test_updown_gradients_match_fd():
-    x = rand((2, 4, 4), seed=10)
-    check_op_gradient(lambda ts: tz.nearest_upsample(ts[0], 2), [x], label="upsample")
-    check_op_gradient(lambda ts: tz.avg_downsample(ts[0], 2), [x], label="downsample")
+    for factor in (2, 3, 4):
+        for lead in ((2,), (2, 3)):  # rank 3 and rank 4
+            label = "f%d rank %d" % (factor, len(lead) + 2)
+            x = rand(lead + (3, 2), seed=10)
+            check_op_gradient(lambda ts: tz.nearest_upsample(ts[0], factor), [x],
+                              label="upsample " + label)
+            # a non-uniform weight, so each block's taps carry different gradients
+            wu = rand(lead + (3 * factor, 2 * factor), seed=12)
+            check_op_gradient(lambda ts: tz.mul(tz.nearest_upsample(ts[0], factor), ts[1]),
+                              [x, wu], label="weighted upsample " + label)
+            xd = rand(lead + (2 * factor, 3 * factor), seed=11)
+            check_op_gradient(lambda ts: tz.avg_downsample(ts[0], factor), [xd],
+                              label="downsample " + label)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +394,104 @@ def test_backward_linearity():
     combo = lambda t: tz.add(tz.mul(f(t), 2.0), tz.mul(g(t), -3.0))
     np.testing.assert_allclose(grad_of(combo), 2 * grad_of(f) - 3 * grad_of(g),
                                rtol=1e-12)
+
+
+TAPE_OPS = ("add", "sub", "mul", "square", "gate", "pool_avg", "pool_max", "upsample",
+            "unstack", "sigmoid")
+
+
+def build_random_tape(ops, used, seed):
+    """A tape over [2, 3, 2, 2] values drawn by (kind, i, j) triples.
+
+    Returns (tape, loss, leaves). Values are picked from a growing pool, so
+    tensors fan out; two-operand ops fan in. The loss sums the values named
+    by `used` and is scaled by a scalar leaf, so other values go unused.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (2, 3, 2, 2)
+    leaves = {"x%d" % k: tz.Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+              for k in range(3)}
+    leaves["gate"] = tz.Tensor(rng.uniform(-1, 1, (2,)), requires_grad=True)
+    leaves["scale"] = tz.Tensor(np.array(rng.uniform(0.5, 2.0)), requires_grad=True)
+    const = tz.Tensor(rng.uniform(-1, 1, shape))  # needs no gradient
+    with tz.Tape() as tape:
+        vals = [leaves["x0"], leaves["x1"], leaves["x2"], const]
+        for kind, i, j in ops:
+            a, b = vals[i % len(vals)], vals[j % len(vals)]
+            if kind == "add":
+                out = tz.add(a, b)
+            elif kind == "sub":
+                out = tz.sub(a, b)
+            elif kind == "mul":
+                out = tz.mul(a, b)
+            elif kind == "square":
+                out = tz.mul(a, a)
+            elif kind == "gate":  # broadcast [2] over [2, 3, 2, 2], both orders
+                out = tz.mul(leaves["gate"], a) if j % 2 else tz.add(a, leaves["gate"])
+            elif kind == "pool_avg":
+                out = tz.mul(b, tz.pool(a, axes=(2, 3), mode="avg"))
+            elif kind == "pool_max":
+                out = tz.add(tz.pool(a, axes=(1, 2, 3), mode="max"), b)
+            elif kind == "upsample":
+                f = 2 + j % 3
+                up = tz.mul(tz.nearest_upsample(a, f), tz.nearest_upsample(b, f))
+                out = tz.avg_downsample(up, f)
+            elif kind == "unstack":  # only frame j of the two is used
+                frames = tz.unstack(a)
+                out = tz.stack_frames([frames[j % 2]] * 2)
+            else:
+                out = tz.sigmoid(a)
+            vals.append(out)
+        total = tz.sum_all(vals[used[0] % len(vals)])
+        for u in used[1:]:
+            total = tz.add(total, tz.sum_all(vals[u % len(vals)]))
+        loss = tz.mul(total, leaves["scale"])
+    return tape, loss, leaves
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=st.lists(st.tuples(st.sampled_from(TAPE_OPS), st.integers(0, 63),
+                              st.integers(0, 63)), min_size=1, max_size=10),
+       used=st.lists(st.integers(0, 63), min_size=1, max_size=2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_backward_matches_keep_everything_sweep(ops, used, seed):
+    """Leaf gradients equal the oracle's bit for bit; intermediates get none."""
+    tape, loss, leaves = build_random_tape(ops, used, seed)
+    tz.backward(loss, tape)
+    got = {name: t.grad for name, t in leaves.items()}
+    for outputs, _, _ in tape._ops:
+        assert all(o.grad is None for o in outputs)
+
+    for t in leaves.values():
+        t.grad = None
+    reference_backward(loss, tape)
+    for name, t in leaves.items():
+        if t.grad is None:
+            assert got[name] is None, name
+        else:
+            assert got[name].shape == t.grad.shape, name
+            np.testing.assert_array_equal(got[name], t.grad, err_msg=name)
+
+    # a loss that no op on the tape produced is a leaf: d loss / d loss = 1
+    for t in leaves.values():
+        t.grad = None
+    tz.backward(leaves["scale"], tape)
+    assert leaves["scale"].grad == 1.0
+    assert all(t.grad is None for name, t in leaves.items() if name != "scale")
+
+
+def test_leaf_grad_is_owned_when_it_arrives_as_a_view():
+    # pool's avg backward broadcasts, and add hands the same array to both inputs
+    x = tz.Tensor(rand((3, 4), seed=33), requires_grad=True)
+    y = tz.Tensor(rand((3, 4), seed=34), requires_grad=True)
+    with tz.Tape() as tape:
+        loss = tz.sum_all(tz.pool(tz.add(x, y), axes=(1,), mode="avg"))
+    tz.backward(loss, tape)
+    assert x.grad.flags.c_contiguous and x.grad.flags.writeable
+    assert not np.shares_memory(x.grad, y.grad)
+    x.grad += 1.0
+    np.testing.assert_array_equal(x.grad, np.full((3, 4), 1.25))
+    np.testing.assert_array_equal(y.grad, np.full((3, 4), 0.25))
 
 
 def test_composite_pipeline_gradient():
