@@ -8,6 +8,7 @@ Modules:
   model      spiking U-Net with residual bottleneck and per-scale depth heads
   losses     scale-shift-invariant depth loss, smoothness term, metrics
   synth      deterministic synthetic scene and dataset generator
+  kv         key = value config files and the checkpoint cfg.* encoding
   cli        command-line harness (synth, stack, train, eval, predict, inspect)
 """
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import attention as at
 from . import events as ev
+from . import kv
 from . import losses as ls
 from . import model as md
 from . import synth as sy
@@ -33,29 +33,21 @@ class CliError(Exception):
         self.code = code
 
 
+# the errors main reports as bad input, with exit code 2
+INPUT_ERRORS = (OSError, tz.ArgumentError, tz.DimensionError, tz.StateError, ev.ParseError,
+                ev.OrderingError, ev.BoundsError, ev.AlignmentError, sy.ValidationError,
+                ls.MetricError)
+
+
 # ---------------------------------------------------------------------------
 # run configuration
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(ls.LossConfig, md.ModelConfig):
+    """One training run: the model and loss fields it inherits, then its own."""
+
     seed: int = 0
-    height: int = 64
-    width: int = 64
-    time_steps: int = 5
-    in_channels: int = 4
-    base_channels: int = 8
-    layers: int = 4
-    encoder_variant: str = "CE-Att"
-    attention: str = "CS"
-    reduction: int = 1
-    neuron_mode: str = "spiking"
-    v_threshold: float = 1.0
-    v_reset: float = 0.0
-    surrogate_alpha: float = 1.0
-    conv_bias: bool = False
-    lambda_reg: float = 0.5
-    ssi_sign: str = "minus"
     multiscale_loss: bool = False
     learning_rate: float = 0.002
     adam_beta1: float = 0.9
@@ -65,140 +57,64 @@ class RunConfig:
     milestone_fractions: tuple = (0.5, 0.75)
     windows_per_step: int = 1
     val_fraction: float = 0.2
-    stack_mode: str = "cumulative"
+    stack_mode: str = kv.choice("cumulative", STACK_MODES)
     binarize: bool = False
     data_dir: str = ""
     out_dir: str = ""
 
     def __post_init__(self):
+        # each parent checks every choice field, stack_mode included
+        md.ModelConfig.__post_init__(self)
+        ls.LossConfig.__post_init__(self)
         if self.in_channels not in (2, 4):
             raise tz.ArgumentError("in_channels must be 2 (mono) or 4 (binocular), "
                                    "got %d" % self.in_channels)
-        if self.stack_mode not in STACK_MODES:
-            raise tz.ArgumentError("stack_mode must be one of %s, got %r"
-                                   % (STACK_MODES, self.stack_mode))
-        if self.ssi_sign not in ls.SSI_SIGNS:
-            raise tz.ArgumentError("ssi_sign must be one of %s, got %r"
-                                   % (ls.SSI_SIGNS, self.ssi_sign))
-        if self.epochs < 1:
-            raise tz.ArgumentError("epochs must be >= 1, got %d" % self.epochs)
-        if self.windows_per_step < 1:
-            raise tz.ArgumentError("windows_per_step must be >= 1, got %d"
-                                   % self.windows_per_step)
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise tz.ArgumentError("val_fraction must lie in [0, 1), got %r"
-                                   % (self.val_fraction,))
-        if self.learning_rate <= 0:
-            raise tz.ArgumentError("learning_rate must be positive, got %r"
-                                   % (self.learning_rate,))
-        if self.adam_eps <= 0:
-            raise tz.ArgumentError("adam_eps must be positive, got %r"
-                                   % (self.adam_eps,))
+        if self.seed < 0:
+            raise tz.ArgumentError("seed must be >= 0, got %d" % self.seed)
+        for name in ("epochs", "windows_per_step"):
+            if getattr(self, name) < 1:
+                raise tz.ArgumentError("%s must be >= 1, got %d" % (name, getattr(self, name)))
+        for name in ("learning_rate", "adam_eps"):
+            if getattr(self, name) <= 0:
+                raise tz.ArgumentError("%s must be positive, got %r" % (name, getattr(self, name)))
+        for name in ("val_fraction", "adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise tz.ArgumentError("%s must lie in [0, 1), got %r"
+                                       % (name, getattr(self, name)))
         for f in self.milestone_fractions:
             if not 0.0 < f <= 1.0:
                 raise tz.ArgumentError("milestone fractions must lie in (0, 1], got %r"
                                        % (f,))
-        object.__setattr__(self, "attention", at.normalize_enabled(self.attention))
-        # variant/geometry constraints live in ModelConfig
-        self.model_config()
+        mult = 1 << self.layers
+        if self.multiscale_loss and (self.height % mult or self.width % mult):
+            raise tz.ArgumentError("multiscale_loss needs height and width divisible by %d"
+                                   % mult)
 
     def model_config(self):
-        return md.ModelConfig(height=self.height, width=self.width,
-                              time_steps=self.time_steps,
-                              in_channels=self.in_channels,
-                              base_channels=self.base_channels, layers=self.layers,
-                              encoder_variant=self.encoder_variant,
-                              attention=self.attention, reduction=self.reduction,
-                              v_threshold=self.v_threshold, v_reset=self.v_reset,
-                              surrogate_alpha=self.surrogate_alpha,
-                              neuron_mode=self.neuron_mode, conv_bias=self.conv_bias)
+        return self._project(md.ModelConfig)
 
     def loss_config(self):
-        return ls.LossConfig(lambda_reg=self.lambda_reg, ssi_sign=self.ssi_sign)
+        return self._project(ls.LossConfig)
 
-
-_INT_KEYS = frozenset(("seed", "height", "width", "time_steps", "in_channels",
-                       "base_channels", "layers", "reduction", "epochs",
-                       "windows_per_step"))
-_FLOAT_KEYS = frozenset(("v_threshold", "v_reset", "surrogate_alpha", "lambda_reg",
-                         "learning_rate", "adam_beta1", "adam_beta2", "adam_eps",
-                         "val_fraction"))
-_STR_KEYS = frozenset(("encoder_variant", "attention", "neuron_mode", "ssi_sign",
-                       "stack_mode", "data_dir", "out_dir"))
-_BOOL_KEYS = frozenset(("conv_bias", "multiscale_loss", "binarize"))
-_LIST_KEYS = frozenset(("milestone_fractions",))
-
-
-def _parse_value(key, value, line_no):
-    where = "line %d" % line_no
-    if key in _INT_KEYS:
-        try:
-            return int(value)
-        except ValueError:
-            raise CliError("%s: %s must be an integer, got %r" % (where, key, value))
-    if key in _FLOAT_KEYS:
-        try:
-            return float(value)
-        except ValueError:
-            raise CliError("%s: %s must be a number, got %r" % (where, key, value))
-    if key in _BOOL_KEYS:
-        if value not in ("true", "false"):
-            raise CliError("%s: %s must be true or false, got %r" % (where, key, value))
-        return value == "true"
-    if key in _LIST_KEYS:
-        parts = [p.strip() for p in value.split(",") if p.strip()]
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError:
-            raise CliError("%s: %s must be comma-separated numbers, got %r"
-                           % (where, key, value))
-    return value
+    def _project(self, parent):
+        """The parent config that holds this config's values of the parent's fields."""
+        return parent(**{f.name: getattr(self, f.name) for f in fields(parent)})
 
 
 def parse_run_config(text):
     """Flat key = value lines with # comments; unknown keys are hard errors."""
-    if hasattr(text, "read"):
-        text = text.read()
-    known = {f.name for f in fields(RunConfig)}
-    out = {}
-    for i, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CliError("line %d: expected key = value, got %r" % (i, raw))
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in known:
-            raise CliError("line %d: unknown config key %r" % (i, key))
-        if key in out:
-            raise CliError("line %d: duplicate config key %r" % (i, key))
-        out[key] = _parse_value(key, value, i)
-    return RunConfig(**out)
+    values, rest = kv.read(text, RunConfig)
+    if rest:
+        raise ev.ParseError("line %d: unknown config key %r" % rest[0][:2])
+    return RunConfig(**values)
 
 
 def serialize_run_config(cfg):
-    lines = []
-    for f in fields(RunConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, bool):
-            text = "true" if v else "false"
-        elif isinstance(v, float):
-            text = repr(v)
-        elif isinstance(v, tuple):
-            text = ", ".join(repr(x) for x in v)
-        else:
-            text = str(v)
-        lines.append("%s = %s" % (f.name, text))
-    return "\n".join(lines) + "\n"
+    return "\n".join(kv.format_lines(cfg)) + "\n"
 
 
 def load_run_config(path):
-    try:
-        text = ev.read_text(path)
-    except OSError as e:
-        raise CliError("cannot read config: %s" % e)
-    return parse_run_config(text)
+    return parse_run_config(ev.read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -296,32 +212,19 @@ def evaluate_dataset(model, samples, loss_cfg):
 
 
 def _train_extras(cfg, window_len_us, epoch, step, lr, best_mde, params):
-    extras = {
-        "cfg.lambda_reg": cfg.lambda_reg,
-        "cfg.ssi_sign": ls.SSI_SIGNS.index(cfg.ssi_sign),
-        "cfg.stack_mode": STACK_MODES.index(cfg.stack_mode),
-        "cfg.binarize": int(cfg.binarize),
-        "train.window_len_us": window_len_us,
-        "train.epoch": epoch,
-        "train.step": step,
-        "train.lr": lr,
-        "train.best_mde": best_mde,
-    }
-    extras.update(params.optimizer_state())
+    """Checkpoint entries beyond the model's own: the settings eval, predict and
+    inspect read back, and the training position. `params` is unused."""
+    extras = kv.to_entries(cfg, ("lambda_reg", "ssi_sign", "stack_mode", "binarize"))
+    extras.update({"train.window_len_us": window_len_us, "train.epoch": epoch,
+                   "train.step": step, "train.lr": lr, "train.best_mde": best_mde})
     return extras
 
 
 def _run_settings(entries):
-    """Loss and stacking choices a checkpoint carries, with library defaults."""
-    def geti(key, default):
-        return int(entries[key]) if key in entries else default
-
-    lam = float(entries["cfg.lambda_reg"]) if "cfg.lambda_reg" in entries else 0.5
-    sign = ls.SSI_SIGNS[geti("cfg.ssi_sign", 0)]
-    mode = STACK_MODES[geti("cfg.stack_mode", 0)]
-    binarize = bool(geti("cfg.binarize", 0))
-    window_len = geti("train.window_len_us", 0) or None
-    return ls.LossConfig(lambda_reg=lam, ssi_sign=sign), mode, binarize, window_len
+    """The run config a checkpoint carries, defaults where it is silent, and
+    the window length it records (None if none)."""
+    cfg = RunConfig(**kv.from_entries(RunConfig, entries, required=False))
+    return cfg, int(entries.get("train.window_len_us", 0)) or None
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +284,6 @@ def cmd_train(args):
         raise CliError("no dataset: set data_dir in the config or pass --data")
     if not cfg.out_dir:
         raise CliError("no output directory: set out_dir in the config or pass --out")
-    mult = 1 << cfg.layers
-    if cfg.multiscale_loss and (cfg.height % mult or cfg.width % mult):
-        raise CliError("multiscale_loss needs height and width divisible by %d" % mult)
-
     samples = load_windows(cfg.data_dir, cfg.height, cfg.width, cfg.time_steps,
                            cfg.in_channels, cfg.stack_mode, cfg.binarize)
     window_len_us = samples[0].x.window_len
@@ -457,34 +356,37 @@ def cmd_train(args):
     return 0
 
 
-def cmd_eval(args):
+def _evaluate_checkpoint(args):
+    """--model over --data with the loss and stacking settings the checkpoint carries."""
     model, entries = md.load_model(args.model)
-    loss_cfg, stack_mode, binarize, _ = _run_settings(entries)
-    c = model.config
-    samples = load_windows(args.data, c.height, c.width, c.time_steps,
-                           c.in_channels, stack_mode, binarize)
-    metrics, _, _ = evaluate_dataset(model, samples, loss_cfg)
+    cfg, _ = _run_settings(entries)
+    samples = load_windows(args.data, cfg.height, cfg.width, cfg.time_steps,
+                           cfg.in_channels, cfg.stack_mode, cfg.binarize)
+    return len(samples), evaluate_dataset(model, samples, cfg.loss_config())
+
+
+def cmd_eval(args):
+    _, (metrics, _, _) = _evaluate_checkpoint(args)
     sys.stdout.write(ls.format_metrics(metrics))
     return 0
 
 
 def cmd_predict(args):
     model, entries = md.load_model(args.model)
-    _, stack_mode, binarize, ckpt_len = _run_settings(entries)
+    c, ckpt_len = _run_settings(entries)
     window_len = args.window_len or ckpt_len
     if not window_len:
         raise CliError("pass --window-len or use a checkpoint that records one")
-    c = model.config
-    stack = _stack_fn(stack_mode)
+    stack = _stack_fn(c.stack_mode)
     left = ev.load_events(args.events)
     x = stack(left, args.window_start, window_len, c.time_steps, c.height,
-              c.width, binarize)
+              c.width, c.binarize)
     if c.in_channels == 4:
         if not args.events_right:
             raise CliError("this model takes binocular input; pass --events-right")
         right = ev.load_events(args.events_right)
         x = ev.binocular_concat(x, stack(right, args.window_start, window_len,
-                                         c.time_steps, c.height, c.width, binarize))
+                                         c.time_steps, c.height, c.width, c.binarize))
     depth, _, _ = model.forward(x)
     data = depth.data
     _write_grid(args.out + ".txt", data)
@@ -498,14 +400,9 @@ def cmd_predict(args):
 
 
 def cmd_inspect(args):
-    model, entries = md.load_model(args.model)
-    loss_cfg, stack_mode, binarize, _ = _run_settings(entries)
-    c = model.config
-    samples = load_windows(args.data, c.height, c.width, c.time_steps,
-                           c.in_channels, stack_mode, binarize)
-    metrics, stats, ops = evaluate_dataset(model, samples, loss_cfg)
+    n_windows, (_, stats, ops) = _evaluate_checkpoint(args)
     lines = [
-        "windows=%d" % len(samples),
+        "windows=%d" % n_windows,
         "ac_ops=%r" % ops.ac_ops,
         "dense_macs=%d" % ops.dense_macs,
         "sparsity_ratio=%r" % ops.sparsity_ratio,
@@ -612,12 +509,7 @@ def main(argv=None):
     except CliError as e:
         print("error: %s" % e, file=sys.stderr)
         return e.code
-    except (tz.ArgumentError, tz.DimensionError, tz.StateError, ev.ParseError,
-            ev.OrderingError, ev.BoundsError, ev.AlignmentError,
-            sy.ValidationError, ls.MetricError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except OSError as e:
+    except INPUT_ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

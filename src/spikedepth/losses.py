@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kv
 from . import tensor as tz
 
 
@@ -31,12 +32,10 @@ SSI_SIGNS = ("minus", "plus")
 @dataclass(frozen=True)
 class LossConfig:
     lambda_reg: float = 0.5
-    ssi_sign: str = "minus"
+    ssi_sign: str = kv.choice("minus", SSI_SIGNS)
 
     def __post_init__(self):
-        if self.ssi_sign not in SSI_SIGNS:
-            raise tz.ArgumentError("ssi_sign must be one of %s, got %r"
-                                   % (SSI_SIGNS, self.ssi_sign))
+        kv.check_choices(self)
         if self.lambda_reg < 0:
             raise tz.ArgumentError("lambda_reg must be >= 0, got %r" % (self.lambda_reg,))
 

@@ -37,6 +37,7 @@ from . import tensor as tz
 from . import neurons as nr
 from . import attention as at
 from . import events as ev
+from . import kv
 from .tensor import Tensor
 
 ENCODER_VARIANTS = ("CE", "DE", "CE-Att", "DE-Att1", "DE-Att2")
@@ -53,27 +54,23 @@ class ModelConfig:
     in_channels: int = 4
     base_channels: int = 8
     layers: int = 4
-    encoder_variant: str = "CE-Att"
-    attention: str = "CS"
+    encoder_variant: str = kv.choice("CE-Att", ENCODER_VARIANTS)
+    attention: str = kv.letter_set("CS", at.MODULE_ORDER)
     reduction: int = 1
     v_threshold: float = 1.0
     v_reset: float = 0.0
     surrogate_alpha: float = 1.0
-    neuron_mode: str = "spiking"
+    neuron_mode: str = kv.choice("spiking", NEURON_MODES)
     conv_bias: bool = False
 
     def __post_init__(self):
-        if self.encoder_variant not in ENCODER_VARIANTS:
-            raise tz.ArgumentError("encoder_variant must be one of %s, got %r"
-                                   % (ENCODER_VARIANTS, self.encoder_variant))
-        if self.neuron_mode not in NEURON_MODES:
-            raise tz.ArgumentError("neuron_mode must be one of %s, got %r"
-                                   % (NEURON_MODES, self.neuron_mode))
+        kv.check_choices(self)
         object.__setattr__(self, "attention", at.normalize_enabled(self.attention))
         for name in ("height", "width", "time_steps", "in_channels",
                      "base_channels", "layers", "reduction"):
             if getattr(self, name) < 1:
                 raise tz.ArgumentError("%s must be >= 1, got %r" % (name, getattr(self, name)))
+        self.if_params()  # rejects v_threshold <= v_reset and surrogate_alpha <= 0
 
     @property
     def channel_ladder(self):
@@ -405,8 +402,6 @@ class DepthNet:
 
 _CHECKPOINT_MAGIC = b"SPKC0001"
 
-_ATT_BITS = {"T": 1, "C": 2, "S": 4}
-
 
 def save_checkpoint(path, entries):
     """Write named tensors in order: magic, count, then (name, tensor) pairs.
@@ -450,60 +445,8 @@ def load_checkpoint(path):
     return entries
 
 
-def config_to_entries(cfg):
-    mask = sum(_ATT_BITS[m] for m in cfg.attention)
-    scalars = {
-        "cfg.height": cfg.height,
-        "cfg.width": cfg.width,
-        "cfg.time_steps": cfg.time_steps,
-        "cfg.in_channels": cfg.in_channels,
-        "cfg.base_channels": cfg.base_channels,
-        "cfg.layers": cfg.layers,
-        "cfg.encoder_variant": ENCODER_VARIANTS.index(cfg.encoder_variant),
-        "cfg.attention": mask,
-        "cfg.reduction": cfg.reduction,
-        "cfg.v_threshold": cfg.v_threshold,
-        "cfg.v_reset": cfg.v_reset,
-        "cfg.surrogate_alpha": cfg.surrogate_alpha,
-        "cfg.neuron_mode": NEURON_MODES.index(cfg.neuron_mode),
-        "cfg.conv_bias": int(cfg.conv_bias),
-    }
-    return {k: np.float64(v) for k, v in scalars.items()}
-
-
-def config_from_entries(entries):
-    def geti(key):
-        if key not in entries:
-            raise tz.ArgumentError("checkpoint lacks %r" % key)
-        return int(entries[key])
-
-    def getf(key):
-        if key not in entries:
-            raise tz.ArgumentError("checkpoint lacks %r" % key)
-        return float(entries[key])
-
-    mask = geti("cfg.attention")
-    enabled = "".join(m for m in at.MODULE_ORDER if mask & _ATT_BITS[m])
-    return ModelConfig(
-        height=geti("cfg.height"),
-        width=geti("cfg.width"),
-        time_steps=geti("cfg.time_steps"),
-        in_channels=geti("cfg.in_channels"),
-        base_channels=geti("cfg.base_channels"),
-        layers=geti("cfg.layers"),
-        encoder_variant=ENCODER_VARIANTS[geti("cfg.encoder_variant")],
-        attention=enabled,
-        reduction=geti("cfg.reduction"),
-        v_threshold=getf("cfg.v_threshold"),
-        v_reset=getf("cfg.v_reset"),
-        surrogate_alpha=getf("cfg.surrogate_alpha"),
-        neuron_mode=NEURON_MODES[geti("cfg.neuron_mode")],
-        conv_bias=bool(geti("cfg.conv_bias")),
-    )
-
-
 def model_entries(model):
-    entries = config_to_entries(model.config)
+    entries = kv.to_entries(model.config)
     for name, tensor in model.params:
         entries["param." + name] = tensor.data
     return entries
@@ -520,7 +463,7 @@ def save_model(path, model, extra=None):
 def load_model(path):
     """Rebuild the model a checkpoint describes; returns (model, raw entries)."""
     entries = load_checkpoint(path)
-    cfg = config_from_entries(entries)
+    cfg = ModelConfig(**kv.from_entries(ModelConfig, entries))
     model = DepthNet(cfg, seed=0)
     for name, tensor in model.params:
         key = "param." + name

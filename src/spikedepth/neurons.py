@@ -70,12 +70,6 @@ def _triangle(h, v_threshold, alpha):
     return np.maximum(0.0, 1.0 - np.abs(h - v_threshold) / alpha) / alpha
 
 
-def surrogate_grad(charged, params):
-    """Evaluate the surrogate derivative at the given charged membrane."""
-    charged = tz.as_tensor(charged)
-    return Tensor(_triangle(charged.data, params.v_threshold, params.surrogate_alpha))
-
-
 def _smooth_ramp(h, v_threshold, alpha):
     """Antiderivative of the triangular window: 0 to 1 over +-alpha, 0.5 at threshold."""
     z = h - v_threshold
@@ -144,8 +138,3 @@ def if_run(state, x, params):
     if params.mode == "spiking":
         out.is_spike = True
     return out, state.membrane
-
-
-def if_multistep(x, params):
-    """Run x[T, ...] from a fresh zero state."""
-    return if_run(IFState(), x, params)

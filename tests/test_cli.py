@@ -4,7 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -104,6 +104,41 @@ def test_config_comments_and_blanks(tmp_path):
     assert main(["train", "--config", str(path), "--dump-config"]) == 0
 
 
+@pytest.mark.parametrize("bad", [
+    {"lambda_reg": "-1"},
+    {"adam_beta1": "1.5"},
+    {"adam_beta2": "-0.1"},
+    {"learning_rate": "nan"},
+    {"learning_rate": "inf"},
+    {"adam_eps": "nan"},
+    {"seed": "-1"},
+    {"v_threshold": "0.5", "v_reset": "1.0"},
+    {"surrogate_alpha": "0"},
+    {"height": "18", "multiscale_loss": "true"},
+])
+def test_config_training_would_reject_fails_at_parse(tmp_path, dataset, bad, capsys):
+    path = tmp_path / "run.cfg"
+    write_cfg(str(path), data_dir=dataset, out_dir=str(tmp_path / "out"))
+    lines = [line for line in path.read_text().split("\n")
+             if line.partition(" = ")[0] not in bad]
+    path.write_text("\n".join(lines + ["%s = %s" % item for item in bad.items()]) + "\n")
+    assert main(["train", "--config", str(path), "--dump-config"]) == 2
+    assert main(["--quiet", "train", "--config", str(path)]) == 2
+    assert sorted(bad)[0] in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "out" / "train.log"))
+
+
+def test_readme_config_table_lists_every_key():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        section = fh.read().split("## Run config")[1].split("\n## ")[0]
+    keys = []
+    for line in section.split("\n"):
+        if line.startswith("| `"):
+            keys += line.split("|")[1].split("`")[1::2]
+    assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
+
+
 # ---------------------------------------------------------------------------
 # synth and stack
 
@@ -137,6 +172,24 @@ def test_synth_overlap_is_exit_2(tmp_path, capsys):
                          "plane.1 = 2.0, 0, 2, 4, 2, 2.0\n")
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 2
     assert "overlap at (x=0, y=2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new", [
+    ("camera_velocity = 80.0", "camera_velocity = nan"),
+    ("contrast_threshold = 0.4", "contrast_threshold = nan"),
+    ("noise_rate_hz = 0.0", "noise_rate_hz = nan"),
+    ("baseline_px = 4.0", "baseline_px = inf"),
+    ("plane.0 = 1.0,", "plane.0 = nan,"),
+    ("plane.1 =", "plane.\u00b2 ="),
+    ("seed = 5", "seed = -1"),
+])
+def test_synth_bad_spec_value_is_exit_2(tmp_path, old, new, capsys):
+    text = sy.serialize_scene_spec(scene_spec())
+    assert old in text
+    spec_path = tmp_path / "scene.spec"
+    spec_path.write_text(text.replace(old, new))
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +298,43 @@ def test_eval_reproduces_final_train_mde(trained, dataset, capsys):
     assert float(log_values(report, "mde_cm")[0]) == final
     for key in ("loss_ssi", "loss_reg", "loss_total", "firing_rate_total"):
         assert len(log_values(report, key)) == 1
+
+
+def test_checkpoint_holds_no_optimizer_moments(trained):
+    entries = md.load_checkpoint(os.path.join(trained["out"], "last.spkc"))
+    assert not [k for k in entries if k.startswith("opt.")]
+    assert [k for k in entries if k.startswith("cfg.")][-4:] == [
+        "cfg.lambda_reg", "cfg.ssi_sign", "cfg.stack_mode", "cfg.binarize"]
+
+
+def test_checkpoint_with_optimizer_moments_evaluates_the_same(trained, dataset, tmp_path,
+                                                              capsys):
+    # checkpoints written before Adam moments were dropped carry opt.* entries
+    last = os.path.join(trained["out"], "last.spkc")
+    entries = md.load_checkpoint(last)
+    older = dict(entries, **{"opt.t": np.float64(16.0)})
+    for key in [k for k in entries if k.startswith("param.")]:
+        older["opt.m." + key[6:]] = np.full(entries[key].shape, 0.5)
+        older["opt.v." + key[6:]] = np.full(entries[key].shape, 0.25)
+    md.save_checkpoint(str(tmp_path / "older.spkc"), older)
+    reports = []
+    for path in (last, str(tmp_path / "older.spkc")):
+        assert main(["eval", "--model", path, "--data", dataset]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("key,index", [
+    ("cfg.encoder_variant", 5), ("cfg.encoder_variant", -1), ("cfg.ssi_sign", 2),
+    ("cfg.ssi_sign", -1), ("cfg.stack_mode", 0.5), ("cfg.attention", 8),
+])
+def test_checkpoint_choice_index_out_of_range_is_exit_2(trained, dataset, tmp_path,
+                                                         key, index, capsys):
+    entries = md.load_checkpoint(os.path.join(trained["out"], "last.spkc"))
+    entries[key] = np.float64(index)
+    md.save_checkpoint(str(tmp_path / "bad.spkc"), entries)
+    assert main(["eval", "--model", str(tmp_path / "bad.spkc"), "--data", dataset]) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_quiet_train_stdout_is_empty(trained, capsys):

