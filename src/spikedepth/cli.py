@@ -221,10 +221,20 @@ def _train_extras(cfg, window_len_us, epoch, step, lr, best_mde, params):
 
 
 def _run_settings(entries):
-    """The run config a checkpoint carries, defaults where it is silent, and
-    the window length it records (None if none)."""
-    cfg = RunConfig(**kv.from_entries(RunConfig, entries, required=False))
-    return cfg, int(entries.get("train.window_len_us", 0)) or None
+    """The run config a checkpoint carries, defaults where it is silent."""
+    return RunConfig(**kv.from_entries(RunConfig, entries, required=False))
+
+
+def _window_len(entries):
+    """The window length in microseconds a checkpoint records, None if none."""
+    stored = entries.get("train.window_len_us")
+    if stored is None:
+        return None
+    value = float(stored) if np.ndim(stored) == 0 else math.nan
+    if not (value.is_integer() and value > 0):
+        raise CliError("checkpoint entry train.window_len_us must be a positive "
+                       "whole number, got %r" % value)
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +369,7 @@ def cmd_train(args):
 def _evaluate_checkpoint(args):
     """--model over --data with the loss and stacking settings the checkpoint carries."""
     model, entries = md.load_model(args.model)
-    cfg, _ = _run_settings(entries)
+    cfg = _run_settings(entries)
     samples = load_windows(args.data, cfg.height, cfg.width, cfg.time_steps,
                            cfg.in_channels, cfg.stack_mode, cfg.binarize)
     return len(samples), evaluate_dataset(model, samples, cfg.loss_config())
@@ -373,8 +383,8 @@ def cmd_eval(args):
 
 def cmd_predict(args):
     model, entries = md.load_model(args.model)
-    c, ckpt_len = _run_settings(entries)
-    window_len = args.window_len or ckpt_len
+    c = _run_settings(entries)
+    window_len = args.window_len or _window_len(entries)
     if not window_len:
         raise CliError("pass --window-len or use a checkpoint that records one")
     stack = _stack_fn(c.stack_mode)
@@ -442,21 +452,26 @@ def _write_pgm(path, data, max_depth):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="spikedepth",
-        description="Spiking depth estimation from event streams.")
-    parser.add_argument("--seed", type=int, default=None,
+    # taken before or after the subcommand; suppressed defaults keep a value
+    # given before it, and main() supplies the defaults
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="override the seed in a scene spec or run config")
-    parser.add_argument("--quiet", action="store_true",
+    common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
                         help="suppress status output (reports still print)")
+    parser = argparse.ArgumentParser(
+        prog="spikedepth", parents=[common],
+        description="Spiking depth estimation from event streams.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    p = sub.add_parser("synth", parents=[common],
+                       help="generate a synthetic dataset")
     p.add_argument("--spec", required=True, help="scene spec file")
     p.add_argument("--out", required=True, help="dataset directory to create")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("stack", help="stack one event window to a tensor dump")
+    p = sub.add_parser("stack", parents=[common],
+                       help="stack one event window to a tensor dump")
     p.add_argument("--events", required=True)
     p.add_argument("--events-right", default=None)
     p.add_argument("--T", type=int, required=True, dest="T", help="time steps")
@@ -469,7 +484,8 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stack)
 
-    p = sub.add_parser("train", help="train a model on a dataset directory")
+    p = sub.add_parser("train", parents=[common],
+                       help="train a model on a dataset directory")
     p.add_argument("--config", default=None, help="run config file")
     p.add_argument("--data", default=None, help="dataset directory (overrides data_dir)")
     p.add_argument("--out", default=None, help="output directory (overrides out_dir)")
@@ -477,12 +493,14 @@ def build_parser():
                    help="print the effective config and exit")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="metrics report for a checkpoint on a dataset")
+    p = sub.add_parser("eval", parents=[common],
+                       help="metrics report for a checkpoint on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("predict", help="export one window's depth prediction")
+    p = sub.add_parser("predict", parents=[common],
+                       help="export one window's depth prediction")
     p.add_argument("--model", required=True)
     p.add_argument("--events", required=True)
     p.add_argument("--events-right", default=None)
@@ -494,7 +512,8 @@ def build_parser():
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("inspect", help="firing rates and operation counts")
+    p = sub.add_parser("inspect", parents=[common],
+                       help="firing rates and operation counts")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.set_defaults(func=cmd_inspect)
@@ -503,7 +522,7 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv, argparse.Namespace(seed=None, quiet=False))
     try:
         return args.func(args)
     except CliError as e:

@@ -460,18 +460,60 @@ def save_model(path, model, extra=None):
     save_checkpoint(path, entries)
 
 
+def param_shapes(config):
+    """Name -> shape of every parameter DepthNet(config) holds, in store
+    order, worked out without allocating any."""
+    ladder, t_steps, red = config.channel_ladder, config.time_steps, config.reduction
+    shapes = {}
+
+    def conv(name, c_in, c_out, k=KERNEL, bias=config.conv_bias):
+        shapes[name] = (c_out, c_in, k, k)
+        if bias:
+            shapes[name + "_bias"] = (c_out,)
+
+    def att(prefix, channels):
+        for letter, n in (("T", t_steps), ("C", channels)):
+            if letter in config.attention:
+                shapes["%s.att.%s_compress" % (prefix, letter.lower())] = (n // red, n)
+                shapes["%s.att.%s_expand" % (prefix, letter.lower())] = (n, n // red)
+        if "S" in config.attention:
+            shapes[prefix + ".att.s_conv"] = (1, 2, 3, 3)
+
+    for i in range(config.layers):
+        conv("enc%d.conv" % i, ladder[i], ladder[i + 1])
+        if config.encoder_variant == "DE-Att2":
+            att("enc%d" % i, ladder[i + 1])
+        elif config.encoder_variant in ("CE-Att", "DE-Att1"):
+            att("enc%d" % i, ladder[i])
+    for i in range(RESIDUAL_BLOCKS):
+        conv("res%d.conv1" % i, ladder[-1], ladder[-1])
+        conv("res%d.conv2" % i, ladder[-1], ladder[-1])
+        att("res%d" % i, ladder[-1])
+    for i in range(config.layers):
+        c_in, c_out = ladder[config.layers - i], ladder[config.layers - i - 1]
+        conv("dec%d.conv" % i, c_in, c_out)
+        conv("dec%d.head" % i, c_in, 1, k=1, bias=False)
+        att("dec%d" % i, c_in)
+    return shapes
+
+
 def load_model(path):
-    """Rebuild the model a checkpoint describes; returns (model, raw entries)."""
+    """Rebuild the model a checkpoint describes; returns (model, raw entries).
+
+    The stored parameters are checked against the shapes the stored config
+    implies before the model is built, so a config they do not match (say
+    cfg.layers = 40, whose widest weight alone needs GiBs) allocates nothing.
+    """
     entries = load_checkpoint(path)
     cfg = ModelConfig(**kv.from_entries(ModelConfig, entries))
-    model = DepthNet(cfg, seed=0)
-    for name, tensor in model.params:
+    for name, shape in param_shapes(cfg).items():
         key = "param." + name
         if key not in entries:
             raise tz.ArgumentError("checkpoint lacks parameter %r" % name)
-        stored = entries[key]
-        if stored.shape != tensor.data.shape:
+        if entries[key].shape != shape:
             raise tz.DimensionError("parameter %r has shape %s, model expects %s"
-                                    % (name, stored.shape, tensor.data.shape))
-        tensor.data = np.asarray(stored, dtype=np.float64)
+                                    % (name, entries[key].shape, shape))
+    model = DepthNet(cfg, seed=0)
+    for name, tensor in model.params:
+        tensor.data = np.asarray(entries["param." + name], dtype=np.float64)
     return model, entries

@@ -93,6 +93,11 @@ class SceneSpec:
             if bad.any():
                 y, x = np.argwhere(bad)[0]
                 raise ValidationError("plane regions %s at (x=%d, y=%d)" % (what, x, y))
+        nearest = min(p.depth_m for p in self.planes)
+        if self.baseline_px / nearest > self.width:
+            raise ValidationError("baseline_px %r shifts the plane at depth %r by more "
+                                  "than the %d-px width" % (self.baseline_px, nearest,
+                                                            self.width))
 
     @property
     def duration_us(self):

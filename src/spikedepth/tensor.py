@@ -526,17 +526,128 @@ def conv_out_size(size, k, stride, padding, axis_name):
     return span // stride + 1
 
 
+# Frames per stride-1 chunk: each chunk buffer stays under the 4 MiB from which numpy
+# asks for huge pages, so small frames share one batched GEMM per tap and sensor-size
+# frames go one at a time.
+_CHUNK_FLOATS = (4 << 20) // 8
+
+
+def _chunk_frames(n, frame_floats):
+    """Frames per chunk: as many as keep frame_floats each under _CHUNK_FLOATS, at least one."""
+    return min(n, max(1, _CHUNK_FLOATS // frame_floats))
+
+
+def _padded_chunks(xd, k, padding, step):
+    """Zero-padded, flattened frames of xd [N, C, H, W], step frames at a time.
+
+    Yields (lo, hi, xp), xp [hi - lo, C, Hp*Wp + k - 1]: frame lo + i padded
+    to Hp x Wp and laid out row by row, then k - 1 zeros, so that the slice
+    [u*Wp + v : u*Wp + v + Ho*Wp] of a row exists for every tap (u, v). The
+    buffer is refilled for each chunk; an unpadded 1x1 conv reads xd itself.
+    """
+    n, c, h, w = xd.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    as_is = k == 1 and padding == 0
+    if not as_is:
+        buf = np.zeros((step, c, hp * wp + k - 1))
+        inner = buf[:, :, :hp * wp].reshape(step, c, hp, wp)[:, :, padding:padding + h,
+                                                             padding:padding + w]
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        if as_is:
+            yield lo, hi, xd[lo:hi].reshape(hi - lo, c, h * w)
+        else:
+            inner[:hi - lo] = xd[lo:hi]
+            yield lo, hi, buf[:hi - lo]
+
+
+def _tap_gemm(a, b, out):
+    """out = a [M, K] @ b [..., K, L]. With K = 1 that is an outer product,
+    which np.multiply runs about 4x faster than a K = 1 GEMM."""
+    return (np.multiply if a.shape[1] == 1 else np.matmul)(a, b, out=out)
+
+
+def _shifted_conv(xd, wd, padding):
+    """Stride-1 cross-correlation of xd [N, C_in, H, W] with wd [C_out, C_in, k, k].
+
+    Tap (u, v) is one GEMM W[:, :, u, v] @ xp[..., off:off + Ho*Wp] on a view
+    of the flat padded frames (off = u*Wp + v), added into a [C_out, Ho*Wp]
+    accumulator whose last k - 1 columns of each row are cropped at the end.
+    """
+    n, c_in, h, w = xd.shape
+    c_out, _, k, _ = wd.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    ho, wo = hp - k + 1, wp - k + 1
+    span = ho * wp
+    taps = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))
+    step = _chunk_frames(n, max(c_in, c_out) * hp * wp)
+    out = np.empty((n, c_out, ho, wo))
+    acc = np.empty((step, c_out, span))
+    part = np.empty_like(acc)
+    for lo, hi, xp in _padded_chunks(xd, k, padding, step):
+        m = hi - lo
+        for u in range(k):
+            for v in range(k):
+                shifted = xp[:, :, u * wp + v:u * wp + v + span]
+                if u == v == 0:
+                    _tap_gemm(taps[0, 0], shifted, acc[:m])
+                else:
+                    _tap_gemm(taps[u, v], shifted, part[:m])
+                    acc[:m] += part[:m]
+        out[lo:hi] = acc[:m].reshape(m, c_out, ho, wp)[..., :wo]
+    return out
+
+
+def _shifted_grads(xd, wd, g, padding, need_gx):
+    """(d loss / d W, d loss / d x or None) of a stride-1 conv.
+
+    g [N, C_out, Ho, Wo] is widened with zeros to g_wide [C_out, Ho*Wp], so
+    the k - 1 columns a shifted view reads past each row's end add nothing.
+    Per tap, gW[:, :, u, v] += g_wide @ xp_shift^T, and W_uv^T @ g_wide is
+    added into the same shifted slice of the flat padded input gradient.
+    """
+    n, c_in, h, w = xd.shape
+    c_out, _, k, _ = wd.shape
+    ho, wo = g.shape[2:]
+    hp, wp = h + 2 * padding, w + 2 * padding
+    span = ho * wp
+    taps_t = np.ascontiguousarray(wd.transpose(2, 3, 1, 0))
+    step = _chunk_frames(n, max(c_in, c_out) * hp * wp)
+    gw = np.zeros((k, k, c_out, c_in))
+    g_wide = np.zeros((step, c_out, ho, wp))
+    gx = np.empty(xd.shape) if need_gx else None
+    if need_gx:
+        gxp = np.empty((step, c_in, hp * wp + k - 1))
+        part = np.empty((step, c_in, span))
+    for lo, hi, xp in _padded_chunks(xd, k, padding, step):
+        m = hi - lo
+        g_wide[:m, :, :, :wo] = g[lo:hi]
+        g_flat = g_wide[:m].reshape(m, c_out, span)
+        if need_gx:
+            gxp[:m] = 0.0
+        for u in range(k):
+            for v in range(k):
+                off = u * wp + v
+                shifted = xp[:, :, off:off + span]
+                gw[u, v] += np.matmul(g_flat, shifted.transpose(0, 2, 1)).sum(axis=0)
+                if need_gx:
+                    _tap_gemm(taps_t[u, v], g_flat, part[:m])
+                    gxp[:m, :, off:off + span] += part[:m]
+        if need_gx:
+            gx[lo:hi] = gxp[:m, :, :hp * wp].reshape(m, c_in, hp, wp)[
+                :, :, padding:padding + h, padding:padding + w]
+    return gw.transpose(2, 3, 0, 1), gx
+
+
 def _frame_columns(xd, k, stride, padding, ho, wo):
     """im2col over the frames of xd [N, C_in, H, W], one frame at a time.
 
     Returns cols(i) -> [C_in*k*k, Ho*Wo]: row (c, u, v), column (r, s) holds
     input pixel (c, r*stride + u - padding, s*stride + v - padding), zero in
     the padding. Each call refills the same buffer, so only one frame's
-    columns exist at once; a 1x1 stride-1 unpadded conv reads the frame.
+    columns exist at once.
     """
     c_in, h, w = xd.shape[1:]
-    if k == 1 and stride == 1 and padding == 0:
-        return lambda i: xd[i].reshape(c_in, h * w)
     xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
     cols = np.empty((c_in, k, k, ho, wo))
 
@@ -550,19 +661,53 @@ def _frame_columns(xd, k, stride, padding, ho, wo):
     return cols_of
 
 
+def _strided_grads(xd, wd, g, stride, padding, need_gx):
+    """(d loss / d W, d loss / d x or None) of a stride > 1 conv through im2col.
+
+    Each frame's columns are rebuilt rather than kept on the tape; g_i @ cols^T
+    adds into the weight gradient and W^T @ g_i is scattered back onto the
+    padded input gradient with k*k strided adds (col2im).
+    """
+    n, c_in, h, w = xd.shape
+    c_out, _, k, _ = wd.shape
+    ho, wo = g.shape[2:]
+    w2 = wd.reshape(c_out, c_in * k * k)
+    g3 = g.reshape(n, c_out, ho * wo)
+    cols_of = _frame_columns(xd, k, stride, padding, ho, wo)
+    gw = np.zeros((c_out, c_in * k * k))
+    for i in range(n):
+        gw += g3[i] @ cols_of(i).T
+    gw = gw.reshape(wd.shape)
+    if not need_gx:
+        return gw, None
+    gxp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding))
+    gcols = np.empty((c_in, k, k, ho, wo))
+    for i in range(n):
+        np.matmul(w2.T, g3[i], out=gcols.reshape(c_in * k * k, ho * wo))
+        for u in range(k):
+            for v in range(k):
+                gxp[i, :, u:u + ho * stride:stride, v:v + wo * stride:stride] += gcols[:, u, v]
+    return gw, gxp[:, :, padding:padding + h, padding:padding + w]
+
+
 def conv2d(x, weight, stride=1, padding=0):
     """2D cross-correlation with square odd kernels and symmetric padding.
 
     x is [C_in, H, W] or [T, C_in, H, W]; a leading time axis is handled as a
     batch. weight is [C_out, C_in, k, k], bias-free.
 
-    Each frame is one GEMM: its columns [C_in*k*k, Ho*Wo] (k*k strided
-    slices of the zero-padded frame, see _frame_columns) are multiplied by
-    the weight viewed as [C_out, C_in*k*k]. The backward rebuilds each
-    frame's columns rather than keeping them on the tape, adds g_i @ cols^T
-    into the weight gradient, and scatters W^T @ g_i back onto the padded
-    input gradient with k*k strided adds (col2im). The input gradient is
-    None when x does not require one.
+    Stride 1 builds no column buffer (the kn2row / shifted-GEMM family): the
+    frames are zero-padded into flat rows, and each of the k*k taps is one
+    GEMM on a shifted view of them (see _shifted_conv). The backward pads the
+    frames again rather than keeping them on the tape and runs two GEMMs per
+    tap on the same views, one into the weight gradient and one added into
+    the padded input gradient (see _shifted_grads). Frames go in chunks that
+    keep each buffer under 4 MiB.
+
+    Stride > 1 is one GEMM per frame: its columns [C_in*k*k, Ho*Wo] (k*k
+    strided slices of the zero-padded frame, see _frame_columns) times the
+    weight viewed as [C_out, C_in*k*k]; the backward is _strided_grads.
+    The input gradient is None when x does not require one.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     squeeze = x.data.ndim == 3
@@ -586,31 +731,24 @@ def conv2d(x, weight, stride=1, padding=0):
     ho = conv_out_size(h, k, stride, padding, "height")
     wo = conv_out_size(w, k, stride, padding, "width")
 
-    w2 = weight.data.reshape(c_out, c_in * k * k)
-    cols_of = _frame_columns(xd, k, stride, padding, ho, wo)
-    out4 = np.empty((n, c_out, ho, wo))
-    for i in range(n):
-        np.matmul(w2, cols_of(i), out=out4[i].reshape(c_out, ho * wo))
+    wd = weight.data
+    if stride == 1:
+        out4 = _shifted_conv(xd, wd, padding)
+    else:
+        w2 = wd.reshape(c_out, c_in * k * k)
+        cols_of = _frame_columns(xd, k, stride, padding, ho, wo)
+        out4 = np.empty((n, c_out, ho, wo))
+        for i in range(n):
+            np.matmul(w2, cols_of(i), out=out4[i].reshape(c_out, ho * wo))
     out = Tensor(out4[0] if squeeze else out4)
 
     def bw(g):
-        g3 = (g[None] if squeeze else g).reshape(n, c_out, ho * wo)
-        cols_of = _frame_columns(xd, k, stride, padding, ho, wo)
-        gw = np.zeros((c_out, c_in * k * k))
-        for i in range(n):
-            gw += g3[i] @ cols_of(i).T
-        gw = gw.reshape(weight.data.shape)
-        if not x.requires_grad:
-            return (None, gw)
-        gxp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding))
-        gcols = np.empty((c_in, k, k, ho, wo))
-        for i in range(n):
-            np.matmul(w2.T, g3[i], out=gcols.reshape(c_in * k * k, ho * wo))
-            for u in range(k):
-                for v in range(k):
-                    gxp[i, :, u:u + ho * stride:stride, v:v + wo * stride:stride] += gcols[:, u, v]
-        gx = gxp[:, :, padding:padding + h, padding:padding + w]
-        return (gx[0] if squeeze else gx, gw)
+        g4 = g[None] if squeeze else g
+        if stride == 1:
+            gw, gx = _shifted_grads(xd, wd, g4, padding, x.requires_grad)
+        else:
+            gw, gx = _strided_grads(xd, wd, g4, stride, padding, x.requires_grad)
+        return (gx[0] if squeeze and gx is not None else gx, gw)
 
     record((out,), (x, weight), bw)
     return out

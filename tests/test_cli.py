@@ -165,6 +165,19 @@ def test_synth_seed_flag_overrides_spec(tmp_path, capsys):
         read_text(str(tmp_path / "c" / "events_left.csv"))
 
 
+def test_seed_and_quiet_also_follow_the_subcommand(tmp_path, capsys):
+    spec_path = tmp_path / "scene.txt"
+    spec_path.write_text(sy.serialize_scene_spec(scene_spec()))
+    assert main(["--seed", "99", "synth", "--spec", str(spec_path),
+                 "--out", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "b"),
+                 "--seed", "99", "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert read_text(str(tmp_path / "a" / "events_left.csv")) == \
+        read_text(str(tmp_path / "b" / "events_left.csv"))
+
+
 def test_synth_overlap_is_exit_2(tmp_path, capsys):
     spec_path = tmp_path / "scene.txt"
     spec_path.write_text("height = 4\nwidth = 4\n"
@@ -182,6 +195,7 @@ def test_synth_overlap_is_exit_2(tmp_path, capsys):
     ("plane.0 = 1.0,", "plane.0 = nan,"),
     ("plane.1 =", "plane.\u00b2 ="),
     ("seed = 5", "seed = -1"),
+    ("baseline_px = 4.0", "baseline_px = 1e300"),
 ])
 def test_synth_bad_spec_value_is_exit_2(tmp_path, old, new, capsys):
     text = sy.serialize_scene_spec(scene_spec())
@@ -189,7 +203,8 @@ def test_synth_bad_spec_value_is_exit_2(tmp_path, old, new, capsys):
     spec_path = tmp_path / "scene.spec"
     spec_path.write_text(text.replace(old, new))
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +350,47 @@ def test_checkpoint_choice_index_out_of_range_is_exit_2(trained, dataset, tmp_pa
     md.save_checkpoint(str(tmp_path / "bad.spkc"), entries)
     assert main(["eval", "--model", str(tmp_path / "bad.spkc"), "--data", dataset]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_load_model_rejects_mismatched_config_before_building(trained, dataset, tmp_path,
+                                                             monkeypatch, capsys):
+    entries = md.load_checkpoint(os.path.join(trained["out"], "last.spkc"))
+    entries["cfg.layers"] = np.float64(40.0)
+    md.save_checkpoint(str(tmp_path / "deep.spkc"), entries)
+
+    def build(*args, **kwargs):
+        raise AssertionError("a 40-layer DepthNet was built")
+
+    monkeypatch.setattr(md, "DepthNet", build)
+    assert main(["eval", "--model", str(tmp_path / "deep.spkc"), "--data", dataset]) == 2
+    assert capsys.readouterr().err == "error: checkpoint lacks parameter 'enc2.conv'\n"
+
+
+def test_eval_ignores_the_window_length_entry(trained, dataset, tmp_path, capsys):
+    last = os.path.join(trained["out"], "last.spkc")
+    entries = md.load_checkpoint(last)
+    entries["train.window_len_us"] = np.float64("nan")
+    md.save_checkpoint(str(tmp_path / "nan.spkc"), entries)
+    reports = []
+    for path in (last, str(tmp_path / "nan.spkc")):
+        assert main(["eval", "--model", path, "--data", dataset]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-50000", "0.5"])
+def test_predict_bad_window_length_entry_is_exit_2(trained, dataset, tmp_path, value,
+                                                   capsys):
+    entries = md.load_checkpoint(os.path.join(trained["out"], "last.spkc"))
+    entries["train.window_len_us"] = np.float64(value)
+    md.save_checkpoint(str(tmp_path / "bad.spkc"), entries)
+    assert main(["predict", "--model", str(tmp_path / "bad.spkc"),
+                 "--events", os.path.join(dataset, "events_left.csv"),
+                 "--events-right", os.path.join(dataset, "events_right.csv"),
+                 "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "train.window_len_us" in err
 
 
 def test_quiet_train_stdout_is_empty(trained, capsys):

@@ -409,3 +409,14 @@ def test_checkpoint_missing_param(tmp_path):
     md.save_checkpoint(path, entries)
     with pytest.raises(tz.ArgumentError):
         md.load_model(path)
+
+
+@pytest.mark.parametrize("variant", md.ENCODER_VARIANTS)
+@pytest.mark.parametrize("attention,conv_bias,reduction", [
+    ("CS", False, 1), ("TCS", True, 2), ("T", False, 1), ("", True, 1)])
+def test_param_shapes_match_the_built_model(variant, attention, conv_bias, reduction):
+    cfg = small_cfg(encoder_variant=variant, attention=attention, conv_bias=conv_bias,
+                    reduction=reduction, layers=2)
+    built = [(name, t.data.shape) for name, t in md.DepthNet(cfg).params]
+    assert list(md.param_shapes(cfg).items()) == built
+

@@ -91,6 +91,65 @@ def test_conv_forward_and_backward_match_scalar_loops(t, c_in, c_out, k, stride,
         assert conv_backward(g)[0] is None
 
 
+def check_conv_against_loops(x, wt, padding, x_needs_grad=True, seed=0):
+    """Stride-1 conv2d output and gradients against naive_conv2d_grads per frame."""
+    g = np.random.default_rng(seed).standard_normal(
+        (x.shape[0], wt.shape[0], x.shape[2] + 2 * padding - wt.shape[2] + 1,
+         x.shape[3] + 2 * padding - wt.shape[2] + 1))
+    xt = tz.Tensor(x, requires_grad=x_needs_grad)
+    wtt = tz.Tensor(wt, requires_grad=True)
+    with tz.Tape() as tape:
+        out = tz.conv2d(xt, wtt, stride=1, padding=padding)
+    _, _, conv_backward = tape._ops[0]
+    gx, gw = conv_backward(g)
+    want = [naive_conv2d_grads(f, wt, gf, 1, padding) for f, gf in zip(x, g)]
+    close = dict(rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(out.data, np.stack([o for o, _, _ in want]), **close)
+    np.testing.assert_allclose(gw, sum(w for _, _, w in want), **close)
+    if x_needs_grad:
+        np.testing.assert_allclose(gx, np.stack([d for _, d, _ in want]), **close)
+    else:
+        assert gx is None
+    return conv_backward
+
+
+@pytest.mark.parametrize("c_in,c_out,k,padding", [(3, 2, 3, 1), (2, 3, 1, 0), (1, 2, 3, 2)])
+def test_conv_stride1_chunks_with_partial_last_chunk(monkeypatch, c_in, c_out, k, padding):
+    # 5 frames, 2 per chunk: chunks of 2, 2 and 1 frames through the same buffers
+    x = rand((5, c_in, 6, 7), seed=21)
+    wt = rand((c_out, c_in, k, k), seed=22)
+    frame_floats = max(c_in, c_out) * (6 + 2 * padding) * (7 + 2 * padding)
+    monkeypatch.setattr(tz, "_CHUNK_FLOATS", 2 * frame_floats + 1)
+    check_conv_against_loops(x, wt, padding, seed=23)
+
+
+@pytest.mark.parametrize("padding", [0, 1, 2])
+def test_conv_1x1_matches_loops(padding):
+    check_conv_against_loops(rand((3, 4, 5, 6), seed=24), rand((2, 4, 1, 1), seed=25),
+                             padding, seed=26)
+
+
+@pytest.mark.parametrize("k,padding", [(1, 0), (3, 1)])
+def test_conv_stride1_input_without_grad_gets_none(k, padding):
+    check_conv_against_loops(rand((2, 3, 5, 5), seed=27), rand((2, 3, k, k), seed=28),
+                             padding, x_needs_grad=False, seed=29)
+
+
+@pytest.mark.parametrize("stride,padding", [(1, 1), (1, 0), (2, 1)])
+def test_conv_backward_is_named_and_keeps_no_padded_copy(stride, padding):
+    """The tracer files the closure by its qualname; its arrays are at most x's size."""
+    x = tz.Tensor(rand((5, 2, 9, 11), seed=30), requires_grad=True)
+    w = tz.Tensor(rand((3, 2, 3, 3), seed=31), requires_grad=True)
+    with tz.Tape() as tape:
+        tz.conv2d(x, w, stride=stride, padding=padding)
+    _, _, conv_backward = tape._ops[0]
+    assert conv_backward.__qualname__ == "conv2d.<locals>.bw"
+    held = [c.cell_contents for c in conv_backward.__closure__]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    arrays += [t.data for t in held if isinstance(t, tz.Tensor)]
+    assert arrays and max(a.nbytes for a in arrays) <= x.data.nbytes
+
+
 def test_conv_time_axis_is_batch():
     x = rand((4, 2, 6, 6), seed=3)
     w = rand((3, 2, 3, 3), seed=4)
