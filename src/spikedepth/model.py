@@ -20,11 +20,12 @@ tensor through a 1x1 conv into an integrator population whose membrane after
 step T is that scale's depth map. The final depth is the last layer's
 membrane cropped back to the input geometry.
 
-Forward resets every membrane, so samples are independent. Firing statistics
-cover the spiking populations only (integrator heads never fire). Synaptic
-operation counting distinguishes accumulate ops (conv windows reading binary
-spike tensors, counted from actual spike positions) from the dense
-multiply-accumulate total that the same network would spend with no sparsity.
+Each population starts from a zero membrane, so samples are independent.
+Firing statistics cover the spiking populations only (integrator heads never
+fire). Synaptic operation counting distinguishes accumulate ops (conv windows
+reading binary spike tensors, counted from actual spike positions) from the
+dense multiply-accumulate total that the same network would spend with no
+sparsity.
 """
 
 import os
@@ -242,7 +243,6 @@ class EncoderBlock:
                                           enabled=cfg.attention, rng=rng)
             _register_attention(store, prefix, self.att)
         self.neuron = cfg.if_params()
-        self.state = nr.IFState()
 
     def forward(self, x, rec, acts):
         if x.data.shape[-1] % 2 or x.data.shape[-2] % 2:
@@ -255,7 +255,7 @@ class EncoderBlock:
         if self.variant == "DE-Att2":
             rec.attention_macs(self.att, y.data.shape)
             y = at.tcsa(y, self.att)
-        spikes, _ = nr.if_run(self.state, y, self.neuron)
+        spikes, _ = nr.if_run(y, self.neuron)
         acts.encoder.append(spikes)
         return spikes if self.variant.startswith("DE") else y
 
@@ -271,14 +271,12 @@ class ResidualBlock:
                                       enabled=cfg.attention, rng=rng)
         _register_attention(store, prefix, self.att)
         self.neuron = cfg.if_params()
-        self.state1 = nr.IFState()
-        self.state2 = nr.IFState()
 
     def forward(self, x, rec, acts):
-        s1, _ = nr.if_run(self.state1, x, self.neuron)
+        s1, _ = nr.if_run(x, self.neuron)
         acts.residual.append(s1)
         y1 = self.conv1(s1, rec)
-        s2, _ = nr.if_run(self.state2, y1, self.neuron)
+        s2, _ = nr.if_run(y1, self.neuron)
         acts.residual.append(s2)
         y2 = self.conv2(s2, rec)
         rec.attention_macs(self.att, y2.data.shape)
@@ -297,8 +295,6 @@ class DecoderBlock:
         _register_attention(store, prefix, self.att)
         self.neuron = cfg.if_params()
         self.head_neuron = cfg.integrator_params()
-        self.state = nr.IFState()
-        self.head_state = nr.IFState()
 
     def forward(self, x, skip, rec, acts):
         up = tz.nearest_upsample(x, 2)
@@ -306,14 +302,14 @@ class DecoderBlock:
             raise tz.DimensionError("skip time axis %d does not match %d"
                                     % (skip.data.shape[0], up.data.shape[0]))
         head_in = self.head(up, rec)
-        _, membrane = nr.if_run(self.head_state, head_in, self.head_neuron)
+        _, membrane = nr.if_run(head_in, self.head_neuron)
         h, w = membrane.data.shape[-2], membrane.data.shape[-1]
         pred = tz.reshape(membrane, (h, w))
         acts.predictions.append(pred)
         rec.attention_macs(self.att, up.data.shape)
         gated = at.tcsa(up, self.att)
         y = self.conv(gated, rec)
-        spikes, _ = nr.if_run(self.state, y, self.neuron)
+        spikes, _ = nr.if_run(y, self.neuron)
         acts.decoder.append(spikes)
         if spikes.data.shape != skip.data.shape:
             raise tz.DimensionError("skip shape %s does not match decoder output %s"
@@ -342,16 +338,6 @@ class DepthNet:
         self.last_activations = None
         self.last_ops = None
 
-    def if_states(self):
-        states = []
-        for b in self.encoders:
-            states.append(b.state)
-        for b in self.residuals:
-            states.extend((b.state1, b.state2))
-        for b in self.decoders:
-            states.extend((b.state, b.head_state))
-        return states
-
     def forward(self, stacked):
         """Run one sample; returns (depth, per-scale predictions, stats)."""
         x = stacked.data if isinstance(stacked, ev.StackedTensor) else tz.as_tensor(stacked)
@@ -369,7 +355,6 @@ class DepthNet:
             if ((vals == 0.0) | (vals == 1.0)).all():
                 x.is_spike = True
 
-        nr.reset_state(self.if_states())
         rec = _Recorder()
         acts = LayerActivations()
 

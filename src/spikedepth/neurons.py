@@ -13,8 +13,12 @@ Three modes share the same recurrence and differ in the firing nonlinearity:
               is the triangular window, so finite differences of a smooth-mode
               network check the same backward path spiking mode uses
 
-The gradient is not detached through the reset term: both modes differentiate
-membrane_new = charged * (1 - spike) + v_reset * spike as written.
+A population runs over all T steps in one call (multi-step mode) and is one
+tape entry: the forward loops over T from a zero membrane, and the backward
+is backpropagation through time in closed form, from the last step to the
+first. The gradient is not detached through the reset term: both firing
+modes differentiate membrane_new = charged - (charged - v_reset) * spike as
+written.
 """
 
 from dataclasses import dataclass
@@ -45,26 +49,6 @@ class IFParams:
                                    % (self.v_threshold, self.v_reset))
 
 
-class IFState:
-    """Membrane potential and step counter for one neuron population."""
-
-    __slots__ = ("membrane", "step")
-
-    def __init__(self):
-        self.membrane = None
-        self.step = 0
-
-    def reset(self):
-        self.membrane = None
-        self.step = 0
-
-
-def reset_state(states):
-    """Zero the membranes and step counters; detaches them from prior tapes."""
-    for s in states:
-        s.reset()
-
-
 def _triangle(h, v_threshold, alpha):
     """Unit-area triangular window centered on the threshold, peak 1/alpha."""
     return np.maximum(0.0, 1.0 - np.abs(h - v_threshold) / alpha) / alpha
@@ -81,60 +65,45 @@ def _smooth_ramp(h, v_threshold, alpha):
     return out
 
 
-def _fire(charged, params):
-    """Firing nonlinearity with the triangular window as its backward."""
-    if params.mode == "spiking":
-        s_data = (charged.data >= params.v_threshold).astype(np.float64)
-    else:
-        s_data = _smooth_ramp(charged.data, params.v_threshold, params.surrogate_alpha)
-    out = Tensor(s_data)
-    tri = _triangle(charged.data, params.v_threshold, params.surrogate_alpha)
-    tz.record((out,), (charged,), lambda g: (g * tri,))
-    if params.mode == "spiking":
-        out.is_spike = True
-    return out
+def if_run(x, params):
+    """Run one population over x[T, ...] from a zero membrane, as one tape op.
 
-
-def if_step(state, x_t, params):
-    """Advance the population one step; returns spikes, or None for integrators."""
-    x_t = tz.as_tensor(x_t)
-    if state.membrane is None:
-        prev = tz.zeros(x_t.data.shape)
-    else:
-        prev = state.membrane
-        if prev.data.shape != x_t.data.shape:
-            raise tz.DimensionError("input shape %s does not match membrane %s"
-                                    % (x_t.data.shape, prev.data.shape))
-    charged = tz.add(prev, x_t)
-    if params.mode == "integrator":
-        state.membrane = charged
-        state.step += 1
-        return None
-    spikes = _fire(charged, params)
-    # membrane_new = charged - (charged - v_reset) * spikes, the hard reset
-    drop = tz.mul(tz.sub(charged, params.v_reset), spikes)
-    state.membrane = tz.sub(charged, drop)
-    state.step += 1
-    return spikes
-
-
-def if_run(state, x, params):
-    """Step through x[T, ...] from the current state.
-
-    Returns (spike stack [T, ...] or None, final membrane).
+    Returns (spikes [T, ...] or None for integrators, final membrane).
     """
     x = tz.as_tensor(x)
-    if x.data.ndim < 1 or x.data.shape[0] < 1:
+    xd, shape = x.data, x.data.shape
+    if xd.ndim < 1 or shape[0] < 1:
         raise tz.DimensionError("if_run needs a leading time axis of size >= 1")
-    frames = tz.unstack(x)
-    spikes = []
-    for frame in frames:
-        s = if_step(state, frame, params)
-        if s is not None:
-            spikes.append(s)
+    t_steps = shape[0]
+    v = np.zeros(shape[1:])
     if params.mode == "integrator":
-        return None, state.membrane
-    out = tz.stack_frames(spikes)
-    if params.mode == "spiking":
-        out.is_spike = True
-    return out, state.membrane
+        for t in range(t_steps):
+            v = v + xd[t]
+        membrane = Tensor(v)
+        tz.record((membrane,), (x,), lambda gv: (np.broadcast_to(gv, shape),))
+        return None, membrane
+
+    th, v_reset, alpha = params.v_threshold, params.v_reset, params.surrogate_alpha
+    h = np.empty(shape)  # charged membranes: with s, all the backward keeps
+    s = np.empty(shape)
+    for t in range(t_steps):
+        h[t] = v + xd[t]
+        s[t] = h[t] >= th if params.mode == "spiking" else _smooth_ramp(h[t], th, alpha)
+        v = h[t] - (h[t] - v_reset) * s[t]
+    spikes, membrane = Tensor(s), Tensor(v)
+    spikes.is_spike = params.mode == "spiking"
+
+    def bw(gs, gv):
+        # per step, the sums of the unrolled add/fire/sub/mul/sub graph in its
+        # reverse-sweep order: charged gets gv, then -gv * s through the reset,
+        # then (gs - gv * (charged - v_reset)) * tri through the fire
+        gx = np.empty(shape)
+        for t in range(t_steps - 1, -1, -1):
+            neg = -gv
+            tri = _triangle(h[t], th, alpha)
+            gx[t] = (gv + neg * s[t]) + (gs[t] + neg * (h[t] - v_reset)) * tri
+            gv = gx[t]
+        return (gx,)
+
+    tz.record((spikes, membrane), (x,), bw)
+    return spikes, membrane

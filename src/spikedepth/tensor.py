@@ -82,10 +82,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def numel(self):
-        return self.data.size
-
     def item(self):
         if self.data.size != 1:
             raise DimensionError("item() needs a single-element tensor, got shape %s"
@@ -94,44 +90,6 @@ class Tensor:
 
     def __repr__(self):
         return "Tensor(shape=%s, requires_grad=%s)" % (self.data.shape, self.requires_grad)
-
-    # arithmetic sugar; floats are wrapped as constants
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def sum(self):
-        return sum_all(self)
-
-    def mean(self):
-        return mean_all(self)
-
-    def abs(self):
-        return absolute(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def relu(self):
-        return relu(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def as_tensor(x):
@@ -262,13 +220,6 @@ def mul(a, b):
     return out
 
 
-def neg(a):
-    a = as_tensor(a)
-    out = Tensor(-a.data)
-    record((out,), (a,), lambda g: (-g,))
-    return out
-
-
 def absolute(a):
     """Elementwise |a|; the gradient at exactly 0 is taken as 0."""
     a = as_tensor(a)
@@ -347,39 +298,6 @@ def concat(parts, axis):
         return tuple(np.split(g, splits, axis=axis))
 
     record((out,), tuple(parts), bw)
-    return out
-
-
-def unstack(a):
-    """Split along axis 0 into a list of views; one tape entry for all frames."""
-    a = as_tensor(a)
-    if a.data.ndim < 1:
-        raise DimensionError("unstack needs rank >= 1")
-    outs = tuple(Tensor(a.data[i]) for i in range(a.data.shape[0]))
-
-    def bw(*gs):
-        return (np.stack(gs, axis=0),)
-
-    record(outs, (a,), bw)
-    return list(outs)
-
-
-def stack_frames(frames):
-    """Stack equal-shape tensors along a new leading axis."""
-    frames = [as_tensor(f) for f in frames]
-    if not frames:
-        raise ArgumentError("stack_frames needs at least one tensor")
-    shape = frames[0].data.shape
-    for f in frames[1:]:
-        if f.data.shape != shape:
-            raise DimensionError("stack_frames shape mismatch: %s vs %s"
-                                 % (shape, f.data.shape))
-    out = Tensor(np.stack([f.data for f in frames], axis=0))
-
-    def bw(g):
-        return tuple(g[i] for i in range(len(frames)))
-
-    record((out,), tuple(frames), bw)
     return out
 
 

@@ -173,8 +173,60 @@ def brute_if_trace(inputs, v_th, v_reset, mode="spiking"):
 
 
 def if_multistep(x, params):
-    """Run x[T, ...] through an IF population from a fresh zero state."""
-    return nr.if_run(nr.IFState(), x, params)
+    """Run x[T, ...] through an IF population from a zero membrane."""
+    return nr.if_run(x, params)
+
+
+def _fire(charged, params):
+    """One step's firing nonlinearity, taped with the triangle window as its backward."""
+    if params.mode == "spiking":
+        s_data = (charged.data >= params.v_threshold).astype(np.float64)
+    else:
+        s_data = nr._smooth_ramp(charged.data, params.v_threshold, params.surrogate_alpha)
+    out = tz.Tensor(s_data)
+    tri = nr._triangle(charged.data, params.v_threshold, params.surrogate_alpha)
+    tz.record((out,), (charged,), lambda g: (g * tri,))
+    return out
+
+
+def _unstack(x):
+    """The frames of x[T, ...] as tensors; one tape entry for all of them."""
+    frames = tuple(tz.Tensor(x.data[i]) for i in range(x.data.shape[0]))
+    tz.record(frames, (x,), lambda *gs: (np.stack(gs, axis=0),))
+    return frames
+
+
+def _stack(frames):
+    """Equal-shape tensors stacked along a new leading axis; one tape entry."""
+    out = tz.Tensor(np.stack([f.data for f in frames], axis=0))
+    tz.record((out,), tuple(frames), lambda g: tuple(g[i] for i in range(len(frames))))
+    return out
+
+
+def if_run_stepwise(x, params):
+    """Per-step taped IF population: the gradient oracle for nr.if_run.
+
+    Same signature and results as nr.if_run, but unrolled on the tape: x is
+    split into frames, every step records add, fire, sub, mul and sub
+    (membrane = charged - (charged - v_reset) * spikes), and the spikes are
+    stacked again, so the generic reverse sweep does the BPTT.
+    """
+    x = tz.as_tensor(x)
+    membrane = tz.zeros(x.data.shape[1:])
+    spikes = []
+    for frame in _unstack(x):
+        charged = tz.add(membrane, frame)
+        if params.mode == "integrator":
+            membrane = charged
+            continue
+        s = _fire(charged, params)
+        spikes.append(s)
+        membrane = tz.sub(charged, tz.mul(tz.sub(charged, params.v_reset), s))
+    if params.mode == "integrator":
+        return None, membrane
+    out = _stack(spikes)
+    out.is_spike = params.mode == "spiking"
+    return out, membrane
 
 
 def surrogate_grad(charged, params):

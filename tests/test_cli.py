@@ -11,11 +11,13 @@ import pytest
 
 from spikedepth import events as ev
 from spikedepth import model as md
+from spikedepth import neurons as nr
 from spikedepth import synth as sy
 from spikedepth import tensor as tz
 from spikedepth.cli import (RunConfig, main, parse_run_config,
                             serialize_run_config)
 from spikedepth.tensor import Tensor
+from helpers import if_run_stepwise
 
 
 def scene_spec(**kw):
@@ -303,6 +305,26 @@ def test_train_is_deterministic(tmp_path, dataset, trained, capsys):
         first = a.read()
     with open(str(tmp_path / "out" / "last.spkc"), "rb") as b:
         assert b.read() == first
+
+
+def test_fused_neurons_train_the_same_bytes_as_the_per_step_oracle(tmp_path, dataset,
+                                                                  monkeypatch):
+    # DE encoders pass their spikes on, so every spiking population gets a
+    # gradient; a low threshold and a nonzero reset level make it fire and
+    # give the reset term a gradient
+    outputs = []
+    for run in ("fused", "per_step"):
+        if run == "per_step":
+            monkeypatch.setattr(nr, "if_run", if_run_stepwise)
+        out = tmp_path / run
+        cfg_path = str(tmp_path / (run + ".cfg"))
+        write_cfg(cfg_path, epochs=2, encoder_variant="DE", v_threshold=0.5, v_reset=0.25,
+                  data_dir=dataset, out_dir=str(out))
+        assert main(["--quiet", "train", "--config", cfg_path]) == 0
+        outputs.append(((out / "train.log").read_bytes(), (out / "last.spkc").read_bytes()))
+    log = outputs[0][0].decode()
+    assert max(float(v) for v in log_values(log, "firing_rate_total")) > 0.0
+    assert outputs[0] == outputs[1]
 
 
 def test_eval_reproduces_final_train_mde(trained, dataset, capsys):

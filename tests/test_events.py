@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -37,6 +38,19 @@ def test_parse_malformed_lines_carry_numbers():
         ev.parse_events("t_us,x,y,p\n-1,1,1,1\n")
     with pytest.raises(ev.ParseError, match="line 4"):
         ev.parse_events("t_us,x,y,p\n1,1,1,1\n2,1,1,0\n3,1,1,2\n")
+
+
+@pytest.mark.parametrize("line,message", [
+    ("3,1,1", "line 4: expected 4 fields, got 3"),
+    ("3,1,y,1", "line 4: field 'y' is not an unsigned integer of at most 18 digits"),
+    ("3,1,1,2", "line 4: polarity must be 0 or 1, got 2"),
+])
+def test_parse_error_describes_the_bad_line_not_its_block(line, message):
+    # the bad line comes after good ones in the same scan block
+    text = "t_us,x,y,p\n1,1,1,1\n2,1,1,0\n%s\n4,1,1,1\n" % line
+    with pytest.raises(ev.ParseError) as err:
+        ev.parse_events(text)
+    assert str(err.value) == message
 
 
 def test_parse_decreasing_timestamp():
@@ -95,6 +109,25 @@ def test_parse_is_independent_of_the_scan_block(rows, scan):
     text = ev.serialize_events(events)
     with mock.patch.object(ev, "_SCAN_BYTES", scan):
         assert ev.parse_events(text) == events
+
+
+def test_load_events_peak_stays_near_the_columns(tmp_path):
+    # a sensor-size stream: 134,940 events on 260 x 346
+    rng = np.random.default_rng(3)
+    n = 134940
+    events = ev.EventArray(np.sort(rng.integers(0, 400000, n)), rng.integers(0, 346, n),
+                           rng.integers(0, 260, n), rng.choice((-1, 1), n))
+    path = str(tmp_path / "events.csv")
+    ev.save_events(path, events)
+    tracemalloc.start()
+    try:
+        loaded = ev.load_events(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == events
+    columns = sum(c.nbytes for c in (loaded.t, loaded.x, loaded.y, loaded.p))
+    assert peak <= 2.5 * columns, peak / columns
 
 
 def test_serialize_roundtrip_byte_identity():

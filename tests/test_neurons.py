@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from spikedepth import tensor as tz
 from spikedepth import neurons as nr
 from helpers import (brute_if_trace, central_diff, assert_grads_close, if_multistep,
-                     surrogate_grad)
+                     if_run_stepwise, surrogate_grad)
 
 
 def run_trace(inputs, **kw):
@@ -105,31 +105,33 @@ def test_charge_bookkeeping():
     rng = np.random.default_rng(7)
     x = rng.uniform(0, 1.2, size=(12, 5))
     params = nr.IFParams()
-    state = nr.IFState()
     charged_at_spike = 0.0
     for t in range(12):
-        prev = 0.0 if state.membrane is None else state.membrane.data
-        s = nr.if_step(state, tz.Tensor(x[t]), params)
+        # the run over the first t steps leaves the membrane step t charges from
+        prev = 0.0 if t == 0 else nr.if_run(tz.Tensor(x[:t]), params)[1].data
+        s = nr.if_run(tz.Tensor(x[:t + 1]), params)[0].data[t]
         h = prev + x[t]
-        charged_at_spike += (h * s.data).sum()
+        charged_at_spike += (h * s).sum()
+    _, membrane = nr.if_run(tz.Tensor(x), params)
     total = x.sum()
-    np.testing.assert_allclose(total, charged_at_spike + state.membrane.data.sum(),
+    np.testing.assert_allclose(total, charged_at_spike + membrane.data.sum(),
                                rtol=1e-12)
 
 
-def test_reset_gives_identical_replay():
-    # crafted so the carried membrane flips the spike pattern when not reset
+def test_repeated_runs_are_identical():
+    # crafted so a membrane carried from the first run would flip the spikes
     x = np.array([[0.6], [0.6], [0.6], [0.0]])
     params = nr.IFParams()
-    state = nr.IFState()
-    first, _ = nr.if_run(state, tz.Tensor(x), params)
-    nr.reset_state([state])
-    assert state.membrane is None and state.step == 0
-    second, _ = nr.if_run(state, tz.Tensor(x), params)
+    first, v_first = nr.if_run(tz.Tensor(x), params)
+    second, v_second = nr.if_run(tz.Tensor(x), params)
     np.testing.assert_array_equal(first.data, second.data)
-    # without the reset the carried membrane changes the outcome
-    third, _ = nr.if_run(state, tz.Tensor(x), params)
-    assert not np.array_equal(second.data, third.data)
+    np.testing.assert_array_equal(v_first.data, v_second.data)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (0, 3)])
+def test_if_run_needs_a_nonempty_time_axis(shape):
+    with pytest.raises(tz.DimensionError, match="leading time axis"):
+        nr.if_run(tz.Tensor(np.zeros(shape)), nr.IFParams())
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +191,8 @@ def test_spiking_backward_uses_surrogate():
     params = nr.IFParams()
     for drive in [0.3, 0.9, 1.0, 1.4, 2.5]:
         x = tz.Tensor(np.array([drive]), requires_grad=True)
-        state = nr.IFState()
         with tz.Tape() as tape:
-            s = nr.if_step(state, x, params)
+            s, _ = nr.if_run(x, params)
             loss = tz.sum_all(s)
         tz.backward(loss, tape)
         tri = max(0.0, 1.0 - abs(drive - 1.0))
@@ -206,3 +207,56 @@ def test_integrator_gradient_is_identity_per_step():
         loss = tz.sum_all(v)
     tz.backward(loss, tape)
     np.testing.assert_array_equal(x.grad, np.ones((4, 2)))
+
+
+# ---------------------------------------------------------------------------
+# the fused op against the per-step taped oracle
+
+
+def _run_with_loss(run, x, params, use, weights):
+    """Spikes, membrane and x.grad of run(x, params) under a weighted-sum loss
+    of the spikes, the membrane, or both."""
+    xt = tz.Tensor(x.copy(), requires_grad=True)
+    w_s, w_v = weights
+    with tz.Tape() as tape:
+        spikes, membrane = run(xt, params)
+        terms = []
+        if use in ("spikes", "both"):
+            terms.append(tz.sum_all(tz.mul(spikes, tz.Tensor(w_s))))
+        if use in ("membrane", "both"):
+            terms.append(tz.sum_all(tz.mul(membrane, tz.Tensor(w_v))))
+        loss = terms[0] if len(terms) == 1 else tz.add(terms[0], terms[1])
+    tz.backward(loss, tape)
+    return spikes, membrane, xt.grad
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), t_steps=st.integers(1, 8),
+       tail=st.lists(st.integers(1, 3), max_size=2),
+       mode=st.sampled_from(nr.MODES), v_reset=st.sampled_from((0.0, 0.25, -0.4)),
+       use=st.sampled_from(("spikes", "membrane", "both")))
+def test_fused_if_run_matches_the_per_step_oracle(seed, t_steps, tail, mode, v_reset, use):
+    if mode == "integrator":
+        use = "membrane"  # an integrator has no spikes
+    rng = np.random.default_rng(seed)
+    shape = (t_steps,) + tuple(tail)
+    x = rng.uniform(-1.0, 2.5, size=shape)
+    weights = (rng.uniform(-1, 1, size=shape), rng.uniform(-1, 1, size=shape[1:]))
+    params = nr.IFParams(v_reset=v_reset, surrogate_alpha=0.7, mode=mode)
+    got = _run_with_loss(nr.if_run, x, params, use, weights)
+    want = _run_with_loss(if_run_stepwise, x, params, use, weights)
+    if mode == "integrator":
+        assert got[0] is None and want[0] is None
+    else:
+        np.testing.assert_array_equal(got[0].data, want[0].data)
+        assert got[0].is_spike == want[0].is_spike == (mode == "spiking")
+    np.testing.assert_array_equal(got[1].data, want[1].data)
+    np.testing.assert_array_equal(got[2], want[2])
+
+
+def test_fused_if_run_is_one_tape_entry():
+    x = tz.Tensor(np.ones((5, 2, 3)), requires_grad=True)
+    for mode in nr.MODES:
+        with tz.Tape() as tape:
+            nr.if_run(x, nr.IFParams(mode=mode))
+        assert len(tape) == 1, mode

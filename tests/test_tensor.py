@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikedepth import neurons as nr
 from spikedepth import tensor as tz
 from helpers import (naive_conv2d, naive_conv2d_grads, central_diff, assert_grads_close,
                      check_op_gradient, reference_backward)
@@ -366,16 +367,6 @@ def test_concat_and_split_gradients():
         tz.concat([tz.Tensor(a), tz.Tensor(np.zeros((2, 1, 5, 4)))], axis=1)
 
 
-def test_unstack_stack_roundtrip_gradient():
-    x = rand((4, 2, 3), seed=25)
-
-    def build(ts):
-        frames = tz.unstack(ts[0])
-        return tz.stack_frames([tz.mul(f, f) for f in frames])
-
-    check_op_gradient(build, [x], label="unstack/stack")
-
-
 def test_slice_and_pad():
     x = rand((2, 5, 6), seed=26)
     sl = tz.slice_nd(tz.Tensor(x), ((0, 2), (1, 4), (2, 6)))
@@ -456,7 +447,12 @@ def test_backward_linearity():
 
 
 TAPE_OPS = ("add", "sub", "mul", "square", "gate", "pool_avg", "pool_max", "upsample",
-            "unstack", "sigmoid")
+            "if_run", "sigmoid")
+
+
+# IF populations for the if_run kind: two with two outputs, and an integrator
+IF_KINDS = (nr.IFParams(v_reset=0.25), nr.IFParams(mode="smooth", surrogate_alpha=0.7),
+            nr.IFParams(mode="integrator"))
 
 
 def build_random_tape(ops, used, seed):
@@ -495,9 +491,12 @@ def build_random_tape(ops, used, seed):
                 f = 2 + j % 3
                 up = tz.mul(tz.nearest_upsample(a, f), tz.nearest_upsample(b, f))
                 out = tz.avg_downsample(up, f)
-            elif kind == "unstack":  # only frame j of the two is used
-                frames = tz.unstack(a)
-                out = tz.stack_frames([frames[j % 2]] * 2)
+            elif kind == "if_run":  # one output is used, the spikes or the membrane
+                spikes, membrane = nr.if_run(a, IF_KINDS[j % 3])
+                if spikes is not None and j % 2:
+                    out = spikes
+                else:
+                    out = tz.add(tz.reshape(membrane, (1, 3, 2, 2)), b)
             else:
                 out = tz.sigmoid(a)
             vals.append(out)
