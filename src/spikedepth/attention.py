@@ -104,17 +104,21 @@ def _mlp(v, w_compress, w_expand):
     return tz.linear(tz.relu(tz.linear(v, w_compress)), w_expand)
 
 
+def _mlp_gate(x, axes, w_compress, w_expand):
+    """Gate x by the sigmoid of the shared MLP over its average and max pools."""
+    avg = tz.pool(x, axes=axes, mode="avg")
+    mx = tz.pool(x, axes=axes, mode="max")
+    gate = tz.sigmoid(tz.add(_mlp(avg, w_compress, w_expand), _mlp(mx, w_compress, w_expand)))
+    return tz.mul(x, gate)
+
+
 def temporal_attention(x, params):
     """Gate each time step by a scalar computed from all steps."""
     x = tz.as_tensor(x)
     _check_input(x, params)
     if params.t_compress is None:
         raise tz.StateError("temporal module not enabled on this site")
-    avg = tz.pool(x, axes=(1, 2, 3), mode="avg")
-    mx = tz.pool(x, axes=(1, 2, 3), mode="max")
-    gate = tz.sigmoid(tz.add(_mlp(avg, params.t_compress, params.t_hidden),
-                             _mlp(mx, params.t_compress, params.t_hidden)))
-    return tz.mul(x, gate)
+    return _mlp_gate(x, (1, 2, 3), params.t_compress, params.t_hidden)
 
 
 def channel_attention(x, params):
@@ -123,11 +127,7 @@ def channel_attention(x, params):
     _check_input(x, params)
     if params.c_compress is None:
         raise tz.StateError("channel module not enabled on this site")
-    avg = tz.pool(x, axes=(2, 3), mode="avg")
-    mx = tz.pool(x, axes=(2, 3), mode="max")
-    gate = tz.sigmoid(tz.add(_mlp(avg, params.c_compress, params.c_hidden),
-                             _mlp(mx, params.c_compress, params.c_hidden)))
-    return tz.mul(x, gate)
+    return _mlp_gate(x, (2, 3), params.c_compress, params.c_hidden)
 
 
 def spatial_attention(x, params):

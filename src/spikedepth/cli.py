@@ -127,8 +127,14 @@ class WindowSample:
     gt: ev.DepthFrame
 
 
-def _stack_fn(mode):
-    return ev.cumulative_stack if mode == "cumulative" else ev.repeat_stack
+def _stack_window(mode, left, right, start, window_len, t_steps, height, width, binarize):
+    """One window of the left stream, with the right one beside it when given."""
+    stack = ev.cumulative_stack if mode == "cumulative" else ev.repeat_stack
+    x = stack(left, start, window_len, t_steps, height, width, binarize)
+    if right is not None:
+        x = ev.binocular_concat(x, stack(right, start, window_len, t_steps, height,
+                                         width, binarize))
+    return x
 
 
 def load_windows(data_dir, height, width, t_steps, in_channels, stack_mode, binarize):
@@ -151,15 +157,10 @@ def load_windows(data_dir, height, width, t_steps, in_channels, stack_mode, bina
         right = ev.load_events(os.path.join(data_dir, man.events_right))
     gt_frames = [ev.load_depth_frame(os.path.join(data_dir, name))
                  for name in man.gt_files]
-    stack = _stack_fn(stack_mode)
     samples = []
     for start in man.window_starts:
-        x = stack(left, start, man.window_len_us, t_steps, man.height, man.width,
-                  binarize)
-        if right is not None:
-            x = ev.binocular_concat(x, stack(right, start, man.window_len_us,
-                                             t_steps, man.height, man.width,
-                                             binarize))
+        x = _stack_window(stack_mode, left, right, start, man.window_len_us, t_steps,
+                          man.height, man.width, binarize)
         gt = ev.align_ground_truth(gt_frames, start, man.window_len_us)
         samples.append(WindowSample(x=x, gt=gt))
     return samples
@@ -184,27 +185,25 @@ def window_loss(depth, preds, gt, loss_cfg, multiscale, layers):
 
 
 def evaluate_dataset(model, samples, loss_cfg):
-    """Mean losses, MDE, spike rates, and op counts over a window list."""
-    stats = md.SpikeStats()
-    ops = md.OpCounts()
+    """Mean losses and MDE over a window list, with the summed Counts."""
+    counts = md.Counts()
     sums = {"mde_cm": 0.0, "loss_ssi": 0.0, "loss_reg": 0.0, "loss_total": 0.0}
     for s in samples:
-        depth, _, st = model.forward(s.x)
+        depth, _, c = model.forward(s.x)
         ssi = ls.ssi_loss(depth, s.gt, loss_cfg).item()
         reg = ls.reg_loss(depth, s.gt).item()
         sums["mde_cm"] += ls.mde_cm(depth, s.gt)
         sums["loss_ssi"] += ssi
         sums["loss_reg"] += reg
         sums["loss_total"] += ssi + loss_cfg.lambda_reg * reg
-        stats.merge(st)
-        ops.merge(model.last_ops)
+        counts.merge(c)
     n = len(samples)
     metrics = {k: v / n for k, v in sums.items()}
-    metrics["firing_rate_encoder"] = stats.rate_encoder
-    metrics["firing_rate_residual"] = stats.rate_residual
-    metrics["firing_rate_decoder"] = stats.rate_decoder
-    metrics["firing_rate_total"] = stats.rate_total
-    return metrics, stats, ops
+    metrics["firing_rate_encoder"] = counts.rate_encoder
+    metrics["firing_rate_residual"] = counts.rate_residual
+    metrics["firing_rate_decoder"] = counts.rate_decoder
+    metrics["firing_rate_total"] = counts.rate_total
+    return metrics, counts
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +252,10 @@ def cmd_synth(args):
 
 
 def cmd_stack(args):
-    window_len = args.window_ms * 1000
-    stack = _stack_fn(args.mode)
     left = ev.load_events(args.events)
-    x = stack(left, args.window_start, window_len, args.T, args.height,
-              args.width, args.binarize)
-    if args.events_right:
-        right = ev.load_events(args.events_right)
-        x = ev.binocular_concat(x, stack(right, args.window_start, window_len,
-                                         args.T, args.height, args.width,
-                                         args.binarize))
+    right = ev.load_events(args.events_right) if args.events_right else None
+    x = _stack_window(args.mode, left, right, args.window_start, args.window_ms * 1000,
+                      args.T, args.height, args.width, args.binarize)
     tz.save_tensor(args.out, x.data.data)
     if not args.quiet:
         print("shape = %s" % " ".join(str(d) for d in x.data.data.shape))
@@ -325,10 +318,10 @@ def cmd_train(args):
                 model.params.zero_grad()
                 g_loss = 0.0
                 g_mde = 0.0
-                g_stats = md.SpikeStats()
+                g_counts = md.Counts()
                 for s in group:
                     with tz.Tape() as tape:
-                        depth, preds, st = model.forward(s.x)
+                        depth, preds, c = model.forward(s.x)
                         loss = window_loss(depth, preds, s.gt, loss_cfg,
                                            cfg.multiscale_loss, cfg.layers)
                     value = loss.item()
@@ -339,7 +332,7 @@ def cmd_train(args):
                     tz.backward(loss, tape)
                     g_loss += value
                     g_mde += ls.mde_cm(depth, s.gt)
-                    g_stats.merge(st)
+                    g_counts.merge(c)
                 model.params.scale_grad(1.0 / len(group))
                 tz.adam_step(model.params, lr,
                              betas=(cfg.adam_beta1, cfg.adam_beta2),
@@ -347,7 +340,7 @@ def cmd_train(args):
                 step += 1
                 emit("step=%d epoch=%d lr=%r loss=%r mde_cm=%r firing_rate_total=%r"
                      % (step, epoch, lr, g_loss / len(group), g_mde / len(group),
-                        g_stats.rate_total))
+                        g_counts.rate_total))
 
             val_pool = val_set if val_set else train_set
             val_mde = sum(ls.mde_cm(model.forward(s.x)[0], s.gt)
@@ -360,7 +353,7 @@ def cmd_train(args):
                 best = val_mde
                 md.save_model(os.path.join(cfg.out_dir, "best.spkc"), model, extras)
 
-        metrics, _, _ = evaluate_dataset(model, samples, loss_cfg)
+        metrics, _ = evaluate_dataset(model, samples, loss_cfg)
         emit("total_steps=%d" % step)
         emit("final_mde_cm=%r" % metrics["mde_cm"])
     return 0
@@ -376,27 +369,25 @@ def _evaluate_checkpoint(args):
 
 
 def cmd_eval(args):
-    _, (metrics, _, _) = _evaluate_checkpoint(args)
+    _, (metrics, _) = _evaluate_checkpoint(args)
     sys.stdout.write(ls.format_metrics(metrics))
     return 0
 
 
 def cmd_predict(args):
+    if args.max_depth is not None and not (math.isfinite(args.max_depth) and args.max_depth > 0):
+        raise CliError("--max-depth must be positive and finite, got %r" % args.max_depth)
     model, entries = md.load_model(args.model)
     c = _run_settings(entries)
     window_len = args.window_len or _window_len(entries)
     if not window_len:
         raise CliError("pass --window-len or use a checkpoint that records one")
-    stack = _stack_fn(c.stack_mode)
     left = ev.load_events(args.events)
-    x = stack(left, args.window_start, window_len, c.time_steps, c.height,
-              c.width, c.binarize)
-    if c.in_channels == 4:
-        if not args.events_right:
-            raise CliError("this model takes binocular input; pass --events-right")
-        right = ev.load_events(args.events_right)
-        x = ev.binocular_concat(x, stack(right, args.window_start, window_len,
-                                         c.time_steps, c.height, c.width, c.binarize))
+    if c.in_channels == 4 and not args.events_right:
+        raise CliError("this model takes binocular input; pass --events-right")
+    right = ev.load_events(args.events_right) if c.in_channels == 4 else None
+    x = _stack_window(c.stack_mode, left, right, args.window_start, window_len,
+                      c.time_steps, c.height, c.width, c.binarize)
     depth, _, _ = model.forward(x)
     data = depth.data
     _write_grid(args.out + ".txt", data)
@@ -410,16 +401,16 @@ def cmd_predict(args):
 
 
 def cmd_inspect(args):
-    n_windows, (_, stats, ops) = _evaluate_checkpoint(args)
+    n_windows, (_, counts) = _evaluate_checkpoint(args)
     lines = [
         "windows=%d" % n_windows,
-        "ac_ops=%r" % ops.ac_ops,
-        "dense_macs=%d" % ops.dense_macs,
-        "sparsity_ratio=%r" % ops.sparsity_ratio,
-        "firing_rate_encoder=%r" % stats.rate_encoder,
-        "firing_rate_residual=%r" % stats.rate_residual,
-        "firing_rate_decoder=%r" % stats.rate_decoder,
-        "firing_rate_total=%r" % stats.rate_total,
+        "ac_ops=%r" % counts.ac_ops,
+        "dense_macs=%d" % counts.dense_macs,
+        "sparsity_ratio=%r" % counts.sparsity_ratio,
+        "firing_rate_encoder=%r" % counts.rate_encoder,
+        "firing_rate_residual=%r" % counts.rate_residual,
+        "firing_rate_decoder=%r" % counts.rate_decoder,
+        "firing_rate_total=%r" % counts.rate_total,
     ]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0

@@ -94,10 +94,6 @@ class EventArray:
     def __len__(self):
         return self.t.size
 
-    def __eq__(self, other):
-        return isinstance(other, EventArray) and all(
-            np.array_equal(getattr(self, k), getattr(other, k)) for k in self.__slots__)
-
 
 @dataclass
 class StackedTensor:
@@ -106,10 +102,6 @@ class StackedTensor:
     data: Tensor
     window_start: int
     window_len: int
-
-    @property
-    def shape(self):
-        return self.data.shape
 
 
 @dataclass
@@ -206,11 +198,6 @@ def _csv_pieces(events, rows=1 << 14):
     for lo in range(0, len(events), rows):
         cols = (c[lo:lo + rows].tolist() for c in (events.t, events.x, events.y, pos))
         yield "".join(map("%d,%d,%d,%d\n".__mod__, zip(*cols)))
-
-
-def serialize_events(events):
-    """Canonical CSV text: header plus one record per line, newline-terminated."""
-    return "".join(_csv_pieces(events))
 
 
 def load_events(path):

@@ -21,16 +21,16 @@ step T is that scale's depth map. The final depth is the last layer's
 membrane cropped back to the input geometry.
 
 Each population starts from a zero membrane, so samples are independent.
-Firing statistics cover the spiking populations only (integrator heads never
-fire). Synaptic operation counting distinguishes accumulate ops (conv windows
-reading binary spike tensors, counted from actual spike positions) from the
-dense multiply-accumulate total that the same network would spend with no
-sparsity.
+A forward tallies its cost in one `Counts` record as it runs: spikes and
+neuron-steps per block group as each spiking population fires (integrator
+heads never fire), accumulate ops for every conv that reads a binary spike
+tensor (counted from the actual spike positions), and the dense
+multiply-accumulate total the same network would spend with no sparsity.
 """
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -86,88 +86,6 @@ class ModelConfig:
         return nr.IFParams(v_reset=self.v_reset, mode="integrator")
 
 
-@dataclass
-class SpikeStats:
-    """Spike and neuron-step totals per block group."""
-
-    encoder_spikes: float = 0.0
-    encoder_steps: int = 0
-    residual_spikes: float = 0.0
-    residual_steps: int = 0
-    decoder_spikes: float = 0.0
-    decoder_steps: int = 0
-
-    def _rate(self, spikes, steps):
-        return spikes / steps if steps else 0.0
-
-    @property
-    def rate_encoder(self):
-        return self._rate(self.encoder_spikes, self.encoder_steps)
-
-    @property
-    def rate_residual(self):
-        return self._rate(self.residual_spikes, self.residual_steps)
-
-    @property
-    def rate_decoder(self):
-        return self._rate(self.decoder_spikes, self.decoder_steps)
-
-    @property
-    def rate_total(self):
-        spikes = self.encoder_spikes + self.residual_spikes + self.decoder_spikes
-        steps = self.encoder_steps + self.residual_steps + self.decoder_steps
-        return self._rate(spikes, steps)
-
-    def merge(self, other):
-        self.encoder_spikes += other.encoder_spikes
-        self.encoder_steps += other.encoder_steps
-        self.residual_spikes += other.residual_spikes
-        self.residual_steps += other.residual_steps
-        self.decoder_spikes += other.decoder_spikes
-        self.decoder_steps += other.decoder_steps
-
-
-@dataclass
-class LayerActivations:
-    """Spike trains recorded during one forward, grouped by block family."""
-
-    encoder: list = field(default_factory=list)
-    residual: list = field(default_factory=list)
-    decoder: list = field(default_factory=list)
-    predictions: list = field(default_factory=list)
-
-
-def count_spikes(acts):
-    """Build firing statistics from recorded spike trains."""
-    stats = SpikeStats()
-    for s in acts.encoder:
-        stats.encoder_spikes += float(s.data.sum())
-        stats.encoder_steps += s.data.size
-    for s in acts.residual:
-        stats.residual_spikes += float(s.data.sum())
-        stats.residual_steps += s.data.size
-    for s in acts.decoder:
-        stats.decoder_spikes += float(s.data.sum())
-        stats.decoder_steps += s.data.size
-    return stats
-
-
-@dataclass
-class OpCounts:
-    """Synaptic-operation tallies for one or more forwards."""
-
-    ac_ops: float = 0.0
-    dense_macs: int = 0
-
-    @property
-    def sparsity_ratio(self):
-        return self.ac_ops / self.dense_macs if self.dense_macs else 0.0
-
-    def merge(self, other):
-        self.ac_ops += other.ac_ops
-        self.dense_macs += other.dense_macs
-
-
 def _spike_incidences(x4, k, stride, padding):
     """Count (nonzero input, output window) pairs for one conv application."""
     nnz = (x4 != 0.0).astype(np.float64).sum(axis=1)
@@ -177,28 +95,77 @@ def _spike_incidences(x4, k, stride, padding):
     return float(win[:, ::stride, ::stride].sum())
 
 
-class _Recorder:
-    def __init__(self):
-        self.ops = OpCounts()
+@dataclass
+class Counts:
+    """Spikes, neuron-steps and synaptic ops of one or more forwards.
+
+    Spikes and neuron-steps are kept per block group over the spiking
+    populations; every field is an exact integer, so `merge` adds runs
+    without rounding.
+    """
+
+    encoder_spikes: float = 0.0
+    encoder_steps: int = 0
+    residual_spikes: float = 0.0
+    residual_steps: int = 0
+    decoder_spikes: float = 0.0
+    decoder_steps: int = 0
+    ac_ops: float = 0.0
+    dense_macs: int = 0
+
+    def merge(self, other):
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+    def fire(self, group, spikes):
+        """Add a population's spike train to its group ("encoder", ...)."""
+        setattr(self, group + "_spikes",
+                getattr(self, group + "_spikes") + float(spikes.data.sum()))
+        setattr(self, group + "_steps", getattr(self, group + "_steps") + spikes.data.size)
 
     def conv(self, x, weight, stride, padding, out):
-        t_steps = x.data.shape[0]
+        """Dense MACs of one conv, plus its ACs when the input is a spike tensor."""
         c_out, c_in, k, _ = weight.data.shape
-        ho, wo = out.data.shape[-2], out.data.shape[-1]
-        self.ops.dense_macs += t_steps * c_out * ho * wo * c_in * k * k
+        ho, wo = out.data.shape[-2:]
+        self.dense_macs += x.data.shape[0] * c_out * ho * wo * c_in * k * k
         if x.is_spike:
-            self.ops.ac_ops += c_out * _spike_incidences(x.data, k, stride, padding)
+            self.ac_ops += c_out * _spike_incidences(x.data, k, stride, padding)
 
-    def attention_macs(self, params, x_shape):
+    def attention(self, params, x_shape):
+        """Dense MACs of one TCSA site: two MLP layers per pooled branch, one
+        2-channel conv for the spatial gate."""
         t, c, h, w = x_shape
         if "T" in params.enabled:
-            hidden = params.t_steps // params.reduction
-            self.ops.dense_macs += 2 * 2 * t * hidden  # two branches, two layers
+            self.dense_macs += 2 * 2 * t * (params.t_steps // params.reduction)
         if "C" in params.enabled:
-            hidden = params.channels // params.reduction
-            self.ops.dense_macs += 2 * 2 * t * c * hidden
+            self.dense_macs += 2 * 2 * t * c * (params.channels // params.reduction)
         if "S" in params.enabled:
-            self.ops.dense_macs += t * h * w * 2 * KERNEL * KERNEL
+            self.dense_macs += t * h * w * 2 * KERNEL * KERNEL
+
+    def _rate(self, *groups):
+        spikes = sum(getattr(self, g + "_spikes") for g in groups)
+        steps = sum(getattr(self, g + "_steps") for g in groups)
+        return spikes / steps if steps else 0.0
+
+    @property
+    def rate_encoder(self):
+        return self._rate("encoder")
+
+    @property
+    def rate_residual(self):
+        return self._rate("residual")
+
+    @property
+    def rate_decoder(self):
+        return self._rate("decoder")
+
+    @property
+    def rate_total(self):
+        return self._rate("encoder", "residual", "decoder")
+
+    @property
+    def sparsity_ratio(self):
+        return self.ac_ops / self.dense_macs if self.dense_macs else 0.0
 
 
 def _init_conv(shape, rng):
@@ -221,9 +188,9 @@ class _ConvLayer:
         self.stride = 1
         self.padding = (k - 1) // 2
 
-    def __call__(self, x, rec):
+    def __call__(self, x, counts):
         out = tz.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
-        rec.conv(x, self.weight, self.stride, self.padding, out)
+        counts.conv(x, self.weight, self.stride, self.padding, out)
         if self.bias is not None:
             out = tz.add(out, tz.reshape(self.bias, (self.bias.data.shape[0], 1, 1)))
         return out
@@ -244,19 +211,19 @@ class EncoderBlock:
             _register_attention(store, prefix, self.att)
         self.neuron = cfg.if_params()
 
-    def forward(self, x, rec, acts):
+    def forward(self, x, counts):
         if x.data.shape[-1] % 2 or x.data.shape[-2] % 2:
             raise tz.StateError("encoder expects even spatial dims, got %s"
                                 % (x.data.shape,))
         if self.variant in ("CE-Att", "DE-Att1"):
-            rec.attention_macs(self.att, x.data.shape)
+            counts.attention(self.att, x.data.shape)
             x = at.tcsa(x, self.att)
-        y = self.conv(x, rec)
+        y = self.conv(x, counts)
         if self.variant == "DE-Att2":
-            rec.attention_macs(self.att, y.data.shape)
+            counts.attention(self.att, y.data.shape)
             y = at.tcsa(y, self.att)
         spikes, _ = nr.if_run(y, self.neuron)
-        acts.encoder.append(spikes)
+        counts.fire("encoder", spikes)
         return spikes if self.variant.startswith("DE") else y
 
 
@@ -272,14 +239,14 @@ class ResidualBlock:
         _register_attention(store, prefix, self.att)
         self.neuron = cfg.if_params()
 
-    def forward(self, x, rec, acts):
+    def forward(self, x, counts):
         s1, _ = nr.if_run(x, self.neuron)
-        acts.residual.append(s1)
-        y1 = self.conv1(s1, rec)
+        counts.fire("residual", s1)
+        y1 = self.conv1(s1, counts)
         s2, _ = nr.if_run(y1, self.neuron)
-        acts.residual.append(s2)
-        y2 = self.conv2(s2, rec)
-        rec.attention_macs(self.att, y2.data.shape)
+        counts.fire("residual", s2)
+        y2 = self.conv2(s2, counts)
+        counts.attention(self.att, y2.data.shape)
         gated = at.tcsa(y2, self.att)
         return tz.add(gated, x)
 
@@ -296,21 +263,20 @@ class DecoderBlock:
         self.neuron = cfg.if_params()
         self.head_neuron = cfg.integrator_params()
 
-    def forward(self, x, skip, rec, acts):
+    def forward(self, x, skip, counts):
         up = tz.nearest_upsample(x, 2)
         if skip.data.shape[0] != up.data.shape[0]:
             raise tz.DimensionError("skip time axis %d does not match %d"
                                     % (skip.data.shape[0], up.data.shape[0]))
-        head_in = self.head(up, rec)
+        head_in = self.head(up, counts)
         _, membrane = nr.if_run(head_in, self.head_neuron)
         h, w = membrane.data.shape[-2], membrane.data.shape[-1]
         pred = tz.reshape(membrane, (h, w))
-        acts.predictions.append(pred)
-        rec.attention_macs(self.att, up.data.shape)
+        counts.attention(self.att, up.data.shape)
         gated = at.tcsa(up, self.att)
-        y = self.conv(gated, rec)
+        y = self.conv(gated, counts)
         spikes, _ = nr.if_run(y, self.neuron)
-        acts.decoder.append(spikes)
+        counts.fire("decoder", spikes)
         if spikes.data.shape != skip.data.shape:
             raise tz.DimensionError("skip shape %s does not match decoder output %s"
                                     % (skip.data.shape, spikes.data.shape))
@@ -335,11 +301,10 @@ class DepthNet:
                                       ladder[config.layers - i - 1],
                                       self.params, "dec%d" % i, rng)
                          for i in range(config.layers)]
-        self.last_activations = None
         self.last_ops = None
 
     def forward(self, stacked):
-        """Run one sample; returns (depth, per-scale predictions, stats)."""
+        """Run one sample; returns (depth, per-scale predictions, Counts)."""
         x = stacked.data if isinstance(stacked, ev.StackedTensor) else tz.as_tensor(stacked)
         if x.data.ndim != 4:
             raise tz.DimensionError("input must be [T, C, H, W], got %s" % (x.data.shape,))
@@ -355,9 +320,7 @@ class DepthNet:
             if ((vals == 0.0) | (vals == 1.0)).all():
                 x.is_spike = True
 
-        rec = _Recorder()
-        acts = LayerActivations()
-
+        counts = Counts()
         mult = 1 << self.config.layers
         padded = tz.pad_bottom_right(x, (-h) % mult, (-w) % mult)
         padded.is_spike = x.is_spike
@@ -365,21 +328,20 @@ class DepthNet:
         skips = [padded]
         cur = padded
         for block in self.encoders:
-            cur = block.forward(cur, rec, acts)
+            cur = block.forward(cur, counts)
             skips.append(cur)
         for block in self.residuals:
-            cur = block.forward(cur, rec, acts)
+            cur = block.forward(cur, counts)
+        preds = []
         for i, block in enumerate(self.decoders):
-            cur, _ = block.forward(cur, skips[self.config.layers - 1 - i], rec, acts)
+            cur, pred = block.forward(cur, skips[self.config.layers - 1 - i], counts)
+            preds.append(pred)
 
-        full = acts.predictions[-1]
-        depth = full
-        if full.data.shape != (h, w):
-            depth = tz.slice_nd(full, ((0, h), (0, w)))
-
-        self.last_activations = acts
-        self.last_ops = rec.ops
-        return depth, list(acts.predictions), count_spikes(acts)
+        depth = preds[-1]
+        if depth.data.shape != (h, w):
+            depth = tz.slice_nd(depth, ((0, h), (0, w)))
+        self.last_ops = counts
+        return depth, preds, counts
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +448,9 @@ def load_model(path):
     """Rebuild the model a checkpoint describes; returns (model, raw entries).
 
     The stored parameters are checked against the shapes the stored config
-    implies before the model is built, so a config they do not match (say
-    cfg.layers = 40, whose widest weight alone needs GiBs) allocates nothing.
+    implies, and for non-finite values, before the model is built, so a
+    config they do not match (say cfg.layers = 40, whose widest weight alone
+    needs GiBs) allocates nothing.
     """
     entries = load_checkpoint(path)
     cfg = ModelConfig(**kv.from_entries(ModelConfig, entries))
@@ -498,6 +461,8 @@ def load_model(path):
         if entries[key].shape != shape:
             raise tz.DimensionError("parameter %r has shape %s, model expects %s"
                                     % (name, entries[key].shape, shape))
+        if not np.isfinite(entries[key]).all():
+            raise tz.ArgumentError("parameter %r holds a non-finite value" % name)
     model = DepthNet(cfg, seed=0)
     for name, tensor in model.params:
         tensor.data = np.asarray(entries["param." + name], dtype=np.float64)

@@ -256,14 +256,6 @@ def sum_all(a):
     return out
 
 
-def mean_all(a):
-    a = as_tensor(a)
-    out = Tensor(a.data.mean())
-    shape, n = a.data.shape, a.data.size
-    record((out,), (a,), lambda g: (np.broadcast_to(g / n, shape),))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # shape ops
 
@@ -699,30 +691,6 @@ def nearest_upsample(x, factor):
     return out
 
 
-def avg_downsample(x, factor):
-    """Mean over non-overlapping f x f blocks of the last two axes."""
-    x = as_tensor(x)
-    if x.data.ndim < 2:
-        raise DimensionError("avg_downsample needs rank >= 2")
-    if not isinstance(factor, int) or factor < 1:
-        raise ArgumentError("downsample factor must be an integer >= 1, got %r" % (factor,))
-    h, w = x.data.shape[-2], x.data.shape[-1]
-    if h % factor or w % factor:
-        raise DimensionError("spatial size (%d, %d) not divisible by factor %d"
-                             % (h, w, factor))
-    lead = x.data.shape[:-2]
-    blocks = x.data.reshape(lead + (h // factor, factor, w // factor, factor))
-    out = Tensor(blocks.mean(axis=(-3, -1)))
-
-    def bw(g):
-        g = g[..., :, None, :, None] / (factor * factor)
-        g = np.broadcast_to(g, lead + (h // factor, factor, w // factor, factor))
-        return (g.reshape(lead + (h, w)),)
-
-    record((out,), (x,), bw)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # parameters and optimizer
 
@@ -743,23 +711,8 @@ class ParamStore:
         self._params[name] = tensor
         return tensor
 
-    def __getitem__(self, name):
-        return self._params[name]
-
-    def __contains__(self, name):
-        return name in self._params
-
     def __iter__(self):
         return iter(self._params.items())
-
-    def __len__(self):
-        return len(self._params)
-
-    def names(self):
-        return list(self._params.keys())
-
-    def total_params(self):
-        return sum(t.data.size for t in self._params.values())
 
     def zero_grad(self):
         # zeros rather than None so params off the loss path still satisfy
@@ -848,8 +801,3 @@ def read_tensor(fh):
 def save_tensor(path, array):
     with open(path, "wb") as fh:
         write_tensor(fh, array)
-
-
-def load_tensor(path):
-    with open(path, "rb") as fh:
-        return read_tensor(fh)

@@ -5,6 +5,8 @@ scalar stepping, explicit recounts. The package must agree with these, not
 the other way around.
 """
 
+from unittest import mock
+
 import numpy as np
 
 from spikedepth import events as ev
@@ -282,3 +284,73 @@ def scalar_stack(events, window_start, window_len, t_steps, height, width,
         first = (t - window_start) * t_steps // window_len if mode == "cumulative" else 0
         out[first:, 0 if p > 0 else 1, y, x] += 1.0
     return out
+
+
+# ---------------------------------------------------------------------------
+# test-only API: ops, accessors and codecs the package itself never calls
+
+
+def mean_all(a):
+    """Taped mean over every element."""
+    a = tz.as_tensor(a)
+    out = tz.Tensor(a.data.mean())
+    shape, n = a.data.shape, a.data.size
+    tz.record((out,), (a,), lambda g: (np.broadcast_to(g / n, shape),))
+    return out
+
+
+def avg_downsample(x, factor):
+    """Taped mean over non-overlapping f x f blocks of the last two axes."""
+    x = tz.as_tensor(x)
+    lead, (h, w) = x.data.shape[:-2], x.data.shape[-2:]
+    blocks = lead + (h // factor, factor, w // factor, factor)
+    out = tz.Tensor(x.data.reshape(blocks).mean(axis=(-3, -1)))
+
+    def bw(g):
+        g = np.broadcast_to(g[..., :, None, :, None] / (factor * factor), blocks)
+        return (g.reshape(lead + (h, w)),)
+
+    tz.record((out,), (x,), bw)
+    return out
+
+
+def load_tensor(path):
+    with open(path, "rb") as fh:
+        return tz.read_tensor(fh)
+
+
+def total_params(store):
+    return sum(t.data.size for _, t in store)
+
+
+def param_names(store):
+    return [name for name, _ in store]
+
+
+def serialize_events(events):
+    """Canonical CSV text, exactly as save_events writes it."""
+    return "".join(ev._csv_pieces(events))
+
+
+def events_equal(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ev.EventArray.__slots__)
+
+
+def spike_trains(model, x):
+    """Run model.forward(x); returns its output and the spike trains of its
+    spiking populations by block group, captured by wrapping nr.if_run."""
+    trains = []
+    run = nr.if_run
+
+    def capture(inp, params):
+        spikes, membrane = run(inp, params)
+        if spikes is not None:  # integrator heads never fire
+            trains.append(spikes)
+        return spikes, membrane
+
+    with mock.patch.object(nr, "if_run", capture):
+        out = model.forward(x)
+    n_enc, n_res = len(model.encoders), 2 * len(model.residuals)
+    assert len(trains) == n_enc + n_res + len(model.decoders)
+    return out, {"encoder": trains[:n_enc], "residual": trains[n_enc:n_enc + n_res],
+                 "decoder": trains[n_enc + n_res:]}

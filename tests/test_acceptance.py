@@ -31,7 +31,7 @@ from spikedepth.cli import (load_run_config, load_windows, parse_run_config,
                             serialize_run_config)
 
 from helpers import (brute_if_trace, check_op_gradient, if_multistep, make_events,
-                     recount_stack)
+                     recount_stack, spike_trains)
 
 
 def _report(n, ok, detail):
@@ -57,7 +57,8 @@ def _last_value(text, key):
 
 
 def _sha256(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +460,9 @@ def test_c09_instrumentation(crafted_dataset, overfit_run):
                            False)
     tallies = {"encoder": [0.0, 0], "residual": [0.0, 0], "decoder": [0.0, 0]}
     for s in samples:
-        model.forward(s.x)
+        _, trains = spike_trains(model, s.x)
         for group, tally in tallies.items():
-            for spikes in getattr(model.last_activations, group):
+            for spikes in trains[group]:
                 tally[0] += float(spikes.data.sum())
                 tally[1] += spikes.data.size
     total = (sum(c for c, _ in tallies.values())

@@ -17,7 +17,7 @@ from spikedepth import tensor as tz
 from spikedepth.cli import (RunConfig, main, parse_run_config,
                             serialize_run_config)
 from spikedepth.tensor import Tensor
-from helpers import if_run_stepwise
+from helpers import if_run_stepwise, load_tensor
 
 
 def scene_spec(**kw):
@@ -222,7 +222,7 @@ def test_stack_mono_and_stereo_shapes(dataset, tmp_path, capsys):
                  "--T", "5", "--window-ms", "50", "--height", "16", "--width", "16",
                  "--out", mono]) == 0
     assert capsys.readouterr().out == "shape = 5 2 16 16\n"
-    assert tz.load_tensor(mono).shape == (5, 2, 16, 16)
+    assert load_tensor(mono).shape == (5, 2, 16, 16)
 
     stereo = str(tmp_path / "stereo.spkt")
     assert main(["stack", "--events", os.path.join(dataset, "events_left.csv"),
@@ -230,7 +230,7 @@ def test_stack_mono_and_stereo_shapes(dataset, tmp_path, capsys):
                  "--T", "5", "--window-ms", "50", "--height", "16", "--width", "16",
                  "--out", stereo]) == 0
     capsys.readouterr()
-    assert tz.load_tensor(stereo).shape == (5, 4, 16, 16)
+    assert load_tensor(stereo).shape == (5, 4, 16, 16)
 
 
 def test_stack_repeat_equals_cumulative_at_t1(dataset, tmp_path, capsys):
@@ -252,7 +252,7 @@ def test_stack_binarize_gives_binary_values(dataset, tmp_path, capsys):
                  "--T", "5", "--window-ms", "50", "--height", "16", "--width", "16",
                  "--binarize", "--out", out]) == 0
     capsys.readouterr()
-    data = tz.load_tensor(out)
+    data = load_tensor(out)
     assert set(np.unique(data)) <= {0.0, 1.0}
     assert data.sum() > 0
 
@@ -413,6 +413,38 @@ def test_predict_bad_window_length_entry_is_exit_2(trained, dataset, tmp_path, v
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "train.window_len_us" in err
+
+
+def test_predict_max_depth_must_be_positive_and_finite(trained, dataset, tmp_path, capsys):
+    ckpt = os.path.join(trained["out"], "last.spkc")
+    for value in ("nan", "inf", "0", "-1"):
+        prefix = str(tmp_path / ("p" + value))
+        assert main(["predict", "--model", ckpt,
+                     "--events", os.path.join(dataset, "events_left.csv"),
+                     "--events-right", os.path.join(dataset, "events_right.csv"),
+                     "--max-depth", value, "--out", prefix]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --max-depth") and err.count("\n") == 1
+        assert not os.path.exists(prefix + ".pgm")
+
+
+def test_non_finite_parameter_is_exit_2(trained, dataset, tmp_path, capsys):
+    entries = md.load_checkpoint(os.path.join(trained["out"], "last.spkc"))
+    for bad in (np.nan, np.inf):
+        entries["param.dec1.conv"] = entries["param.dec1.conv"].copy()
+        entries["param.dec1.conv"].flat[3] = bad
+        ckpt = str(tmp_path / "bad.spkc")
+        md.save_checkpoint(ckpt, entries)
+        prefix = str(tmp_path / "p")
+        for argv in (["eval", "--model", ckpt, "--data", dataset],
+                     ["predict", "--model", ckpt,
+                      "--events", os.path.join(dataset, "events_left.csv"),
+                      "--events-right", os.path.join(dataset, "events_right.csv"),
+                      "--out", prefix]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == \
+                "error: parameter 'dec1.conv' holds a non-finite value\n"
+        assert not os.path.exists(prefix + ".pgm")
 
 
 def test_quiet_train_stdout_is_empty(trained, capsys):

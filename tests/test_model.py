@@ -8,6 +8,7 @@ from spikedepth import tensor as tz
 from spikedepth import neurons as nr
 from spikedepth import model as md
 from spikedepth import events as ev
+from helpers import param_names, spike_trains, total_params
 
 
 def small_cfg(**kw):
@@ -63,11 +64,10 @@ def block_pair(variant, seed=3):
 
 
 def run_block(blk):
-    rec = md._Recorder()
-    acts = md.LayerActivations()
+    counts = md.Counts()
     x = tz.Tensor(rand((2, 2, 8, 8), seed=5))
-    out = blk.forward(x, rec, acts)
-    return out, acts
+    out = blk.forward(x, counts)
+    return out, counts
 
 
 def test_ce_att_is_quarter_of_ce_with_zero_gates():
@@ -103,9 +103,9 @@ def test_encoder_requires_even_dims():
     cfg = small_cfg()
     blk = md.EncoderBlock(cfg, 2, 4, tz.ParamStore(), "enc0",
                           np.random.default_rng(1))
-    rec, acts = md._Recorder(), md.LayerActivations()
+    counts = md.Counts()
     with pytest.raises(tz.StateError):
-        blk.forward(tz.Tensor(np.zeros((2, 2, 7, 8))), rec, acts)
+        blk.forward(tz.Tensor(np.zeros((2, 2, 7, 8))), counts)
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +119,8 @@ def test_residual_identity_on_dead_path():
     blk.conv1.weight.data = np.zeros_like(blk.conv1.weight.data)
     blk.conv2.weight.data = np.zeros_like(blk.conv2.weight.data)
     x = rand((2, 4, 4, 4), seed=6)
-    rec, acts = md._Recorder(), md.LayerActivations()
-    out = blk.forward(tz.Tensor(x), rec, acts)
+    counts = md.Counts()
+    out = blk.forward(tz.Tensor(x), counts)
     np.testing.assert_array_equal(out.data, x)
 
 
@@ -128,8 +128,8 @@ def test_residual_additive_structure():
     cfg = small_cfg()
     blk = md.ResidualBlock(cfg, 4, tz.ParamStore(), "res0", np.random.default_rng(4))
     x = rand((2, 4, 4, 4), seed=7)
-    rec, acts = md._Recorder(), md.LayerActivations()
-    out = blk.forward(tz.Tensor(x), rec, acts)
+    counts = md.Counts()
+    out = blk.forward(tz.Tensor(x), counts)
     assert out.data.shape == x.shape
     # subtracting the identity leaves the gated branch, bounded by the conv range
     assert not np.array_equal(out.data, x)
@@ -145,8 +145,8 @@ def test_decoder_shapes_and_head_accumulation():
     blk = md.DecoderBlock(cfg, 8, 4, store, "dec0", np.random.default_rng(5))
     x = rand((3, 8, 4, 4), seed=8)
     skip = rand((3, 4, 8, 8), seed=9)
-    rec, acts = md._Recorder(), md.LayerActivations()
-    out, pred = blk.forward(tz.Tensor(x), tz.Tensor(skip), rec, acts)
+    counts = md.Counts()
+    out, pred = blk.forward(tz.Tensor(x), tz.Tensor(skip), counts)
     assert out.data.shape == (3, 4, 8, 8)
     assert pred.data.shape == (8, 8)
     # integrator head: membrane equals the sum of per-step head responses
@@ -159,9 +159,9 @@ def test_decoder_shapes_and_head_accumulation():
 def test_decoder_zero_input_zero_membrane():
     cfg = small_cfg()
     blk = md.DecoderBlock(cfg, 8, 4, tz.ParamStore(), "dec0", np.random.default_rng(6))
-    rec, acts = md._Recorder(), md.LayerActivations()
+    counts = md.Counts()
     out, pred = blk.forward(tz.Tensor(np.zeros((2, 8, 4, 4))),
-                            tz.Tensor(np.zeros((2, 4, 8, 8))), rec, acts)
+                            tz.Tensor(np.zeros((2, 4, 8, 8))), counts)
     np.testing.assert_array_equal(pred.data, np.zeros((8, 8)))
     np.testing.assert_array_equal(out.data, np.zeros((2, 4, 8, 8)))
 
@@ -169,10 +169,10 @@ def test_decoder_zero_input_zero_membrane():
 def test_decoder_skip_shape_mismatch():
     cfg = small_cfg()
     blk = md.DecoderBlock(cfg, 8, 4, tz.ParamStore(), "dec0", np.random.default_rng(7))
-    rec, acts = md._Recorder(), md.LayerActivations()
+    counts = md.Counts()
     with pytest.raises(tz.DimensionError):
         blk.forward(tz.Tensor(np.zeros((2, 8, 4, 4))),
-                    tz.Tensor(np.zeros((2, 4, 4, 4))), rec, acts)
+                    tz.Tensor(np.zeros((2, 4, 4, 4))), counts)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +184,10 @@ def test_forward_shape_ladder():
                          base_channels=8, layers=4)
     net = md.DepthNet(cfg, seed=0)
     x = tz.Tensor(rand((5, 4, 64, 64), seed=10, lo=0.0, hi=3.0))
-    depth, preds, stats = net.forward(x)
+    (depth, preds, stats), trains = spike_trains(net, x)
     assert depth.data.shape == (64, 64)
     assert [p.data.shape for p in preds] == [(8, 8), (16, 16), (32, 32), (64, 64)]
-    enc_shapes = [s.data.shape for s in net.last_activations.encoder]
+    enc_shapes = [s.data.shape for s in trains["encoder"]]
     assert enc_shapes == [(5, 8, 32, 32), (5, 16, 16, 16), (5, 32, 8, 8), (5, 64, 4, 4)]
     assert np.isfinite(depth.data).all()
 
@@ -245,7 +245,7 @@ def test_default_forward_tape_has_one_entry_per_if_population():
 def test_param_count_invariant_in_time_steps():
     a = md.DepthNet(small_cfg(time_steps=1), seed=0)
     b = md.DepthNet(small_cfg(time_steps=5), seed=0)
-    assert a.params.total_params() == b.params.total_params()
+    assert total_params(a.params) == total_params(b.params)
 
 
 def test_smooth_mode_end_to_end_gradient_exists():
@@ -257,20 +257,19 @@ def test_smooth_mode_end_to_end_gradient_exists():
         loss = tz.sum_all(tz.mul(depth, depth))
     tz.backward(loss, tape)
     reached = sum(1 for _, p in net.params if p.grad is not None and np.abs(p.grad).sum() > 0)
-    assert reached > 0.6 * len(net.params)
+    assert reached > 0.6 * len(param_names(net.params))
 
 
 # ---------------------------------------------------------------------------
 # spike statistics and op counting
 
 
-def test_count_spikes_exact_on_crafted_activations():
-    acts = md.LayerActivations()
+def test_counts_exact_on_crafted_spike_trains():
+    stats = md.Counts()
     enc = tz.Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
-    acts.encoder.append(enc)
+    stats.fire("encoder", enc)
     dec = tz.Tensor(np.ones((2, 1, 2, 2)))
-    acts.decoder.append(dec)
-    stats = md.count_spikes(acts)
+    stats.fire("decoder", dec)
     assert stats.encoder_spikes == 2.0 and stats.encoder_steps == 4
     assert stats.rate_encoder == 0.5
     assert stats.rate_decoder == 1.0
@@ -281,12 +280,11 @@ def test_count_spikes_exact_on_crafted_activations():
 def test_stats_match_recount_from_activations():
     net = md.DepthNet(small_cfg(), seed=6)
     x = tz.Tensor(rand((2, 2, 32, 32), seed=14, lo=0.0, hi=4.0))
-    _, _, stats = net.forward(x)
-    acts = net.last_activations
-    enc = sum(float(s.data.sum()) for s in acts.encoder)
-    enc_n = sum(s.data.size for s in acts.encoder)
+    (_, _, stats), trains = spike_trains(net, x)
+    enc = sum(float(s.data.sum()) for s in trains["encoder"])
+    enc_n = sum(s.data.size for s in trains["encoder"])
     assert stats.encoder_spikes == enc and stats.encoder_steps == enc_n
-    for s in acts.encoder + acts.residual + acts.decoder:
+    for s in trains["encoder"] + trains["residual"] + trains["decoder"]:
         assert set(np.unique(s.data)) <= {0.0, 1.0}
 
 
@@ -358,7 +356,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert net2.config == net.config
     assert entries["train.epoch"] == 3.0
     for name, p in net.params:
-        np.testing.assert_array_equal(net2.params[name].data, p.data)
+        np.testing.assert_array_equal(dict(net2.params)[name].data, p.data)
     d2, _, _ = net2.forward(x)
     np.testing.assert_array_equal(d1.data, d2.data)
 
@@ -406,7 +404,7 @@ def test_checkpoint_shape_mismatch(tmp_path):
     net = md.DepthNet(small_cfg(), seed=11)
     path = tmp_path / "model.spkc"
     entries = md.model_entries(net)
-    name = "param." + net.params.names()[0]
+    name = "param." + param_names(net.params)[0]
     entries[name] = np.zeros((1, 1, 1, 1))
     md.save_checkpoint(path, entries)
     with pytest.raises(tz.DimensionError):
@@ -416,7 +414,7 @@ def test_checkpoint_shape_mismatch(tmp_path):
 def test_checkpoint_missing_param(tmp_path):
     net = md.DepthNet(small_cfg(), seed=12)
     entries = md.model_entries(net)
-    del entries["param." + net.params.names()[-1]]
+    del entries["param." + param_names(net.params)[-1]]
     path = tmp_path / "model.spkc"
     md.save_checkpoint(path, entries)
     with pytest.raises(tz.ArgumentError):

@@ -15,7 +15,7 @@ from spikedepth.synth import (PlaneSpec, SceneSpec, ValidationError,
                               serialize_scene_spec, write_dataset,
                               load_manifest, disparity_px)
 
-from helpers import event_rows, make_events
+from helpers import event_rows, events_equal, make_events, serialize_events
 
 
 def one_plane_spec(**kw):
@@ -182,8 +182,8 @@ def test_right_camera_is_per_plane_shift():
         xr = x - d
         if 0 <= xr < spec.width:
             shifted.append((t, xr, y, p))
-    assert make_events(sorted(shifted, key=lambda e: (e[0], e[2], e[1], e[3]))) \
-        == data.events_right
+    assert events_equal(make_events(sorted(shifted, key=lambda e: (e[0], e[2], e[1], e[3]))),
+                        data.events_right)
 
 
 def test_disparity_rounds():
@@ -209,15 +209,15 @@ def test_noise_event_budget():
     # 50 Hz/px * 256 px * 0.2 s, drawn independently per camera
     assert len(data.events_left) == 2560
     assert len(data.events_right) == 2560
-    assert data.events_left != data.events_right
+    assert not events_equal(data.events_left, data.events_right)
 
 
 def test_generation_is_deterministic():
     a = generate_scene(two_plane_spec())
     b = generate_scene(two_plane_spec())
-    assert a.events_left == b.events_left
-    assert a.events_right == b.events_right
-    assert ev.serialize_events(a.events_left) == ev.serialize_events(b.events_left)
+    assert events_equal(a.events_left, b.events_left)
+    assert events_equal(a.events_right, b.events_right)
+    assert serialize_events(a.events_left) == serialize_events(b.events_left)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ def test_dataset_layout_and_determinism(tmp_path):
     assert m1.gt_files == ["gt_%04d.txt" % k for k in range(4)]
     assert m1.binocular
     loaded = ev.load_events(str(tmp_path / "a" / m1.events_left))
-    assert loaded == generate_scene(spec).events_left
+    assert events_equal(loaded, generate_scene(spec).events_left)
     frame = ev.load_depth_frame(str(tmp_path / "a" / m1.gt_files[2]))
     assert frame.t == 150000
     assert (frame.depth.data[:16] == 1.0).all()
