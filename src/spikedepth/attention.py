@@ -10,6 +10,15 @@ channel, then spatial, applying only the enabled modules.
 
 The channel and spatial gates are computed independently at each time step.
 The temporal gate is the only part that mixes information across steps.
+
+Each enabled module is one tape entry: the forward runs pools, MLP or conv,
+sigmoid and gating in numpy, and the backward is closed-form. A max pool
+routes its gradient to the first maximum along the pooled axes (row-major),
+which matters on binary spike inputs where ties are common. The input
+gradient is summed as ((g * gate) + max-pool term) + avg-pool term, the
+order in which a reverse sweep over the composed graph of pool, linear,
+relu, sigmoid and mul ops would add it, so outputs match that graph bit for
+bit; a gradient the input already carries is added to the whole sum.
 """
 
 import numpy as np
@@ -100,16 +109,57 @@ def _check_input(x, params):
                                 % (x.data.shape[1], params.channels))
 
 
-def _mlp(v, w_compress, w_expand):
-    return tz.linear(tz.relu(tz.linear(v, w_compress)), w_expand)
+def _sigmoid(z):
+    """Numerically stable logistic; saturates to 0/1 without overflow."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _mlp_gate(x, axes, w_compress, w_expand):
-    """Gate x by the sigmoid of the shared MLP over its average and max pools."""
-    avg = tz.pool(x, axes=axes, mode="avg")
-    mx = tz.pool(x, axes=axes, mode="max")
-    gate = tz.sigmoid(tz.add(_mlp(avg, w_compress, w_expand), _mlp(mx, w_compress, w_expand)))
-    return tz.mul(x, gate)
+def _linear_grads(g, v, w):
+    """(d loss / d v, d loss / d w) of v @ w.T, given g = d loss / d (v @ w.T)."""
+    m, n = w.shape
+    return g @ w, g.reshape(-1, m).T @ v.reshape(-1, n)
+
+
+def _mlp_gate(x, n_kept, w_compress, w_expand):
+    """Gate x by the sigmoid of the shared MLP over its average and max pools.
+
+    The pools reduce every axis after the first n_kept, so the gate holds one
+    value per kept index; one tape entry.
+    """
+    xd = x.data
+    kept = xd.shape[:n_kept]
+    flat = xd.reshape(kept + (-1,))
+    w1, w2 = w_compress.data, w_expand.data
+    pools = (flat.mean(axis=-1), flat.max(axis=-1))
+    hidden = tuple(v @ w1.T for v in pools)
+    relus = tuple(np.maximum(h, 0.0) for h in hidden)
+    gate = _sigmoid(relus[0] @ w2.T + relus[1] @ w2.T)
+    gate_b = gate.reshape(kept + (1,) * (xd.ndim - n_kept))
+    out = Tensor(xd * gate_b)
+
+    def bw(g):
+        gx = np.empty(xd.shape)
+        np.multiply(g, xd, out=gx)
+        gz = gx.reshape(kept + (-1,)).sum(axis=-1) * gate * (1.0 - gate)
+        grads = []  # per branch: (d pool, d w_compress, d w_expand)
+        for v, h, r in zip(pools, hidden, relus):
+            gr, gw2 = _linear_grads(gz, r, w2)
+            gv, gw1 = _linear_grads(gr * (h > 0), v, w1)
+            grads.append((gv, gw1, gw2))
+        (g_avg, gw1_a, gw2_a), (g_max, gw1_m, gw2_m) = grads
+        if not x.requires_grad:
+            gx = None
+        else:
+            np.multiply(g, gate_b, out=gx)
+            rows = gx.reshape(-1, flat.shape[-1])
+            first = flat.reshape(rows.shape).argmax(axis=-1)
+            rows[np.arange(rows.shape[0]), first] += g_max.reshape(-1)
+            gx += (g_avg / flat.shape[-1]).reshape(gate_b.shape)
+        return gx, gw1_m + gw1_a, gw2_m + gw2_a
+
+    tz.record((out,), (x, w_compress, w_expand), bw)
+    return out
 
 
 def temporal_attention(x, params):
@@ -118,7 +168,7 @@ def temporal_attention(x, params):
     _check_input(x, params)
     if params.t_compress is None:
         raise tz.StateError("temporal module not enabled on this site")
-    return _mlp_gate(x, (1, 2, 3), params.t_compress, params.t_hidden)
+    return _mlp_gate(x, 1, params.t_compress, params.t_hidden)
 
 
 def channel_attention(x, params):
@@ -127,7 +177,7 @@ def channel_attention(x, params):
     _check_input(x, params)
     if params.c_compress is None:
         raise tz.StateError("channel module not enabled on this site")
-    return _mlp_gate(x, (2, 3), params.c_compress, params.c_hidden)
+    return _mlp_gate(x, 2, params.c_compress, params.c_hidden)
 
 
 def spatial_attention(x, params):
@@ -136,12 +186,34 @@ def spatial_attention(x, params):
     _check_input(x, params)
     if params.s_conv is None:
         raise tz.StateError("spatial module not enabled on this site")
-    t, _, h, w = x.data.shape
-    avg = tz.reshape(tz.pool(x, axes=(1,), mode="avg"), (t, 1, h, w))
-    mx = tz.reshape(tz.pool(x, axes=(1,), mode="max"), (t, 1, h, w))
-    maps = tz.concat([avg, mx], axis=1)
-    gate = tz.sigmoid(tz.conv2d(maps, params.s_conv, stride=1, padding=1))
-    return tz.mul(x, gate)
+    xd, wd = x.data, params.s_conv.data
+    t, c, h, w = xd.shape
+    maps = np.empty((t, 2, h, w))
+    np.mean(xd, axis=1, out=maps[:, 0])
+    np.max(xd, axis=1, out=maps[:, 1])
+    gate = _sigmoid(tz._shifted_conv(maps, wd, 1))
+    out = Tensor(xd * gate)
+
+    def bw(g):
+        # the channel sum of g * x without a [T, C, H, W] product
+        gz = np.einsum("tchw,tchw->thw", g, xd)[:, None] * gate * (1.0 - gate)
+        gw, gmaps = tz._shifted_grads(maps, wd, gz, 1, x.requires_grad)
+        if gmaps is None:
+            return None, gw
+        gx = np.empty(xd.shape)
+        np.multiply(g, gate, out=gx)
+        # first channel at the maximum: c minus the largest (c - channel) over
+        # the hits; a max reduce, where argmax over axis 1 would copy x
+        rank = np.arange(c, 0, -1, dtype=np.min_scalar_type(c)).reshape(c, 1, 1)
+        first = c - ((xd == maps[:, 1:]) * rank).max(axis=1, initial=1)
+        hw = h * w
+        pos = (np.arange(t)[:, None] * c + first.reshape(t, hw)) * hw + np.arange(hw)
+        gx.reshape(-1)[pos] += gmaps[:, 1].reshape(t, hw)
+        gx += gmaps[:, :1] / c
+        return gx, gw
+
+    tz.record((out,), (x, params.s_conv), bw)
+    return out
 
 
 _APPLY = {"T": temporal_attention, "C": channel_attention, "S": spatial_attention}

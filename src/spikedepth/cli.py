@@ -379,8 +379,8 @@ def cmd_predict(args):
         raise CliError("--max-depth must be positive and finite, got %r" % args.max_depth)
     model, entries = md.load_model(args.model)
     c = _run_settings(entries)
-    window_len = args.window_len or _window_len(entries)
-    if not window_len:
+    window_len = _window_len(entries) if args.window_len is None else args.window_len
+    if window_len is None:
         raise CliError("pass --window-len or use a checkpoint that records one")
     left = ev.load_events(args.events)
     if c.in_channels == 4 and not args.events_right:

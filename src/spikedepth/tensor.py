@@ -229,25 +229,6 @@ def absolute(a):
     return out
 
 
-def sigmoid(a):
-    """Numerically stable logistic; saturates to 0/1 without overflow."""
-    a = as_tensor(a)
-    x = a.data
-    e = np.exp(-np.abs(x))
-    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out = Tensor(s)
-    record((out,), (a,), lambda g: (g * s * (1.0 - s),))
-    return out
-
-
-def relu(a):
-    a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0))
-    pos = a.data > 0
-    record((out,), (a,), lambda g: (g * pos,))
-    return out
-
-
 def sum_all(a):
     a = as_tensor(a)
     out = Tensor(a.data.sum())
@@ -339,93 +320,7 @@ def pad_bottom_right(a, pad_h, pad_w):
 
 
 # ---------------------------------------------------------------------------
-# reductions over chosen axes
-
-
-def pool(a, axes, mode="avg"):
-    """Reduce over the given axes (dropped from the output).
-
-    mode "avg" takes the mean; mode "max" takes the maximum and, on ties,
-    routes the gradient to the first maximum in row-major order over the
-    reduced axes.
-    """
-    a = as_tensor(a)
-    rank = a.data.ndim
-    if isinstance(axes, int):
-        axes = (axes,)
-    axes = tuple(ax % rank if -rank <= ax < rank else ax for ax in axes)
-    if not axes:
-        raise ArgumentError("pool needs at least one axis")
-    if len(set(axes)) != len(axes):
-        raise ArgumentError("pool axes repeat: %s" % (axes,))
-    for ax in axes:
-        if not 0 <= ax < rank:
-            raise ArgumentError("pool axis %d out of range for rank %d" % (ax, rank))
-    if mode not in ("avg", "max"):
-        raise ArgumentError("pool mode must be avg or max, got %r" % (mode,))
-    axes = tuple(sorted(axes))
-    kept = tuple(i for i in range(rank) if i not in axes)
-    perm = kept + axes
-    moved = a.data.transpose(perm)
-    kept_shape = moved.shape[:len(kept)]
-    red = int(np.prod(moved.shape[len(kept):], dtype=np.int64)) if axes else 1
-    flat = moved.reshape(kept_shape + (red,))
-
-    if mode == "avg":
-        out = Tensor(flat.mean(axis=-1))
-        shape = a.data.shape
-
-        def bw(g):
-            return (np.broadcast_to(np.expand_dims(g / red, axes), shape),)
-    else:
-        arg = flat.argmax(axis=-1)
-        out = Tensor(np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0])
-
-        def bw(g):
-            gf = np.zeros(flat.shape)
-            np.put_along_axis(gf, arg[..., None], g[..., None], axis=-1)
-            return (gf.reshape(moved.shape).transpose(np.argsort(perm)),)
-
-    record((out,), (a,), bw)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# linear and convolution
-
-
-def linear(x, weight, bias=None):
-    """x[..., N] @ weight[M, N]^T (+ bias[M]) -> [..., M]."""
-    x, weight = as_tensor(x), as_tensor(weight)
-    if weight.data.ndim != 2:
-        raise DimensionError("linear weight must be rank 2, got %s" % (weight.data.shape,))
-    m, n = weight.data.shape
-    if x.data.ndim < 1 or x.data.shape[-1] != n:
-        raise DimensionError("linear input axis -1 is %s, weight expects %d"
-                             % (x.data.shape[-1:] or "()", n))
-    out_data = x.data @ weight.data.T
-    inputs = (x, weight)
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.data.shape != (m,):
-            raise DimensionError("linear bias must have shape (%d,), got %s"
-                                 % (m, bias.data.shape))
-        out_data = out_data + bias.data
-        inputs = (x, weight, bias)
-    out = Tensor(out_data)
-    xd, wd = x.data, weight.data
-
-    def bw(g):
-        g2 = g.reshape(-1, m)
-        x2 = xd.reshape(-1, n)
-        gx = (g @ wd).reshape(xd.shape)
-        gw = g2.T @ x2
-        if bias is None:
-            return (gx, gw)
-        return (gx, gw, g2.sum(axis=0))
-
-    record((out,), inputs, bw)
-    return out
+# convolution
 
 
 def conv_out_size(size, k, stride, padding, axis_name):
@@ -794,6 +689,8 @@ def read_tensor(fh):
     if rank > 32:
         raise ArgumentError("tensor rank %d is above numpy's portable limit of 32" % rank)
     dims = struct.unpack("<%dI" % rank, read_exact(fh, 4 * rank))
+    if math.prod(d for d in dims if d) > np.iinfo(np.intp).max // 8:
+        raise ArgumentError("tensor dims %s exceed numpy's largest array" % (dims,))
     payload = read_exact(fh, 8 * math.prod(dims))
     return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
 

@@ -354,3 +354,141 @@ def spike_trains(model, x):
     assert len(trains) == n_enc + n_res + len(model.decoders)
     return out, {"encoder": trains[:n_enc], "residual": trains[n_enc:n_enc + n_res],
                  "decoder": trains[n_enc + n_res:]}
+
+
+# ---------------------------------------------------------------------------
+# the composed TCSA graph: the oracle for the fused attention gates
+
+
+def sigmoid(a):
+    """Numerically stable logistic; saturates to 0/1 without overflow."""
+    a = tz.as_tensor(a)
+    x = a.data
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = tz.Tensor(s)
+    tz.record((out,), (a,), lambda g: (g * s * (1.0 - s),))
+    return out
+
+
+def relu(a):
+    a = tz.as_tensor(a)
+    out = tz.Tensor(np.maximum(a.data, 0.0))
+    pos = a.data > 0
+    tz.record((out,), (a,), lambda g: (g * pos,))
+    return out
+
+
+def pool(a, axes, mode="avg"):
+    """Reduce over the given axes (dropped from the output).
+
+    mode "avg" takes the mean; mode "max" takes the maximum and, on ties,
+    routes the gradient to the first maximum in row-major order over the
+    reduced axes.
+    """
+    a = tz.as_tensor(a)
+    rank = a.data.ndim
+    if isinstance(axes, int):
+        axes = (axes,)
+    axes = tuple(ax % rank if -rank <= ax < rank else ax for ax in axes)
+    if not axes:
+        raise tz.ArgumentError("pool needs at least one axis")
+    if len(set(axes)) != len(axes):
+        raise tz.ArgumentError("pool axes repeat: %s" % (axes,))
+    for ax in axes:
+        if not 0 <= ax < rank:
+            raise tz.ArgumentError("pool axis %d out of range for rank %d" % (ax, rank))
+    if mode not in ("avg", "max"):
+        raise tz.ArgumentError("pool mode must be avg or max, got %r" % (mode,))
+    axes = tuple(sorted(axes))
+    kept = tuple(i for i in range(rank) if i not in axes)
+    perm = kept + axes
+    moved = a.data.transpose(perm)
+    kept_shape = moved.shape[:len(kept)]
+    red = int(np.prod(moved.shape[len(kept):], dtype=np.int64)) if axes else 1
+    flat = moved.reshape(kept_shape + (red,))
+
+    if mode == "avg":
+        out = tz.Tensor(flat.mean(axis=-1))
+        shape = a.data.shape
+
+        def bw(g):
+            return (np.broadcast_to(np.expand_dims(g / red, axes), shape),)
+    else:
+        arg = flat.argmax(axis=-1)
+        out = tz.Tensor(np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0])
+
+        def bw(g):
+            gf = np.zeros(flat.shape)
+            np.put_along_axis(gf, arg[..., None], g[..., None], axis=-1)
+            return (gf.reshape(moved.shape).transpose(np.argsort(perm)),)
+
+    tz.record((out,), (a,), bw)
+    return out
+
+
+def linear(x, weight, bias=None):
+    """x[..., N] @ weight[M, N]^T (+ bias[M]) -> [..., M]."""
+    x, weight = tz.as_tensor(x), tz.as_tensor(weight)
+    if weight.data.ndim != 2:
+        raise tz.DimensionError("linear weight must be rank 2, got %s" % (weight.data.shape,))
+    m, n = weight.data.shape
+    if x.data.ndim < 1 or x.data.shape[-1] != n:
+        raise tz.DimensionError("linear input axis -1 is %s, weight expects %d"
+                                % (x.data.shape[-1:] or "()", n))
+    out_data = x.data @ weight.data.T
+    inputs = (x, weight)
+    if bias is not None:
+        bias = tz.as_tensor(bias)
+        if bias.data.shape != (m,):
+            raise tz.DimensionError("linear bias must have shape (%d,), got %s"
+                                    % (m, bias.data.shape))
+        out_data = out_data + bias.data
+        inputs = (x, weight, bias)
+    out = tz.Tensor(out_data)
+    xd, wd = x.data, weight.data
+
+    def bw(g):
+        g2 = g.reshape(-1, m)
+        x2 = xd.reshape(-1, n)
+        gx = (g @ wd).reshape(xd.shape)
+        gw = g2.T @ x2
+        if bias is None:
+            return (gx, gw)
+        return (gx, gw, g2.sum(axis=0))
+
+    tz.record((out,), inputs, bw)
+    return out
+
+
+def _mlp(v, w_compress, w_expand):
+    return linear(relu(linear(v, w_compress)), w_expand)
+
+
+def _mlp_gate(x, axes, w_compress, w_expand):
+    avg = pool(x, axes=axes, mode="avg")
+    mx = pool(x, axes=axes, mode="max")
+    gate = sigmoid(tz.add(_mlp(avg, w_compress, w_expand), _mlp(mx, w_compress, w_expand)))
+    return tz.mul(x, gate)
+
+
+def _spatial_gate(x, s_conv):
+    t, _, h, w = x.data.shape
+    avg = tz.reshape(pool(x, axes=(1,), mode="avg"), (t, 1, h, w))
+    mx = tz.reshape(pool(x, axes=(1,), mode="max"), (t, 1, h, w))
+    maps = tz.concat([avg, mx], axis=1)
+    gate = sigmoid(tz.conv2d(maps, s_conv, stride=1, padding=1))
+    return tz.mul(x, gate)
+
+
+def tcsa_composed(x, params):
+    """at.tcsa as a graph of taped pool, linear, relu, sigmoid, conv and mul
+    ops, so the generic reverse sweep does the backward."""
+    x = tz.as_tensor(x)
+    if "T" in params.enabled:
+        x = _mlp_gate(x, (1, 2, 3), params.t_compress, params.t_hidden)
+    if "C" in params.enabled:
+        x = _mlp_gate(x, (2, 3), params.c_compress, params.c_hidden)
+    if "S" in params.enabled:
+        x = _spatial_gate(x, params.s_conv)
+    return x

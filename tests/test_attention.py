@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikedepth import tensor as tz
 from spikedepth import attention as at
-from helpers import check_op_gradient
+from helpers import check_op_gradient, tcsa_composed
 
 
 def rand(shape, seed=0):
@@ -222,3 +224,84 @@ def test_composed_gradient_matches_fd():
         return at.tcsa(ts[0], p2)
 
     check_op_gradient(build, [x] + weights, rtol=1e-5, atol=1e-8, label="tcsa")
+
+
+# ---------------------------------------------------------------------------
+# fused gates against the composed graph
+
+
+def run_taped(fn, x, p, requires_grad, weight):
+    """fn(x, p) under a tape, backward through sum(out * weight).
+
+    Returns (output, input gradient, parameter gradients, tape length)."""
+    xt = tz.Tensor(x, requires_grad=requires_grad)
+    for _, t in p.parameters():
+        t.requires_grad, t.grad = True, None
+    with tz.Tape() as tape:
+        out = fn(xt, p)
+        loss = tz.sum_all(tz.mul(out, tz.Tensor(weight)))
+    tz.backward(loss, tape)
+    return out.data, xt.grad, [t.grad for _, t in p.parameters()], len(tape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=st.integers(1, 4), hidden=st.integers(1, 3), r=st.integers(1, 3),
+       h=st.integers(1, 6), w=st.integers(1, 6),
+       enabled=st.sets(st.sampled_from("TCS"), min_size=1),
+       kind=st.sampled_from(["uniform", "binary", "binary_zero_frame", "zeros"]),
+       requires_grad=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_fused_gates_match_composed_graph(t, hidden, r, h, w, enabled, kind,
+                                          requires_grad, seed):
+    """Outputs bit for bit, gradients at rtol 1e-12; binary inputs tie in the max pools."""
+    rng = np.random.default_rng(seed)
+    c = hidden * r
+    t = t * r if "T" in enabled else t
+    shape = (t, c, h, w)
+    if kind == "uniform":
+        x = rng.uniform(-1.0, 1.0, shape)
+    else:
+        x = (rng.uniform(0.0, 1.0, shape) < 0.3).astype(np.float64)
+        if kind == "binary_zero_frame":
+            x[rng.integers(0, t)] = 0.0
+        elif kind == "zeros":
+            x[...] = 0.0
+    p = at.AttentionParams(t, c, reduction=r, enabled="".join(enabled), rng=rng)
+    weight = rng.uniform(-1.0, 1.0, shape)
+    out, gx, gws, n_ops = run_taped(at.tcsa, x, p, requires_grad, weight)
+    want, want_gx, want_gws, _ = run_taped(tcsa_composed, x, p, requires_grad, weight)
+    assert n_ops == len(enabled) + 2  # one per module, plus mul and sum_all
+    np.testing.assert_array_equal(out, want)
+    if requires_grad:
+        np.testing.assert_allclose(gx, want_gx, rtol=1e-12, atol=0.0)
+    else:
+        assert gx is None and want_gx is None
+    for got, ref in zip(gws, want_gws):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("requires_grad", [False, True])
+def test_each_module_records_one_tape_entry(requires_grad):
+    x = rand((4, 6, 5, 5), seed=25)
+    p = rand_params("TCS", seed=26)
+    for _, t in p.parameters():
+        t.requires_grad = True
+    for fn in (at.temporal_attention, at.channel_attention, at.spatial_attention):
+        with tz.Tape() as tape:
+            fn(tz.Tensor(x, requires_grad=requires_grad), p)
+        assert len(tape) == 1, fn.__name__
+
+
+def test_max_pool_gradient_goes_to_the_first_tied_maximum():
+    # channel 0 and 2 tie at every pixel; spatial max routes to channel 0 only,
+    # and the channel gate's spatial max to the first tied pixel per channel
+    x = np.zeros((1, 3, 2, 2))
+    x[0, 0] = x[0, 2] = 1.0
+    p = rand_params("S", t=1, c=3, seed=27)
+    _, gx, _, _ = run_taped(at.spatial_attention, x, p, True, np.ones(x.shape))
+    np.testing.assert_array_equal(gx[0, 1], gx[0, 2])  # avg-pool share only
+    assert (gx[0, 0] != gx[0, 2]).all()
+    p = rand_params("C", t=1, c=3, seed=28)
+    weight = rand(x.shape, seed=29)
+    _, gx, _, _ = run_taped(at.channel_attention, x, p, True, weight)
+    _, want, _, _ = run_taped(tcsa_composed, x, p, True, weight)
+    np.testing.assert_array_equal(gx, want)

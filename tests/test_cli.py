@@ -1,20 +1,25 @@
 """CLI behavior: config handling, command wiring, exit codes, artifacts."""
 
+import contextlib
+import io
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikedepth import events as ev
 from spikedepth import model as md
 from spikedepth import neurons as nr
 from spikedepth import synth as sy
 from spikedepth import tensor as tz
-from spikedepth.cli import (RunConfig, main, parse_run_config,
+from spikedepth.cli import (INPUT_ERRORS, RunConfig, main, parse_run_config,
                             serialize_run_config)
 from spikedepth.tensor import Tensor
 from helpers import if_run_stepwise, load_tensor
@@ -415,6 +420,19 @@ def test_predict_bad_window_length_entry_is_exit_2(trained, dataset, tmp_path, v
     assert "train.window_len_us" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_predict_window_len_flag_must_be_positive(trained, dataset, tmp_path, value,
+                                                  capsys):
+    # 0 is a value, not "absent": it must not fall back to the checkpoint's window
+    prefix = str(tmp_path / "p")
+    assert main(["predict", "--model", os.path.join(trained["out"], "last.spkc"),
+                 "--events", os.path.join(dataset, "events_left.csv"),
+                 "--events-right", os.path.join(dataset, "events_right.csv"),
+                 "--window-len", value, "--out", prefix]) == 2
+    assert capsys.readouterr().err == "error: window_len must be >= 1, got %s\n" % value
+    assert not os.path.exists(prefix + ".pgm")
+
+
 def test_predict_max_depth_must_be_positive_and_finite(trained, dataset, tmp_path, capsys):
     ckpt = os.path.join(trained["out"], "last.spkc")
     for value in ("nan", "inf", "0", "-1"):
@@ -634,6 +652,44 @@ def test_truncated_checkpoint_is_exit_2(tmp_path, dataset, keep):
     ckpt.write_bytes(ckpt.read_bytes()[:keep])
     line = assert_single_error_line(run_cli("eval", "--model", str(ckpt), "--data", dataset))
     assert "model.spkc" in line and "truncated" in line
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = md.ModelConfig(height=16, width=16, base_channels=2, layers=2)
+    md.save_model(str(root / "model.spkc"), md.DepthNet(cfg, seed=0))
+    return root
+
+
+@settings(max_examples=100, deadline=None)
+@given(edit=st.sampled_from(["truncate", "overwrite", "insert"]),
+       pos=st.integers(0, 2 ** 20), data=st.binary(min_size=1, max_size=8))
+def test_mutated_checkpoint_loads_or_is_exit_2(fuzz_dir, dataset, edit, pos, data):
+    raw = (fuzz_dir / "model.spkc").read_bytes()
+    pos %= len(raw) + 1
+    if edit == "truncate":
+        raw = raw[:pos]
+    elif edit == "overwrite":
+        raw = raw[:pos] + data + raw[pos + len(data):]
+    else:
+        raw = raw[:pos] + data + raw[pos:]
+    path = fuzz_dir / "mutated.spkc"
+    path.write_bytes(raw)
+    try:
+        md.load_model(str(path))
+    except INPUT_ERRORS:
+        pass
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        # a finite weight of 1e300 that overflows in the forward is valid input:
+        # numpy warns, and eval still reports its metrics
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["eval", "--model", str(path), "--data", dataset])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2)
+    assert (lines == []) if code == 0 else (len(lines) == 1 and lines[0].startswith("error: "))
 
 
 def test_manifest_non_integer_is_exit_2(tmp_path, dataset):

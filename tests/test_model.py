@@ -231,15 +231,17 @@ def test_forward_deterministic_replay():
 
 
 def test_default_forward_tape_has_one_entry_per_if_population():
-    # 12 spiking populations and 4 integrator heads are one entry each; the
-    # input requires a gradient, so enc0's attention over it is taped too
+    # 12 spiking populations and 4 integrator heads are one entry each, and so
+    # is each channel and spatial gate of the ten attention sites; the input
+    # requires a gradient, so enc0's attention over it is taped too
     net = md.DepthNet(md.ModelConfig(), seed=0)
     x = tz.Tensor(rand((5, 4, 64, 64), seed=14, lo=0.0, hi=2.0), requires_grad=True)
     with tz.Tape() as tape:
         net.forward(x)
     kinds = [bw.__qualname__.split(".<locals>")[0] for _, _, bw in tape._ops]
     assert kinds.count("if_run") == 16
-    assert len(tape) == 236
+    assert kinds.count("_mlp_gate") == kinds.count("spatial_attention") == 10
+    assert len(tape) == 66
 
 
 def test_param_count_invariant_in_time_steps():

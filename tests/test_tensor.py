@@ -9,7 +9,7 @@ from spikedepth import neurons as nr
 from spikedepth import tensor as tz
 from helpers import (naive_conv2d, naive_conv2d_grads, central_diff, assert_grads_close,
                      check_op_gradient, reference_backward, avg_downsample, mean_all,
-                     load_tensor, total_params, param_names)
+                     load_tensor, total_params, param_names, pool, linear, relu, sigmoid)
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
@@ -247,8 +247,8 @@ def test_updown_gradients_match_fd():
 
 def test_pool_avg_and_max_values():
     x = tz.Tensor(np.arange(24, dtype=np.float64).reshape(2, 3, 4))
-    avg = tz.pool(x, axes=(1, 2), mode="avg")
-    mx = tz.pool(x, axes=(1, 2), mode="max")
+    avg = pool(x, axes=(1, 2), mode="avg")
+    mx = pool(x, axes=(1, 2), mode="max")
     np.testing.assert_allclose(avg.data, [x.data[0].mean(), x.data[1].mean()])
     np.testing.assert_allclose(mx.data, [11.0, 23.0])
 
@@ -256,7 +256,7 @@ def test_pool_avg_and_max_values():
 def test_pool_max_tie_routes_to_first():
     x = tz.Tensor(np.array([[5.0, 5.0]]), requires_grad=True)
     with tz.Tape() as tape:
-        loss = tz.sum_all(tz.pool(x, axes=(0, 1), mode="max"))
+        loss = tz.sum_all(pool(x, axes=(0, 1), mode="max"))
     tz.backward(loss, tape)
     np.testing.assert_array_equal(x.grad, [[1.0, 0.0]])
 
@@ -264,19 +264,19 @@ def test_pool_max_tie_routes_to_first():
 def test_pool_axis_validation():
     x = tz.Tensor(np.zeros((2, 3)))
     with pytest.raises(tz.ArgumentError):
-        tz.pool(x, axes=(2,), mode="avg")
+        pool(x, axes=(2,), mode="avg")
     with pytest.raises(tz.ArgumentError):
-        tz.pool(x, axes=(0, 0), mode="avg")
+        pool(x, axes=(0, 0), mode="avg")
     with pytest.raises(tz.ArgumentError):
-        tz.pool(x, axes=(0,), mode="median")
+        pool(x, axes=(0,), mode="median")
 
 
 def test_pool_gradients_match_fd():
     x = rand((3, 4, 5), seed=11)
-    check_op_gradient(lambda ts: tz.pool(ts[0], axes=(1, 2), mode="avg"), [x], label="avgpool")
-    check_op_gradient(lambda ts: tz.pool(ts[0], axes=(0, 2), mode="avg"), [x], label="avgpool02")
+    check_op_gradient(lambda ts: pool(ts[0], axes=(1, 2), mode="avg"), [x], label="avgpool")
+    check_op_gradient(lambda ts: pool(ts[0], axes=(0, 2), mode="avg"), [x], label="avgpool02")
     # ties have measure zero for random input
-    check_op_gradient(lambda ts: tz.pool(ts[0], axes=(1, 2), mode="max"), [x], label="maxpool")
+    check_op_gradient(lambda ts: pool(ts[0], axes=(1, 2), mode="max"), [x], label="maxpool")
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +286,9 @@ def test_pool_gradients_match_fd():
 def test_linear_identity_and_zero():
     x = rand((4,), seed=12)
     eye = np.eye(4)
-    out = tz.linear(tz.Tensor(x), tz.Tensor(eye))
+    out = linear(tz.Tensor(x), tz.Tensor(eye))
     np.testing.assert_allclose(out.data, x)
-    out0 = tz.linear(tz.Tensor(x), tz.Tensor(np.zeros((3, 4))))
+    out0 = linear(tz.Tensor(x), tz.Tensor(np.zeros((3, 4))))
     np.testing.assert_array_equal(out0.data, np.zeros(3))
 
 
@@ -296,16 +296,16 @@ def test_linear_batched_rows():
     x = rand((5, 3, 4), seed=13)
     w = rand((2, 4), seed=14)
     b = rand((2,), seed=15)
-    out = tz.linear(tz.Tensor(x), tz.Tensor(w), tz.Tensor(b))
+    out = linear(tz.Tensor(x), tz.Tensor(w), tz.Tensor(b))
     want = np.einsum("tbn,mn->tbm", x, w) + b
     np.testing.assert_allclose(out.data, want, rtol=1e-14)
 
 
 def test_linear_feature_mismatch():
     with pytest.raises(tz.DimensionError):
-        tz.linear(tz.Tensor(np.zeros((3,))), tz.Tensor(np.zeros((2, 4))))
+        linear(tz.Tensor(np.zeros((3,))), tz.Tensor(np.zeros((2, 4))))
     with pytest.raises(tz.DimensionError):
-        tz.linear(tz.Tensor(np.zeros((4,))), tz.Tensor(np.zeros((2, 4))),
+        linear(tz.Tensor(np.zeros((4,))), tz.Tensor(np.zeros((2, 4))),
                   tz.Tensor(np.zeros((3,))))
 
 
@@ -313,7 +313,7 @@ def test_linear_gradients_match_fd():
     x = rand((3, 4), seed=16)
     w = rand((2, 4), seed=17)
     b = rand((2,), seed=18)
-    check_op_gradient(lambda ts: tz.linear(ts[0], ts[1], ts[2]), [x, w, b], label="linear")
+    check_op_gradient(lambda ts: linear(ts[0], ts[1], ts[2]), [x, w, b], label="linear")
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +322,7 @@ def test_linear_gradients_match_fd():
 
 def test_sigmoid_values_and_saturation():
     x = tz.Tensor(np.array([0.0, 50.0, -50.0, 1000.0, -1000.0]))
-    s = tz.sigmoid(x)
+    s = sigmoid(x)
     assert s.data[0] == 0.5
     assert np.isfinite(s.data).all()
     assert s.data[1] >= 1.0 - 1e-15 and s.data[2] <= 1e-15
@@ -332,7 +332,7 @@ def test_sigmoid_values_and_saturation():
 def test_sigmoid_gradient_at_zero():
     x = tz.Tensor(np.array([0.0]), requires_grad=True)
     with tz.Tape() as tape:
-        loss = tz.sum_all(tz.sigmoid(x))
+        loss = tz.sum_all(sigmoid(x))
     tz.backward(loss, tape)
     np.testing.assert_allclose(x.grad, [0.25], rtol=1e-15)
 
@@ -441,7 +441,7 @@ def test_backward_linearity():
         return a.grad.copy()
 
     f = lambda t: tz.sum_all(tz.mul(t, t))
-    g = lambda t: tz.sum_all(tz.sigmoid(t))
+    g = lambda t: tz.sum_all(sigmoid(t))
     combo = lambda t: tz.add(tz.mul(f(t), 2.0), tz.mul(g(t), -3.0))
     np.testing.assert_allclose(grad_of(combo), 2 * grad_of(f) - 3 * grad_of(g),
                                rtol=1e-12)
@@ -485,9 +485,9 @@ def build_random_tape(ops, used, seed):
             elif kind == "gate":  # broadcast [2] over [2, 3, 2, 2], both orders
                 out = tz.mul(leaves["gate"], a) if j % 2 else tz.add(a, leaves["gate"])
             elif kind == "pool_avg":
-                out = tz.mul(b, tz.pool(a, axes=(2, 3), mode="avg"))
+                out = tz.mul(b, pool(a, axes=(2, 3), mode="avg"))
             elif kind == "pool_max":
-                out = tz.add(tz.pool(a, axes=(1, 2, 3), mode="max"), b)
+                out = tz.add(pool(a, axes=(1, 2, 3), mode="max"), b)
             elif kind == "upsample":
                 f = 2 + j % 3
                 up = tz.mul(tz.nearest_upsample(a, f), tz.nearest_upsample(b, f))
@@ -499,7 +499,7 @@ def build_random_tape(ops, used, seed):
                 else:
                     out = tz.add(tz.reshape(membrane, (1, 3, 2, 2)), b)
             else:
-                out = tz.sigmoid(a)
+                out = sigmoid(a)
             vals.append(out)
         total = tz.sum_all(vals[used[0] % len(vals)])
         for u in used[1:]:
@@ -544,7 +544,7 @@ def test_leaf_grad_is_owned_when_it_arrives_as_a_view():
     x = tz.Tensor(rand((3, 4), seed=33), requires_grad=True)
     y = tz.Tensor(rand((3, 4), seed=34), requires_grad=True)
     with tz.Tape() as tape:
-        loss = tz.sum_all(tz.pool(tz.add(x, y), axes=(1,), mode="avg"))
+        loss = tz.sum_all(pool(tz.add(x, y), axes=(1,), mode="avg"))
     tz.backward(loss, tape)
     assert x.grad.flags.c_contiguous and x.grad.flags.writeable
     assert not np.shares_memory(x.grad, y.grad)
@@ -559,7 +559,7 @@ def test_composite_pipeline_gradient():
 
     def build(ts):
         y = tz.conv2d(ts[0], ts[1], stride=2, padding=1)
-        return tz.sigmoid(y)
+        return sigmoid(y)
 
     check_op_gradient(build, [x, w], label="conv+sigmoid")
 
@@ -589,11 +589,11 @@ def test_every_op_fd_sweep():
             y = tz.mul(y, gg)
             y = tz.nearest_upsample(y, 2)
             y = avg_downsample(y, 2)
-            y = tz.relu(y)
-            p = tz.pool(y, axes=(2, 3), mode="avg")
-            q = tz.pool(y, axes=(2, 3), mode="max")
-            z = tz.linear(vv, lww)
-            s = tz.sigmoid(tz.concat([p, q], axis=1))
+            y = relu(y)
+            p = pool(y, axes=(2, 3), mode="avg")
+            q = pool(y, axes=(2, 3), mode="max")
+            z = linear(vv, lww)
+            s = sigmoid(tz.concat([p, q], axis=1))
             return tz.add(tz.sum_all(s), tz.add(tz.sum_all(tz.absolute(z)),
                                                 mean_all(y)))
 
@@ -696,3 +696,10 @@ def test_tensor_dump_truncated_or_bad_rank_is_argument_error(tmp_path):
     path.write_bytes(raw[:8] + (1024).to_bytes(4, "little") + b"\x01\x00\x00\x00" * 1024)
     with pytest.raises(tz.ArgumentError, match="rank 1024"):
         load_tensor(path)
+    # a zero dim leaves no payload to read, but the other dims overflow numpy's size
+    dims = (0, 4_000_000_000, 4_000_000_000, 4_000_000_000)
+    path.write_bytes(raw[:8] + b"".join(d.to_bytes(4, "little") for d in (4,) + dims))
+    with pytest.raises(tz.ArgumentError, match="exceed"):
+        load_tensor(path)
+    path.write_bytes(raw[:8] + b"".join(d.to_bytes(4, "little") for d in (3, 0, 7, 5)))
+    assert load_tensor(path).shape == (0, 7, 5)
