@@ -27,14 +27,8 @@ from . import tensor as tz
 from .tensor import Tensor
 
 MODULE_ORDER = "TCS"
-
-
-def _init_weight(shape, rng):
-    if rng is None:
-        return Tensor(np.zeros(shape))
-    fan_in = int(np.prod(shape[1:]))
-    bound = np.sqrt(1.0 / fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape))
+_WEIGHTS = {"T": ("t_compress", "t_expand"), "C": ("c_compress", "c_expand"),
+            "S": ("s_conv",)}
 
 
 def normalize_enabled(enabled):
@@ -47,66 +41,55 @@ def normalize_enabled(enabled):
     return "".join(m for m in MODULE_ORDER if m in mods)
 
 
-class AttentionParams:
-    """Weights for one gating site.
+def weight_shapes(t_steps, channels, reduction, enabled):
+    """Name -> shape of one gating site's weights, in draw order.
 
-    Disabled modules allocate nothing, so a site with enabled="CS" has the
-    same parameter count at any step count T.
+    The MLP gates squeeze their axis (T steps or C channels) to axis /
+    reduction hidden units. Disabled modules have no weights, so a site with
+    enabled="CS" has the same parameter count at any step count T.
     """
-
-    def __init__(self, t_steps, channels, reduction=1, enabled="CS", rng=None):
-        if t_steps < 1 or channels < 1:
-            raise tz.ArgumentError("t_steps and channels must be >= 1, got %d, %d"
-                                   % (t_steps, channels))
-        if reduction < 1:
-            raise tz.ArgumentError("reduction must be >= 1, got %d" % reduction)
-        self.enabled = normalize_enabled(enabled)
-        self.t_steps = t_steps
-        self.channels = channels
-        self.reduction = reduction
-        self.t_hidden = self.t_compress = None
-        self.c_hidden = self.c_compress = None
-        self.s_conv = None
-        if "T" in self.enabled:
-            if t_steps % reduction != 0:
-                raise tz.ArgumentError("t_steps %d not divisible by reduction %d"
-                                       % (t_steps, reduction))
-            hidden = t_steps // reduction
-            self.t_compress = _init_weight((hidden, t_steps), rng)
-            self.t_hidden = _init_weight((t_steps, hidden), rng)
-        if "C" in self.enabled:
-            if channels % reduction != 0:
-                raise tz.ArgumentError("channels %d not divisible by reduction %d"
-                                       % (channels, reduction))
-            hidden = channels // reduction
-            self.c_compress = _init_weight((hidden, channels), rng)
-            self.c_hidden = _init_weight((channels, hidden), rng)
-        if "S" in self.enabled:
-            self.s_conv = _init_weight((1, 2, 3, 3), rng)
-
-    def parameters(self):
-        out = []
-        if self.t_compress is not None:
-            out.append(("t_compress", self.t_compress))
-            out.append(("t_expand", self.t_hidden))
-        if self.c_compress is not None:
-            out.append(("c_compress", self.c_compress))
-            out.append(("c_expand", self.c_hidden))
-        if self.s_conv is not None:
-            out.append(("s_conv", self.s_conv))
-        return out
+    enabled = normalize_enabled(enabled)
+    shapes = {}
+    for letter, axis, n in (("T", "t_steps", t_steps), ("C", "channels", channels)):
+        if letter in enabled:
+            if n % reduction != 0:
+                raise tz.ArgumentError("%s %d not divisible by reduction %d"
+                                       % (axis, n, reduction))
+            shapes[_WEIGHTS[letter][0]] = (n // reduction, n)
+            shapes[_WEIGHTS[letter][1]] = (n, n // reduction)
+    if "S" in enabled:
+        shapes["s_conv"] = (1, 2, 3, 3)
+    return shapes
 
 
-def _check_input(x, params):
+class AttentionParams:
+    """One gating site's weight tensors by checkpoint name (`t_compress`,
+    `t_expand`, `c_compress`, `c_expand`, `s_conv`); a module is enabled
+    when its weights are present."""
+
+    def __init__(self, weights):
+        self.weights = dict(weights)
+
+    @property
+    def enabled(self):
+        return "".join(m for m in MODULE_ORDER if _WEIGHTS[m][0] in self.weights)
+
+
+def _module_input(x, params, letter):
+    """x as a Tensor and the module's weights, once x is checked against them."""
+    x = tz.as_tensor(x)
     if x.data.ndim != 4:
         raise tz.DimensionError("attention input must be [T, C, H, W], got %s"
                                 % (x.data.shape,))
-    if x.data.shape[0] != params.t_steps:
-        raise tz.DimensionError("time axis is %d, parameters expect %d"
-                                % (x.data.shape[0], params.t_steps))
-    if x.data.shape[1] != params.channels:
-        raise tz.DimensionError("channel axis is %d, parameters expect %d"
-                                % (x.data.shape[1], params.channels))
+    if letter not in params.enabled:
+        raise tz.StateError("%s module not enabled on this site" % letter)
+    weights = [params.weights[name] for name in _WEIGHTS[letter]]
+    axis = "TC".find(letter)  # the axis an MLP gate keeps; -1 for S
+    if axis >= 0 and x.data.shape[axis] != weights[0].data.shape[1]:
+        raise tz.DimensionError("%s axis is %d, parameters expect %d"
+                                % (("time", "channel")[axis], x.data.shape[axis],
+                                   weights[0].data.shape[1]))
+    return x, weights
 
 
 def _sigmoid(z):
@@ -164,29 +147,20 @@ def _mlp_gate(x, n_kept, w_compress, w_expand):
 
 def temporal_attention(x, params):
     """Gate each time step by a scalar computed from all steps."""
-    x = tz.as_tensor(x)
-    _check_input(x, params)
-    if params.t_compress is None:
-        raise tz.StateError("temporal module not enabled on this site")
-    return _mlp_gate(x, 1, params.t_compress, params.t_hidden)
+    x, (w_compress, w_expand) = _module_input(x, params, "T")
+    return _mlp_gate(x, 1, w_compress, w_expand)
 
 
 def channel_attention(x, params):
     """Gate each channel per step from its spatial summary."""
-    x = tz.as_tensor(x)
-    _check_input(x, params)
-    if params.c_compress is None:
-        raise tz.StateError("channel module not enabled on this site")
-    return _mlp_gate(x, 2, params.c_compress, params.c_hidden)
+    x, (w_compress, w_expand) = _module_input(x, params, "C")
+    return _mlp_gate(x, 2, w_compress, w_expand)
 
 
 def spatial_attention(x, params):
     """Gate each pixel per step from cross-channel average and max maps."""
-    x = tz.as_tensor(x)
-    _check_input(x, params)
-    if params.s_conv is None:
-        raise tz.StateError("spatial module not enabled on this site")
-    xd, wd = x.data, params.s_conv.data
+    x, (s_conv,) = _module_input(x, params, "S")
+    xd, wd = x.data, s_conv.data
     t, c, h, w = xd.shape
     maps = np.empty((t, 2, h, w))
     np.mean(xd, axis=1, out=maps[:, 0])
@@ -212,7 +186,7 @@ def spatial_attention(x, params):
         gx += gmaps[:, :1] / c
         return gx, gw
 
-    tz.record((out,), (x, params.s_conv), bw)
+    tz.record((out,), (x, s_conv), bw)
     return out
 
 

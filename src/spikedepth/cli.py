@@ -365,7 +365,13 @@ def _evaluate_checkpoint(args):
     cfg = _run_settings(entries)
     samples = load_windows(args.data, cfg.height, cfg.width, cfg.time_steps,
                            cfg.in_channels, cfg.stack_mode, cfg.binarize)
-    return len(samples), evaluate_dataset(model, samples, cfg.loss_config())
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return len(samples), evaluate_dataset(model, samples, cfg.loss_config())
+    except FloatingPointError as e:
+        # finite but huge weights (say 1e300) overflow in the forward
+        raise CliError("%s: evaluating over %s leaves float64 range (%s)"
+                       % (args.model, args.data, e)) from None
 
 
 def cmd_eval(args):

@@ -20,6 +20,11 @@ tensor through a 1x1 conv into an integrator population whose membrane after
 step T is that scale's depth map. The final depth is the last layer's
 membrane cropped back to the input geometry.
 
+Every weight's name and shape comes from one table, `param_shapes(config)`
+(with `attention.weight_shapes` for each gating site): DepthNet fills its
+store from it, the blocks look their tensors up there by name, and a
+checkpoint stores each entry as `param.<name>`.
+
 Each population starts from a zero membrane, so samples are independent.
 A forward tallies its cost in one `Counts` record as it runs: spikes and
 neuron-steps per block group as each spiking population fires (integrator
@@ -72,6 +77,7 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise tz.ArgumentError("%s must be >= 1, got %r" % (name, getattr(self, name)))
         self.if_params()  # rejects v_threshold <= v_reset and surrogate_alpha <= 0
+        param_shapes(self)  # rejects a reduction that does not divide a gated axis
 
     @property
     def channel_ladder(self):
@@ -132,15 +138,14 @@ class Counts:
             self.ac_ops += c_out * _spike_incidences(x.data, k, stride, padding)
 
     def attention(self, params, x_shape):
-        """Dense MACs of one TCSA site: two MLP layers per pooled branch, one
-        2-channel conv for the spatial gate."""
-        t, c, h, w = x_shape
-        if "T" in params.enabled:
-            self.dense_macs += 2 * 2 * t * (params.t_steps // params.reduction)
-        if "C" in params.enabled:
-            self.dense_macs += 2 * 2 * t * c * (params.channels // params.reduction)
-        if "S" in params.enabled:
-            self.dense_macs += t * h * w * 2 * KERNEL * KERNEL
+        """Dense MACs of one TCSA site: two MLP layers per pooled branch (per
+        step for the channel gate), each as large as its compress weight, and
+        the spatial gate's 2 -> 1 conv at every pixel."""
+        t, _, h, w = x_shape
+        for name, per_weight in (("t_compress", 2 * 2), ("c_compress", 2 * 2 * t),
+                                 ("s_conv", t * h * w)):
+            if name in params.weights:
+                self.dense_macs += per_weight * params.weights[name].data.size
 
     def _rate(self, *groups):
         spikes = sum(getattr(self, g + "_spikes") for g in groups)
@@ -168,47 +173,42 @@ class Counts:
         return self.ac_ops / self.dense_macs if self.dense_macs else 0.0
 
 
-def _init_conv(shape, rng):
-    fan_in = int(np.prod(shape[1:]))
-    bound = np.sqrt(1.0 / fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape))
-
-
-def _register_attention(store, prefix, params):
-    for name, t in params.parameters():
-        store.add(prefix + ".att." + name, t)
+def draw_weights(shapes, rng):
+    """Arrays for a name -> shape table, drawn in table order: biases zero,
+    other weights uniform in +-1/sqrt(fan_in)."""
+    out = {}
+    for name, shape in shapes.items():
+        if name.endswith("_bias"):
+            out[name] = np.zeros(shape)
+        else:
+            bound = np.sqrt(1.0 / int(np.prod(shape[1:])))
+            out[name] = rng.uniform(-bound, bound, size=shape)
+    return out
 
 
 class _ConvLayer:
-    """Bias-free conv by default; optional per-layer bias."""
+    """Conv by the stored weight `name`, plus a per-channel bias when the
+    store holds `name_bias`."""
 
-    def __init__(self, store, name, c_in, c_out, k, rng, bias):
-        self.weight = store.add(name, _init_conv((c_out, c_in, k, k), rng))
-        self.bias = store.add(name + "_bias", tz.zeros((c_out,))) if bias else None
-        self.stride = 1
-        self.padding = (k - 1) // 2
+    def __init__(self, weights, name, stride=1):
+        self.weight = weights[name]
+        self.bias = weights.get(name + "_bias")
+        self.stride = stride
+        self.padding = (self.weight.data.shape[-1] - 1) // 2
 
     def __call__(self, x, counts):
         out = tz.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
         counts.conv(x, self.weight, self.stride, self.padding, out)
         if self.bias is not None:
-            out = tz.add(out, tz.reshape(self.bias, (self.bias.data.shape[0], 1, 1)))
+            out = tz.add(out, tz.reshape(self.bias, (1, -1, 1, 1)))
         return out
 
 
 class EncoderBlock:
-    def __init__(self, cfg, c_in, c_out, store, prefix, rng):
+    def __init__(self, cfg, store, prefix):
         self.variant = cfg.encoder_variant
-        self.conv = _ConvLayer(store, prefix + ".conv", c_in, c_out, KERNEL, rng,
-                               cfg.conv_bias)
-        self.conv.stride = 2
-        self.att = None
-        if self.variant in ("CE-Att", "DE-Att1", "DE-Att2"):
-            att_channels = c_out if self.variant == "DE-Att2" else c_in
-            self.att = at.AttentionParams(cfg.time_steps, att_channels,
-                                          reduction=cfg.reduction,
-                                          enabled=cfg.attention, rng=rng)
-            _register_attention(store, prefix, self.att)
+        self.conv = _ConvLayer(store.group(prefix + "."), "conv", stride=2)
+        self.att = at.AttentionParams(store.group(prefix + ".att."))
         self.neuron = cfg.if_params()
 
     def forward(self, x, counts):
@@ -228,15 +228,11 @@ class EncoderBlock:
 
 
 class ResidualBlock:
-    def __init__(self, cfg, channels, store, prefix, rng):
-        self.conv1 = _ConvLayer(store, prefix + ".conv1", channels, channels,
-                                KERNEL, rng, cfg.conv_bias)
-        self.conv2 = _ConvLayer(store, prefix + ".conv2", channels, channels,
-                                KERNEL, rng, cfg.conv_bias)
-        self.att = at.AttentionParams(cfg.time_steps, channels,
-                                      reduction=cfg.reduction,
-                                      enabled=cfg.attention, rng=rng)
-        _register_attention(store, prefix, self.att)
+    def __init__(self, cfg, store, prefix):
+        weights = store.group(prefix + ".")
+        self.conv1 = _ConvLayer(weights, "conv1")
+        self.conv2 = _ConvLayer(weights, "conv2")
+        self.att = at.AttentionParams(store.group(prefix + ".att."))
         self.neuron = cfg.if_params()
 
     def forward(self, x, counts):
@@ -252,14 +248,11 @@ class ResidualBlock:
 
 
 class DecoderBlock:
-    def __init__(self, cfg, c_in, c_out, store, prefix, rng):
-        self.conv = _ConvLayer(store, prefix + ".conv", c_in, c_out, KERNEL, rng,
-                               cfg.conv_bias)
-        self.head = _ConvLayer(store, prefix + ".head", c_in, 1, 1, rng, False)
-        self.att = at.AttentionParams(cfg.time_steps, c_in,
-                                      reduction=cfg.reduction,
-                                      enabled=cfg.attention, rng=rng)
-        _register_attention(store, prefix, self.att)
+    def __init__(self, cfg, store, prefix):
+        weights = store.group(prefix + ".")
+        self.conv = _ConvLayer(weights, "conv")
+        self.head = _ConvLayer(weights, "head")
+        self.att = at.AttentionParams(store.group(prefix + ".att."))
         self.neuron = cfg.if_params()
         self.head_neuron = cfg.integrator_params()
 
@@ -284,22 +277,23 @@ class DecoderBlock:
 
 
 class DepthNet:
-    """Config-built network; parameters live in an ordered ParamStore."""
+    """Config-built network. Its ParamStore holds the `param_shapes(config)`
+    table in order, given as `weights` (name -> array) or drawn from `seed`;
+    each block then takes its tensors from the store by name."""
 
-    def __init__(self, config, seed=0):
+    def __init__(self, config, seed=0, weights=None):
         self.config = config
+        shapes = param_shapes(config)
+        if weights is None:
+            weights = draw_weights(shapes, np.random.default_rng(seed))
         self.params = tz.ParamStore()
-        rng = np.random.default_rng(seed)
-        ladder = config.channel_ladder
-        self.encoders = [EncoderBlock(config, ladder[i], ladder[i + 1],
-                                      self.params, "enc%d" % i, rng)
+        for name in shapes:
+            self.params.add(name, Tensor(weights[name]))
+        self.encoders = [EncoderBlock(config, self.params, "enc%d" % i)
                          for i in range(config.layers)]
-        self.residuals = [ResidualBlock(config, ladder[-1], self.params,
-                                        "res%d" % i, rng)
+        self.residuals = [ResidualBlock(config, self.params, "res%d" % i)
                           for i in range(RESIDUAL_BLOCKS)]
-        self.decoders = [DecoderBlock(config, ladder[config.layers - i],
-                                      ladder[config.layers - i - 1],
-                                      self.params, "dec%d" % i, rng)
+        self.decoders = [DecoderBlock(config, self.params, "dec%d" % i)
                          for i in range(config.layers)]
         self.last_ops = None
 
@@ -408,9 +402,14 @@ def save_model(path, model, extra=None):
 
 
 def param_shapes(config):
-    """Name -> shape of every parameter DepthNet(config) holds, in store
-    order, worked out without allocating any."""
-    ladder, t_steps, red = config.channel_ladder, config.time_steps, config.reduction
+    """Name -> shape of every DepthNet(config) weight, in store and draw order.
+
+    This table is the model's weight layout: DepthNet builds its store from
+    it, load_model checks checkpoints against it, and the checkpoint names
+    its entries after it (`param.` + name). Worked out without allocating;
+    raises ArgumentError when the reduction does not divide a gated axis.
+    """
+    ladder = config.channel_ladder
     shapes = {}
 
     def conv(name, c_in, c_out, k=KERNEL, bias=config.conv_bias):
@@ -419,12 +418,9 @@ def param_shapes(config):
             shapes[name + "_bias"] = (c_out,)
 
     def att(prefix, channels):
-        for letter, n in (("T", t_steps), ("C", channels)):
-            if letter in config.attention:
-                shapes["%s.att.%s_compress" % (prefix, letter.lower())] = (n // red, n)
-                shapes["%s.att.%s_expand" % (prefix, letter.lower())] = (n, n // red)
-        if "S" in config.attention:
-            shapes[prefix + ".att.s_conv"] = (1, 2, 3, 3)
+        for name, shape in at.weight_shapes(config.time_steps, channels, config.reduction,
+                                            config.attention).items():
+            shapes[prefix + ".att." + name] = shape
 
     for i in range(config.layers):
         conv("enc%d.conv" % i, ladder[i], ladder[i + 1])
@@ -454,7 +450,8 @@ def load_model(path):
     """
     entries = load_checkpoint(path)
     cfg = ModelConfig(**kv.from_entries(ModelConfig, entries))
-    for name, shape in param_shapes(cfg).items():
+    shapes = param_shapes(cfg)
+    for name, shape in shapes.items():
         key = "param." + name
         if key not in entries:
             raise tz.ArgumentError("checkpoint lacks parameter %r" % name)
@@ -463,7 +460,5 @@ def load_model(path):
                                     % (name, entries[key].shape, shape))
         if not np.isfinite(entries[key]).all():
             raise tz.ArgumentError("parameter %r holds a non-finite value" % name)
-    model = DepthNet(cfg, seed=0)
-    for name, tensor in model.params:
-        tensor.data = np.asarray(entries["param." + name], dtype=np.float64)
+    model = DepthNet(cfg, weights={name: entries["param." + name] for name in shapes})
     return model, entries

@@ -96,10 +96,6 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def zeros(shape, requires_grad=False):
-    return Tensor(np.zeros(shape, dtype=np.float64), requires_grad=requires_grad)
-
-
 def record(outputs, inputs, backward):
     """Append one op to the active tape.
 
@@ -566,10 +562,6 @@ def nearest_upsample(x, factor):
         raise DimensionError("nearest_upsample needs rank >= 2")
     if not isinstance(factor, int) or factor < 1:
         raise ArgumentError("upsample factor must be an integer >= 1, got %r" % (factor,))
-    if factor == 1:
-        out = Tensor(x.data.copy())
-        record((out,), (x,), lambda g: (g,))
-        return out
     up = np.repeat(np.repeat(x.data, factor, axis=-2), factor, axis=-1)
     out = Tensor(up)
 
@@ -608,6 +600,11 @@ class ParamStore:
 
     def __iter__(self):
         return iter(self._params.items())
+
+    def group(self, prefix):
+        """{rest: tensor} for every parameter named prefix + rest."""
+        return {name[len(prefix):]: t for name, t in self._params.items()
+                if name.startswith(prefix)}
 
     def zero_grad(self):
         # zeros rather than None so params off the loss path still satisfy

@@ -9,7 +9,9 @@ from unittest import mock
 
 import numpy as np
 
+from spikedepth import attention as at
 from spikedepth import events as ev
+from spikedepth import model as md
 from spikedepth import neurons as nr
 from spikedepth import tensor as tz
 
@@ -135,7 +137,9 @@ def check_op_gradient(build, arrays, eps=1e-5, rtol=1e-6, atol=1e-9, label=""):
     """Compare taped gradients of sum(op(...)) against central differences.
 
     build(tensors) -> output Tensor; arrays are the raw leaf buffers, wrapped
-    once so finite differencing can perturb them in place.
+    once so finite differencing can perturb them in place. Every leaf must
+    reach the tape: one that build leaves unused fails, even though its
+    finite difference would be zero too.
     """
     leaves = [tz.Tensor(a, requires_grad=True) for a in arrays]
     for leaf, a in zip(leaves, arrays):
@@ -149,9 +153,9 @@ def check_op_gradient(build, arrays, eps=1e-5, rtol=1e-6, atol=1e-9, label=""):
         return float(tz.sum_all(build(leaves)).data)
 
     fd = central_diff(f, arrays, eps=eps)
-    for leaf, g, a in zip(leaves, fd, arrays):
-        got = leaf.grad if leaf.grad is not None else np.zeros_like(a)
-        assert_grads_close(got, g, rtol=rtol, atol=atol, label=label)
+    for i, (leaf, g) in enumerate(zip(leaves, fd)):
+        assert leaf.grad is not None, "%s: leaf %d is not used" % (label, i)
+        assert_grads_close(leaf.grad, g, rtol=rtol, atol=atol, label=label)
 
 
 def brute_if_trace(inputs, v_th, v_reset, mode="spiking"):
@@ -214,7 +218,7 @@ def if_run_stepwise(x, params):
     stacked again, so the generic reverse sweep does the BPTT.
     """
     x = tz.as_tensor(x)
-    membrane = tz.zeros(x.data.shape[1:])
+    membrane = tz.Tensor(np.zeros(x.data.shape[1:]))
     spikes = []
     for frame in _unstack(x):
         charged = tz.add(membrane, frame)
@@ -485,10 +489,20 @@ def tcsa_composed(x, params):
     """at.tcsa as a graph of taped pool, linear, relu, sigmoid, conv and mul
     ops, so the generic reverse sweep does the backward."""
     x = tz.as_tensor(x)
+    w = params.weights
     if "T" in params.enabled:
-        x = _mlp_gate(x, (1, 2, 3), params.t_compress, params.t_hidden)
+        x = _mlp_gate(x, (1, 2, 3), w["t_compress"], w["t_expand"])
     if "C" in params.enabled:
-        x = _mlp_gate(x, (2, 3), params.c_compress, params.c_hidden)
+        x = _mlp_gate(x, (2, 3), w["c_compress"], w["c_expand"])
     if "S" in params.enabled:
-        x = _spatial_gate(x, params.s_conv)
+        x = _spatial_gate(x, w["s_conv"])
     return x
+
+
+def attention_params(t, c, reduction=1, enabled="TCS", rng=None):
+    """One gating site's weights, drawn as DepthNet draws them, or zeros
+    without an rng."""
+    shapes = at.weight_shapes(t, c, reduction, enabled)
+    arrays = (md.draw_weights(shapes, rng) if rng is not None
+              else {name: np.zeros(shape) for name, shape in shapes.items()})
+    return at.AttentionParams({name: tz.Tensor(a) for name, a in arrays.items()})

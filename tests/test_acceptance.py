@@ -30,8 +30,8 @@ from spikedepth import tensor as tz
 from spikedepth.cli import (load_run_config, load_windows, parse_run_config,
                             serialize_run_config)
 
-from helpers import (brute_if_trace, check_op_gradient, if_multistep, make_events,
-                     recount_stack, spike_trains)
+from helpers import (attention_params, brute_if_trace, check_op_gradient, if_multistep,
+                     make_events, recount_stack, spike_trains)
 
 
 def _report(n, ok, detail):
@@ -297,37 +297,32 @@ def test_c05_attention_gates():
     x = rng.uniform(0.5, 1.5, (4, 6, 5, 7))
 
     for mod, fn in fns.items():
-        p = at.AttentionParams(t_steps=4, channels=6, enabled=mod, rng=rng)
+        p = attention_params(4, 6, enabled=mod, rng=rng)
         gate = fn(tz.Tensor(x), p).data / x
         if not ((gate > 0.0).all() and (gate < 1.0).all()):
             problems.append("gate range for %s" % mod)
 
     for enabled in ("S", "CS", "TCS"):
-        p = at.AttentionParams(t_steps=4, channels=6, enabled=enabled, rng=rng)
-        for _, t in p.parameters():
+        p = attention_params(4, 6, enabled=enabled, rng=rng)
+        for t in p.weights.values():
             t.data[...] = 0.0
         out = at.tcsa(tz.Tensor(x), p)
         if not np.array_equal(out.data, x * 0.5 ** len(enabled)):
             problems.append("zero-weight scaling for %r" % enabled)
 
-    out = at.tcsa(tz.Tensor(x), at.AttentionParams(t_steps=4, channels=6,
-                                                   enabled=""))
+    out = at.tcsa(tz.Tensor(x), attention_params(4, 6, enabled=""))
     if not np.array_equal(out.data, x):
         problems.append("disabled identity")
 
-    mapping = {"t_compress": "t_compress", "t_expand": "t_hidden",
-               "c_compress": "c_compress", "c_expand": "c_hidden",
-               "s_conv": "s_conv"}
     for mod in fns:
-        p = at.AttentionParams(t_steps=3, channels=4, enabled=mod,
-                               rng=np.random.default_rng(18))
-        weights = [t.data for _, t in p.parameters()]
+        p = attention_params(3, 4, enabled=mod, rng=np.random.default_rng(18))
+        weights = [t.data for t in p.weights.values()]
         xs = np.random.default_rng(19).uniform(0.2, 1.4, (3, 4, 5, 5))
 
         def build(ts, mod=mod, p=p):
-            p2 = at.AttentionParams(t_steps=3, channels=4, enabled=mod)
-            for (name, _), leaf in zip(p.parameters(), ts[1:]):
-                setattr(p2, mapping[name], leaf)
+            p2 = attention_params(3, 4, enabled=mod)
+            for name, leaf in zip(p.weights, ts[1:]):
+                p2.weights[name] = leaf
             return fns[mod](ts[0], p2)
 
         try:

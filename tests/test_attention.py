@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from spikedepth import tensor as tz
 from spikedepth import attention as at
-from helpers import check_op_gradient, tcsa_composed
+from helpers import attention_params, check_op_gradient, tcsa_composed
 
 
 def rand(shape, seed=0):
@@ -13,13 +13,11 @@ def rand(shape, seed=0):
 
 
 def zero_params(enabled="TCS", t=4, c=6, r=1):
-    return at.AttentionParams(t_steps=t, channels=c, reduction=r, enabled=enabled)
+    return attention_params(t, c, r, enabled)
 
 
 def rand_params(enabled="TCS", t=4, c=6, r=1, seed=0):
-    rng = np.random.default_rng(seed)
-    return at.AttentionParams(t_steps=t, channels=c, reduction=r,
-                              enabled=enabled, rng=rng)
+    return attention_params(t, c, r, enabled, rng=np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +79,7 @@ def test_channel_gate_matches_pooling_oracle():
     x = rand((3, 4, 6, 6), seed=9)
     p = rand_params("C", t=3, c=4, seed=10)
     out = at.channel_attention(tz.Tensor(x), p)
-    w1, w2 = p.c_compress.data, p.c_hidden.data
+    w1, w2 = p.weights["c_compress"].data, p.weights["c_expand"].data
 
     def mlp(v):
         return w2 @ np.maximum(w1 @ v, 0.0)
@@ -152,27 +150,27 @@ def test_spatial_gate_shared_across_channels():
 
 def test_param_allocation_respects_enabled_set():
     p = zero_params("CS", t=5, c=8, r=2)
-    names = [n for n, _ in p.parameters()]
-    assert names == ["c_compress", "c_expand", "s_conv"]
+    assert list(p.weights) == ["c_compress", "c_expand", "s_conv"]
+    assert p.enabled == "CS"
     q = zero_params("T", t=4, c=8, r=2)
-    assert [n for n, _ in q.parameters()] == ["t_compress", "t_expand"]
-    assert q.t_compress.data.shape == (2, 4)
+    assert list(q.weights) == ["t_compress", "t_expand"]
+    assert q.weights["t_compress"].data.shape == (2, 4)
 
 
 def test_param_count_independent_of_t_when_temporal_off():
     a = zero_params("CS", t=1, c=8)
     b = zero_params("CS", t=5, c=8)
-    count = lambda p: sum(t.data.size for _, t in p.parameters())
+    count = lambda p: sum(t.data.size for t in p.weights.values())
     assert count(a) == count(b)
 
 
 def test_divisibility_validation():
     with pytest.raises(tz.ArgumentError):
-        at.AttentionParams(t_steps=5, channels=8, reduction=2, enabled="T")
+        at.weight_shapes(5, 8, 2, "T")
     with pytest.raises(tz.ArgumentError):
-        at.AttentionParams(t_steps=4, channels=6, reduction=4, enabled="C")
+        at.weight_shapes(4, 6, 4, "C")
     with pytest.raises(tz.ArgumentError):
-        at.AttentionParams(t_steps=4, channels=6, enabled="X")
+        at.weight_shapes(4, 6, 1, "X")
 
 
 def test_shape_validation():
@@ -180,7 +178,7 @@ def test_shape_validation():
     with pytest.raises(tz.DimensionError):
         at.channel_attention(tz.Tensor(np.zeros((3, 5, 4, 4))), p)
     with pytest.raises(tz.DimensionError):
-        at.channel_attention(tz.Tensor(np.zeros((2, 4, 4, 4))), p)
+        at.temporal_attention(tz.Tensor(np.zeros((2, 4, 4, 4))), rand_params("T", t=3, c=4))
     with pytest.raises(tz.StateError):
         at.temporal_attention(tz.Tensor(np.zeros((3, 4, 4, 4))), p)
 
@@ -193,16 +191,14 @@ def test_shape_validation():
 def test_module_gradients_match_fd(enabled):
     x = rand((3, 4, 5, 5), seed=21)
     p = rand_params(enabled, t=3, c=4, seed=22)
-    weights = [t.data for _, t in p.parameters()]
+    weights = [t.data for t in p.weights.values()]
     fn = {"T": at.temporal_attention, "C": at.channel_attention,
           "S": at.spatial_attention}[enabled]
 
     def build(ts):
-        p2 = at.AttentionParams(t_steps=3, channels=4, enabled=enabled)
-        for (name, _), leaf in zip(p.parameters(), ts[1:]):
-            setattr(p2, {"t_compress": "t_compress", "t_expand": "t_hidden",
-                         "c_compress": "c_compress", "c_expand": "c_hidden",
-                         "s_conv": "s_conv"}[name], leaf)
+        p2 = zero_params(enabled, t=3, c=4)
+        for name, leaf in zip(p.weights, ts[1:]):
+            p2.weights[name] = leaf
         return fn(ts[0], p2)
 
     check_op_gradient(build, [x] + weights, rtol=1e-5, atol=1e-8,
@@ -212,15 +208,12 @@ def test_module_gradients_match_fd(enabled):
 def test_composed_gradient_matches_fd():
     x = rand((2, 4, 4, 4), seed=23)
     p = rand_params("TCS", t=2, c=4, seed=24)
-    weights = [t.data for _, t in p.parameters()]
+    weights = [t.data for t in p.weights.values()]
 
     def build(ts):
-        p2 = at.AttentionParams(t_steps=2, channels=4, enabled="TCS")
-        mapping = {"t_compress": "t_compress", "t_expand": "t_hidden",
-                   "c_compress": "c_compress", "c_expand": "c_hidden",
-                   "s_conv": "s_conv"}
-        for (name, _), leaf in zip(p.parameters(), ts[1:]):
-            setattr(p2, mapping[name], leaf)
+        p2 = zero_params("TCS", t=2, c=4)
+        for name, leaf in zip(p.weights, ts[1:]):
+            p2.weights[name] = leaf
         return at.tcsa(ts[0], p2)
 
     check_op_gradient(build, [x] + weights, rtol=1e-5, atol=1e-8, label="tcsa")
@@ -235,13 +228,13 @@ def run_taped(fn, x, p, requires_grad, weight):
 
     Returns (output, input gradient, parameter gradients, tape length)."""
     xt = tz.Tensor(x, requires_grad=requires_grad)
-    for _, t in p.parameters():
+    for t in p.weights.values():
         t.requires_grad, t.grad = True, None
     with tz.Tape() as tape:
         out = fn(xt, p)
         loss = tz.sum_all(tz.mul(out, tz.Tensor(weight)))
     tz.backward(loss, tape)
-    return out.data, xt.grad, [t.grad for _, t in p.parameters()], len(tape)
+    return out.data, xt.grad, [t.grad for t in p.weights.values()], len(tape)
 
 
 @settings(max_examples=150, deadline=None)
@@ -265,7 +258,7 @@ def test_fused_gates_match_composed_graph(t, hidden, r, h, w, enabled, kind,
             x[rng.integers(0, t)] = 0.0
         elif kind == "zeros":
             x[...] = 0.0
-    p = at.AttentionParams(t, c, reduction=r, enabled="".join(enabled), rng=rng)
+    p = attention_params(t, c, r, "".join(enabled), rng=rng)
     weight = rng.uniform(-1.0, 1.0, shape)
     out, gx, gws, n_ops = run_taped(at.tcsa, x, p, requires_grad, weight)
     want, want_gx, want_gws, _ = run_taped(tcsa_composed, x, p, requires_grad, weight)
@@ -283,7 +276,7 @@ def test_fused_gates_match_composed_graph(t, hidden, r, h, w, enabled, kind,
 def test_each_module_records_one_tape_entry(requires_grad):
     x = rand((4, 6, 5, 5), seed=25)
     p = rand_params("TCS", seed=26)
-    for _, t in p.parameters():
+    for t in p.weights.values():
         t.requires_grad = True
     for fn in (at.temporal_attention, at.channel_attention, at.spatial_attention):
         with tz.Tape() as tape:

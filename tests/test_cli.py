@@ -122,6 +122,7 @@ def test_config_comments_and_blanks(tmp_path):
     {"v_threshold": "0.5", "v_reset": "1.0"},
     {"surrogate_alpha": "0"},
     {"height": "18", "multiscale_loss": "true"},
+    {"reduction": "3"},
 ])
 def test_config_training_would_reject_fails_at_parse(tmp_path, dataset, bad, capsys):
     path = tmp_path / "run.cfg"
@@ -275,6 +276,18 @@ def trained(tmp_path_factory, dataset):
     assert code == 0
     return {"out": str(root / "out"), "cfg": cfg_path,
             "log": read_text(str(root / "out" / "train.log"))}
+
+
+def test_train_step_with_conv_bias(tmp_path, dataset):
+    # T = 5 against C_out = 2 and 4: the bias must broadcast over channels
+    cfg_path = str(tmp_path / "run.cfg")
+    write_cfg(cfg_path, epochs=1, conv_bias=True, data_dir=dataset,
+              out_dir=str(tmp_path / "out"))
+    assert main(["--quiet", "train", "--config", cfg_path]) == 0
+    entries = md.load_checkpoint(tmp_path / "out" / "last.spkc")
+    biases = {k: v for k, v in entries.items() if k.endswith("_bias")}
+    assert biases["param.enc0.conv_bias"].shape == (2,)
+    assert any((v != 0.0).any() for v in biases.values())  # drawn as zeros, then trained
 
 
 def test_train_lr_trace_follows_milestones(trained):
@@ -662,34 +675,89 @@ def fuzz_dir(tmp_path_factory):
     return root
 
 
-@settings(max_examples=100, deadline=None)
-@given(edit=st.sampled_from(["truncate", "overwrite", "insert"]),
-       pos=st.integers(0, 2 ** 20), data=st.binary(min_size=1, max_size=8))
-def test_mutated_checkpoint_loads_or_is_exit_2(fuzz_dir, dataset, edit, pos, data):
-    raw = (fuzz_dir / "model.spkc").read_bytes()
+BYTE_EDITS = ["truncate", "overwrite", "insert"]
+EDIT_DATA = st.one_of(st.binary(min_size=1, max_size=8),
+                      st.sampled_from([b"nan", b"inf", b"-1", b"0", b"1e300", b",", b" ",
+                                       b"\n", b"\r\n"]))
+
+
+def mutate(raw, edit, pos, data):
+    """raw with one edit at pos: truncate, overwrite or insert bytes, or drop
+    or repeat the line holding pos."""
     pos %= len(raw) + 1
     if edit == "truncate":
-        raw = raw[:pos]
-    elif edit == "overwrite":
-        raw = raw[:pos] + data + raw[pos + len(data):]
-    else:
-        raw = raw[:pos] + data + raw[pos:]
+        return raw[:pos]
+    if edit == "overwrite":
+        return raw[:pos] + data + raw[pos + len(data):]
+    if edit == "insert":
+        return raw[:pos] + data + raw[pos:]
+    lines = raw.splitlines(keepends=True)
+    i = raw[:pos].count(b"\n") % len(lines)
+    lines[i:i + 1] = [] if edit == "drop" else [lines[i]] * 2
+    return b"".join(lines)
+
+
+def assert_exit_0_or_one_error_line(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2)
+    assert (lines == []) if code == 0 else (len(lines) == 1 and lines[0].startswith("error: "))
+
+
+@settings(max_examples=100, deadline=None)
+@given(edit=st.sampled_from(BYTE_EDITS), pos=st.integers(0, 2 ** 20),
+       data=st.binary(min_size=1, max_size=8))
+def test_mutated_checkpoint_loads_or_is_exit_2(fuzz_dir, dataset, edit, pos, data):
     path = fuzz_dir / "mutated.spkc"
-    path.write_bytes(raw)
+    path.write_bytes(mutate((fuzz_dir / "model.spkc").read_bytes(), edit, pos, data))
     try:
         md.load_model(str(path))
     except INPUT_ERRORS:
         pass
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        # a finite weight of 1e300 that overflows in the forward is valid input:
-        # numpy warns, and eval still reports its metrics
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main(["eval", "--model", str(path), "--data", dataset])
-    lines = err.getvalue().splitlines()
-    assert code in (0, 2)
-    assert (lines == []) if code == 0 else (len(lines) == 1 and lines[0].startswith("error: "))
+    assert_exit_0_or_one_error_line(["eval", "--model", str(path), "--data", dataset])
+
+
+def test_huge_finite_weight_is_exit_2_without_warnings(fuzz_dir, dataset, capsys):
+    entries = md.load_checkpoint(fuzz_dir / "model.spkc")
+    entries["param.enc0.conv"] = np.full_like(entries["param.enc0.conv"], 1e300)
+    path = fuzz_dir / "huge.spkc"
+    md.save_checkpoint(path, entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("eval", "inspect"):
+            assert main([command, "--model", str(path), "--data", dataset]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "huge.spkc" in err
+
+
+@settings(max_examples=100, deadline=None)
+@given(edit=st.sampled_from(BYTE_EDITS + ["drop", "repeat"]),
+       pos=st.integers(0, 2 ** 20), data=EDIT_DATA)
+def test_mutated_events_csv_stacks_or_is_exit_2(fuzz_dir, dataset, edit, pos, data):
+    with open(os.path.join(dataset, "events_left.csv"), "rb") as fh:
+        raw = fh.read()
+    path = fuzz_dir / "events.csv"
+    path.write_bytes(mutate(raw, edit, pos, data))
+    assert_exit_0_or_one_error_line(["stack", "--events", str(path), "--T", "5",
+                                     "--window-ms", "50", "--height", "16", "--width", "16",
+                                     "--out", str(fuzz_dir / "stack.spkt")])
+
+
+@settings(max_examples=100, deadline=None)
+@given(edit=st.sampled_from(BYTE_EDITS + ["drop", "repeat"]),
+       pos=st.integers(0, 2 ** 20), data=EDIT_DATA)
+def test_mutated_depth_frame_evaluates_or_is_exit_2(fuzz_dir, dataset, edit, pos, data):
+    data_dir = fuzz_dir / "data"
+    if not data_dir.exists():
+        shutil.copytree(dataset, str(data_dir))
+    with open(os.path.join(dataset, "gt_0001.txt"), "rb") as fh:
+        raw = fh.read()
+    (data_dir / "gt_0001.txt").write_bytes(mutate(raw, edit, pos, data))
+    assert_exit_0_or_one_error_line(["eval", "--model", str(fuzz_dir / "model.spkc"),
+                                     "--data", str(data_dir)])
 
 
 def test_manifest_non_integer_is_exit_2(tmp_path, dataset):

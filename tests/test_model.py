@@ -8,7 +8,7 @@ from spikedepth import tensor as tz
 from spikedepth import neurons as nr
 from spikedepth import model as md
 from spikedepth import events as ev
-from helpers import param_names, spike_trains, total_params
+from helpers import check_op_gradient, param_names, spike_trains, total_params
 
 
 def small_cfg(**kw):
@@ -47,19 +47,19 @@ def test_channel_ladder():
 # encoder block variants
 
 
+def built_block(kind, seed=0, **kw):
+    """Block 0 of `kind` ("encoders", "residuals" or "decoders") of a small net."""
+    return getattr(md.DepthNet(small_cfg(layers=2, **kw), seed=seed), kind)[0]
+
+
 def block_pair(variant, seed=3):
-    """Same conv weights, one block with zeroed attention and one without any."""
-    cfg_att = small_cfg(encoder_variant=variant)
-    cfg_plain = small_cfg(encoder_variant="CE" if variant.startswith("CE") else "DE")
-    store_a, store_b = tz.ParamStore(), tz.ParamStore()
-    rng = np.random.default_rng(seed)
-    blk_a = md.EncoderBlock(cfg_att, 2, 4, store_a, "enc0", rng)
-    blk_b = md.EncoderBlock(cfg_plain, 2, 4, store_b, "enc0",
-                            np.random.default_rng(seed))
+    """Same 2 -> 4 conv weights, one block with zeroed attention and one without any."""
+    plain = "CE" if variant.startswith("CE") else "DE"
+    blk_a = built_block("encoders", seed, base_channels=4, encoder_variant=variant)
+    blk_b = built_block("encoders", seed, base_channels=4, encoder_variant=plain)
     blk_b.conv.weight.data = blk_a.conv.weight.data.copy()
-    if blk_a.att is not None:
-        for _, t in blk_a.att.parameters():
-            t.data = np.zeros_like(t.data)
+    for t in blk_a.att.weights.values():
+        t.data = np.zeros_like(t.data)
     return blk_a, blk_b
 
 
@@ -89,23 +89,40 @@ def test_ce_propagates_continuous_de_propagates_binary():
 
 def test_encoder_variants_attention_site():
     # DE-Att2 gates after the conv: zero gates quarter the IF drive, not the conv input
-    cfg = small_cfg(encoder_variant="DE-Att2")
-    store = tz.ParamStore()
-    blk = md.EncoderBlock(cfg, 2, 4, store, "enc0", np.random.default_rng(9))
-    assert blk.att.channels == 4
-    cfg2 = small_cfg(encoder_variant="DE-Att1")
-    blk2 = md.EncoderBlock(cfg2, 2, 4, tz.ParamStore(), "enc0",
-                           np.random.default_rng(9))
-    assert blk2.att.channels == 2
+    blk = built_block("encoders", 9, base_channels=4, encoder_variant="DE-Att2")
+    assert blk.att.weights["c_compress"].data.shape[1] == 4
+    blk2 = built_block("encoders", 9, base_channels=4, encoder_variant="DE-Att1")
+    assert blk2.att.weights["c_compress"].data.shape[1] == 2
 
 
 def test_encoder_requires_even_dims():
-    cfg = small_cfg()
-    blk = md.EncoderBlock(cfg, 2, 4, tz.ParamStore(), "enc0",
-                          np.random.default_rng(1))
+    blk = built_block("encoders", 1, base_channels=4)
     counts = md.Counts()
     with pytest.raises(tz.StateError):
         blk.forward(tz.Tensor(np.zeros((2, 2, 7, 8))), counts)
+
+
+def test_conv_bias_acts_per_channel():
+    # T == C_out, where a bias aligned with the time axis would still broadcast
+    blk = built_block("encoders", 0, conv_bias=True)
+    assert blk.conv.weight.data.shape[0] == 2 and blk.conv.bias.data.shape == (2,)
+    blk.conv.weight.data[...] = 0.0
+    blk.conv.bias.data[...] = [0.25, -0.5]
+    out = blk.conv(tz.Tensor(rand((2, 2, 8, 8), seed=30)), md.Counts())
+    want = np.broadcast_to(np.array([0.25, -0.5]).reshape(1, 2, 1, 1), (2, 2, 4, 4))
+    np.testing.assert_array_equal(out.data, want)
+
+
+def test_conv_bias_gradient_matches_fd():
+    rng = np.random.default_rng(31)
+    x, w, b = (rng.uniform(-1, 1, shape) for shape in ((3, 2, 5, 5), (4, 2, 3, 3), (4,)))
+    weight = tz.Tensor(rng.uniform(-1, 1, (3, 4, 5, 5)))
+
+    def build(ts):
+        layer = md._ConvLayer({"conv": ts[1], "conv_bias": ts[2]}, "conv")
+        return tz.mul(layer(ts[0], md.Counts()), weight)
+
+    check_op_gradient(build, [x, w, b], label="conv bias")
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +130,7 @@ def test_encoder_requires_even_dims():
 
 
 def test_residual_identity_on_dead_path():
-    cfg = small_cfg()
-    store = tz.ParamStore()
-    blk = md.ResidualBlock(cfg, 4, store, "res0", np.random.default_rng(2))
+    blk = built_block("residuals", 2)  # 4 channels
     blk.conv1.weight.data = np.zeros_like(blk.conv1.weight.data)
     blk.conv2.weight.data = np.zeros_like(blk.conv2.weight.data)
     x = rand((2, 4, 4, 4), seed=6)
@@ -125,8 +140,7 @@ def test_residual_identity_on_dead_path():
 
 
 def test_residual_additive_structure():
-    cfg = small_cfg()
-    blk = md.ResidualBlock(cfg, 4, tz.ParamStore(), "res0", np.random.default_rng(4))
+    blk = built_block("residuals", 4)
     x = rand((2, 4, 4, 4), seed=7)
     counts = md.Counts()
     out = blk.forward(tz.Tensor(x), counts)
@@ -140,9 +154,7 @@ def test_residual_additive_structure():
 
 
 def test_decoder_shapes_and_head_accumulation():
-    cfg = small_cfg(time_steps=3)
-    store = tz.ParamStore()
-    blk = md.DecoderBlock(cfg, 8, 4, store, "dec0", np.random.default_rng(5))
+    blk = built_block("decoders", 5, base_channels=4, time_steps=3)  # 8 -> 4
     x = rand((3, 8, 4, 4), seed=8)
     skip = rand((3, 4, 8, 8), seed=9)
     counts = md.Counts()
@@ -157,8 +169,7 @@ def test_decoder_shapes_and_head_accumulation():
 
 
 def test_decoder_zero_input_zero_membrane():
-    cfg = small_cfg()
-    blk = md.DecoderBlock(cfg, 8, 4, tz.ParamStore(), "dec0", np.random.default_rng(6))
+    blk = built_block("decoders", 6, base_channels=4)
     counts = md.Counts()
     out, pred = blk.forward(tz.Tensor(np.zeros((2, 8, 4, 4))),
                             tz.Tensor(np.zeros((2, 4, 8, 8))), counts)
@@ -167,8 +178,7 @@ def test_decoder_zero_input_zero_membrane():
 
 
 def test_decoder_skip_shape_mismatch():
-    cfg = small_cfg()
-    blk = md.DecoderBlock(cfg, 8, 4, tz.ParamStore(), "dec0", np.random.default_rng(7))
+    blk = built_block("decoders", 7, base_channels=4)
     counts = md.Counts()
     with pytest.raises(tz.DimensionError):
         blk.forward(tz.Tensor(np.zeros((2, 8, 4, 4))),
