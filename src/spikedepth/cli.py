@@ -190,8 +190,8 @@ def evaluate_dataset(model, samples, loss_cfg):
     sums = {"mde_cm": 0.0, "loss_ssi": 0.0, "loss_reg": 0.0, "loss_total": 0.0}
     for s in samples:
         depth, _, c = model.forward(s.x)
-        ssi = ls.ssi_loss(depth, s.gt, loss_cfg).item()
-        reg = ls.reg_loss(depth, s.gt).item()
+        ssi = ls.ssi_loss(depth, s.gt, loss_cfg)
+        reg = ls.reg_loss(depth, s.gt)
         sums["mde_cm"] += ls.mde_cm(depth, s.gt)
         sums["loss_ssi"] += ssi
         sums["loss_reg"] += reg
@@ -365,13 +365,19 @@ def _evaluate_checkpoint(args):
     cfg = _run_settings(entries)
     samples = load_windows(args.data, cfg.height, cfg.width, cfg.time_steps,
                            cfg.in_channels, cfg.stack_mode, cfg.binarize)
+    return len(samples), _in_float_range(
+        args.model, args.data, lambda: evaluate_dataset(model, samples, cfg.loss_config()))
+
+
+def _in_float_range(model_path, source, run):
+    """run() with float64 overflow, invalid and divide-by-zero raised as one CliError."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return len(samples), evaluate_dataset(model, samples, cfg.loss_config())
+            return run()
     except FloatingPointError as e:
         # finite but huge weights (say 1e300) overflow in the forward
         raise CliError("%s: evaluating over %s leaves float64 range (%s)"
-                       % (args.model, args.data, e)) from None
+                       % (model_path, source, e)) from None
 
 
 def cmd_eval(args):
@@ -394,8 +400,9 @@ def cmd_predict(args):
     right = ev.load_events(args.events_right) if c.in_channels == 4 else None
     x = _stack_window(c.stack_mode, left, right, args.window_start, window_len,
                       c.time_steps, c.height, c.width, c.binarize)
-    depth, _, _ = model.forward(x)
-    data = depth.data
+    data = _in_float_range(args.model, args.events, lambda: model.forward(x)[0].data)
+    if not np.isfinite(data).all():
+        raise CliError("%s: the depth map over %s is not finite" % (args.model, args.events))
     _write_grid(args.out + ".txt", data)
     _write_pgm(args.out + ".pgm", data, args.max_depth)
     if not args.quiet:

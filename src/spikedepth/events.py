@@ -269,7 +269,7 @@ def binocular_concat(left, right):
     if left.data.shape != right.data.shape:
         raise tz.DimensionError("view shapes differ: %s vs %s"
                                 % (left.data.shape, right.data.shape))
-    joined = tz.concat([left.data, right.data], axis=1)
+    joined = Tensor(np.concatenate([left.data.data, right.data.data], axis=1))
     joined.is_spike = left.data.is_spike and right.data.is_spike
     return StackedTensor(data=joined, window_start=left.window_start,
                          window_len=left.window_len)

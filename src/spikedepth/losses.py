@@ -10,6 +10,8 @@ has two variants selected by sign:
 The smoothness term averages |dR/dx| + |dR/dy| over forward differences,
 counting only pixel pairs where both neighbors are valid. The total is
 ssi + lambda * reg per prediction scale, summed across scales by the caller.
+total_loss is the training objective, one tape entry per scale; ssi_loss and
+reg_loss return plain floats, for reporting.
 
 Mean depth error is reported in centimeters over valid pixels.
 """
@@ -41,6 +43,8 @@ class LossConfig:
 
 
 def _masked_residual(pred, gt):
+    """(R, mask, n) as numpy arrays: ground truth minus pred, zeroed off the valid pixels."""
+    pred = tz.as_tensor(pred)
     if pred.data.shape != gt.depth.data.shape:
         raise tz.DimensionError("prediction %s does not match ground truth %s"
                                 % (pred.data.shape, gt.depth.data.shape))
@@ -48,61 +52,92 @@ def _masked_residual(pred, gt):
     if n == 0:
         raise MetricError("no valid ground-truth pixels")
     mask = gt.valid.astype(np.float64)
-    resid = tz.mul(tz.sub(gt.depth, pred), tz.Tensor(mask))
-    return resid, mask, n
+    return (gt.depth.data - pred.data) * mask, mask, n
+
+
+def _ssi(resid, n, sign):
+    s = resid.sum()
+    mean_sq = (resid * resid).sum() * (1.0 / n)
+    sq_mean = (s * s) * (1.0 / (n * n))
+    return mean_sq - sq_mean if sign == "minus" else mean_sq + sq_mean
+
+
+# (hi, lo) index pairs of the forward differences along x, then along y
+_NEIGHBORS = ((np.s_[:, 1:], np.s_[:, :-1]), (np.s_[1:, :], np.s_[:-1, :]))
+
+
+def _pair_diffs(resid, mask):
+    """(hi, lo, valid-pair mask, masked difference) per axis that has pairs."""
+    out = []
+    for hi, lo in _NEIGHBORS:
+        pair = mask[hi] * mask[lo]
+        if pair.size:
+            out.append((hi, lo, pair, (resid[hi] - resid[lo]) * pair))
+    return out
+
+
+def _reg(pairs, n):
+    return sum(np.abs(d).sum() for _, _, _, d in pairs) * (1.0 / n)
 
 
 def ssi_loss(pred, gt, config=LossConfig()):
-    """Scale-shift-invariant squared loss over valid pixels."""
-    pred = tz.as_tensor(pred)
+    """Scale-shift-invariant squared loss over valid pixels, as a float."""
     resid, _, n = _masked_residual(pred, gt)
-    sq = tz.sum_all(tz.mul(resid, resid))
-    s = tz.sum_all(resid)
-    mean_sq = tz.mul(sq, 1.0 / n)
-    sq_mean = tz.mul(tz.mul(s, s), 1.0 / (n * n))
-    if config.ssi_sign == "minus":
-        return tz.sub(mean_sq, sq_mean)
-    return tz.add(mean_sq, sq_mean)
+    return float(_ssi(resid, n, config.ssi_sign))
 
 
 def reg_loss(pred, gt):
-    """Mean absolute forward difference of the residual, valid pairs only."""
-    pred = tz.as_tensor(pred)
+    """Mean absolute forward difference of the residual, valid pairs only, as a float."""
     resid, mask, n = _masked_residual(pred, gt)
-    h, w = resid.data.shape
-    total = None
-    if w > 1:
-        dx = tz.sub(tz.slice_nd(resid, ((0, h), (1, w))),
-                    tz.slice_nd(resid, ((0, h), (0, w - 1))))
-        pair_x = tz.Tensor(mask[:, 1:] * mask[:, :-1])
-        total = tz.sum_all(tz.absolute(tz.mul(dx, pair_x)))
-    if h > 1:
-        dy = tz.sub(tz.slice_nd(resid, ((1, h), (0, w))),
-                    tz.slice_nd(resid, ((0, h - 1), (0, w))))
-        pair_y = tz.Tensor(mask[1:, :] * mask[:-1, :])
-        sy = tz.sum_all(tz.absolute(tz.mul(dy, pair_y)))
-        total = sy if total is None else tz.add(total, sy)
-    if total is None:
-        return tz.Tensor(np.float64(0.0))
-    return tz.mul(total, 1.0 / n)
+    return float(_reg(_pair_diffs(resid, mask), n))
+
+
+def _scatter(shape, idx, g):
+    full = np.zeros(shape)
+    full[idx] = g
+    return full
 
 
 def total_loss(pred, gt, config=LossConfig()):
-    """ssi + lambda * reg for one prediction scale."""
-    return tz.add(ssi_loss(pred, gt, config), tz.mul(reg_loss(pred, gt), config.lambda_reg))
+    """ssi + lambda * reg for one prediction scale: one tape entry.
+
+    The backward is closed form. It adds the reg path, then the ssi path,
+    each in the order the reverse sweep of the composed graph (sub, mul,
+    sum_all, absolute and slice ops) would, so gradients match it bit for
+    bit; |d| has gradient 0 at d = 0.
+    """
+    pred = tz.as_tensor(pred)
+    resid, mask, n = _masked_residual(pred, gt)
+    pairs = _pair_diffs(resid, mask)
+    lam = config.lambda_reg
+    out = tz.Tensor(_ssi(resid, n, config.ssi_sign) + _reg(pairs, n) * lam)
+    s = resid.sum()
+
+    def bw(g):
+        g_sq_mean = -g if config.ssi_sign == "minus" else g
+        g_s2 = g_sq_mean * (1.0 / (n * n))
+        g_s = g_s2 * s + g_s2 * s
+        g_sq = g * (1.0 / n)
+        g_ssi = -(((g_s + g_sq * resid) + g_sq * resid) * mask)
+        if not pairs:
+            return (g_ssi,)
+        g_pair = g * lam * (1.0 / n)
+        g_resid = None
+        for hi, lo, pair, d in reversed(pairs):  # y before x, lo slice before hi
+            gd = (g_pair * np.sign(d)) * pair
+            lo_part = _scatter(resid.shape, lo, -gd)
+            g_resid = lo_part if g_resid is None else g_resid + lo_part
+            g_resid = g_resid + _scatter(resid.shape, hi, gd)
+        return (-(g_resid * mask) + g_ssi,)
+
+    tz.record((out,), (pred,), bw)
+    return out
 
 
 def mde_cm(pred, gt):
     """Mean absolute depth error in centimeters; plain float, not taped."""
-    pred = tz.as_tensor(pred)
-    if pred.data.shape != gt.depth.data.shape:
-        raise tz.DimensionError("prediction %s does not match ground truth %s"
-                                % (pred.data.shape, gt.depth.data.shape))
-    n = int(gt.valid.sum())
-    if n == 0:
-        raise MetricError("no valid ground-truth pixels")
-    err = np.abs(gt.depth.data - pred.data)[gt.valid]
-    return float(100.0 * err.sum() / n)
+    resid, _, n = _masked_residual(pred, gt)
+    return float(100.0 * np.abs(resid[gt.valid]).sum() / n)
 
 
 METRIC_KEYS = ("mde_cm", "loss_ssi", "loss_reg", "loss_total",

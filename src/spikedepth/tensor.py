@@ -5,8 +5,8 @@ entries while a Tape is active, and backward() replays the list in reverse,
 accumulating gradients keyed by tensor identity. With no tape active every op
 runs in plain inference mode at numpy speed.
 
-Broadcasting is leading-aligned: the lower-rank operand is padded with
-trailing singleton axes, so a per-step gate of shape [T] scales a [T,C,H,W]
+add broadcasts leading-aligned: the lower-rank operand is padded with
+trailing singleton axes, so a per-step term of shape [T] adds to a [T,C,H,W]
 activation without any manual reshape.
 """
 
@@ -196,43 +196,6 @@ def add(a, b):
     return out
 
 
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    da, db = _lead_align(a, b)
-    out = Tensor(da - db)
-    sa, sb = a.data.shape, b.data.shape
-    record((out,), (a, b),
-           lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
-    return out
-
-
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    da, db = _lead_align(a, b)
-    out = Tensor(da * db)
-    sa, sb = a.data.shape, b.data.shape
-    record((out,), (a, b),
-           lambda g: (_unbroadcast(g * db, sa), _unbroadcast(g * da, sb)))
-    return out
-
-
-def absolute(a):
-    """Elementwise |a|; the gradient at exactly 0 is taken as 0."""
-    a = as_tensor(a)
-    out = Tensor(np.abs(a.data))
-    sgn = np.sign(a.data)
-    record((out,), (a,), lambda g: (g * sgn,))
-    return out
-
-
-def sum_all(a):
-    a = as_tensor(a)
-    out = Tensor(a.data.sum())
-    shape = a.data.shape
-    record((out,), (a,), lambda g: (np.broadcast_to(g, shape),))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # shape ops
 
@@ -242,31 +205,6 @@ def reshape(a, shape):
     out = Tensor(a.data.reshape(shape))
     orig = a.data.shape
     record((out,), (a,), lambda g: (g.reshape(orig),))
-    return out
-
-
-def concat(parts, axis):
-    parts = [as_tensor(p) for p in parts]
-    if not parts:
-        raise ArgumentError("concat needs at least one tensor")
-    rank = parts[0].data.ndim
-    if not -rank <= axis < rank:
-        raise ArgumentError("concat axis %d out of range for rank %d" % (axis, rank))
-    axis = axis % rank
-    base = list(parts[0].data.shape)
-    for p in parts[1:]:
-        s = list(p.data.shape)
-        if len(s) != rank or any(s[i] != base[i] for i in range(rank) if i != axis):
-            raise DimensionError("concat shape mismatch off axis %d: %s vs %s"
-                                 % (axis, tuple(base), tuple(s)))
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bw(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    record((out,), tuple(parts), bw)
     return out
 
 

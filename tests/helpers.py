@@ -11,6 +11,7 @@ import numpy as np
 
 from spikedepth import attention as at
 from spikedepth import events as ev
+from spikedepth import losses as ls
 from spikedepth import model as md
 from spikedepth import neurons as nr
 from spikedepth import tensor as tz
@@ -146,11 +147,11 @@ def check_op_gradient(build, arrays, eps=1e-5, rtol=1e-6, atol=1e-9, label=""):
         leaf.data = a  # share the buffer with the perturbed array
     with tz.Tape() as tape:
         out = build(leaves)
-        loss = tz.sum_all(out)
+        loss = sum_all(out)
     tz.backward(loss, tape)
 
     def f():
-        return float(tz.sum_all(build(leaves)).data)
+        return float(sum_all(build(leaves)).data)
 
     fd = central_diff(f, arrays, eps=eps)
     for i, (leaf, g) in enumerate(zip(leaves, fd)):
@@ -227,7 +228,7 @@ def if_run_stepwise(x, params):
             continue
         s = _fire(charged, params)
         spikes.append(s)
-        membrane = tz.sub(charged, tz.mul(tz.sub(charged, params.v_reset), s))
+        membrane = sub(charged, mul(sub(charged, params.v_reset), s))
     if params.mode == "integrator":
         return None, membrane
     out = _stack(spikes)
@@ -292,6 +293,63 @@ def scalar_stack(events, window_start, window_len, t_steps, height, width,
 
 # ---------------------------------------------------------------------------
 # test-only API: ops, accessors and codecs the package itself never calls
+
+
+def sub(a, b):
+    a, b = tz.as_tensor(a), tz.as_tensor(b)
+    da, db = tz._lead_align(a, b)
+    out = tz.Tensor(da - db)
+    sa, sb = a.data.shape, b.data.shape
+    tz.record((out,), (a, b),
+              lambda g: (tz._unbroadcast(g, sa), tz._unbroadcast(-g, sb)))
+    return out
+
+
+def mul(a, b):
+    a, b = tz.as_tensor(a), tz.as_tensor(b)
+    da, db = tz._lead_align(a, b)
+    out = tz.Tensor(da * db)
+    sa, sb = a.data.shape, b.data.shape
+    tz.record((out,), (a, b),
+              lambda g: (tz._unbroadcast(g * db, sa), tz._unbroadcast(g * da, sb)))
+    return out
+
+
+def absolute(a):
+    """Elementwise |a|; the gradient at exactly 0 is taken as 0."""
+    a = tz.as_tensor(a)
+    out = tz.Tensor(np.abs(a.data))
+    sgn = np.sign(a.data)
+    tz.record((out,), (a,), lambda g: (g * sgn,))
+    return out
+
+
+def sum_all(a):
+    a = tz.as_tensor(a)
+    out = tz.Tensor(a.data.sum())
+    shape = a.data.shape
+    tz.record((out,), (a,), lambda g: (np.broadcast_to(g, shape),))
+    return out
+
+
+def concat(parts, axis):
+    parts = [tz.as_tensor(p) for p in parts]
+    if not parts:
+        raise tz.ArgumentError("concat needs at least one tensor")
+    rank = parts[0].data.ndim
+    if not -rank <= axis < rank:
+        raise tz.ArgumentError("concat axis %d out of range for rank %d" % (axis, rank))
+    axis = axis % rank
+    base = list(parts[0].data.shape)
+    for p in parts[1:]:
+        s = list(p.data.shape)
+        if len(s) != rank or any(s[i] != base[i] for i in range(rank) if i != axis):
+            raise tz.DimensionError("concat shape mismatch off axis %d: %s vs %s"
+                                    % (axis, tuple(base), tuple(s)))
+    out = tz.Tensor(np.concatenate([p.data for p in parts], axis=axis))
+    splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+    tz.record((out,), tuple(parts), lambda g: tuple(np.split(g, splits, axis=axis)))
+    return out
 
 
 def mean_all(a):
@@ -473,16 +531,16 @@ def _mlp_gate(x, axes, w_compress, w_expand):
     avg = pool(x, axes=axes, mode="avg")
     mx = pool(x, axes=axes, mode="max")
     gate = sigmoid(tz.add(_mlp(avg, w_compress, w_expand), _mlp(mx, w_compress, w_expand)))
-    return tz.mul(x, gate)
+    return mul(x, gate)
 
 
 def _spatial_gate(x, s_conv):
     t, _, h, w = x.data.shape
     avg = tz.reshape(pool(x, axes=(1,), mode="avg"), (t, 1, h, w))
     mx = tz.reshape(pool(x, axes=(1,), mode="max"), (t, 1, h, w))
-    maps = tz.concat([avg, mx], axis=1)
+    maps = concat([avg, mx], axis=1)
     gate = sigmoid(tz.conv2d(maps, s_conv, stride=1, padding=1))
-    return tz.mul(x, gate)
+    return mul(x, gate)
 
 
 def tcsa_composed(x, params):
@@ -506,3 +564,55 @@ def attention_params(t, c, reduction=1, enabled="TCS", rng=None):
     arrays = (md.draw_weights(shapes, rng) if rng is not None
               else {name: np.zeros(shape) for name, shape in shapes.items()})
     return at.AttentionParams({name: tz.Tensor(a) for name, a in arrays.items()})
+
+
+# ---------------------------------------------------------------------------
+# the composed loss graph: the oracle for the fused ls.total_loss
+
+
+def masked_residual_composed(pred, gt):
+    pred = tz.as_tensor(pred)
+    if pred.data.shape != gt.depth.data.shape:
+        raise tz.DimensionError("prediction %s does not match ground truth %s"
+                                % (pred.data.shape, gt.depth.data.shape))
+    n = int(gt.valid.sum())
+    if n == 0:
+        raise ls.MetricError("no valid ground-truth pixels")
+    mask = gt.valid.astype(np.float64)
+    return mul(sub(gt.depth, pred), tz.Tensor(mask)), mask, n
+
+
+def ssi_loss_composed(pred, gt, config=ls.LossConfig()):
+    resid, _, n = masked_residual_composed(pred, gt)
+    sq = sum_all(mul(resid, resid))
+    s = sum_all(resid)
+    mean_sq = mul(sq, 1.0 / n)
+    sq_mean = mul(mul(s, s), 1.0 / (n * n))
+    if config.ssi_sign == "minus":
+        return sub(mean_sq, sq_mean)
+    return tz.add(mean_sq, sq_mean)
+
+
+def reg_loss_composed(pred, gt):
+    resid, mask, n = masked_residual_composed(pred, gt)
+    h, w = resid.data.shape
+    total = None
+    if w > 1:
+        dx = sub(tz.slice_nd(resid, ((0, h), (1, w))), tz.slice_nd(resid, ((0, h), (0, w - 1))))
+        pair_x = tz.Tensor(mask[:, 1:] * mask[:, :-1])
+        total = sum_all(absolute(mul(dx, pair_x)))
+    if h > 1:
+        dy = sub(tz.slice_nd(resid, ((1, h), (0, w))), tz.slice_nd(resid, ((0, h - 1), (0, w))))
+        pair_y = tz.Tensor(mask[1:, :] * mask[:-1, :])
+        sy = sum_all(absolute(mul(dy, pair_y)))
+        total = sy if total is None else tz.add(total, sy)
+    if total is None:
+        return tz.Tensor(np.float64(0.0))
+    return mul(total, 1.0 / n)
+
+
+def total_loss_composed(pred, gt, config=ls.LossConfig()):
+    """ls.total_loss as a graph of taped sub, mul, sum_all, absolute and
+    slice ops, so the generic reverse sweep does the backward."""
+    return tz.add(ssi_loss_composed(pred, gt, config),
+                  mul(reg_loss_composed(pred, gt), config.lambda_reg))

@@ -252,31 +252,31 @@ def test_c04_loss_invariants():
         cfg_minus = ls.LossConfig(lambda_reg=lam, ssi_sign="minus")
         cfg_plus = ls.LossConfig(lambda_reg=lam, ssi_sign="plus")
 
-        base = ls.ssi_loss(tz.Tensor(pred), gt, cfg_minus).item()
+        base = ls.ssi_loss(tz.Tensor(pred), gt, cfg_minus)
         shift = float(rng.uniform(-3.0, 3.0))
-        shifted = ls.ssi_loss(tz.Tensor(pred + shift), gt, cfg_minus).item()
+        shifted = ls.ssi_loss(tz.Tensor(pred + shift), gt, cfg_minus)
         if abs(shifted - base) > 1e-9 * max(abs(base), 1e-12):
             problems.append("shift invariance, case %d" % i)
 
-        plus = ls.ssi_loss(tz.Tensor(pred), gt, cfg_plus).item()
+        plus = ls.ssi_loss(tz.Tensor(pred), gt, cfg_plus)
         if plus < base - 1e-12 * max(1.0, abs(base)):
             problems.append("plus below minus, case %d" % i)
 
         exact = tz.Tensor(np.array(gt.depth.data, copy=True))
-        if (ls.ssi_loss(exact, gt, cfg_minus).item() != 0.0
-                or ls.reg_loss(exact, gt).item() != 0.0
+        if (ls.ssi_loss(exact, gt, cfg_minus) != 0.0
+                or ls.reg_loss(exact, gt) != 0.0
                 or ls.total_loss(exact, gt, cfg_minus).item() != 0.0
                 or ls.mde_cm(exact, gt) != 0.0):
             problems.append("zero at perfect fit, case %d" % i)
 
         noisy = pred.copy()
         noisy[~valid] += rng.uniform(1.0, 9.0, size=int((~valid).sum()))
-        before = (ls.ssi_loss(tz.Tensor(pred), gt, cfg_minus).item(),
-                  ls.reg_loss(tz.Tensor(pred), gt).item(),
+        before = (ls.ssi_loss(tz.Tensor(pred), gt, cfg_minus),
+                  ls.reg_loss(tz.Tensor(pred), gt),
                   ls.total_loss(tz.Tensor(pred), gt, cfg_minus).item(),
                   ls.mde_cm(tz.Tensor(pred), gt))
-        after = (ls.ssi_loss(tz.Tensor(noisy), gt, cfg_minus).item(),
-                 ls.reg_loss(tz.Tensor(noisy), gt).item(),
+        after = (ls.ssi_loss(tz.Tensor(noisy), gt, cfg_minus),
+                 ls.reg_loss(tz.Tensor(noisy), gt),
                  ls.total_loss(tz.Tensor(noisy), gt, cfg_minus).item(),
                  ls.mde_cm(tz.Tensor(noisy), gt))
         if before != after:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from spikedepth import tensor as tz
 from spikedepth import attention as at
-from helpers import attention_params, check_op_gradient, tcsa_composed
+from helpers import attention_params, check_op_gradient, mul, sum_all, tcsa_composed
 
 
 def rand(shape, seed=0):
@@ -232,7 +232,7 @@ def run_taped(fn, x, p, requires_grad, weight):
         t.requires_grad, t.grad = True, None
     with tz.Tape() as tape:
         out = fn(xt, p)
-        loss = tz.sum_all(tz.mul(out, tz.Tensor(weight)))
+        loss = sum_all(mul(out, tz.Tensor(weight)))
     tz.backward(loss, tape)
     return out.data, xt.grad, [t.grad for t in p.weights.values()], len(tape)
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -719,18 +720,49 @@ def test_mutated_checkpoint_loads_or_is_exit_2(fuzz_dir, dataset, edit, pos, dat
     assert_exit_0_or_one_error_line(["eval", "--model", str(path), "--data", dataset])
 
 
-def test_huge_finite_weight_is_exit_2_without_warnings(fuzz_dir, dataset, capsys):
-    entries = md.load_checkpoint(fuzz_dir / "model.spkc")
-    entries["param.enc0.conv"] = np.full_like(entries["param.enc0.conv"], 1e300)
+def test_huge_finite_weight_is_exit_2_without_warnings(fuzz_dir, dataset, tmp_path, capsys):
+    # eval and inspect leave float64 range in the loss, which squares the
+    # residual, at 1e300; there predict's depth map is still finite (about
+    # -1e302). Its forward leaves the range at 1e305.
+    prefix = str(tmp_path / "p")
+    predict = ["predict", "--events", os.path.join(dataset, "events_left.csv"),
+               "--events-right", os.path.join(dataset, "events_right.csv"),
+               "--window-len", "50000", "--out", prefix]
     path = fuzz_dir / "huge.spkc"
-    md.save_checkpoint(path, entries)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for command in ("eval", "inspect"):
-            assert main([command, "--model", str(path), "--data", dataset]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
-            assert "huge.spkc" in err
+    for value, argv in ((1e300, ["eval", "--data", dataset]),
+                        (1e300, ["inspect", "--data", dataset]),
+                        (1e305, predict)):
+        entries = md.load_checkpoint(fuzz_dir / "model.spkc")
+        entries["param.enc0.conv"] = np.full_like(entries["param.enc0.conv"], value)
+        md.save_checkpoint(path, entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "huge.spkc" in err
+    assert not os.path.exists(prefix + ".txt") and not os.path.exists(prefix + ".pgm")
+
+
+def test_non_finite_depth_map_is_exit_2_and_writes_nothing(fuzz_dir, dataset, tmp_path,
+                                                           capsys):
+    forward = md.DepthNet.forward
+
+    def inf_corner(self, x):
+        depth, preds, counts = forward(self, x)
+        depth.data[0, 0] = np.inf
+        return depth, preds, counts
+
+    prefix = str(tmp_path / "p")
+    with mock.patch.object(md.DepthNet, "forward", inf_corner):
+        assert main(["predict", "--model", str(fuzz_dir / "model.spkc"),
+                     "--events", os.path.join(dataset, "events_left.csv"),
+                     "--events-right", os.path.join(dataset, "events_right.csv"),
+                     "--window-len", "50000", "--out", prefix]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not finite" in err
+    assert not os.path.exists(prefix + ".txt") and not os.path.exists(prefix + ".pgm")
 
 
 @settings(max_examples=100, deadline=None)

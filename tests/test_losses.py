@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from spikedepth import tensor as tz
 from spikedepth import events as ev
 from spikedepth import losses as ls
-from helpers import central_diff, assert_grads_close
+from helpers import central_diff, assert_grads_close, mul, total_loss_composed
 
 
 def gt_frame(depth, valid=None, t=0):
@@ -23,22 +23,22 @@ PLUS = ls.LossConfig(ssi_sign="plus")
 def test_ssi_zero_at_exact_prediction():
     gt = gt_frame(np.full((4, 5), 2.0))
     pred = tz.Tensor(np.full((4, 5), 2.0))
-    assert ls.ssi_loss(pred, gt, MINUS).item() == 0.0
-    assert ls.ssi_loss(pred, gt, PLUS).item() == 0.0
+    assert ls.ssi_loss(pred, gt, MINUS) == 0.0
+    assert ls.ssi_loss(pred, gt, PLUS) == 0.0
 
 
 def test_ssi_constant_offset():
     gt = gt_frame(np.full((3, 3), 2.0))
     pred = tz.Tensor(np.full((3, 3), 2.0) + 0.25)
-    assert ls.ssi_loss(pred, gt, MINUS).item() == pytest.approx(0.0, abs=1e-15)
-    assert ls.ssi_loss(pred, gt, PLUS).item() == pytest.approx(2 * 0.25 ** 2, rel=1e-12)
+    assert ls.ssi_loss(pred, gt, MINUS) == pytest.approx(0.0, abs=1e-15)
+    assert ls.ssi_loss(pred, gt, PLUS) == pytest.approx(2 * 0.25 ** 2, rel=1e-12)
 
 
 def test_ssi_two_pixel_case():
     gt = gt_frame(np.array([[2.0, 2.0]]))
     pred = tz.Tensor(np.array([[1.0, 3.0]]))  # residuals +1, -1
-    assert ls.ssi_loss(pred, gt, MINUS).item() == pytest.approx(1.0, rel=1e-14)
-    assert ls.ssi_loss(pred, gt, PLUS).item() == pytest.approx(1.0, rel=1e-14)
+    assert ls.ssi_loss(pred, gt, MINUS) == pytest.approx(1.0, rel=1e-14)
+    assert ls.ssi_loss(pred, gt, PLUS) == pytest.approx(1.0, rel=1e-14)
 
 
 @settings(max_examples=50, deadline=None)
@@ -49,8 +49,8 @@ def test_ssi_minus_is_shift_invariant(seed, c):
     depth = rng.uniform(0.5, 5.0, size=(5, 6))
     pred = rng.uniform(0.0, 5.0, size=(5, 6))
     gt = gt_frame(depth)
-    base = ls.ssi_loss(tz.Tensor(pred), gt, MINUS).item()
-    shifted = ls.ssi_loss(tz.Tensor(pred + c), gt, MINUS).item()
+    base = ls.ssi_loss(tz.Tensor(pred), gt, MINUS)
+    shifted = ls.ssi_loss(tz.Tensor(pred + c), gt, MINUS)
     assert shifted == pytest.approx(base, rel=1e-9, abs=1e-9)
 
 
@@ -59,20 +59,20 @@ def test_ssi_plus_dominates_minus():
     for _ in range(20):
         gt = gt_frame(rng.uniform(0.5, 4.0, size=(4, 4)))
         pred = tz.Tensor(rng.uniform(0.0, 5.0, size=(4, 4)))
-        assert ls.ssi_loss(pred, gt, PLUS).item() >= ls.ssi_loss(pred, gt, MINUS).item()
+        assert ls.ssi_loss(pred, gt, PLUS) >= ls.ssi_loss(pred, gt, MINUS)
 
 
 def test_reg_zero_for_constant_residual():
     gt = gt_frame(np.full((4, 4), 3.0))
     pred = tz.Tensor(np.full((4, 4), 1.3))
-    assert ls.reg_loss(pred, gt).item() == 0.0
+    assert ls.reg_loss(pred, gt) == 0.0
 
 
 def test_reg_worked_example():
     # residual [[0, 1], [0, 1]]: two horizontal unit steps, no vertical steps
     gt = gt_frame(np.array([[1.0, 2.0], [1.0, 2.0]]))
     pred = tz.Tensor(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    assert ls.reg_loss(pred, gt).item() == pytest.approx(0.5, rel=1e-14)
+    assert ls.reg_loss(pred, gt) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_reg_absolute_homogeneity():
@@ -80,8 +80,8 @@ def test_reg_absolute_homogeneity():
     depth = rng.uniform(1.0, 3.0, size=(5, 5))
     delta = rng.uniform(-1.0, 1.0, size=(5, 5))
     gt = gt_frame(depth)
-    base = ls.reg_loss(tz.Tensor(depth - delta), gt).item()
-    scaled = ls.reg_loss(tz.Tensor(depth - 3.0 * delta), gt).item()
+    base = ls.reg_loss(tz.Tensor(depth - delta), gt)
+    scaled = ls.reg_loss(tz.Tensor(depth - 3.0 * delta), gt)
     assert scaled == pytest.approx(3.0 * base, rel=1e-11)
 
 
@@ -93,8 +93,8 @@ def test_reg_gates_mixed_validity_pairs():
     pred_a = np.full((3, 3), 1.0)
     pred_b = pred_a.copy()
     pred_b[1, 1] = 77.0  # invalid pixel, must not matter
-    la = ls.reg_loss(tz.Tensor(pred_a), gt).item()
-    lb = ls.reg_loss(tz.Tensor(pred_b), gt).item()
+    la = ls.reg_loss(tz.Tensor(pred_a), gt)
+    lb = ls.reg_loss(tz.Tensor(pred_b), gt)
     assert la == lb == 0.0
 
 
@@ -118,7 +118,7 @@ def test_total_recomposes():
     pred = tz.Tensor(rng.uniform(0.5, 4.5, size=(6, 6)))
     cfg = ls.LossConfig(lambda_reg=0.7)
     total = ls.total_loss(pred, gt, cfg).item()
-    parts = ls.ssi_loss(pred, gt, cfg).item() + 0.7 * ls.reg_loss(pred, gt).item()
+    parts = ls.ssi_loss(pred, gt, cfg) + 0.7 * ls.reg_loss(pred, gt)
     assert total == pytest.approx(parts, rel=1e-12)
 
 
@@ -127,7 +127,7 @@ def test_lambda_zero_drops_reg():
     gt = gt_frame(rng.uniform(1.0, 4.0, size=(4, 4)))
     pred = tz.Tensor(rng.uniform(0.5, 4.5, size=(4, 4)))
     cfg = ls.LossConfig(lambda_reg=0.0)
-    assert ls.total_loss(pred, gt, cfg).item() == ls.ssi_loss(pred, gt, cfg).item()
+    assert ls.total_loss(pred, gt, cfg).item() == ls.ssi_loss(pred, gt, cfg)
 
 
 def test_mde_exact_values():
@@ -181,6 +181,38 @@ def test_total_loss_gradient_matches_fd():
         fd = central_diff(f, [pred])[0]
         assert_grads_close(leaf.grad, fd, rtol=1e-6, atol=1e-9,
                            label="total loss %s" % cfg.ssi_sign)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.integers(1, 6), w=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       hole_rate=st.sampled_from([0.0, 0.3, 0.7]), tie_rate=st.sampled_from([0.0, 0.5, 1.0]),
+       decimals=st.sampled_from([0, 1, 8]), lam=st.sampled_from([0.0, 0.5, 1.3, 2.0]),
+       sign=st.sampled_from(ls.SSI_SIGNS), upstream=st.sampled_from([None, -0.75, 3.0]))
+def test_fused_total_loss_matches_composed_graph(h, w, seed, hole_rate, tie_rate, decimals,
+                                                 lam, sign, upstream):
+    """One tape entry whose value and gradient equal the composed graph's bit
+    for bit: holes in the mask, 1-pixel rows and columns, residual ties (zero
+    differences) and an upstream gradient other than 1."""
+    rng = np.random.default_rng(seed)
+    valid = rng.uniform(size=(h, w)) >= hole_rate
+    valid.flat[rng.integers(h * w)] = True
+    depth = 1.0 + np.round(rng.uniform(0.0, 3.0, size=(h, w)), decimals)
+    pred = depth + np.round(rng.uniform(-2.0, 2.0, size=(h, w)), decimals)
+    pred = np.where(rng.uniform(size=(h, w)) < tie_rate, depth, pred)
+    gt = gt_frame(depth, valid)
+    cfg = ls.LossConfig(lambda_reg=lam, ssi_sign=sign)
+    got = []
+    for loss_fn in (ls.total_loss, total_loss_composed):
+        leaf = tz.Tensor(pred, requires_grad=True)
+        with tz.Tape() as tape:
+            loss = loss_fn(leaf, gt, cfg)
+            fused_entries = len(tape)
+            if upstream is not None:
+                loss = mul(loss, upstream)
+        tz.backward(loss, tape)
+        got.append((loss.data.tobytes(), leaf.grad.tobytes(), fused_entries))
+    assert got[0][:2] == got[1][:2]
+    assert got[0][2] == 1
 
 
 def test_metrics_report_format():

@@ -8,7 +8,9 @@ from spikedepth import tensor as tz
 from spikedepth import neurons as nr
 from spikedepth import model as md
 from spikedepth import events as ev
-from helpers import check_op_gradient, param_names, spike_trains, total_params
+from spikedepth import cli
+from spikedepth import losses as ls
+from helpers import check_op_gradient, mul, param_names, spike_trains, sum_all, total_params
 
 
 def small_cfg(**kw):
@@ -120,7 +122,7 @@ def test_conv_bias_gradient_matches_fd():
 
     def build(ts):
         layer = md._ConvLayer({"conv": ts[1], "conv_bias": ts[2]}, "conv")
-        return tz.mul(layer(ts[0], md.Counts()), weight)
+        return mul(layer(ts[0], md.Counts()), weight)
 
     check_op_gradient(build, [x, w, b], label="conv bias")
 
@@ -254,6 +256,23 @@ def test_default_forward_tape_has_one_entry_per_if_population():
     assert len(tape) == 66
 
 
+@pytest.mark.parametrize("multiscale, entries", [(False, 67), (True, 73)])
+def test_default_training_step_tape_has_one_loss_entry_per_scale(multiscale, entries):
+    # the 66 forward entries above, then one total_loss per supervised scale
+    # and one add joining each extra scale
+    cfg = md.ModelConfig()
+    net = md.DepthNet(cfg, seed=0)
+    x = tz.Tensor(rand((5, 4, 64, 64), seed=14, lo=0.0, hi=2.0))
+    gt = ev.DepthFrame(depth=tz.Tensor(rand((64, 64), seed=15, lo=0.5, hi=4.0)),
+                       valid=np.ones((64, 64), dtype=bool), t=0)
+    with tz.Tape() as tape:
+        depth, preds, _ = net.forward(x)
+        cli.window_loss(depth, preds, gt, ls.LossConfig(), multiscale, cfg.layers)
+    kinds = [bw.__qualname__.split(".<locals>")[0] for _, _, bw in tape._ops]
+    assert kinds.count("total_loss") == (cfg.layers if multiscale else 1)
+    assert len(tape) == entries
+
+
 def test_param_count_invariant_in_time_steps():
     a = md.DepthNet(small_cfg(time_steps=1), seed=0)
     b = md.DepthNet(small_cfg(time_steps=5), seed=0)
@@ -266,7 +285,7 @@ def test_smooth_mode_end_to_end_gradient_exists():
     x = tz.Tensor(rand((2, 2, 16, 16), seed=13, lo=0.0, hi=2.0))
     with tz.Tape() as tape:
         depth, _, _ = net.forward(x)
-        loss = tz.sum_all(tz.mul(depth, depth))
+        loss = sum_all(mul(depth, depth))
     tz.backward(loss, tape)
     reached = sum(1 for _, p in net.params if p.grad is not None and np.abs(p.grad).sum() > 0)
     assert reached > 0.6 * len(param_names(net.params))

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from spikedepth import tensor as tz
 from spikedepth import neurons as nr
 from helpers import (brute_if_trace, central_diff, assert_grads_close, if_multistep,
-                     if_run_stepwise, surrogate_grad)
+                     if_run_stepwise, mul, sum_all, surrogate_grad)
 
 
 def run_trace(inputs, **kw):
@@ -175,7 +175,7 @@ def test_smooth_multistep_gradient_matches_fd():
     xt.data = x
     with tz.Tape() as tape:
         spikes, v = if_multistep(xt, params)
-        loss = tz.add(tz.sum_all(tz.mul(spikes, spikes)), tz.sum_all(tz.mul(v, v)))
+        loss = tz.add(sum_all(mul(spikes, spikes)), sum_all(mul(v, v)))
     tz.backward(loss, tape)
 
     def f():
@@ -193,7 +193,7 @@ def test_spiking_backward_uses_surrogate():
         x = tz.Tensor(np.array([drive]), requires_grad=True)
         with tz.Tape() as tape:
             s, _ = nr.if_run(x, params)
-            loss = tz.sum_all(s)
+            loss = sum_all(s)
         tz.backward(loss, tape)
         tri = max(0.0, 1.0 - abs(drive - 1.0))
         np.testing.assert_allclose(x.grad, [tri], rtol=1e-12)
@@ -204,7 +204,7 @@ def test_integrator_gradient_is_identity_per_step():
     x = tz.Tensor(np.ones((4, 2)), requires_grad=True)
     with tz.Tape() as tape:
         _, v = if_multistep(x, params)
-        loss = tz.sum_all(v)
+        loss = sum_all(v)
     tz.backward(loss, tape)
     np.testing.assert_array_equal(x.grad, np.ones((4, 2)))
 
@@ -222,9 +222,9 @@ def _run_with_loss(run, x, params, use, weights):
         spikes, membrane = run(xt, params)
         terms = []
         if use in ("spikes", "both"):
-            terms.append(tz.sum_all(tz.mul(spikes, tz.Tensor(w_s))))
+            terms.append(sum_all(mul(spikes, tz.Tensor(w_s))))
         if use in ("membrane", "both"):
-            terms.append(tz.sum_all(tz.mul(membrane, tz.Tensor(w_v))))
+            terms.append(sum_all(mul(membrane, tz.Tensor(w_v))))
         loss = terms[0] if len(terms) == 1 else tz.add(terms[0], terms[1])
     tz.backward(loss, tape)
     return spikes, membrane, xt.grad

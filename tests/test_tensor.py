@@ -9,7 +9,8 @@ from spikedepth import neurons as nr
 from spikedepth import tensor as tz
 from helpers import (naive_conv2d, naive_conv2d_grads, central_diff, assert_grads_close,
                      check_op_gradient, reference_backward, avg_downsample, mean_all,
-                     load_tensor, total_params, param_names, pool, linear, relu, sigmoid)
+                     load_tensor, total_params, param_names, pool, linear, relu, sigmoid,
+                     sub, mul, absolute, sum_all, concat)
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
@@ -73,7 +74,7 @@ def test_conv_forward_and_backward_match_scalar_loops(t, c_in, c_out, k, stride,
     with tz.Tape() as tape:
         out = tz.conv2d(xt, wtt, stride=stride, padding=padding)
         g = rng.standard_normal(out.data.shape)
-        loss = tz.sum_all(tz.mul(out, tz.Tensor(g)))
+        loss = sum_all(mul(out, tz.Tensor(g)))
     tz.backward(loss, tape)
 
     frames = x.reshape((-1,) + x.shape[-3:])
@@ -212,7 +213,7 @@ def test_upsample_gradient_sums_blocks():
     x = np.ones((1, 2, 2))
     xt = tz.Tensor(x, requires_grad=True)
     with tz.Tape() as tape:
-        loss = tz.sum_all(tz.nearest_upsample(xt, 3))
+        loss = sum_all(tz.nearest_upsample(xt, 3))
     tz.backward(loss, tape)
     np.testing.assert_array_equal(xt.grad, np.full((1, 2, 2), 9.0))
 
@@ -234,7 +235,7 @@ def test_updown_gradients_match_fd():
                               label="upsample " + label)
             # a non-uniform weight, so each block's taps carry different gradients
             wu = rand(lead + (3 * factor, 2 * factor), seed=12)
-            check_op_gradient(lambda ts: tz.mul(tz.nearest_upsample(ts[0], factor), ts[1]),
+            check_op_gradient(lambda ts: mul(tz.nearest_upsample(ts[0], factor), ts[1]),
                               [x, wu], label="weighted upsample " + label)
             xd = rand(lead + (2 * factor, 3 * factor), seed=11)
             check_op_gradient(lambda ts: avg_downsample(ts[0], factor), [xd],
@@ -256,7 +257,7 @@ def test_pool_avg_and_max_values():
 def test_pool_max_tie_routes_to_first():
     x = tz.Tensor(np.array([[5.0, 5.0]]), requires_grad=True)
     with tz.Tape() as tape:
-        loss = tz.sum_all(pool(x, axes=(0, 1), mode="max"))
+        loss = sum_all(pool(x, axes=(0, 1), mode="max"))
     tz.backward(loss, tape)
     np.testing.assert_array_equal(x.grad, [[1.0, 0.0]])
 
@@ -332,7 +333,7 @@ def test_sigmoid_values_and_saturation():
 def test_sigmoid_gradient_at_zero():
     x = tz.Tensor(np.array([0.0]), requires_grad=True)
     with tz.Tape() as tape:
-        loss = tz.sum_all(sigmoid(x))
+        loss = sum_all(sigmoid(x))
     tz.backward(loss, tape)
     np.testing.assert_allclose(x.grad, [0.25], rtol=1e-15)
 
@@ -340,7 +341,7 @@ def test_sigmoid_gradient_at_zero():
 def test_broadcast_mul_per_step_gate():
     x = rand((3, 2, 4, 4), seed=19)
     g = np.array([0.5, 1.0, 2.0])
-    out = tz.mul(tz.Tensor(x), tz.Tensor(g))
+    out = mul(tz.Tensor(x), tz.Tensor(g))
     for t, f in enumerate(g):
         np.testing.assert_allclose(out.data[t], x[t] * f)
 
@@ -353,7 +354,7 @@ def test_broadcast_incompatible_axis():
 def test_broadcast_gradients_match_fd():
     x = rand((3, 2, 4), seed=20)
     g = rand((3,), seed=21)
-    check_op_gradient(lambda ts: tz.mul(ts[0], ts[1]), [x, g], label="bcast mul")
+    check_op_gradient(lambda ts: mul(ts[0], ts[1]), [x, g], label="bcast mul")
     g2 = rand((3, 2), seed=22)
     check_op_gradient(lambda ts: tz.add(ts[0], ts[1]), [x, g2], label="bcast add")
 
@@ -361,11 +362,11 @@ def test_broadcast_gradients_match_fd():
 def test_concat_and_split_gradients():
     a = rand((2, 3, 4, 4), seed=23)
     b = rand((2, 1, 4, 4), seed=24)
-    out = tz.concat([tz.Tensor(a), tz.Tensor(b)], axis=1)
+    out = concat([tz.Tensor(a), tz.Tensor(b)], axis=1)
     assert out.data.shape == (2, 4, 4, 4)
-    check_op_gradient(lambda ts: tz.concat(ts, axis=1), [a, b], label="concat")
+    check_op_gradient(lambda ts: concat(ts, axis=1), [a, b], label="concat")
     with pytest.raises(tz.DimensionError):
-        tz.concat([tz.Tensor(a), tz.Tensor(np.zeros((2, 1, 5, 4)))], axis=1)
+        concat([tz.Tensor(a), tz.Tensor(np.zeros((2, 1, 5, 4)))], axis=1)
 
 
 def test_slice_and_pad():
@@ -390,7 +391,7 @@ def test_slice_and_pad():
 def test_backward_sum_gives_ones():
     x = tz.Tensor(rand((3, 2), seed=27), requires_grad=True)
     with tz.Tape() as tape:
-        loss = tz.sum_all(x)
+        loss = sum_all(x)
     tz.backward(loss, tape)
     np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
 
@@ -398,7 +399,7 @@ def test_backward_sum_gives_ones():
 def test_backward_square_chain():
     x = tz.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     with tz.Tape() as tape:
-        loss = tz.sum_all(tz.mul(x, x))
+        loss = sum_all(mul(x, x))
     tz.backward(loss, tape)
     np.testing.assert_allclose(x.grad, [2.0, -4.0, 6.0])
 
@@ -414,7 +415,7 @@ def test_backward_empty_tape_noop():
 def test_backward_requires_scalar():
     x = tz.Tensor(rand((3,), seed=28), requires_grad=True)
     with tz.Tape() as tape:
-        y = tz.mul(x, x)
+        y = mul(x, x)
     with pytest.raises(tz.ArgumentError):
         tz.backward(y, tape)
 
@@ -422,7 +423,7 @@ def test_backward_requires_scalar():
 def test_backward_accumulates_across_calls():
     x = tz.Tensor(np.array([2.0]), requires_grad=True)
     with tz.Tape() as tape:
-        loss = tz.sum_all(tz.mul(x, x))
+        loss = sum_all(mul(x, x))
     tz.backward(loss, tape)
     first = x.grad.copy()
     tz.backward(loss, tape)
@@ -440,9 +441,9 @@ def test_backward_linearity():
         tz.backward(loss, tape)
         return a.grad.copy()
 
-    f = lambda t: tz.sum_all(tz.mul(t, t))
-    g = lambda t: tz.sum_all(sigmoid(t))
-    combo = lambda t: tz.add(tz.mul(f(t), 2.0), tz.mul(g(t), -3.0))
+    f = lambda t: sum_all(mul(t, t))
+    g = lambda t: sum_all(sigmoid(t))
+    combo = lambda t: tz.add(mul(f(t), 2.0), mul(g(t), -3.0))
     np.testing.assert_allclose(grad_of(combo), 2 * grad_of(f) - 3 * grad_of(g),
                                rtol=1e-12)
 
@@ -477,20 +478,20 @@ def build_random_tape(ops, used, seed):
             if kind == "add":
                 out = tz.add(a, b)
             elif kind == "sub":
-                out = tz.sub(a, b)
+                out = sub(a, b)
             elif kind == "mul":
-                out = tz.mul(a, b)
+                out = mul(a, b)
             elif kind == "square":
-                out = tz.mul(a, a)
+                out = mul(a, a)
             elif kind == "gate":  # broadcast [2] over [2, 3, 2, 2], both orders
-                out = tz.mul(leaves["gate"], a) if j % 2 else tz.add(a, leaves["gate"])
+                out = mul(leaves["gate"], a) if j % 2 else tz.add(a, leaves["gate"])
             elif kind == "pool_avg":
-                out = tz.mul(b, pool(a, axes=(2, 3), mode="avg"))
+                out = mul(b, pool(a, axes=(2, 3), mode="avg"))
             elif kind == "pool_max":
                 out = tz.add(pool(a, axes=(1, 2, 3), mode="max"), b)
             elif kind == "upsample":
                 f = 2 + j % 3
-                up = tz.mul(tz.nearest_upsample(a, f), tz.nearest_upsample(b, f))
+                up = mul(tz.nearest_upsample(a, f), tz.nearest_upsample(b, f))
                 out = avg_downsample(up, f)
             elif kind == "if_run":  # one output is used, the spikes or the membrane
                 spikes, membrane = nr.if_run(a, IF_KINDS[j % 3])
@@ -501,10 +502,10 @@ def build_random_tape(ops, used, seed):
             else:
                 out = sigmoid(a)
             vals.append(out)
-        total = tz.sum_all(vals[used[0] % len(vals)])
+        total = sum_all(vals[used[0] % len(vals)])
         for u in used[1:]:
-            total = tz.add(total, tz.sum_all(vals[u % len(vals)]))
-        loss = tz.mul(total, leaves["scale"])
+            total = tz.add(total, sum_all(vals[u % len(vals)]))
+        loss = mul(total, leaves["scale"])
     return tape, loss, leaves
 
 
@@ -544,7 +545,7 @@ def test_leaf_grad_is_owned_when_it_arrives_as_a_view():
     x = tz.Tensor(rand((3, 4), seed=33), requires_grad=True)
     y = tz.Tensor(rand((3, 4), seed=34), requires_grad=True)
     with tz.Tape() as tape:
-        loss = tz.sum_all(pool(tz.add(x, y), axes=(1,), mode="avg"))
+        loss = sum_all(pool(tz.add(x, y), axes=(1,), mode="avg"))
     tz.backward(loss, tape)
     assert x.grad.flags.c_contiguous and x.grad.flags.writeable
     assert not np.shares_memory(x.grad, y.grad)
@@ -566,10 +567,10 @@ def test_composite_pipeline_gradient():
 
 def test_no_tape_means_no_recording():
     x = tz.Tensor(rand((3,), seed=32), requires_grad=True)
-    y = tz.mul(x, x)
+    y = mul(x, x)
     assert y.requires_grad is False
     with tz.Tape() as tape:
-        z = tz.mul(x, x)
+        z = mul(x, x)
         assert z.requires_grad is True
     assert len(tape) == 1
 
@@ -586,15 +587,15 @@ def test_every_op_fd_sweep():
         def build(ts):
             xx, ww, gg, vv, lww = ts
             y = tz.conv2d(xx, ww, stride=1, padding=1)
-            y = tz.mul(y, gg)
+            y = mul(y, gg)
             y = tz.nearest_upsample(y, 2)
             y = avg_downsample(y, 2)
             y = relu(y)
             p = pool(y, axes=(2, 3), mode="avg")
             q = pool(y, axes=(2, 3), mode="max")
             z = linear(vv, lww)
-            s = sigmoid(tz.concat([p, q], axis=1))
-            return tz.add(tz.sum_all(s), tz.add(tz.sum_all(tz.absolute(z)),
+            s = sigmoid(concat([p, q], axis=1))
+            return tz.add(sum_all(s), tz.add(sum_all(absolute(z)),
                                                 mean_all(y)))
 
         check_op_gradient(build, [x, w, g, v, lw], rtol=1e-6, atol=1e-8,
