@@ -265,10 +265,17 @@ def conv_out_size(size, k, stride, padding, axis_name):
     return span // stride + 1
 
 
-# Frames per stride-1 chunk: each chunk buffer stays under the 4 MiB from which numpy
-# asks for huge pages, so small frames share one batched GEMM per tap and sensor-size
-# frames go one at a time.
+# Frames per stride-1 forward chunk: each chunk buffer stays under the 4 MiB from which
+# numpy asks for huge pages, so small frames share one batched GEMM per tap and
+# sensor-size frames go one at a time.
 _CHUNK_FLOATS = (4 << 20) // 8
+
+# Size of each stride-1 backward buffer, the column block above all: as many tall-image
+# rows as fit in 1 MiB, several small frames or a row block of one large frame. The block
+# is read by two GEMMs right after it is filled, and at 1 MiB it and their other operands
+# stay in a 2 MiB L2 cache: on such a Xeon the 2->1 gate conv at 272x352 took 7-10 ms per
+# backward call at 0.5-1 MiB against 15-16 ms at 4 MiB.
+_BLOCK_FLOATS = (1 << 20) // 8
 
 
 def _chunk_frames(n, frame_floats):
@@ -338,44 +345,85 @@ def _shifted_conv(xd, wd, padding):
 
 
 def _shifted_grads(xd, wd, g, padding, need_gx):
-    """(d loss / d W, d loss / d x or None) of a stride-1 conv.
+    """(d loss / d W, d loss / d x or None) of a stride-1 conv, from one column buffer of g.
 
-    g [N, C_out, Ho, Wo] is widened with zeros to g_wide [C_out, Ho*Wp], so
-    the k - 1 columns a shifted view reads past each row's end add nothing.
-    Per tap, gW[:, :, u, v] += g_wide @ xp_shift^T, and W_uv^T @ g_wide is
-    added into the same shifted slice of the flat padded input gradient.
+    gx is the correlation of g, zero-padded by q = k - 1 - padding, with the
+    flipped kernel, and gW[:, :, u, v] sums g times x shifted by (u, v): both
+    read the same k*k shifted views of the padded g (im2col applied to g, not
+    x; Chellapilla et al., 2006). The frames are stacked as one tall image of
+    row width W + k - 1: frame i's x rows start at row i*(H + padding), the
+    padding rows after them are a gap, and its g rows start q rows lower.
+    Each block of rows copies the shifted views into one buffer
+    cols [k*k*C_out, L], row (u, v, o) holding g channel o shifted by (u, v).
+    Then one GEMM W_flip [C_in, k*k*C_out] @ cols gives gx, whose first W
+    columns per row are copied into the frames, and one GEMM cols @ x_wide^T
+    adds into the flipped gW; x_wide is x at the same row width, zero past
+    column W and in the gaps. A padding above k - 1 first trims g's border,
+    whose outputs see only padding. A block holds several frames when they
+    fit under _BLOCK_FLOATS and part of a frame when one does not. An
+    unpadded 1x1 conv copies nothing: gx = W^T g and gW = sum g x^T.
     """
     n, c_in, h, w = xd.shape
     c_out, _, k, _ = wd.shape
+    if k == 1 and padding == 0:
+        g3, x3 = g.reshape(n, c_out, h * w), xd.reshape(n, c_in, h * w)
+        gw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0).reshape(wd.shape)
+        if not need_gx:
+            return gw, None
+        gx = np.empty(xd.shape)
+        _tap_gemm(wd.reshape(c_out, c_in).T, g3, gx.reshape(n, c_in, h * w))
+        return gw, gx
+    trim = max(0, padding - (k - 1))
+    if trim:
+        g = g[:, :, trim:-trim, trim:-trim]
+        padding -= trim
     ho, wo = g.shape[2:]
-    hp, wp = h + 2 * padding, w + 2 * padding
-    span = ho * wp
-    taps_t = np.ascontiguousarray(wd.transpose(2, 3, 1, 0))
-    step = _chunk_frames(n, max(c_in, c_out) * hp * wp)
-    gw = np.zeros((k, k, c_out, c_in))
-    g_wide = np.zeros((step, c_out, ho, wp))
+    q = k - 1 - padding
+    wq = w + k - 1
+    period = h + padding          # tall-image rows per frame: its x rows, then a gap
+    rows = (n - 1) * period + h   # tall-image rows that hold some frame's x
+    block = max(1, min(rows, _BLOCK_FLOATS // (max(k * k * c_out, c_in) * wq)))
+    w_flip = np.ascontiguousarray(wd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0)).reshape(
+        c_in, k * k * c_out)
+    gp_buf = np.empty(c_out * ((block + k - 1) * wq + k - 1))
+    cols_buf = np.empty(k * k * c_out * block * wq)
+    xw_buf = np.empty(c_in * block * wq)
+    gx_buf = np.empty(c_in * block * wq) if need_gx else None
+    gw = np.zeros((k * k * c_out, c_in))
     gx = np.empty(xd.shape) if need_gx else None
-    if need_gx:
-        gxp = np.empty((step, c_in, hp * wp + k - 1))
-        part = np.empty((step, c_in, span))
-    for lo, hi, xp in _padded_chunks(xd, k, padding, step):
-        m = hi - lo
-        g_wide[:m, :, :, :wo] = g[lo:hi]
-        g_flat = g_wide[:m].reshape(m, c_out, span)
-        if need_gx:
-            gxp[:m] = 0.0
+    for r0 in range(0, rows, block):
+        nb = min(block, rows - r0)
+        span = nb * wq
+        gp = gp_buf[:c_out * ((nb + k - 1) * wq + k - 1)].reshape(c_out, -1)
+        gp[:] = 0.0
+        gp_rows = gp[:, :(nb + k - 1) * wq].reshape(c_out, nb + k - 1, wq)
+        xw = xw_buf[:c_in * span].reshape(c_in, nb, wq)
+        xw[:] = 0.0
+        x_rows = []   # (frame, block rows, frame rows) of the x rows in the block
+        # frame i's x rows are tall rows i*period + [0, h), its g rows i*period + q + [0, ho);
+        # the next frame's first g rows, which the last taps reach, meet only gap rows
+        for i in range(r0 // period, min(n, (r0 + nb - 1) // period + 1)):
+            top = i * period + q
+            lo, hi = max(r0, top), min(r0 + nb + k - 1, top + ho)
+            gp_rows[:, lo - r0:hi - r0, q:q + wo] = g[i, :, lo - top:hi - top]
+            top = i * period
+            lo, hi = max(r0, top), min(r0 + nb, top + h)
+            if lo < hi:
+                x_rows.append((i, slice(lo - r0, hi - r0), slice(lo - top, hi - top)))
+        for i, rb, rf in x_rows:
+            xw[:, rb, :w] = xd[i, :, rf]
+        cols = cols_buf[:k * k * c_out * span].reshape(k, k, c_out, span)
         for u in range(k):
             for v in range(k):
-                off = u * wp + v
-                shifted = xp[:, :, off:off + span]
-                gw[u, v] += np.matmul(g_flat, shifted.transpose(0, 2, 1)).sum(axis=0)
-                if need_gx:
-                    _tap_gemm(taps_t[u, v], g_flat, part[:m])
-                    gxp[:m, :, off:off + span] += part[:m]
+                cols[u, v] = gp[:, u * wq + v:u * wq + v + span]
+        cols = cols.reshape(k * k * c_out, span)
+        gw += cols @ xw.reshape(c_in, span).T
         if need_gx:
-            gx[lo:hi] = gxp[:m, :, :hp * wp].reshape(m, c_in, hp, wp)[
-                :, :, padding:padding + h, padding:padding + w]
-    return gw.transpose(2, 3, 0, 1), gx
+            gxw = _tap_gemm(w_flip, cols, gx_buf[:c_in * span].reshape(c_in, span))
+            gxw = gxw.reshape(c_in, nb, wq)
+            for i, rb, rf in x_rows:
+                gx[i, :, rf] = gxw[:, rb, :w]
+    return gw.reshape(k, k, c_out, c_in)[::-1, ::-1].transpose(2, 3, 0, 1), gx
 
 
 def _frame_columns(xd, k, stride, padding, ho, wo):
@@ -435,13 +483,15 @@ def conv2d(x, weight, stride=1, padding=0):
     x is [C_in, H, W] or [T, C_in, H, W]; a leading time axis is handled as a
     batch. weight is [C_out, C_in, k, k], bias-free.
 
-    Stride 1 builds no column buffer (the kn2row / shifted-GEMM family): the
-    frames are zero-padded into flat rows, and each of the k*k taps is one
-    GEMM on a shifted view of them (see _shifted_conv). The backward pads the
-    frames again rather than keeping them on the tape and runs two GEMMs per
-    tap on the same views, one into the weight gradient and one added into
-    the padded input gradient (see _shifted_grads). Frames go in chunks that
-    keep each buffer under 4 MiB.
+    The stride-1 forward builds no column buffer (the kn2row / shifted-GEMM
+    family): the frames are zero-padded into flat rows, and each of the k*k
+    taps is one GEMM on a shifted view of them (see _shifted_conv). The
+    backward keeps
+    nothing padded on the tape: it copies the k*k shifted views of the
+    zero-padded output gradient into one column buffer and runs two GEMMs on
+    it, one for the input gradient and one for the weight gradient (see
+    _shifted_grads); an unpadded 1x1 conv needs no copy. The forward goes in
+    chunks of frames under 4 MiB, the backward in row blocks under 1 MiB.
 
     Stride > 1 is one GEMM per frame: its columns [C_in*k*k, Ho*Wo] (k*k
     strided slices of the zero-padded frame, see _frame_columns) times the

@@ -59,12 +59,16 @@ def test_conv_matches_naive_loops(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(t=st.sampled_from([None, 1, 2, 3]), c_in=st.integers(1, 4), c_out=st.integers(1, 4),
-       k=st.sampled_from([1, 3, 5]), stride=st.integers(1, 3), padding=st.integers(0, 2),
+       k=st.sampled_from([1, 3, 5]), stride=st.integers(1, 3), data=st.data(),
        dh=st.integers(0, 6), dw=st.integers(0, 6), x_needs_grad=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_conv_forward_and_backward_match_scalar_loops(t, c_in, c_out, k, stride, padding,
+def test_conv_forward_and_backward_match_scalar_loops(t, c_in, c_out, k, stride, data,
                                                       dh, dw, x_needs_grad, seed):
-    """t None is a rank-3 input; an input that needs no gradient gets none."""
+    """t None is a rank-3 input; an input that needs no gradient gets none.
+
+    Padding runs up to k + 1, past the k - 1 at which outputs see only padding.
+    """
+    padding = data.draw(st.integers(0, k + 1), label="padding")
     rng = np.random.default_rng(seed)
     lead = () if t is None else (t,)
     x = rng.standard_normal(lead + (c_in, k + dh, k + dw))
@@ -116,14 +120,44 @@ def check_conv_against_loops(x, wt, padding, x_needs_grad=True, seed=0):
     return conv_backward
 
 
-@pytest.mark.parametrize("c_in,c_out,k,padding", [(3, 2, 3, 1), (2, 3, 1, 0), (1, 2, 3, 2)])
+def stride1_grad_rows(n, h, k, padding):
+    """(rows per frame, rows) of the tall image _shifted_grads stacks n frames into."""
+    period = h + min(padding, k - 1)
+    return period, (n - 1) * period + h
+
+
+def stride1_grad_row_floats(c_in, c_out, k, w):
+    """Floats per tall-image row in _shifted_grads' largest buffer."""
+    return max(k * k * c_out, c_in) * (w + k - 1)
+
+
+@pytest.mark.parametrize("c_in,c_out,k,padding",
+                         [(3, 2, 3, 1), (2, 3, 1, 0), (1, 2, 3, 2), (2, 1, 3, 1),
+                          (2, 2, 1, 2), (3, 2, 5, 2), (2, 3, 5, 6)])
 def test_conv_stride1_chunks_with_partial_last_chunk(monkeypatch, c_in, c_out, k, padding):
-    # 5 frames, 2 per chunk: chunks of 2, 2 and 1 frames through the same buffers
-    x = rand((5, c_in, 6, 7), seed=21)
+    # 5 frames, 2 per block: blocks of 2, 2 and 1 frames through the same buffers
+    h, w = 6, 7
+    x = rand((5, c_in, h, w), seed=21)
     wt = rand((c_out, c_in, k, k), seed=22)
-    frame_floats = max(c_in, c_out) * (6 + 2 * padding) * (7 + 2 * padding)
-    monkeypatch.setattr(tz, "_CHUNK_FLOATS", 2 * frame_floats + 1)
+    period, _ = stride1_grad_rows(5, h, k, padding)
+    monkeypatch.setattr(tz, "_BLOCK_FLOATS",
+                        2 * period * stride1_grad_row_floats(c_in, c_out, k, w))
     check_conv_against_loops(x, wt, padding, seed=23)
+
+
+@pytest.mark.parametrize("c_in,c_out,k,padding",
+                         [(3, 2, 1, 1), (2, 3, 1, 2), (2, 1, 3, 0), (2, 1, 3, 1), (3, 2, 3, 4),
+                          (2, 3, 5, 1), (2, 2, 5, 4), (1, 2, 5, 6)])
+def test_conv_stride1_splits_frames_into_row_blocks(monkeypatch, c_in, c_out, k, padding):
+    # 3 frames of 7 rows in blocks of 4 rows: blocks cut frames, and the last is partial
+    h, w, block = 7, 6, 4
+    x = rand((3, c_in, h, w), seed=32)
+    wt = rand((c_out, c_in, k, k), seed=33)
+    _, rows = stride1_grad_rows(3, h, k, padding)
+    assert rows % block
+    monkeypatch.setattr(tz, "_BLOCK_FLOATS", block * stride1_grad_row_floats(c_in, c_out, k, w))
+    check_conv_against_loops(x, wt, padding, seed=34)
+    check_conv_against_loops(x, wt, padding, x_needs_grad=False, seed=35)
 
 
 @pytest.mark.parametrize("padding", [0, 1, 2])
