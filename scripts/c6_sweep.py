@@ -3,10 +3,11 @@
 C6 (tests/test_acceptance.py) trains one init seed and checks its final mean
 depth error against a 5 cm bound. A change that only reorders a float sum
 moves that one trajectory, so a single pass or fail cannot tell a regression
-from a reordered sum. This script trains the same scene and run config for
-each seed in --seeds with the checkout's own `synth` and `train` commands and
-records every seed's final MDE, step count and wall time, plus the minimum,
-median and maximum margin to the 5 cm bound.
+from a reordered sum. This script imports C6's scene and run config from
+tests/test_acceptance.py and trains them for each seed in --seeds with the
+checkout's own `synth` and `train` commands. It records every seed's final
+MDE, step count and wall time, plus the minimum, median and maximum margin
+to the 5 cm bound.
 
     python3 scripts/c6_sweep.py --label parent
     python3 scripts/c6_sweep.py --label smoke --seeds 0 --epochs 2 --out-dir /tmp/c6
@@ -15,8 +16,9 @@ The JSON file holds `label`, `bound_cm` (5.0), `epochs`, `host`, `runs` (one
 record per seed: `seed`, `final_mde_cm`, `margin_cm`, `steps`, `wall_s`) and
 `margin_cm` (`min`, `median`, `max` over the seeds).
 
-The program is imported from the `src/` beside this script, with one BLAS
-thread unless OPENBLAS_NUM_THREADS says otherwise. Each run trains in a
+The program and the test module (which needs numpy and pytest) are imported
+from the `src/` and `tests/` beside this script, and the commands run with one
+BLAS thread unless OPENBLAS_NUM_THREADS says otherwise. Each run trains in a
 temporary directory that is removed afterwards.
 """
 
@@ -34,28 +36,17 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 BOUND_CM = 5.0
 
-# the README scene and run config, as tests/test_acceptance.py writes them
-SCENE = """\
-seed = 12
-height = 64
-width = 64
-n_windows = 8
-window_len_us = 50000
-camera_velocity = 80.0
-contrast_threshold = 0.4
-baseline_px = 16.0
-noise_rate_hz = 0.0
-plane.0 = 1.0, 0, 0, 64, 32, 8.0
-plane.1 = 2.0, 0, 32, 64, 32, 8.0
-"""
+# C6's own scene and run config, so that the sweep trains the run C6 checks
+sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
+from test_acceptance import OVERFIT_CFG, OVERFIT_SCENE  # noqa: E402
 
-RUN_CFG = """\
-seed = {seed}
-ssi_sign = plus
-lambda_reg = 2.0
-epochs = {epochs}
-val_fraction = 0.0
-"""
+C6_CFG = dict(line.split(" = ", 1) for line in OVERFIT_CFG.splitlines())
+
+
+def run_cfg(seed, epochs):
+    """OVERFIT_CFG with its seed and epochs replaced, in the same order."""
+    cfg = dict(C6_CFG, seed=str(seed), epochs=str(epochs))
+    return "".join("%s = %s\n" % kv for kv in cfg.items())
 
 
 def _cli(*args):
@@ -84,7 +75,7 @@ def _last_value(text, key):
 def train_seed(root, data, seed, epochs):
     """One C6 training run; returns its record."""
     cfg = root / ("run%d.cfg" % seed)
-    cfg.write_text(RUN_CFG.format(seed=seed, epochs=epochs))
+    cfg.write_text(run_cfg(seed, epochs))
     out = root / ("out%d" % seed)
     t0 = time.monotonic()
     _cli("train", "--config", str(cfg), "--data", str(data), "--out", str(out))
@@ -100,8 +91,8 @@ def main(argv=None):
     ap.add_argument("--label", required=True, help="names the output BENCH_c6_<label>.json")
     ap.add_argument("--seeds", type=int, nargs="+", default=list(range(8)),
                     help="init seeds to train (default 0-7)")
-    ap.add_argument("--epochs", type=int, default=160,
-                    help="epochs per run (default 160, the README config)")
+    ap.add_argument("--epochs", type=int, default=int(C6_CFG["epochs"]),
+                    help="epochs per run (default %s, C6's)" % C6_CFG["epochs"])
     ap.add_argument("--out-dir", type=Path, default=REPO,
                     help="directory for the JSON file (default the repo root)")
     args = ap.parse_args(argv)
@@ -109,7 +100,7 @@ def main(argv=None):
     runs = []
     with tempfile.TemporaryDirectory(prefix="c6_sweep-") as tmp:
         root = Path(tmp)
-        (root / "scene.txt").write_text(SCENE)
+        (root / "scene.txt").write_text(OVERFIT_SCENE)
         data = root / "data"
         _cli("synth", "--spec", str(root / "scene.txt"), "--out", str(data))
         for seed in args.seeds:

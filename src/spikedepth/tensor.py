@@ -265,17 +265,11 @@ def conv_out_size(size, k, stride, padding, axis_name):
     return span // stride + 1
 
 
-# Frames per stride-1 forward chunk: each chunk buffer stays under the 4 MiB from which
-# numpy asks for huge pages, so small frames share one batched GEMM per tap and
-# sensor-size frames go one at a time.
+# Size of each stride-1 conv buffer: each stays under the 4 MiB from which numpy asks
+# for huge pages. Forward chunks hold whole frames, so small frames share one batched
+# GEMM per tap and sensor-size frames go one at a time; backward blocks hold rows of the
+# tall image, several small frames or a row block of one large frame.
 _CHUNK_FLOATS = (4 << 20) // 8
-
-# Size of each stride-1 backward buffer, the column block above all: as many tall-image
-# rows as fit in 1 MiB, several small frames or a row block of one large frame. The block
-# is read by two GEMMs right after it is filled, and at 1 MiB it and their other operands
-# stay in a 2 MiB L2 cache: on such a Xeon the 2->1 gate conv at 272x352 took 7-10 ms per
-# backward call at 0.5-1 MiB against 15-16 ms at 4 MiB.
-_BLOCK_FLOATS = (1 << 20) // 8
 
 
 def _chunk_frames(n, frame_floats):
@@ -360,7 +354,7 @@ def _shifted_grads(xd, wd, g, padding, need_gx):
     adds into the flipped gW; x_wide is x at the same row width, zero past
     column W and in the gaps. A padding above k - 1 first trims g's border,
     whose outputs see only padding. A block holds several frames when they
-    fit under _BLOCK_FLOATS and part of a frame when one does not. An
+    fit under _CHUNK_FLOATS and part of a frame when one does not. An
     unpadded 1x1 conv copies nothing: gx = W^T g and gW = sum g x^T.
     """
     n, c_in, h, w = xd.shape
@@ -382,7 +376,7 @@ def _shifted_grads(xd, wd, g, padding, need_gx):
     wq = w + k - 1
     period = h + padding          # tall-image rows per frame: its x rows, then a gap
     rows = (n - 1) * period + h   # tall-image rows that hold some frame's x
-    block = max(1, min(rows, _BLOCK_FLOATS // (max(k * k * c_out, c_in) * wq)))
+    block = max(1, min(rows, _CHUNK_FLOATS // (max(k * k * c_out, c_in) * wq)))
     w_flip = np.ascontiguousarray(wd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0)).reshape(
         c_in, k * k * c_out)
     gp_buf = np.empty(c_out * ((block + k - 1) * wq + k - 1))
@@ -486,12 +480,12 @@ def conv2d(x, weight, stride=1, padding=0):
     The stride-1 forward builds no column buffer (the kn2row / shifted-GEMM
     family): the frames are zero-padded into flat rows, and each of the k*k
     taps is one GEMM on a shifted view of them (see _shifted_conv). The
-    backward keeps
-    nothing padded on the tape: it copies the k*k shifted views of the
-    zero-padded output gradient into one column buffer and runs two GEMMs on
-    it, one for the input gradient and one for the weight gradient (see
-    _shifted_grads); an unpadded 1x1 conv needs no copy. The forward goes in
-    chunks of frames under 4 MiB, the backward in row blocks under 1 MiB.
+    backward keeps nothing padded on the tape: it copies the k*k shifted
+    views of the zero-padded output gradient into one column buffer and runs
+    two GEMMs on it, one for the input gradient and one for the weight
+    gradient (see _shifted_grads); an unpadded 1x1 conv needs no copy. The
+    forward goes in chunks of frames and the backward in row blocks, each
+    buffer under 4 MiB.
 
     Stride > 1 is one GEMM per frame: its columns [C_in*k*k, Ho*Wo] (k*k
     strided slices of the zero-padded frame, see _frame_columns) times the

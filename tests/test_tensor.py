@@ -135,12 +135,16 @@ def stride1_grad_row_floats(c_in, c_out, k, w):
                          [(3, 2, 3, 1), (2, 3, 1, 0), (1, 2, 3, 2), (2, 1, 3, 1),
                           (2, 2, 1, 2), (3, 2, 5, 2), (2, 3, 5, 6)])
 def test_conv_stride1_chunks_with_partial_last_chunk(monkeypatch, c_in, c_out, k, padding):
-    # 5 frames, 2 per block: blocks of 2, 2 and 1 frames through the same buffers
+    # 5 frames, 2 per forward chunk, then 2 per backward block: chunks or blocks of 2, 2
+    # and 1 frames through the same buffers
     h, w = 6, 7
     x = rand((5, c_in, h, w), seed=21)
     wt = rand((c_out, c_in, k, k), seed=22)
+    monkeypatch.setattr(tz, "_CHUNK_FLOATS",
+                        2 * max(c_in, c_out) * (h + 2 * padding) * (w + 2 * padding) + 1)
+    check_conv_against_loops(x, wt, padding, seed=23)
     period, _ = stride1_grad_rows(5, h, k, padding)
-    monkeypatch.setattr(tz, "_BLOCK_FLOATS",
+    monkeypatch.setattr(tz, "_CHUNK_FLOATS",
                         2 * period * stride1_grad_row_floats(c_in, c_out, k, w))
     check_conv_against_loops(x, wt, padding, seed=23)
 
@@ -155,7 +159,7 @@ def test_conv_stride1_splits_frames_into_row_blocks(monkeypatch, c_in, c_out, k,
     wt = rand((c_out, c_in, k, k), seed=33)
     _, rows = stride1_grad_rows(3, h, k, padding)
     assert rows % block
-    monkeypatch.setattr(tz, "_BLOCK_FLOATS", block * stride1_grad_row_floats(c_in, c_out, k, w))
+    monkeypatch.setattr(tz, "_CHUNK_FLOATS", block * stride1_grad_row_floats(c_in, c_out, k, w))
     check_conv_against_loops(x, wt, padding, seed=34)
     check_conv_against_loops(x, wt, padding, x_needs_grad=False, seed=35)
 
