@@ -443,7 +443,8 @@ def _write_pgm(path, data, max_depth):
         top = float(data.max())
         max_depth = top if top > 0 else 1.0
     h, w = data.shape
-    gray = np.clip(np.rint(data / max_depth * 255.0), 0, 255).astype(np.int64)
+    # clipped before the division, which then cannot overflow
+    gray = np.rint(np.clip(data, 0.0, max_depth) / max_depth * 255.0).astype(np.int64)
     lines = ["P2", "%d %d" % (w, h), "255"]
     for row in gray:
         lines.append(" ".join(str(v) for v in row))

@@ -12,13 +12,13 @@ attention sits and which tensor propagates:
   DE-Att2  conv -> attention -> IF, spike train propagates
 
 Residual blocks (IF, conv, IF, conv, attention, plus identity) keep the
-bottleneck scale. Decoder blocks upsample by 2 (nearest), gate with
-attention, 3x3 conv, IF; the spike train plus the matching-scale skip tensor
-feeds the next layer. Skips are elementwise sums, and the full-resolution
-skip is the network input itself. Each decoder layer also taps the upsampled
-tensor through a 1x1 conv into an integrator population whose membrane after
-step T is that scale's depth map. The final depth is the last layer's
-membrane cropped back to the input geometry.
+bottleneck scale. Each decoder layer upsamples by 2 (nearest) and taps the
+upsampled tensor through a 1x1 conv into an integrator population whose
+membrane after step T is that scale's depth map. Every layer but the last
+then gates with attention, 3x3 conv, IF, and adds the matching encoder
+output as an elementwise skip; that sum feeds the next layer. The last layer
+is upsample -> head -> integrator, and its membrane cropped back to the
+input geometry is the final depth.
 
 Every weight's name and shape comes from one table, `param_shapes(config)`
 (with `attention.weight_shapes` for each gating site): DepthNet fills its
@@ -30,7 +30,7 @@ A forward tallies its cost in one `Counts` record as it runs: spikes and
 neuron-steps per block group as each spiking population fires (integrator
 heads never fire), accumulate ops for every conv that reads a binary spike
 tensor (counted from the actual spike positions), and the dense
-multiply-accumulate total the same network would spend with no sparsity.
+multiply-accumulate total of the work that feeds the depth output.
 """
 
 import os
@@ -257,14 +257,13 @@ class DecoderBlock:
         self.head_neuron = cfg.integrator_params()
 
     def forward(self, x, skip, counts):
+        """(skip + spikes, depth map), or (None, depth map) with no skip."""
         up = tz.nearest_upsample(x, 2)
-        if skip.data.shape[0] != up.data.shape[0]:
-            raise tz.DimensionError("skip time axis %d does not match %d"
-                                    % (skip.data.shape[0], up.data.shape[0]))
         head_in = self.head(up, counts)
         _, membrane = nr.if_run(head_in, self.head_neuron)
-        h, w = membrane.data.shape[-2], membrane.data.shape[-1]
-        pred = tz.reshape(membrane, (h, w))
+        pred = tz.reshape(membrane, membrane.data.shape[-2:])
+        if skip is None:
+            return None, pred
         counts.attention(self.att, up.data.shape)
         gated = at.tcsa(up, self.att)
         y = self.conv(gated, counts)
@@ -319,7 +318,7 @@ class DepthNet:
         padded = tz.pad_bottom_right(x, (-h) % mult, (-w) % mult)
         padded.is_spike = x.is_spike
 
-        skips = [padded]
+        skips = [None]  # the last decoder layer joins no skip
         cur = padded
         for block in self.encoders:
             cur = block.forward(cur, counts)

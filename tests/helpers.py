@@ -400,7 +400,8 @@ def events_equal(a, b):
 
 def spike_trains(model, x):
     """Run model.forward(x); returns its output and the spike trains of its
-    spiking populations by block group, captured by wrapping nr.if_run."""
+    spiking populations by block group, captured by wrapping nr.if_run. The
+    last decoder layer stops at its depth head, so it fires no population."""
     trains = []
     run = nr.if_run
 
@@ -413,7 +414,7 @@ def spike_trains(model, x):
     with mock.patch.object(nr, "if_run", capture):
         out = model.forward(x)
     n_enc, n_res = len(model.encoders), 2 * len(model.residuals)
-    assert len(trains) == n_enc + n_res + len(model.decoders)
+    assert len(trains) == n_enc + n_res + len(model.decoders) - 1
     return out, {"encoder": trains[:n_enc], "residual": trains[n_enc:n_enc + n_res],
                  "decoder": trains[n_enc + n_res:]}
 

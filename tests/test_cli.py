@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikedepth import cli
 from spikedepth import events as ev
 from spikedepth import model as md
 from spikedepth import neurons as nr
@@ -579,6 +580,29 @@ def test_predict_zero_events_is_black(tmp_path, capsys):
     assert set(pixels) == {0}
 
 
+def pgm_pixels(path):
+    return [int(v) for line in read_text(path).strip().split("\n")[3:] for v in line.split()]
+
+
+def test_pgm_clips_before_scaling(tmp_path):
+    # clipping to [0, max_depth] first keeps a tiny max_depth or a huge
+    # negative map from overflowing, and an ordinary map's gray levels are
+    # those of scaling first and clipping after
+    path = str(tmp_path / "x.pgm")
+    data = np.array([[-5e305, 0.0, 0.25], [0.5, 1.0, 3e307]])
+    for max_depth, want in ((None, [0, 0, 0, 0, 0, 255]),
+                            (1.0, [0, 0, 64, 128, 255, 255]),
+                            (1e-307, [0, 0, 255, 255, 255, 255])):
+        cli._write_pgm(path, data, max_depth)
+        assert pgm_pixels(path) == want
+    data = np.random.default_rng(3).normal(1.0, 2.0, (9, 11))
+    for max_depth in (None, 0.5, 2.0, 7.0):
+        cli._write_pgm(path, data, max_depth)
+        scale = data.max() if max_depth is None else max_depth
+        want = np.clip(np.rint(data / scale * 255.0), 0, 255).astype(np.int64)
+        assert pgm_pixels(path) == want.ravel().tolist()
+
+
 def test_predict_grid_roundtrips_exactly(trained, dataset, tmp_path, capsys):
     ckpt = os.path.join(trained["out"], "last.spkc")
     prefix = str(tmp_path / "pred")
@@ -722,26 +746,33 @@ def test_mutated_checkpoint_loads_or_is_exit_2(fuzz_dir, dataset, edit, pos, dat
 
 def test_huge_finite_weight_is_exit_2_without_warnings(fuzz_dir, dataset, tmp_path, capsys):
     # eval and inspect leave float64 range in the loss, which squares the
-    # residual, at 1e300; there predict's depth map is still finite (about
-    # -1e302). Its forward leaves the range at 1e305.
-    prefix = str(tmp_path / "p")
-    predict = ["predict", "--events", os.path.join(dataset, "events_left.csv"),
-               "--events-right", os.path.join(dataset, "events_right.csv"),
-               "--window-len", "50000", "--out", prefix]
+    # residual, at 1e300. predict's forward leaves it at 1e306; at 1e305 its
+    # depth map is still finite (about -1e307), and predict writes it, the
+    # gray levels of the .pgm included, without a warning.
+    def predict(prefix):
+        return ["predict", "--events", os.path.join(dataset, "events_left.csv"),
+                "--events-right", os.path.join(dataset, "events_right.csv"),
+                "--window-len", "50000", "--out", str(tmp_path / prefix)]
+
     path = fuzz_dir / "huge.spkc"
-    for value, argv in ((1e300, ["eval", "--data", dataset]),
-                        (1e300, ["inspect", "--data", dataset]),
-                        (1e305, predict)):
+    for value, argv, code in ((1e300, ["eval", "--data", dataset], 2),
+                              (1e300, ["inspect", "--data", dataset], 2),
+                              (1e305, predict("finite"), 0),
+                              (1e306, predict("p"), 2)):
         entries = md.load_checkpoint(fuzz_dir / "model.spkc")
         entries["param.enc0.conv"] = np.full_like(entries["param.enc0.conv"], value)
         md.save_checkpoint(path, entries)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(argv + ["--model", str(path)]) == 2
+            assert main(argv + ["--model", str(path)]) == code
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "huge.spkc" in err
-    assert not os.path.exists(prefix + ".txt") and not os.path.exists(prefix + ".pgm")
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "huge.spkc" in err
+    assert os.path.exists(tmp_path / "finite.txt") and os.path.exists(tmp_path / "finite.pgm")
+    assert not os.path.exists(tmp_path / "p.txt") and not os.path.exists(tmp_path / "p.pgm")
 
 
 def test_non_finite_depth_map_is_exit_2_and_writes_nothing(fuzz_dir, dataset, tmp_path,

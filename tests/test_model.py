@@ -1,4 +1,5 @@
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -243,22 +244,53 @@ def test_forward_deterministic_replay():
 
 
 def test_default_forward_tape_has_one_entry_per_if_population():
-    # 12 spiking populations and 4 integrator heads are one entry each, and so
-    # is each channel and spatial gate of the ten attention sites; the input
-    # requires a gradient, so enc0's attention over it is taped too
+    # 11 spiking populations and 4 integrator heads are one entry each, and so
+    # is each channel and spatial gate of the nine attention sites (the last
+    # decoder layer has none); the input requires a gradient, so enc0's
+    # attention over it is taped too
     net = md.DepthNet(md.ModelConfig(), seed=0)
     x = tz.Tensor(rand((5, 4, 64, 64), seed=14, lo=0.0, hi=2.0), requires_grad=True)
     with tz.Tape() as tape:
         net.forward(x)
     kinds = [bw.__qualname__.split(".<locals>")[0] for _, _, bw in tape._ops]
-    assert kinds.count("if_run") == 16
-    assert kinds.count("_mlp_gate") == kinds.count("spatial_attention") == 10
-    assert len(tape) == 66
+    assert kinds.count("if_run") == 15
+    assert kinds.count("_mlp_gate") == kinds.count("spatial_attention") == 9
+    assert len(tape) == 61
 
 
-@pytest.mark.parametrize("multiscale, entries", [(False, 67), (True, 73)])
+def test_last_decoder_block_stops_at_its_head():
+    # at the input scale only the depth head reads the upsampled tensor: no
+    # gate, conv or IF population runs there, so their weights get no gradient
+    # even when every scale's prediction is in the loss
+    net = md.DepthNet(small_cfg(neuron_mode="smooth"), seed=11)
+    x = tz.Tensor(rand((2, 2, 32, 32), seed=19, lo=0.0, hi=3.0))
+    ups = []
+    upsample = tz.nearest_upsample
+
+    def capture(a, factor):
+        ups.append(upsample(a, factor))
+        return ups[-1]
+
+    net.params.zero_grad()
+    with tz.Tape() as tape, mock.patch.object(tz, "nearest_upsample", capture):
+        (_, preds, stats), trains = spike_trains(net, x)
+        loss = sum_all(mul(preds[0], preds[0]))
+        for p in preds[1:]:
+            loss = tz.add(loss, sum_all(mul(p, p)))
+    assert len(ups) == len(net.decoders)
+    readers = [inputs for _, inputs, _ in tape._ops if any(t is ups[-1] for t in inputs)]
+    assert len(readers) == 1 and net.decoders[-1].head.weight in readers[0]
+    assert len(trains["decoder"]) == len(net.decoders) - 1
+    assert stats.decoder_steps == sum(s.data.size for s in trains["decoder"])
+    tz.backward(loss, tape)
+    last = "dec%d." % (len(net.decoders) - 1)
+    dead = {name for name, p in net.params if not p.grad.any()}
+    assert dead == {last + "conv"} | {last + "att." + n for n in net.decoders[-1].att.weights}
+
+
+@pytest.mark.parametrize("multiscale, entries", [(False, 62), (True, 68)])
 def test_default_training_step_tape_has_one_loss_entry_per_scale(multiscale, entries):
-    # the 66 forward entries above, then one total_loss per supervised scale
+    # the 61 forward entries above, then one total_loss per supervised scale
     # and one add joining each extra scale
     cfg = md.ModelConfig()
     net = md.DepthNet(cfg, seed=0)
