@@ -95,7 +95,7 @@ def _module_input(x, params, letter):
 def _sigmoid(z):
     """Numerically stable logistic; saturates to 0/1 without overflow."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _linear_grads(g, v, w):

@@ -11,14 +11,20 @@ attention sits and which tensor propagates:
   DE-Att1  attention -> conv -> IF, spike train propagates
   DE-Att2  conv -> attention -> IF, spike train propagates
 
+In the CE variants the spikes reach only the counts, so their population
+runs on an untaped view of the conv output and keeps nothing on the tape.
+
 Residual blocks (IF, conv, IF, conv, attention, plus identity) keep the
-bottleneck scale. Each decoder layer upsamples by 2 (nearest) and taps the
-upsampled tensor through a 1x1 conv into an integrator population whose
-membrane after step T is that scale's depth map. Every layer but the last
-then gates with attention, 3x3 conv, IF, and adds the matching encoder
-output as an elementwise skip; that sum feeds the next layer. The last layer
-is upsample -> head -> integrator, and its membrane cropped back to the
-input geometry is the final depth.
+bottleneck scale. Each decoder layer predicts its scale's depth map with a
+1x1 conv head into an integrator population, whose membrane after step T,
+upsampled by 2 (nearest), is that map. The head and the integrator run on
+the layer's input before the upsample: a 1x1 conv and a sum over steps
+commute with nearest upsampling, so the map is the one a head on the
+upsampled input would give, from a quarter of the pixels. Every layer but
+the last then upsamples its input by 2, gates it with attention, 3x3 conv,
+IF, and adds the matching encoder output as an elementwise skip; that sum
+feeds the next layer. The last layer is head -> integrator -> upsample, and
+its map cropped back to the input geometry is the final depth.
 
 Every weight's name and shape comes from one table, `param_shapes(config)`
 (with `attention.weight_shapes` for each gating site): DepthNet fills its
@@ -30,7 +36,9 @@ A forward tallies its cost in one `Counts` record as it runs: spikes and
 neuron-steps per block group as each spiking population fires (integrator
 heads never fire), accumulate ops for every conv that reads a binary spike
 tensor (counted from the actual spike positions), and the dense
-multiply-accumulate total of the work that feeds the depth output.
+multiply-accumulate total of the work that feeds the depth output. Dense
+MACs are the architecture's cost: each head counts at the upsampled
+resolution it predicts, not at the input resolution it runs on.
 """
 
 import os
@@ -129,13 +137,18 @@ class Counts:
                 getattr(self, group + "_spikes") + float(spikes.data.sum()))
         setattr(self, group + "_steps", getattr(self, group + "_steps") + spikes.data.size)
 
-    def conv(self, x, weight, stride, padding, out):
-        """Dense MACs of one conv, plus its ACs when the input is a spike tensor."""
+    def conv(self, x, weight, stride, padding, out, upsample=1):
+        """Dense MACs of one conv, plus its ACs when the input is a spike tensor.
+
+        A 1x1 conv run before an f x f nearest upsample counts as run after
+        it (upsample = f): f*f times the MACs and ACs it spends.
+        """
         c_out, c_in, k, _ = weight.data.shape
         ho, wo = out.data.shape[-2:]
-        self.dense_macs += x.data.shape[0] * c_out * ho * wo * c_in * k * k
+        area = upsample * upsample
+        self.dense_macs += area * x.data.shape[0] * c_out * ho * wo * c_in * k * k
         if x.is_spike:
-            self.ac_ops += c_out * _spike_incidences(x.data, k, stride, padding)
+            self.ac_ops += area * c_out * _spike_incidences(x.data, k, stride, padding)
 
     def attention(self, params, x_shape):
         """Dense MACs of one TCSA site: two MLP layers per pooled branch (per
@@ -196,9 +209,9 @@ class _ConvLayer:
         self.stride = stride
         self.padding = (self.weight.data.shape[-1] - 1) // 2
 
-    def __call__(self, x, counts):
+    def __call__(self, x, counts, upsample=1):
         out = tz.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
-        counts.conv(x, self.weight, self.stride, self.padding, out)
+        counts.conv(x, self.weight, self.stride, self.padding, out, upsample)
         if self.bias is not None:
             out = tz.add(out, tz.reshape(self.bias, (1, -1, 1, 1)))
         return out
@@ -222,9 +235,12 @@ class EncoderBlock:
         if self.variant == "DE-Att2":
             counts.attention(self.att, y.data.shape)
             y = at.tcsa(y, self.att)
-        spikes, _ = nr.if_run(y, self.neuron)
+        de = self.variant.startswith("DE")
+        # a CE block propagates y, so its spikes reach only the counts: fired
+        # from an untaped view of y, the population keeps nothing on the tape
+        spikes, _ = nr.if_run(y if de else Tensor(y.data), self.neuron)
         counts.fire("encoder", spikes)
-        return spikes if self.variant.startswith("DE") else y
+        return spikes if de else y
 
 
 class ResidualBlock:
@@ -257,13 +273,18 @@ class DecoderBlock:
         self.head_neuron = cfg.integrator_params()
 
     def forward(self, x, skip, counts):
-        """(skip + spikes, depth map), or (None, depth map) with no skip."""
-        up = tz.nearest_upsample(x, 2)
-        head_in = self.head(up, counts)
+        """(skip + spikes, depth map), or (None, depth map) with no skip.
+
+        The head and its integrator run on x, and their membrane map is
+        upsampled, so no [T, C] tensor at the upsampled scale is made for
+        the head alone.
+        """
+        head_in = self.head(x, counts, upsample=2)
         _, membrane = nr.if_run(head_in, self.head_neuron)
-        pred = tz.reshape(membrane, membrane.data.shape[-2:])
+        pred = tz.nearest_upsample(tz.reshape(membrane, membrane.data.shape[-2:]), 2)
         if skip is None:
             return None, pred
+        up = tz.nearest_upsample(x, 2)
         counts.attention(self.att, up.data.shape)
         gated = at.tcsa(up, self.att)
         y = self.conv(gated, counts)

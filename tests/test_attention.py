@@ -65,6 +65,17 @@ def test_gates_bound_magnitudes():
     assert (ratio > 0).all() and (ratio < 1).all()
 
 
+def test_sigmoid_matches_the_two_branch_form_bit_for_bit():
+    # one division over a selected numerator, against 1/(1+e) and e/(1+e) per sign
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.2, -745.2, 709.8, -709.8,
+               36.8, -36.8, 1e-300, -1e-300, 5e-324, -5e-324]
+    z = np.concatenate([special, rand((4000,), seed=40) * 50.0,
+                        np.random.default_rng(41).standard_normal(4000)])
+    e = np.exp(-np.abs(z))
+    want = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    np.testing.assert_array_equal(at._sigmoid(z).view(np.uint64), want.view(np.uint64))
+
+
 def test_temporal_gate_is_scalar_per_step():
     x = rand((4, 6, 5, 5), seed=7)
     p = rand_params("T", seed=8)

@@ -1,5 +1,4 @@
 import os
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -243,43 +242,74 @@ def test_forward_deterministic_replay():
     assert s1 == s2
 
 
+def tape_kinds(entries):
+    return [bw.__qualname__.split(".<locals>")[0] for _, _, bw in entries]
+
+
 def test_default_forward_tape_has_one_entry_per_if_population():
-    # 11 spiking populations and 4 integrator heads are one entry each, and so
-    # is each channel and spatial gate of the nine attention sites (the last
-    # decoder layer has none); the input requires a gradient, so enc0's
-    # attention over it is taped too
+    # the 7 residual and decoder populations and the 4 integrator heads are one
+    # entry each (the CE-Att encoder populations feed only the counts and stay
+    # off the tape), and so is each channel and spatial gate of the nine
+    # attention sites (the last decoder layer has none); the input requires a
+    # gradient, so enc0's attention over it is taped too
     net = md.DepthNet(md.ModelConfig(), seed=0)
     x = tz.Tensor(rand((5, 4, 64, 64), seed=14, lo=0.0, hi=2.0), requires_grad=True)
     with tz.Tape() as tape:
         net.forward(x)
-    kinds = [bw.__qualname__.split(".<locals>")[0] for _, _, bw in tape._ops]
-    assert kinds.count("if_run") == 15
+    kinds = tape_kinds(tape._ops)
+    assert kinds.count("if_run") == 11
     assert kinds.count("_mlp_gate") == kinds.count("spatial_attention") == 9
-    assert len(tape) == 61
+    assert len(tape) == 60
+
+
+def record_entries(blk, tape):
+    """Wrap blk.forward so that each call appends the tape entries it records."""
+    entries = []
+
+    def traced(*args, fwd=blk.forward):
+        lo = len(tape)
+        out = fwd(*args)
+        entries.append(tape._ops[lo:])
+        return out
+
+    blk.forward = traced
+    return entries
+
+
+@pytest.mark.parametrize("variant", md.ENCODER_VARIANTS)
+def test_ce_encoder_populations_are_off_the_tape(variant):
+    # a CE block propagates its conv output, so its spikes feed only the counts;
+    # a DE block propagates its spikes, and their population stays taped
+    net = md.DepthNet(small_cfg(encoder_variant=variant), seed=12)
+    x = tz.Tensor(rand((2, 2, 32, 32), seed=20, lo=0.0, hi=3.0), requires_grad=True)
+    with tz.Tape() as tape:
+        per_block = [record_entries(blk, tape) for blk in net.encoders]
+        (_, _, stats), trains = spike_trains(net, x)
+    taped = [tape_kinds(entries).count("if_run") for [entries] in per_block]
+    assert taped == [0 if variant.startswith("CE") else 1] * len(net.encoders)
+    assert stats.encoder_steps == sum(s.data.size for s in trains["encoder"]) > 0
 
 
 def test_last_decoder_block_stops_at_its_head():
-    # at the input scale only the depth head reads the upsampled tensor: no
-    # gate, conv or IF population runs there, so their weights get no gradient
-    # even when every scale's prediction is in the loss
+    # at the input scale only the head's membrane map is upsampled: no gate,
+    # conv or IF population runs there, and the head runs before the upsample,
+    # so no 4-D tensor at the input resolution is on the tape; the weights of
+    # the layer's unused gate and conv get no gradient even when every scale's
+    # prediction is in the loss
     net = md.DepthNet(small_cfg(neuron_mode="smooth"), seed=11)
     x = tz.Tensor(rand((2, 2, 32, 32), seed=19, lo=0.0, hi=3.0))
-    ups = []
-    upsample = tz.nearest_upsample
-
-    def capture(a, factor):
-        ups.append(upsample(a, factor))
-        return ups[-1]
-
     net.params.zero_grad()
-    with tz.Tape() as tape, mock.patch.object(tz, "nearest_upsample", capture):
+    with tz.Tape() as tape:
+        calls = record_entries(net.decoders[-1], tape)
         (_, preds, stats), trains = spike_trains(net, x)
         loss = sum_all(mul(preds[0], preds[0]))
         for p in preds[1:]:
             loss = tz.add(loss, sum_all(mul(p, p)))
-    assert len(ups) == len(net.decoders)
-    readers = [inputs for _, inputs, _ in tape._ops if any(t is ups[-1] for t in inputs)]
-    assert len(readers) == 1 and net.decoders[-1].head.weight in readers[0]
+    [last_entries] = calls
+    assert tape_kinds(last_entries) == ["conv2d", "if_run", "reshape", "nearest_upsample"]
+    held = [t.data.shape for outputs, inputs, _ in last_entries for t in outputs + inputs]
+    assert (2, 2, 16, 16) in held and not [s for s in held if len(s) == 4 and s[-1] == 32]
+    assert last_entries[-1][0][0] is preds[-1] and preds[-1].data.shape == (32, 32)
     assert len(trains["decoder"]) == len(net.decoders) - 1
     assert stats.decoder_steps == sum(s.data.size for s in trains["decoder"])
     tz.backward(loss, tape)
@@ -288,9 +318,9 @@ def test_last_decoder_block_stops_at_its_head():
     assert dead == {last + "conv"} | {last + "att." + n for n in net.decoders[-1].att.weights}
 
 
-@pytest.mark.parametrize("multiscale, entries", [(False, 62), (True, 68)])
+@pytest.mark.parametrize("multiscale, entries", [(False, 61), (True, 67)])
 def test_default_training_step_tape_has_one_loss_entry_per_scale(multiscale, entries):
-    # the 61 forward entries above, then one total_loss per supervised scale
+    # the 60 forward entries above, then one total_loss per supervised scale
     # and one add joining each extra scale
     cfg = md.ModelConfig()
     net = md.DepthNet(cfg, seed=0)
@@ -300,7 +330,7 @@ def test_default_training_step_tape_has_one_loss_entry_per_scale(multiscale, ent
     with tz.Tape() as tape:
         depth, preds, _ = net.forward(x)
         cli.window_loss(depth, preds, gt, ls.LossConfig(), multiscale, cfg.layers)
-    kinds = [bw.__qualname__.split(".<locals>")[0] for _, _, bw in tape._ops]
+    kinds = tape_kinds(tape._ops)
     assert kinds.count("total_loss") == (cfg.layers if multiscale else 1)
     assert len(tape) == entries
 
@@ -373,6 +403,46 @@ def test_ac_ops_exact_against_brute_force():
     assert got == brute_incidences(x, 3, 2, 1)
     got1 = md._spike_incidences(x, 1, 1, 0)
     assert got1 == brute_incidences(x, 1, 1, 0)
+
+
+def architecture_macs(cfg):
+    """Dense MACs of one forward from the weight table alone: every conv and
+    gating site at the scale it works at, each depth head at the scale it
+    predicts, and nothing for the last decoder layer's unused gate and conv."""
+    mult = 1 << cfg.layers
+    h, w = (-(-n // mult) * mult for n in (cfg.height, cfg.width))  # padded input
+    t, last = cfg.time_steps, "dec%d." % (cfg.layers - 1)
+    total = 0
+    for name, shape in md.param_shapes(cfg).items():
+        block, rest = name.split(".", 1)
+        i = int(block[3:])
+        if rest.endswith("_bias") or name.startswith(last) and rest != "head":
+            continue
+        if block.startswith("enc"):  # stride 2: the conv works at scale i + 1
+            scale = i + 1 if rest == "conv" or cfg.encoder_variant == "DE-Att2" else i
+        elif block.startswith("res"):
+            scale = cfg.layers
+        else:  # decoder layer i works at, and predicts, its upsampled scale
+            scale = cfg.layers - 1 - i
+        pixels = (h >> scale) * (w >> scale)
+        size = int(np.prod(shape))
+        if rest.startswith("att.t_"):    # avg and max pools through each MLP weight
+            total += 2 * size
+        elif rest.startswith("att.c_"):  # the same, per step
+            total += 2 * t * size
+        else:                            # a conv, the gate's 2 -> 1 conv included
+            total += t * pixels * size
+    return total
+
+
+@pytest.mark.parametrize("height, width, want", [(64, 64, 36_608_640), (260, 346, None)])
+def test_dense_macs_are_the_architecture_cost(height, width, want):
+    cfg = md.ModelConfig(height=height, width=width)
+    if want is not None:
+        assert architecture_macs(cfg) == want
+    net = md.DepthNet(cfg, seed=0)
+    _, _, counts = net.forward(tz.Tensor(np.zeros((5, 4, height, width))))
+    assert counts.dense_macs == architecture_macs(cfg)
 
 
 def test_op_counts_dense_is_input_independent():
