@@ -165,13 +165,13 @@ def spatial_attention(x, params):
     maps = np.empty((t, 2, h, w))
     np.mean(xd, axis=1, out=maps[:, 0])
     np.max(xd, axis=1, out=maps[:, 1])
-    gate = _sigmoid(tz._shifted_conv(maps, wd, 1))
+    gate = _sigmoid(tz._shifted_conv(maps, wd))
     out = Tensor(xd * gate)
 
     def bw(g):
         # the channel sum of g * x without a [T, C, H, W] product
         gz = np.einsum("tchw,tchw->thw", g, xd)[:, None] * gate * (1.0 - gate)
-        gw, gmaps = tz._shifted_grads(maps, wd, gz, 1, x.requires_grad)
+        gw, gmaps = tz._shifted_grads(maps, wd, gz, x.requires_grad)
         if gmaps is None:
             return None, gw
         gx = np.empty(xd.shape)

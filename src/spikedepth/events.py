@@ -151,8 +151,6 @@ def parse_events(text):
     The text is encoded once and scanned block by block; each block's records
     go straight into four int64 columns sized from the newline count.
     """
-    if hasattr(text, "read"):
-        text = text.read()
     raw = (text if text.endswith("\n") else text + "\n").encode()
     head = EVENT_HEADER.encode() + b"\n"
     if not raw.startswith(head):
@@ -296,8 +294,6 @@ def align_ground_truth(frames, window_start, window_len):
 
 
 def parse_depth_frame(text):
-    if hasattr(text, "read"):
-        text = text.read()
     lines = [ln for ln in text.split("\n") if ln != ""]
     if not lines:
         raise ParseError("line 1: empty depth file")

@@ -100,11 +100,10 @@ class ModelConfig:
         return nr.IFParams(v_reset=self.v_reset, mode="integrator")
 
 
-def _spike_incidences(x4, k, stride, padding):
-    """Count (nonzero input, output window) pairs for one conv application."""
-    nnz = (x4 != 0.0).astype(np.float64).sum(axis=1)
-    if padding > 0:
-        nnz = np.pad(nnz, ((0, 0), (padding, padding), (padding, padding)))
+def _spike_incidences(x4, k, stride):
+    """Count (nonzero input, output window) pairs for one same-padded conv application."""
+    p = k // 2
+    nnz = np.pad((x4 != 0.0).astype(np.float64).sum(axis=1), ((0, 0), (p, p), (p, p)))
     win = np.lib.stride_tricks.sliding_window_view(nnz, (k, k), axis=(1, 2))
     return float(win[:, ::stride, ::stride].sum())
 
@@ -137,7 +136,7 @@ class Counts:
                 getattr(self, group + "_spikes") + float(spikes.data.sum()))
         setattr(self, group + "_steps", getattr(self, group + "_steps") + spikes.data.size)
 
-    def conv(self, x, weight, stride, padding, out, upsample=1):
+    def conv(self, x, weight, stride, out, upsample=1):
         """Dense MACs of one conv, plus its ACs when the input is a spike tensor.
 
         A 1x1 conv run before an f x f nearest upsample counts as run after
@@ -148,7 +147,7 @@ class Counts:
         area = upsample * upsample
         self.dense_macs += area * x.data.shape[0] * c_out * ho * wo * c_in * k * k
         if x.is_spike:
-            self.ac_ops += area * c_out * _spike_incidences(x.data, k, stride, padding)
+            self.ac_ops += area * c_out * _spike_incidences(x.data, k, stride)
 
     def attention(self, params, x_shape):
         """Dense MACs of one TCSA site: two MLP layers per pooled branch (per
@@ -207,11 +206,10 @@ class _ConvLayer:
         self.weight = weights[name]
         self.bias = weights.get(name + "_bias")
         self.stride = stride
-        self.padding = (self.weight.data.shape[-1] - 1) // 2
 
     def __call__(self, x, counts, upsample=1):
-        out = tz.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
-        counts.conv(x, self.weight, self.stride, self.padding, out, upsample)
+        out = tz.conv2d(x, self.weight, stride=self.stride)
+        counts.conv(x, self.weight, self.stride, out, upsample)
         if self.bias is not None:
             out = tz.add(out, tz.reshape(self.bias, (1, -1, 1, 1)))
         return out
@@ -463,14 +461,18 @@ def param_shapes(config):
 def load_model(path):
     """Rebuild the model a checkpoint describes; returns (model, raw entries).
 
-    The stored parameters are checked against the shapes the stored config
-    implies, and for non-finite values, before the model is built, so a
-    config they do not match (say cfg.layers = 40, whose widest weight alone
-    needs GiBs) allocates nothing.
+    The stored parameters are checked against the table the stored config
+    implies (no entry missing, none extra, every shape as listed) and for
+    non-finite values before the model is built, so a config they do not
+    match (say cfg.layers = 40, whose widest weight alone needs GiBs)
+    allocates nothing.
     """
     entries = load_checkpoint(path)
     cfg = ModelConfig(**kv.from_entries(ModelConfig, entries))
     shapes = param_shapes(cfg)
+    for key in entries:
+        if key.startswith("param.") and key[6:] not in shapes:
+            raise tz.ArgumentError("checkpoint has unknown parameter %r" % key[6:])
     for name, shape in shapes.items():
         key = "param." + name
         if key not in entries:

@@ -8,6 +8,10 @@ runs in plain inference mode at numpy speed.
 add broadcasts leading-aligned: the lower-rank operand is padded with
 trailing singleton axes, so a per-step term of shape [T] adds to a [T,C,H,W]
 activation without any manual reshape.
+
+conv2d is same-padded: it takes [T, C_in, H, W] and an odd square kernel,
+zero-pads every side by k // 2, and returns [T, C_out, ceil(H/s), ceil(W/s)]
+for stride s. There is no padding argument.
 """
 
 import math
@@ -257,48 +261,11 @@ def pad_bottom_right(a, pad_h, pad_w):
 # convolution
 
 
-def conv_out_size(size, k, stride, padding, axis_name):
-    span = size + 2 * padding - k
-    if span < 0:
-        raise DimensionError("conv %s %d too small for kernel %d with padding %d"
-                             % (axis_name, size, k, padding))
-    return span // stride + 1
-
-
 # Size of each stride-1 conv buffer: each stays under the 4 MiB from which numpy asks
 # for huge pages. Forward chunks hold whole frames, so small frames share one batched
 # GEMM per tap and sensor-size frames go one at a time; backward blocks hold rows of the
 # tall image, several small frames or a row block of one large frame.
 _CHUNK_FLOATS = (4 << 20) // 8
-
-
-def _chunk_frames(n, frame_floats):
-    """Frames per chunk: as many as keep frame_floats each under _CHUNK_FLOATS, at least one."""
-    return min(n, max(1, _CHUNK_FLOATS // frame_floats))
-
-
-def _padded_chunks(xd, k, padding, step):
-    """Zero-padded, flattened frames of xd [N, C, H, W], step frames at a time.
-
-    Yields (lo, hi, xp), xp [hi - lo, C, Hp*Wp + k - 1]: frame lo + i padded
-    to Hp x Wp and laid out row by row, then k - 1 zeros, so that the slice
-    [u*Wp + v : u*Wp + v + Ho*Wp] of a row exists for every tap (u, v). The
-    buffer is refilled for each chunk; an unpadded 1x1 conv reads xd itself.
-    """
-    n, c, h, w = xd.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    as_is = k == 1 and padding == 0
-    if not as_is:
-        buf = np.zeros((step, c, hp * wp + k - 1))
-        inner = buf[:, :, :hp * wp].reshape(step, c, hp, wp)[:, :, padding:padding + h,
-                                                             padding:padding + w]
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        if as_is:
-            yield lo, hi, xd[lo:hi].reshape(hi - lo, c, h * w)
-        else:
-            inner[:hi - lo] = xd[lo:hi]
-            yield lo, hi, buf[:hi - lo]
 
 
 def _tap_gemm(a, b, out):
@@ -307,59 +274,70 @@ def _tap_gemm(a, b, out):
     return (np.multiply if a.shape[1] == 1 else np.matmul)(a, b, out=out)
 
 
-def _shifted_conv(xd, wd, padding):
-    """Stride-1 cross-correlation of xd [N, C_in, H, W] with wd [C_out, C_in, k, k].
+def _shifted_conv(xd, wd):
+    """Same-padded stride-1 cross-correlation of xd [N, C_in, H, W] with wd [C_out, C_in, k, k].
 
-    Tap (u, v) is one GEMM W[:, :, u, v] @ xp[..., off:off + Ho*Wp] on a view
-    of the flat padded frames (off = u*Wp + v), added into a [C_out, Ho*Wp]
-    accumulator whose last k - 1 columns of each row are cropped at the end.
+    A 1x1 conv is one GEMM on the frames. Otherwise a chunk of frames at a
+    time is zero-padded by p = k // 2 into one buffer, each frame laid out
+    row by row at width Wp = W + 2p and followed by k - 1 zeros, so that the
+    slice [u*Wp + v : u*Wp + v + H*Wp] of a row exists for every tap (u, v).
+    Tap (u, v) is one GEMM W[:, :, u, v] @ that slice, added into a
+    [C_out, H*Wp] accumulator whose last k - 1 columns of each row are
+    cropped at the end. A chunk holds as many frames as keep max(C_in, C_out)
+    padded frames each under _CHUNK_FLOATS, at least one.
     """
     n, c_in, h, w = xd.shape
     c_out, _, k, _ = wd.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    ho, wo = hp - k + 1, wp - k + 1
-    span = ho * wp
+    out = np.empty((n, c_out, h, w))
+    if k == 1:
+        _tap_gemm(wd.reshape(c_out, c_in), xd.reshape(n, c_in, h * w),
+                  out.reshape(n, c_out, h * w))
+        return out
+    p = k // 2
+    hp, wp = h + 2 * p, w + 2 * p
+    span = h * wp
     taps = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))
-    step = _chunk_frames(n, max(c_in, c_out) * hp * wp)
-    out = np.empty((n, c_out, ho, wo))
+    step = min(n, max(1, _CHUNK_FLOATS // (max(c_in, c_out) * hp * wp)))
+    xp = np.zeros((step, c_in, hp * wp + k - 1))
+    inner = xp[:, :, :hp * wp].reshape(step, c_in, hp, wp)[:, :, p:p + h, p:p + w]
     acc = np.empty((step, c_out, span))
     part = np.empty_like(acc)
-    for lo, hi, xp in _padded_chunks(xd, k, padding, step):
-        m = hi - lo
+    for lo in range(0, n, step):
+        m = min(step, n - lo)
+        inner[:m] = xd[lo:lo + m]
         for u in range(k):
             for v in range(k):
-                shifted = xp[:, :, u * wp + v:u * wp + v + span]
+                shifted = xp[:m, :, u * wp + v:u * wp + v + span]
                 if u == v == 0:
                     _tap_gemm(taps[0, 0], shifted, acc[:m])
                 else:
                     _tap_gemm(taps[u, v], shifted, part[:m])
                     acc[:m] += part[:m]
-        out[lo:hi] = acc[:m].reshape(m, c_out, ho, wp)[..., :wo]
+        out[lo:lo + m] = acc[:m].reshape(m, c_out, h, wp)[..., :w]
     return out
 
 
-def _shifted_grads(xd, wd, g, padding, need_gx):
+def _shifted_grads(xd, wd, g, need_gx):
     """(d loss / d W, d loss / d x or None) of a stride-1 conv, from one column buffer of g.
 
-    gx is the correlation of g, zero-padded by q = k - 1 - padding, with the
-    flipped kernel, and gW[:, :, u, v] sums g times x shifted by (u, v): both
-    read the same k*k shifted views of the padded g (im2col applied to g, not
-    x; Chellapilla et al., 2006). The frames are stacked as one tall image of
-    row width W + k - 1: frame i's x rows start at row i*(H + padding), the
-    padding rows after them are a gap, and its g rows start q rows lower.
-    Each block of rows copies the shifted views into one buffer
+    With same padding p = k // 2, gx is the correlation of g, zero-padded by
+    p, with the flipped kernel, and gW[:, :, u, v] sums g times x shifted by
+    (u, v): both read the same k*k shifted views of the padded g (im2col
+    applied to g, not x; Chellapilla et al., 2006). The frames are stacked as
+    one tall image of row width W + k - 1: frame i's x rows start at row
+    i*(H + p), the p rows after them are a gap, and its g rows start p rows
+    lower. Each block of rows copies the shifted views into one buffer
     cols [k*k*C_out, L], row (u, v, o) holding g channel o shifted by (u, v).
     Then one GEMM W_flip [C_in, k*k*C_out] @ cols gives gx, whose first W
     columns per row are copied into the frames, and one GEMM cols @ x_wide^T
     adds into the flipped gW; x_wide is x at the same row width, zero past
-    column W and in the gaps. A padding above k - 1 first trims g's border,
-    whose outputs see only padding. A block holds several frames when they
-    fit under _CHUNK_FLOATS and part of a frame when one does not. An
-    unpadded 1x1 conv copies nothing: gx = W^T g and gW = sum g x^T.
+    column W and in the gaps. A block holds several frames when they fit
+    under _CHUNK_FLOATS and part of a frame when one does not. A 1x1 conv
+    copies nothing: gx = W^T g and gW = sum g x^T.
     """
     n, c_in, h, w = xd.shape
     c_out, _, k, _ = wd.shape
-    if k == 1 and padding == 0:
+    if k == 1:
         g3, x3 = g.reshape(n, c_out, h * w), xd.reshape(n, c_in, h * w)
         gw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0).reshape(wd.shape)
         if not need_gx:
@@ -367,14 +345,9 @@ def _shifted_grads(xd, wd, g, padding, need_gx):
         gx = np.empty(xd.shape)
         _tap_gemm(wd.reshape(c_out, c_in).T, g3, gx.reshape(n, c_in, h * w))
         return gw, gx
-    trim = max(0, padding - (k - 1))
-    if trim:
-        g = g[:, :, trim:-trim, trim:-trim]
-        padding -= trim
-    ho, wo = g.shape[2:]
-    q = k - 1 - padding
+    p = k // 2
     wq = w + k - 1
-    period = h + padding          # tall-image rows per frame: its x rows, then a gap
+    period = h + p                # tall-image rows per frame: its x rows, then a gap
     rows = (n - 1) * period + h   # tall-image rows that hold some frame's x
     block = max(1, min(rows, _CHUNK_FLOATS // (max(k * k * c_out, c_in) * wq)))
     w_flip = np.ascontiguousarray(wd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0)).reshape(
@@ -394,12 +367,12 @@ def _shifted_grads(xd, wd, g, padding, need_gx):
         xw = xw_buf[:c_in * span].reshape(c_in, nb, wq)
         xw[:] = 0.0
         x_rows = []   # (frame, block rows, frame rows) of the x rows in the block
-        # frame i's x rows are tall rows i*period + [0, h), its g rows i*period + q + [0, ho);
+        # frame i's x rows are tall rows i*period + [0, h), its g rows i*period + p + [0, h);
         # the next frame's first g rows, which the last taps reach, meet only gap rows
         for i in range(r0 // period, min(n, (r0 + nb - 1) // period + 1)):
-            top = i * period + q
-            lo, hi = max(r0, top), min(r0 + nb + k - 1, top + ho)
-            gp_rows[:, lo - r0:hi - r0, q:q + wo] = g[i, :, lo - top:hi - top]
+            top = i * period + p
+            lo, hi = max(r0, top), min(r0 + nb + k - 1, top + h)
+            gp_rows[:, lo - r0:hi - r0, p:p + w] = g[i, :, lo - top:hi - top]
             top = i * period
             lo, hi = max(r0, top), min(r0 + nb, top + h)
             if lo < hi:
@@ -420,20 +393,21 @@ def _shifted_grads(xd, wd, g, padding, need_gx):
     return gw.reshape(k, k, c_out, c_in)[::-1, ::-1].transpose(2, 3, 0, 1), gx
 
 
-def _frame_columns(xd, k, stride, padding, ho, wo):
+def _frame_columns(xd, k, stride, ho, wo):
     """im2col over the frames of xd [N, C_in, H, W], one frame at a time.
 
     Returns cols(i) -> [C_in*k*k, Ho*Wo]: row (c, u, v), column (r, s) holds
-    input pixel (c, r*stride + u - padding, s*stride + v - padding), zero in
-    the padding. Each call refills the same buffer, so only one frame's
+    input pixel (c, r*stride + u - p, s*stride + v - p) with p = k // 2, zero
+    in the padding. Each call refills the same buffer, so only one frame's
     columns exist at once.
     """
     c_in, h, w = xd.shape[1:]
-    xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
+    p = k // 2
+    xp = np.zeros((c_in, h + 2 * p, w + 2 * p))
     cols = np.empty((c_in, k, k, ho, wo))
 
     def cols_of(i):
-        xp[:, padding:padding + h, padding:padding + w] = xd[i]
+        xp[:, p:p + h, p:p + w] = xd[i]
         for u in range(k):
             for v in range(k):
                 cols[:, u, v] = xp[:, u:u + ho * stride:stride, v:v + wo * stride:stride]
@@ -442,8 +416,8 @@ def _frame_columns(xd, k, stride, padding, ho, wo):
     return cols_of
 
 
-def _strided_grads(xd, wd, g, stride, padding, need_gx):
-    """(d loss / d W, d loss / d x or None) of a stride > 1 conv through im2col.
+def _strided_grads(xd, wd, g, stride, need_gx):
+    """(d loss / d W, d loss / d x or None) of a same-padded stride > 1 conv through im2col.
 
     Each frame's columns are rebuilt rather than kept on the tape; g_i @ cols^T
     adds into the weight gradient and W^T @ g_i is scattered back onto the
@@ -451,31 +425,34 @@ def _strided_grads(xd, wd, g, stride, padding, need_gx):
     """
     n, c_in, h, w = xd.shape
     c_out, _, k, _ = wd.shape
+    p = k // 2
     ho, wo = g.shape[2:]
     w2 = wd.reshape(c_out, c_in * k * k)
     g3 = g.reshape(n, c_out, ho * wo)
-    cols_of = _frame_columns(xd, k, stride, padding, ho, wo)
+    cols_of = _frame_columns(xd, k, stride, ho, wo)
     gw = np.zeros((c_out, c_in * k * k))
     for i in range(n):
         gw += g3[i] @ cols_of(i).T
     gw = gw.reshape(wd.shape)
     if not need_gx:
         return gw, None
-    gxp = np.zeros((n, c_in, h + 2 * padding, w + 2 * padding))
+    gxp = np.zeros((n, c_in, h + 2 * p, w + 2 * p))
     gcols = np.empty((c_in, k, k, ho, wo))
     for i in range(n):
         np.matmul(w2.T, g3[i], out=gcols.reshape(c_in * k * k, ho * wo))
         for u in range(k):
             for v in range(k):
                 gxp[i, :, u:u + ho * stride:stride, v:v + wo * stride:stride] += gcols[:, u, v]
-    return gw, gxp[:, :, padding:padding + h, padding:padding + w]
+    return gw, gxp[:, :, p:p + h, p:p + w]
 
 
-def conv2d(x, weight, stride=1, padding=0):
-    """2D cross-correlation with square odd kernels and symmetric padding.
+def conv2d(x, weight, stride=1):
+    """Same-padded 2D cross-correlation: [T, C_in, H, W] -> [T, C_out, ceil(H/s), ceil(W/s)].
 
-    x is [C_in, H, W] or [T, C_in, H, W]; a leading time axis is handled as a
-    batch. weight is [C_out, C_in, k, k], bias-free.
+    weight is [C_out, C_in, k, k] with k odd, bias-free. Every side of a
+    frame is zero-padded by k // 2, so output pixel (r, c) is centred on
+    input pixel (r*s, c*s) for stride s, and any H, W >= 1 fits any kernel.
+    The time axis is handled as a batch.
 
     The stride-1 forward builds no column buffer (the kn2row / shifted-GEMM
     family): the frames are zero-padded into flat rows, and each of the k*k
@@ -483,9 +460,9 @@ def conv2d(x, weight, stride=1, padding=0):
     backward keeps nothing padded on the tape: it copies the k*k shifted
     views of the zero-padded output gradient into one column buffer and runs
     two GEMMs on it, one for the input gradient and one for the weight
-    gradient (see _shifted_grads); an unpadded 1x1 conv needs no copy. The
-    forward goes in chunks of frames and the backward in row blocks, each
-    buffer under 4 MiB.
+    gradient (see _shifted_grads). A 1x1 conv is one GEMM each way, with no
+    copy. The forward goes in chunks of frames and the backward in row
+    blocks, each buffer under 4 MiB.
 
     Stride > 1 is one GEMM per frame: its columns [C_in*k*k, Ho*Wo] (k*k
     strided slices of the zero-padded frame, see _frame_columns) times the
@@ -493,45 +470,38 @@ def conv2d(x, weight, stride=1, padding=0):
     The input gradient is None when x does not require one.
     """
     x, weight = as_tensor(x), as_tensor(weight)
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd, wd = x.data, weight.data
     if xd.ndim != 4:
-        raise DimensionError("conv2d input must be rank 3 or 4, got %s" % (x.data.shape,))
-    if weight.data.ndim != 4 or weight.data.shape[2] != weight.data.shape[3]:
+        raise DimensionError("conv2d input must be [T, C_in, H, W], got %s" % (xd.shape,))
+    if wd.ndim != 4 or wd.shape[2] != wd.shape[3]:
         raise DimensionError("conv2d weight must be [C_out, C_in, k, k], got %s"
-                             % (weight.data.shape,))
-    c_out, c_in, k, _ = weight.data.shape
+                             % (wd.shape,))
+    c_out, c_in, k, _ = wd.shape
     if k % 2 != 1:
         raise ArgumentError("kernel size must be odd, got %d" % k)
     if stride < 1:
         raise ArgumentError("stride must be >= 1, got %d" % stride)
-    if padding < 0:
-        raise ArgumentError("padding must be >= 0, got %d" % padding)
     if xd.shape[1] != c_in:
         raise DimensionError("conv2d channel axis is %d, weight expects %d"
                              % (xd.shape[1], c_in))
-    n, _, h, w = xd.shape
-    ho = conv_out_size(h, k, stride, padding, "height")
-    wo = conv_out_size(w, k, stride, padding, "width")
 
-    wd = weight.data
     if stride == 1:
-        out4 = _shifted_conv(xd, wd, padding)
+        out = Tensor(_shifted_conv(xd, wd))
     else:
+        n, _, h, w = xd.shape
+        ho, wo = -(-h // stride), -(-w // stride)
         w2 = wd.reshape(c_out, c_in * k * k)
-        cols_of = _frame_columns(xd, k, stride, padding, ho, wo)
-        out4 = np.empty((n, c_out, ho, wo))
+        cols_of = _frame_columns(xd, k, stride, ho, wo)
+        out = Tensor(np.empty((n, c_out, ho, wo)))
         for i in range(n):
-            np.matmul(w2, cols_of(i), out=out4[i].reshape(c_out, ho * wo))
-    out = Tensor(out4[0] if squeeze else out4)
+            np.matmul(w2, cols_of(i), out=out.data[i].reshape(c_out, ho * wo))
 
     def bw(g):
-        g4 = g[None] if squeeze else g
         if stride == 1:
-            gw, gx = _shifted_grads(xd, wd, g4, padding, x.requires_grad)
+            gw, gx = _shifted_grads(xd, wd, g, x.requires_grad)
         else:
-            gw, gx = _strided_grads(xd, wd, g4, stride, padding, x.requires_grad)
-        return (gx[0] if squeeze and gx is not None else gx, gw)
+            gw, gx = _strided_grads(xd, wd, g, stride, x.requires_grad)
+        return gx, gw
 
     record((out,), (x, weight), bw)
     return out

@@ -540,7 +540,7 @@ def _spatial_gate(x, s_conv):
     avg = tz.reshape(pool(x, axes=(1,), mode="avg"), (t, 1, h, w))
     mx = tz.reshape(pool(x, axes=(1,), mode="max"), (t, 1, h, w))
     maps = concat([avg, mx], axis=1)
-    gate = sigmoid(tz.conv2d(maps, s_conv, stride=1, padding=1))
+    gate = sigmoid(tz.conv2d(maps, s_conv))
     return mul(x, gate)
 
 

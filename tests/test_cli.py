@@ -408,6 +408,24 @@ def test_load_model_rejects_mismatched_config_before_building(trained, dataset, 
     assert capsys.readouterr().err == "error: checkpoint lacks parameter 'enc2.conv'\n"
 
 
+def test_unknown_parameter_is_exit_2(trained, dataset, tmp_path, capsys):
+    entries = md.load_checkpoint(os.path.join(trained["out"], "last.spkc"))
+    entries["param.enc0.conv_bias"] = np.zeros(entries["param.enc0.conv"].shape[0])
+    ckpt = str(tmp_path / "extra.spkc")
+    md.save_checkpoint(ckpt, entries)
+    prefix = str(tmp_path / "p")
+    for argv in (["eval", "--model", ckpt, "--data", dataset],
+                 ["inspect", "--model", ckpt, "--data", dataset],
+                 ["predict", "--model", ckpt,
+                  "--events", os.path.join(dataset, "events_left.csv"),
+                  "--events-right", os.path.join(dataset, "events_right.csv"),
+                  "--out", prefix]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            "error: checkpoint has unknown parameter 'enc0.conv_bias'\n"
+    assert not os.path.exists(prefix + ".pgm")
+
+
 def test_eval_ignores_the_window_length_entry(trained, dataset, tmp_path, capsys):
     last = os.path.join(trained["out"], "last.spkc")
     entries = md.load_checkpoint(last)

@@ -399,10 +399,11 @@ def brute_incidences(x, k, stride, padding):
 def test_ac_ops_exact_against_brute_force():
     rng = np.random.default_rng(15)
     x = (rng.uniform(size=(2, 2, 8, 8)) < 0.3).astype(np.float64)
-    got = md._spike_incidences(x, 3, 2, 1)
-    assert got == brute_incidences(x, 3, 2, 1)
-    got1 = md._spike_incidences(x, 1, 1, 0)
-    assert got1 == brute_incidences(x, 1, 1, 0)
+    assert md._spike_incidences(x, 3, 2) == brute_incidences(x, 3, 2, 1)
+    assert md._spike_incidences(x, 1, 1) == brute_incidences(x, 1, 1, 0)
+    odd = (rng.uniform(size=(2, 3, 7, 9)) < 0.3).astype(np.float64)
+    for k, stride in ((3, 2), (5, 1), (5, 2)):
+        assert md._spike_incidences(odd, k, stride) == brute_incidences(odd, k, stride, k // 2)
 
 
 def architecture_macs(cfg):
@@ -460,7 +461,7 @@ def test_binarized_input_counts_first_conv_as_ac():
     net.forward(tz.Tensor(x))
     # first conv consumes the binary input, later convs consume spike sums or spikes
     c_out = net.encoders[0].conv.weight.data.shape[0]
-    want_first = c_out * md._spike_incidences(x, 3, 2, 1)
+    want_first = c_out * md._spike_incidences(x, 3, 2)
     assert net.last_ops.ac_ops >= want_first
     zero = np.zeros((2, 2, 32, 32))
     net.forward(tz.Tensor(zero))
@@ -552,6 +553,23 @@ def test_checkpoint_missing_param(tmp_path):
     md.save_checkpoint(path, entries)
     with pytest.raises(tz.ArgumentError):
         md.load_model(path)
+
+
+@pytest.mark.parametrize("name", ["enc0.conv_bias", "enc9.conv"])
+def test_checkpoint_unknown_param(tmp_path, name):
+    # a weight the config's table does not list would be dropped silently
+    net = md.DepthNet(small_cfg(), seed=12)
+    entries = md.model_entries(net)
+    assert name not in param_names(net.params)
+    entries["param." + name] = np.zeros(4)
+    entries["opt.t"] = np.float64(3.0)
+    path = tmp_path / "model.spkc"
+    md.save_checkpoint(path, entries)
+    with pytest.raises(tz.ArgumentError, match="unknown parameter '%s'" % name):
+        md.load_model(path)
+    del entries["param." + name]
+    md.save_checkpoint(path, entries)
+    md.load_model(path)
 
 
 @pytest.mark.parametrize("variant", md.ENCODER_VARIANTS)
