@@ -62,9 +62,13 @@ def step_memory(height, width):
     record = tz.record
 
     def traced_record(outputs, inputs, backward):
+        # the kind and shape only: a closure holding outputs would pin every
+        # op's output and report that as what the tape keeps
+        kind, shape = _kind(backward), outputs[0].data.shape
+
         def bw(*gouts):
             close_step()
-            steps.append([_kind(backward), outputs[0].data.shape, None])
+            steps.append([kind, shape, None])
             return backward(*gouts)
         return record(outputs, inputs, bw)
 

@@ -11,6 +11,14 @@ channel, then spatial, applying only the enabled modules.
 The channel and spatial gates are computed independently at each time step.
 The temporal gate is the only part that mixes information across steps.
 
+A decoder site gates the nearest 2x upsample of its input. tcsa takes the
+input and the factor, and the first T or C gate does the upsample inside
+its own tape entry: the forward gates the upsampled copy and drops it, and
+the backward forms g * up by broadcasting the input over each 2x2 block,
+finds each pooled row's first maximum in the input, and ends with the
+upsample's 2x2 block sum. So the entry keeps the input, not the 4x copy,
+and computes every value as the separate upsample and gate entries did.
+
 Each enabled module is one tape entry: the forward runs pools, MLP or conv,
 sigmoid and gating in numpy, and the backward is closed-form. A max pool
 routes its gradient to the first maximum along the pooled axes (row-major),
@@ -104,26 +112,33 @@ def _linear_grads(g, v, w):
     return g @ w, g.reshape(-1, m).T @ v.reshape(-1, n)
 
 
-def _mlp_gate(x, n_kept, w_compress, w_expand):
+def _mlp_gate(x, n_kept, w_compress, w_expand, upsample=1):
     """Gate x by the sigmoid of the shared MLP over its average and max pools.
 
     The pools reduce every axis after the first n_kept, so the gate holds one
-    value per kept index; one tape entry.
+    value per kept index; one tape entry. With upsample = f > 1 the entry is
+    the f x f nearest upsample of x followed by the gate: the forward pools
+    and gates the upsampled copy and then drops it, and the backward works
+    from x alone (see bw), so the entry keeps x, not a copy f*f times larger.
     """
-    xd = x.data
-    kept = xd.shape[:n_kept]
-    flat = xd.reshape(kept + (-1,))
+    xd, f = x.data, upsample
+    up = xd if f == 1 else tz._upsample(xd, f)
+    kept = up.shape[:n_kept]
+    flat = up.reshape(kept + (-1,))
+    n = flat.shape[-1]
     w1, w2 = w_compress.data, w_expand.data
     pools = (flat.mean(axis=-1), flat.max(axis=-1))
     hidden = tuple(v @ w1.T for v in pools)
     relus = tuple(np.maximum(h, 0.0) for h in hidden)
     gate = _sigmoid(relus[0] @ w2.T + relus[1] @ w2.T)
     gate_b = gate.reshape(kept + (1,) * (xd.ndim - n_kept))
-    out = Tensor(xd * gate_b)
+    out = Tensor(up * gate_b)
+    shape = up.shape  # bw names no array of up's size
 
     def bw(g):
-        gx = np.empty(xd.shape)
-        np.multiply(g, xd, out=gx)
+        # g * up, from x broadcast over the f x f blocks of g in place
+        gx = np.empty(shape)
+        np.multiply(_blocks(g, f), xd[..., :, None, :, None], out=_blocks(gx, f))
         gz = gx.reshape(kept + (-1,)).sum(axis=-1) * gate * (1.0 - gate)
         grads = []  # per branch: (d pool, d w_compress, d w_expand)
         for v, h, r in zip(pools, hidden, relus):
@@ -135,26 +150,40 @@ def _mlp_gate(x, n_kept, w_compress, w_expand):
             gx = None
         else:
             np.multiply(g, gate_b, out=gx)
-            rows = gx.reshape(-1, flat.shape[-1])
-            first = flat.reshape(rows.shape).argmax(axis=-1)
+            rows = gx.reshape(-1, n)
+            # the first maximum of an upsampled row is its copy of x's first
+            # maximum at row f*r, column f*c: it comes first in row-major order
+            width = xd.shape[-1]
+            first = xd.reshape(rows.shape[0], -1).argmax(axis=-1)
+            first = first // width * (f * f * width) + first % width * f
             rows[np.arange(rows.shape[0]), first] += g_max.reshape(-1)
-            gx += (g_avg / flat.shape[-1]).reshape(gate_b.shape)
+            gx += (g_avg / n).reshape(gate_b.shape)
+            if f != 1:
+                gx = tz._block_sum(gx, f)
         return gx, gw1_m + gw1_a, gw2_m + gw2_a
 
     tz.record((out,), (x, w_compress, w_expand), bw)
     return out
 
 
-def temporal_attention(x, params):
-    """Gate each time step by a scalar computed from all steps."""
+def _blocks(a, f):
+    """[..., H*f, W*f] viewed as [..., H, f, W, f]: the f x f block of each pixel."""
+    *lead, h, w = a.shape
+    return a.reshape(*lead, h // f, f, w // f, f)
+
+
+def temporal_attention(x, params, upsample=1):
+    """Gate each time step by a scalar computed from all steps (of x upsampled
+    by the given factor)."""
     x, (w_compress, w_expand) = _module_input(x, params, "T")
-    return _mlp_gate(x, 1, w_compress, w_expand)
+    return _mlp_gate(x, 1, w_compress, w_expand, upsample)
 
 
-def channel_attention(x, params):
-    """Gate each channel per step from its spatial summary."""
+def channel_attention(x, params, upsample=1):
+    """Gate each channel per step from its spatial summary (of x upsampled by
+    the given factor)."""
     x, (w_compress, w_expand) = _module_input(x, params, "C")
-    return _mlp_gate(x, 2, w_compress, w_expand)
+    return _mlp_gate(x, 2, w_compress, w_expand, upsample)
 
 
 def spatial_attention(x, params):
@@ -193,10 +222,21 @@ def spatial_attention(x, params):
 _APPLY = {"T": temporal_attention, "C": channel_attention, "S": spatial_attention}
 
 
-def tcsa(x, params):
-    """Apply the enabled modules in T, C, S order; identity when none."""
+def tcsa(x, params, upsample=1):
+    """Apply the enabled modules in T, C, S order; identity when none.
+
+    With upsample = f > 1 the modules gate the f x f nearest upsample of x.
+    When a T or C gate comes first, that gate's tape entry does the upsample
+    (see _mlp_gate); otherwise tz.nearest_upsample runs in front.
+    """
     x = tz.as_tensor(x)
-    for m in MODULE_ORDER:
-        if m in params.enabled:
-            x = _APPLY[m](x, params)
+    enabled = params.enabled
+    if upsample != 1:
+        if enabled[:1] in ("T", "C"):
+            x = _APPLY[enabled[0]](x, params, upsample)
+            enabled = enabled[1:]
+        else:
+            x = tz.nearest_upsample(x, upsample)
+    for m in enabled:
+        x = _APPLY[m](x, params)
     return x

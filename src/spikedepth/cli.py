@@ -220,7 +220,15 @@ def _train_extras(cfg, window_len_us, epoch, step, lr, best_mde, params):
 
 
 def _run_settings(entries):
-    """The run config a checkpoint carries, defaults where it is silent."""
+    """The run config a checkpoint carries, defaults where it is silent.
+
+    A `cfg.<name>` entry that names no RunConfig field is an ArgumentError,
+    so a misspelt or foreign setting is not dropped without a word.
+    """
+    known = {"cfg." + f.name for f in fields(RunConfig)}
+    for key in entries:
+        if key.startswith("cfg.") and key not in known:
+            raise tz.ArgumentError("checkpoint has unknown config entry %r" % key)
     return RunConfig(**kv.from_entries(RunConfig, entries, required=False))
 
 

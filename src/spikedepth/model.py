@@ -23,8 +23,12 @@ commute with nearest upsampling, so the map is the one a head on the
 upsampled input would give, from a quarter of the pixels. Every layer but
 the last then upsamples its input by 2, gates it with attention, 3x3 conv,
 IF, and adds the matching encoder output as an elementwise skip; that sum
-feeds the next layer. The last layer is head -> integrator -> upsample, and
-its map cropped back to the input geometry is the final depth.
+feeds the next layer. The upsample is folded into the gate: the layer hands
+its input and the factor 2 to `attention.tcsa`, whose first T or C gate
+upsamples, pools and gates as one tape entry that keeps the input rather
+than its 4x copy (a site with no such gate upsamples in front of it). The
+last layer is head -> integrator -> upsample, and its map cropped back to
+the input geometry is the final depth.
 
 Every weight's name and shape comes from one table, `param_shapes(config)`
 (with `attention.weight_shapes` for each gating site): DepthNet fills its
@@ -282,9 +286,9 @@ class DecoderBlock:
         pred = tz.nearest_upsample(tz.reshape(membrane, membrane.data.shape[-2:]), 2)
         if skip is None:
             return None, pred
-        up = tz.nearest_upsample(x, 2)
-        counts.attention(self.att, up.data.shape)
-        gated = at.tcsa(up, self.att)
+        t, c, h, w = x.data.shape
+        counts.attention(self.att, (t, c, 2 * h, 2 * w))
+        gated = at.tcsa(x, self.att, upsample=2)
         y = self.conv(gated, counts)
         spikes, _ = nr.if_run(y, self.neuron)
         counts.fire("decoder", spikes)

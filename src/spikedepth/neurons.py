@@ -18,7 +18,9 @@ tape entry: the forward loops over T from a zero membrane, and the backward
 is backpropagation through time in closed form, from the last step to the
 first. The gradient is not detached through the reset term: both firing
 modes differentiate membrane_new = charged - (charged - v_reset) * spike as
-written.
+written. The charged membranes h are all the backward keeps: each step's
+spikes are a function of h alone, so the backward fires them again from h
+and the spike train is freed once the forward's callers drop it.
 """
 
 from dataclasses import dataclass
@@ -84,24 +86,28 @@ def if_run(x, params):
         return None, membrane
 
     th, v_reset, alpha = params.v_threshold, params.v_reset, params.surrogate_alpha
-    h = np.empty(shape)  # charged membranes: with s, all the backward keeps
+    spiking = params.mode == "spiking"
+
+    h = np.empty(shape)  # charged membranes: all the backward keeps
     s = np.empty(shape)
     for t in range(t_steps):
         h[t] = v + xd[t]
-        s[t] = h[t] >= th if params.mode == "spiking" else _smooth_ramp(h[t], th, alpha)
+        s[t] = h[t] >= th if spiking else _smooth_ramp(h[t], th, alpha)
         v = h[t] - (h[t] - v_reset) * s[t]
     spikes, membrane = Tensor(s), Tensor(v)
-    spikes.is_spike = params.mode == "spiking"
+    spikes.is_spike = spiking
 
     def bw(gs, gv):
         # per step, the sums of the unrolled add/fire/sub/mul/sub graph in its
         # reverse-sweep order: charged gets gv, then -gv * s through the reset,
-        # then (gs - gv * (charged - v_reset)) * tri through the fire
+        # then (gs - gv * (charged - v_reset)) * tri through the fire; s is
+        # fired again from h, so the spike train is not kept for the backward
         gx = np.empty(shape)
         for t in range(t_steps - 1, -1, -1):
             neg = -gv
             tri = _triangle(h[t], th, alpha)
-            gx[t] = (gv + neg * s[t]) + (gs[t] + neg * (h[t] - v_reset)) * tri
+            st = (h[t] >= th).astype(np.float64) if spiking else _smooth_ramp(h[t], th, alpha)
+            gx[t] = (gv + neg * st) + (gs[t] + neg * (h[t] - v_reset)) * tri
             gv = gx[t]
         return (gx,)
 

@@ -1,9 +1,14 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
-The tape is an explicit operation list: ops append (outputs, inputs, backward)
-entries while a Tape is active, and backward() replays the list in reverse,
-accumulating gradients keyed by tensor identity. With no tape active every op
-runs in plain inference mode at numpy speed.
+The tape is an explicit operation list: ops append (output nodes, input keys,
+backward) entries while a Tape is active, and backward() replays the list in
+reverse. An entry holds no array of its own. Each output is named by a node,
+a per-tape handle with the output's shape; an input is named by its node when
+an op on the same tape made it, and is kept as the Tensor itself when it is a
+leaf. So the arrays a tape keeps are exactly those its backward closures
+captured, and an intermediate that no closure reads is freed as soon as the
+forward drops it. With no tape active every op runs in plain inference mode
+at numpy speed.
 
 add broadcasts leading-aligned: the lower-rank operand is padded with
 trailing singleton axes, so a per-step term of shape [T] adds to a [T,C,H,W]
@@ -44,7 +49,8 @@ class Tape:
     """
 
     def __init__(self):
-        self._ops = []
+        self._ops = []          # (output nodes, input keys, backward) per op
+        self._id = object()     # what this tape's nodes name as their tape
 
     def __enter__(self):
         _ACTIVE.append(self)
@@ -67,20 +73,37 @@ def _active_tape():
     return _ACTIVE[-1] if _ACTIVE else None
 
 
+class _Node:
+    """The handle by which one tape names one op output.
+
+    tape is the owning Tape's _id rather than the Tape, so that a closure
+    holding the output does not close a reference cycle through the tape;
+    shape is the output's, for the zero gradient of an unused output.
+    """
+
+    __slots__ = ("tape", "shape")
+
+    def __init__(self, tape, shape):
+        self.tape = tape
+        self.shape = shape
+
+
 class Tensor:
     """Rank-N float64 array plus gradient buffer.
 
     is_spike marks tensors whose values are binary spike indicators; the
-    network uses it to route synaptic-operation counting.
+    network uses it to route synaptic-operation counting. node is the tape
+    handle of the op that made the tensor, None for a tensor no op made.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "is_spike")
+    __slots__ = ("data", "grad", "requires_grad", "is_spike", "node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self.is_spike = False
+        self.node = None
 
     @property
     def shape(self):
@@ -100,20 +123,34 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+def _key(t, tape):
+    """How tape names t: its node when an op on tape made it, else t itself
+    (a leaf), or None when t needs no gradient."""
+    node = t.node
+    if node is not None and node.tape is tape._id:
+        return node
+    return t if t.requires_grad else None
+
+
 def record(outputs, inputs, backward):
     """Append one op to the active tape.
 
     outputs / inputs are tuples of Tensors; backward maps the outputs'
     gradient arrays to one gradient array (or None) per input. Extension
     point for ops defined outside this module. No-op without an active tape
-    or when no input requires a gradient.
+    or when no input requires a gradient. The entry keeps backward, a new
+    node per output, and per input its node, the leaf Tensor, or None when
+    the input needs no gradient; so it pins no output and no intermediate
+    input, only what backward itself captured.
     """
     tape = _active_tape()
     if tape is None or not any(t.requires_grad for t in inputs):
         return
+    keys = tuple(_key(t, tape) for t in inputs)
     for out in outputs:
         out.requires_grad = True
-    tape._ops.append((outputs, inputs, backward))
+        out.node = _Node(tape._id, out.data.shape)
+    tape._ops.append((tuple(out.node for out in outputs), keys, backward))
 
 
 def backward(loss, tape):
@@ -122,12 +159,15 @@ def backward(loss, tape):
     loss must be a scalar. A leaf is a tensor that requires a gradient and
     that no op on this tape produced: parameters, inputs, and loss itself
     when no op made it. Only leaves receive .grad; intermediates keep
-    grad = None. The sweep walks the tape in reverse and pops an op's output
-    gradients when it reaches that op: every consumer of a tensor comes
-    later on the tape, so the gradient is complete by then and is freed
-    once used. What is left at the end belongs to leaves and is added into
-    their .grad as an owned, writable copy, so repeated calls accumulate
-    (no zeroing between calls is implied). An empty tape is a no-op.
+    grad = None. The sweep walks the tape in reverse, keying the gradients
+    still to be used by node (an op output) or by leaf Tensor, and pops an
+    op's output gradients when it reaches that op: every consumer of a
+    tensor comes later on the tape, so the gradient is complete by then and
+    is freed once used. What is left at the end belongs to leaves and is
+    added into their .grad as an owned, writable copy, so repeated calls
+    accumulate (no zeroing between calls is implied). An empty tape is a
+    no-op. The tape holds only what its backward closures captured, so the
+    sweep's memory is those arrays plus the gradients in flight.
     """
     if not isinstance(loss, Tensor):
         raise ArgumentError("backward needs a Tensor loss")
@@ -135,22 +175,21 @@ def backward(loss, tape):
         raise ArgumentError("loss must be scalar, got shape %s" % (loss.data.shape,))
     if len(tape._ops) == 0:
         return
-    # id -> (tensor, gradient so far); an op's outputs leave it when the op runs
-    pending = {id(loss): (loss, np.ones((), dtype=np.float64))}
-    for outputs, inputs, bw in reversed(tape._ops):
-        gouts = tuple(pending.pop(id(o), (o, None))[1] for o in outputs)
+    # node or leaf -> gradient so far; an op's output nodes leave it when the op runs
+    pending = {_key(loss, tape): np.ones((), dtype=np.float64)}
+    for nodes, keys, bw in reversed(tape._ops):
+        gouts = tuple(pending.pop(n, None) for n in nodes)
         if all(g is None for g in gouts):
             continue
-        gouts = tuple(np.zeros(o.data.shape) if g is None else g
-                      for o, g in zip(outputs, gouts))
+        gouts = tuple(np.zeros(n.shape) if g is None else g for n, g in zip(nodes, gouts))
         gins = bw(*gouts)
-        for t, g in zip(inputs, gins):
-            if g is None or not t.requires_grad:
+        for k, g in zip(keys, gins):
+            if g is None or k is None:
                 continue
-            prev = pending.get(id(t))
-            pending[id(t)] = (t, g if prev is None else prev[1] + g)
-    for t, g in pending.values():
-        if not t.requires_grad:
+            prev = pending.get(k)
+            pending[k] = g if prev is None else prev + g
+    for t, g in pending.items():
+        if not isinstance(t, Tensor) or not t.requires_grad:
             continue
         g = np.asarray(g, dtype=np.float64)
         t.grad = g.copy() if t.grad is None else t.grad + g
@@ -510,24 +549,29 @@ def conv2d(x, weight, stride=1):
 def nearest_upsample(x, factor):
     """Replicate every pixel of the last two axes into an f x f block."""
     x = as_tensor(x)
-    if x.data.ndim < 2:
+    out = Tensor(_upsample(x.data, factor))
+    record((out,), (x,), lambda g: (_block_sum(g, factor),))
+    return out
+
+
+def _upsample(a, factor):
+    """The array of nearest_upsample(a, factor), untaped."""
+    if a.ndim < 2:
         raise DimensionError("nearest_upsample needs rank >= 2")
     if not isinstance(factor, int) or factor < 1:
         raise ArgumentError("upsample factor must be an integer >= 1, got %r" % (factor,))
-    up = np.repeat(np.repeat(x.data, factor, axis=-2), factor, axis=-1)
-    out = Tensor(up)
+    return np.repeat(np.repeat(a, factor, axis=-2), factor, axis=-1)
 
-    def bw(g):
-        # f*f strided-slice adds; a strided reduce over a 6-axis view is far slower
-        gx = g[..., ::factor, ::factor].copy()
-        for u in range(factor):
-            for v in range(factor):
-                if u or v:
-                    gx += g[..., u::factor, v::factor]
-        return (gx,)
 
-    record((out,), (x,), bw)
-    return out
+def _block_sum(g, factor):
+    """The sum of each f x f block of the last two axes: the upsample's backward."""
+    # f*f strided-slice adds; a strided reduce over a 6-axis view is far slower
+    gx = g[..., ::factor, ::factor].copy()
+    for u in range(factor):
+        for v in range(factor):
+            if u or v:
+                gx += g[..., u::factor, v::factor]
+    return gx
 
 
 # ---------------------------------------------------------------------------

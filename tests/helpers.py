@@ -71,36 +71,30 @@ def naive_conv2d_grads(x, w, g, stride=1, padding=0):
 def reference_backward(loss, tape):
     """Keep-everything reverse sweep: the oracle for tz.backward.
 
-    Holds every gradient until the sweep ends and then writes a .grad copy
-    into every tensor it reached, intermediates included. Gradients are added
-    in the same order as tz.backward, so leaf results agree bit for bit.
+    Holds every gradient until the sweep ends, intermediates included,
+    keyed as the tape keys its entries (an op output by its node, a leaf by
+    the Tensor), then writes a .grad copy into every leaf it reached.
+    Gradients are added in the same order as tz.backward, so leaf results
+    agree bit for bit.
     """
     if len(tape._ops) == 0:
         return
-    grads = {id(loss): np.ones((), dtype=np.float64)}
-    seen = {id(loss): loss}
-    for outputs, inputs, bw in reversed(tape._ops):
-        gouts = tuple(grads.get(id(o)) for o in outputs)
+    own = loss.node is not None and loss.node.tape is tape._id
+    grads = {loss.node if own else loss: np.ones((), dtype=np.float64)}
+    for nodes, keys, bw in reversed(tape._ops):
+        gouts = tuple(grads.get(n) for n in nodes)
         if all(g is None for g in gouts):
             continue
-        gouts = tuple(np.zeros(o.data.shape) if g is None else g
-                      for o, g in zip(outputs, gouts))
+        gouts = tuple(np.zeros(n.shape) if g is None else g for n, g in zip(nodes, gouts))
         gins = bw(*gouts)
-        for t, g in zip(inputs, gins):
-            if g is None or not t.requires_grad:
+        for k, g in zip(keys, gins):
+            if g is None or k is None:
                 continue
-            seen[id(t)] = t
-            if id(t) in grads:
-                grads[id(t)] = grads[id(t)] + g
-            else:
-                grads[id(t)] = g
-        for o in outputs:
-            seen[id(o)] = o
-    for key, t in seen.items():
-        if not t.requires_grad or key not in grads:
-            continue
-        g = np.asarray(grads[key], dtype=np.float64)
-        t.grad = g.copy() if t.grad is None else t.grad + g
+            grads[k] = grads[k] + g if k in grads else g
+    for k, g in grads.items():
+        if isinstance(k, tz.Tensor) and k.requires_grad:
+            g = np.asarray(g, dtype=np.float64)
+            k.grad = g.copy() if k.grad is None else k.grad + g
 
 
 def central_diff(f, arrays, eps=1e-5):

@@ -309,3 +309,56 @@ def test_max_pool_gradient_goes_to_the_first_tied_maximum():
     _, gx, _, _ = run_taped(at.channel_attention, x, p, True, weight)
     _, want, _, _ = run_taped(tcsa_composed, x, p, True, weight)
     np.testing.assert_array_equal(gx, want)
+
+
+# ---------------------------------------------------------------------------
+# the decoder's folded upsample
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 4), w=st.integers(1, 4),
+       f=st.sampled_from([2, 3]), enabled=st.sets(st.sampled_from("TCS")),
+       kind=st.sampled_from(["uniform", "binary", "zeros"]),
+       requires_grad=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_folded_upsample_matches_upsample_then_gates(t, c, h, w, f, enabled, kind,
+                                                     requires_grad, seed):
+    """tcsa(x, upsample=f) computes the bits of tcsa(nearest_upsample(x, f)):
+    outputs and every gradient; binary inputs tie in the max pools. A T or C
+    gate in front takes the upsample into its own tape entry."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        x = rng.uniform(-1.0, 1.0, (t, c, h, w))
+    else:
+        x = (rng.uniform(0.0, 1.0, (t, c, h, w)) < (0.3 if kind == "binary" else 0.0)) * 1.0
+    enabled = "".join(enabled)
+    p = attention_params(t, c, 1, enabled, rng=rng)
+    weight = rng.uniform(-1.0, 1.0, (t, c, h * f, w * f))
+    got = run_taped(lambda xt, p: at.tcsa(xt, p, upsample=f), x, p, requires_grad, weight)
+    want = run_taped(lambda xt, p: at.tcsa(tz.nearest_upsample(xt, f), p), x, p,
+                     requires_grad, weight)
+    np.testing.assert_array_equal(got[0], want[0])
+    if requires_grad:
+        np.testing.assert_array_equal(got[1], want[1])
+    else:
+        assert got[1] is None and want[1] is None
+    for g, ref in zip(got[2], want[2]):
+        np.testing.assert_array_equal(g, ref)
+    # an upsample of an x that needs no gradient is not taped either way
+    folded = requires_grad and at.normalize_enabled(enabled)[:1] in ("T", "C")
+    assert got[3] == want[3] - folded
+
+
+@pytest.mark.parametrize("enabled", ["CS", "TCS", "C"])
+def test_folded_upsample_entry_keeps_the_input_not_its_copy(enabled):
+    x = tz.Tensor(rand((4, 6, 5, 7), seed=40), requires_grad=True)
+    p = rand_params(enabled, seed=41)
+    for wt in p.weights.values():
+        wt.requires_grad = True
+    with tz.Tape() as tape:
+        at.tcsa(x, p, upsample=2)
+    _, _, gate_backward = tape._ops[0]
+    assert gate_backward.__qualname__ == "_mlp_gate.<locals>.bw"
+    held = [cell.cell_contents for cell in gate_backward.__closure__]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    arrays += [t.data for t in held if isinstance(t, tz.Tensor)]
+    assert max(a.nbytes for a in arrays) == x.data.nbytes

@@ -426,6 +426,26 @@ def test_unknown_parameter_is_exit_2(trained, dataset, tmp_path, capsys):
     assert not os.path.exists(prefix + ".pgm")
 
 
+@pytest.mark.parametrize("command", ["eval", "inspect", "predict"])
+def test_unknown_config_entry_is_exit_2(trained, dataset, tmp_path, command, capsys):
+    entries = md.load_checkpoint(os.path.join(trained["out"], "last.spkc"))
+    entries["cfg.layerz"] = np.float64(7.0)
+    ckpt = str(tmp_path / "stray.spkc")
+    md.save_checkpoint(ckpt, entries)
+    prefix = str(tmp_path / "p")
+    argv = {"eval": ["eval", "--model", ckpt, "--data", dataset],
+            "inspect": ["inspect", "--model", ckpt, "--data", dataset],
+            "predict": ["predict", "--model", ckpt,
+                        "--events", os.path.join(dataset, "events_left.csv"),
+                        "--events-right", os.path.join(dataset, "events_right.csv"),
+                        "--out", prefix]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: checkpoint has unknown config entry 'cfg.layerz'\n"
+    assert not os.path.exists(prefix + ".pgm")
+
+
 def test_eval_ignores_the_window_length_entry(trained, dataset, tmp_path, capsys):
     last = os.path.join(trained["out"], "last.spkc")
     entries = md.load_checkpoint(last)

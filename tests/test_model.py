@@ -251,7 +251,9 @@ def test_default_forward_tape_has_one_entry_per_if_population():
     # entry each (the CE-Att encoder populations feed only the counts and stay
     # off the tape), and so is each channel and spatial gate of the nine
     # attention sites (the last decoder layer has none); the input requires a
-    # gradient, so enc0's attention over it is taped too
+    # gradient, so enc0's attention over it is taped too. The only upsample
+    # entries are the 4 depth maps': a decoder channel gate upsamples its
+    # input inside its own entry
     net = md.DepthNet(md.ModelConfig(), seed=0)
     x = tz.Tensor(rand((5, 4, 64, 64), seed=14, lo=0.0, hi=2.0), requires_grad=True)
     with tz.Tape() as tape:
@@ -259,7 +261,8 @@ def test_default_forward_tape_has_one_entry_per_if_population():
     kinds = tape_kinds(tape._ops)
     assert kinds.count("if_run") == 11
     assert kinds.count("_mlp_gate") == kinds.count("spatial_attention") == 9
-    assert len(tape) == 60
+    assert kinds.count("nearest_upsample") == 4
+    assert len(tape) == 57
 
 
 def record_entries(blk, tape):
@@ -307,9 +310,11 @@ def test_last_decoder_block_stops_at_its_head():
             loss = tz.add(loss, sum_all(mul(p, p)))
     [last_entries] = calls
     assert tape_kinds(last_entries) == ["conv2d", "if_run", "reshape", "nearest_upsample"]
-    held = [t.data.shape for outputs, inputs, _ in last_entries for t in outputs + inputs]
+    # an entry names each output and each input by a node or a leaf tensor,
+    # both of which carry the shape
+    held = [k.shape for nodes, keys, _ in last_entries for k in nodes + keys if k is not None]
     assert (2, 2, 16, 16) in held and not [s for s in held if len(s) == 4 and s[-1] == 32]
-    assert last_entries[-1][0][0] is preds[-1] and preds[-1].data.shape == (32, 32)
+    assert last_entries[-1][0][0] is preds[-1].node and preds[-1].data.shape == (32, 32)
     assert len(trains["decoder"]) == len(net.decoders) - 1
     assert stats.decoder_steps == sum(s.data.size for s in trains["decoder"])
     tz.backward(loss, tape)
@@ -318,9 +323,9 @@ def test_last_decoder_block_stops_at_its_head():
     assert dead == {last + "conv"} | {last + "att." + n for n in net.decoders[-1].att.weights}
 
 
-@pytest.mark.parametrize("multiscale, entries", [(False, 61), (True, 67)])
+@pytest.mark.parametrize("multiscale, entries", [(False, 58), (True, 64)])
 def test_default_training_step_tape_has_one_loss_entry_per_scale(multiscale, entries):
-    # the 60 forward entries above, then one total_loss per supervised scale
+    # the 57 forward entries above, then one total_loss per supervised scale
     # and one add joining each extra scale
     cfg = md.ModelConfig()
     net = md.DepthNet(cfg, seed=0)

@@ -260,3 +260,19 @@ def test_fused_if_run_is_one_tape_entry():
         with tz.Tape() as tape:
             nr.if_run(x, nr.IFParams(mode=mode))
         assert len(tape) == 1, mode
+
+
+@pytest.mark.parametrize("mode", ["spiking", "smooth"])
+def test_fused_if_run_backward_keeps_only_the_charged_membranes(mode):
+    # the spikes are fired again from h in the backward, so no closure pins them
+    x = tz.Tensor(np.random.default_rng(7).uniform(-1.0, 2.5, (4, 3, 5)), requires_grad=True)
+    with tz.Tape() as tape:
+        spikes, _ = nr.if_run(x, nr.IFParams(mode=mode))
+    _, _, if_backward = tape._ops[0]
+    assert if_backward.__qualname__ == "if_run.<locals>.bw"
+    held = [c.cell_contents for c in if_backward.__closure__]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    arrays += [t.data for t in held if isinstance(t, tz.Tensor)]
+    [h] = arrays
+    assert h.shape == x.data.shape and not np.shares_memory(h, spikes.data)
+    np.testing.assert_array_equal(h[0], x.data[0])  # charged from a zero membrane

@@ -1,4 +1,6 @@
+import gc
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from spikedepth import tensor as tz
 from helpers import (naive_conv2d, naive_conv2d_grads, central_diff, assert_grads_close,
                      check_op_gradient, reference_backward, avg_downsample, mean_all,
                      load_tensor, total_params, param_names, pool, linear, relu, sigmoid,
-                     sub, mul, absolute, sum_all, concat)
+                     sub, mul, absolute, sum_all, concat, if_run_stepwise)
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
@@ -32,12 +34,16 @@ def test_conv_box_filter_center_and_corner():
     assert out.data[0, 0, 0, 2] == 6.0
 
 
-def test_conv_1x1_is_channel_mix():
-    x = rand((1, 3, 4, 4), seed=1)
-    w = rand((2, 3, 1, 1), seed=2)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_conv_1x1_is_channel_mix(seed):
+    # small integers, so that every partial sum is exact in either summation order
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-8, 9, (1, 3, 4, 4)).astype(np.float64)
+    w = rng.integers(-8, 9, (2, 3, 1, 1)).astype(np.float64)
     out = tz.conv2d(tz.Tensor(x), tz.Tensor(w))
     want = np.einsum("oc,tchw->tohw", w[:, :, 0, 0], x)
-    np.testing.assert_allclose(out.data, want, rtol=1e-14)
+    np.testing.assert_array_equal(out.data, want)
 
 
 def same_size(n, stride):
@@ -201,6 +207,33 @@ def test_conv_backward_is_named_and_keeps_no_padded_copy(stride, k):
     arrays = [a for a in held if isinstance(a, np.ndarray)]
     arrays += [t.data for t in held if isinstance(t, tz.Tensor)]
     assert arrays and max(a.nbytes for a in arrays) <= x.data.nbytes
+
+
+@pytest.mark.parametrize("mode", ["spiking", "smooth"])
+def test_tape_frees_the_arrays_no_backward_reads(mode):
+    """The conv output feeds only if_run, which keeps its own membranes, and
+    the spikes feed only a sum: once the forward drops them both arrays are
+    freed, and the gradients are those of the per-step oracle population."""
+    params = nr.IFParams(mode=mode, surrogate_alpha=0.7)
+
+    def run(population):
+        x = tz.Tensor(rand((3, 2, 6, 7), seed=40, lo=0.0, hi=1.5), requires_grad=True)
+        w = tz.Tensor(rand((4, 2, 3, 3), seed=41), requires_grad=True)
+        with tz.Tape() as tape:
+            y = tz.conv2d(x, w)
+            s, v = population(y, params)
+            loss = tz.add(sum_all(s), sum_all(v))
+        refs = weakref.ref(y.data), weakref.ref(s.data)
+        del y, s, v
+        gc.collect()
+        tz.backward(loss, tape)
+        return refs, x.grad, w.grad
+
+    refs, gx, gw = run(nr.if_run)
+    assert all(r() is None for r in refs)
+    _, want_gx, want_gw = run(if_run_stepwise)
+    np.testing.assert_array_equal(gx, want_gx)
+    np.testing.assert_array_equal(gw, want_gw)
 
 
 def test_conv_time_axis_is_batch():
@@ -511,6 +544,11 @@ TAPE_OPS = ("add", "sub", "mul", "square", "gate", "pool_avg", "pool_max", "upsa
             "if_run", "sigmoid")
 
 
+# kinds that drop a value from the pool and that add a new leaf to it, so that
+# a freed intermediate's id() can come back as a leaf's while the tape runs
+POOL_OPS = ("drop", "leaf")
+
+
 # IF populations for the if_run kind: two with two outputs, and an integrator
 IF_KINDS = (nr.IFParams(v_reset=0.25), nr.IFParams(mode="smooth", surrogate_alpha=0.7),
             nr.IFParams(mode="integrator"))
@@ -519,9 +557,11 @@ IF_KINDS = (nr.IFParams(v_reset=0.25), nr.IFParams(mode="smooth", surrogate_alph
 def build_random_tape(ops, used, seed):
     """A tape over [2, 3, 2, 2] values drawn by (kind, i, j) triples.
 
-    Returns (tape, loss, leaves). Values are picked from a growing pool, so
-    tensors fan out; two-operand ops fan in. The loss sums the values named
-    by `used` and is scaled by a scalar leaf, so other values go unused.
+    Returns (tape, loss, leaves, pool). Values are picked from a growing
+    pool, so tensors fan out; two-operand ops fan in. A "drop" removes value
+    i from the pool, so the forward no longer holds it, and a "leaf" adds a
+    new leaf tensor. The loss sums the values named by `used` and is scaled
+    by a scalar leaf, so other values go unused.
     """
     rng = np.random.default_rng(seed)
     shape = (2, 3, 2, 2)
@@ -558,28 +598,32 @@ def build_random_tape(ops, used, seed):
                     out = spikes
                 else:
                     out = tz.add(tz.reshape(membrane, (1, 3, 2, 2)), b)
+            elif kind == "drop":
+                if len(vals) > 1:
+                    del vals[i % len(vals)]
+                del a, b
+                continue
+            elif kind == "leaf":
+                out = tz.Tensor(rng.uniform(-1, 1, shape), requires_grad=True)
+                leaves["new%d" % len(leaves)] = out
             else:
                 out = sigmoid(a)
             vals.append(out)
+            del a, b, out
         total = sum_all(vals[used[0] % len(vals)])
         for u in used[1:]:
             total = tz.add(total, sum_all(vals[u % len(vals)]))
         loss = mul(total, leaves["scale"])
-    return tape, loss, leaves
+    return tape, loss, leaves, vals
 
 
-@settings(max_examples=80, deadline=None)
-@given(ops=st.lists(st.tuples(st.sampled_from(TAPE_OPS), st.integers(0, 63),
-                              st.integers(0, 63)), min_size=1, max_size=10),
-       used=st.lists(st.integers(0, 63), min_size=1, max_size=2),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_backward_matches_keep_everything_sweep(ops, used, seed):
+def check_backward_against_oracle(tape, loss, leaves, pool):
     """Leaf gradients equal the oracle's bit for bit; intermediates get none."""
-    tape, loss, leaves = build_random_tape(ops, used, seed)
     tz.backward(loss, tape)
     got = {name: t.grad for name, t in leaves.items()}
-    for outputs, _, _ in tape._ops:
-        assert all(o.grad is None for o in outputs)
+    leaf_ids = {id(t) for t in leaves.values()}
+    assert loss.grad is None
+    assert all(v.grad is None for v in pool if id(v) not in leaf_ids)
 
     for t in leaves.values():
         t.grad = None
@@ -591,12 +635,35 @@ def test_backward_matches_keep_everything_sweep(ops, used, seed):
             assert got[name].shape == t.grad.shape, name
             np.testing.assert_array_equal(got[name], t.grad, err_msg=name)
 
+
+@settings(max_examples=80, deadline=None)
+@given(ops=st.lists(st.tuples(st.sampled_from(TAPE_OPS), st.integers(0, 63),
+                              st.integers(0, 63)), min_size=1, max_size=10),
+       used=st.lists(st.integers(0, 63), min_size=1, max_size=2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_backward_matches_keep_everything_sweep(ops, used, seed):
+    """Leaf gradients equal the oracle's bit for bit; intermediates get none."""
+    tape, loss, leaves, pool = build_random_tape(ops, used, seed)
+    check_backward_against_oracle(tape, loss, leaves, pool)
+
     # a loss that no op on the tape produced is a leaf: d loss / d loss = 1
     for t in leaves.values():
         t.grad = None
     tz.backward(leaves["scale"], tape)
     assert leaves["scale"].grad == 1.0
     assert all(t.grad is None for name, t in leaves.items() if name != "scale")
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=st.lists(st.tuples(st.sampled_from(TAPE_OPS + POOL_OPS), st.integers(0, 63),
+                              st.integers(0, 63)), min_size=1, max_size=14),
+       used=st.lists(st.integers(0, 63), min_size=1, max_size=2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_backward_matches_keep_everything_sweep_with_freed_intermediates(ops, used, seed):
+    """As above on tapes whose forward drops intermediates and makes new
+    leaves mid-tape: the tape keys outputs by node, not id(), so a leaf that
+    takes a freed intermediate's id gets its own gradient."""
+    check_backward_against_oracle(*build_random_tape(ops, used, seed))
 
 
 def test_leaf_grad_is_owned_when_it_arrives_as_a_view():
