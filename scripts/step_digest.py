@@ -18,16 +18,23 @@ the second Adam step, every parameter. It prints one line per variant:
     python3 scripts/step_digest.py --height 260 --width 346
 
 Two commits that print the same digests compute the same bits on this run.
-The program is imported from the `src/` beside this script.
+BLAS runs on one thread, as in perfbench/run.py, so a GEMM's summation order
+does not depend on the host's core count. The program is imported from the
+`src/` beside this script.
 """
 
 import argparse
 import dataclasses
 import hashlib
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# set before numpy is first imported
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402  (after the thread settings)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from spikedepth import cli, events as ev, model as md, tensor as tz  # noqa: E402

@@ -11,22 +11,25 @@ channel, then spatial, applying only the enabled modules.
 The channel and spatial gates are computed independently at each time step.
 The temporal gate is the only part that mixes information across steps.
 
-A decoder site gates the nearest 2x upsample of its input. tcsa takes the
-input and the factor, and the first T or C gate does the upsample inside
-its own tape entry: the forward gates the upsampled copy and drops it, and
-the backward forms g * up by broadcasting the input over each 2x2 block,
-finds each pooled row's first maximum in the input, and ends with the
-upsample's 2x2 block sum. So the entry keeps the input, not the 4x copy,
-and computes every value as the separate upsample and gate entries did.
+A gating site is one tape entry that covers every enabled module and, at a
+decoder site, the nearest 2x upsample of its input in front of them. The
+forward runs pools, MLP or conv, sigmoid and gating in numpy and drops each
+gated intermediate once the next module has read it; the entry keeps the
+site's input (not its upsampled copy), each module's pools, hidden units,
+gate and spatial maps, and the weights. The backward rebuilds each module's
+input from the site's input and the earlier gates with the forward's own
+multiplications, broadcasting the input over each f x f block instead of
+upsampling it, then runs the closed-form module backwards in reverse order
+and ends with the upsample's block sum. So every value is the same
+expression on the same operands as a chain of one entry per module.
 
-Each enabled module is one tape entry: the forward runs pools, MLP or conv,
-sigmoid and gating in numpy, and the backward is closed-form. A max pool
-routes its gradient to the first maximum along the pooled axes (row-major),
-which matters on binary spike inputs where ties are common. The input
-gradient is summed as ((g * gate) + max-pool term) + avg-pool term, the
-order in which a reverse sweep over the composed graph of pool, linear,
-relu, sigmoid and mul ops would add it, so outputs match that graph bit for
-bit; a gradient the input already carries is added to the whole sum.
+A max pool routes its gradient to the first maximum along the pooled axes
+(row-major), which matters on binary spike inputs where ties are common.
+A module's input gradient is summed as ((g * gate) + max-pool term) +
+avg-pool term, the order in which a reverse sweep over the composed graph
+of pool, linear, relu, sigmoid and mul ops would add it, so outputs match
+that graph bit for bit; a gradient the site's input already carries is
+added to the whole sum.
 """
 
 import numpy as np
@@ -83,23 +86,6 @@ class AttentionParams:
         return "".join(m for m in MODULE_ORDER if _WEIGHTS[m][0] in self.weights)
 
 
-def _module_input(x, params, letter):
-    """x as a Tensor and the module's weights, once x is checked against them."""
-    x = tz.as_tensor(x)
-    if x.data.ndim != 4:
-        raise tz.DimensionError("attention input must be [T, C, H, W], got %s"
-                                % (x.data.shape,))
-    if letter not in params.enabled:
-        raise tz.StateError("%s module not enabled on this site" % letter)
-    weights = [params.weights[name] for name in _WEIGHTS[letter]]
-    axis = "TC".find(letter)  # the axis an MLP gate keeps; -1 for S
-    if axis >= 0 and x.data.shape[axis] != weights[0].data.shape[1]:
-        raise tz.DimensionError("%s axis is %d, parameters expect %d"
-                                % (("time", "channel")[axis], x.data.shape[axis],
-                                   weights[0].data.shape[1]))
-    return x, weights
-
-
 def _sigmoid(z):
     """Numerically stable logistic; saturates to 0/1 without overflow."""
     e = np.exp(-np.abs(z))
@@ -112,131 +98,191 @@ def _linear_grads(g, v, w):
     return g @ w, g.reshape(-1, m).T @ v.reshape(-1, n)
 
 
-def _mlp_gate(x, n_kept, w_compress, w_expand, upsample=1):
-    """Gate x by the sigmoid of the shared MLP over its average and max pools.
-
-    The pools reduce every axis after the first n_kept, so the gate holds one
-    value per kept index; one tape entry. With upsample = f > 1 the entry is
-    the f x f nearest upsample of x followed by the gate: the forward pools
-    and gates the upsampled copy and then drops it, and the backward works
-    from x alone (see bw), so the entry keeps x, not a copy f*f times larger.
-    """
-    xd, f = x.data, upsample
-    up = xd if f == 1 else tz._upsample(xd, f)
-    kept = up.shape[:n_kept]
-    flat = up.reshape(kept + (-1,))
-    n = flat.shape[-1]
-    w1, w2 = w_compress.data, w_expand.data
-    pools = (flat.mean(axis=-1), flat.max(axis=-1))
-    hidden = tuple(v @ w1.T for v in pools)
-    relus = tuple(np.maximum(h, 0.0) for h in hidden)
-    gate = _sigmoid(relus[0] @ w2.T + relus[1] @ w2.T)
-    gate_b = gate.reshape(kept + (1,) * (xd.ndim - n_kept))
-    out = Tensor(up * gate_b)
-    shape = up.shape  # bw names no array of up's size
-
-    def bw(g):
-        # g * up, from x broadcast over the f x f blocks of g in place
-        gx = np.empty(shape)
-        np.multiply(_blocks(g, f), xd[..., :, None, :, None], out=_blocks(gx, f))
-        gz = gx.reshape(kept + (-1,)).sum(axis=-1) * gate * (1.0 - gate)
-        grads = []  # per branch: (d pool, d w_compress, d w_expand)
-        for v, h, r in zip(pools, hidden, relus):
-            gr, gw2 = _linear_grads(gz, r, w2)
-            gv, gw1 = _linear_grads(gr * (h > 0), v, w1)
-            grads.append((gv, gw1, gw2))
-        (g_avg, gw1_a, gw2_a), (g_max, gw1_m, gw2_m) = grads
-        if not x.requires_grad:
-            gx = None
-        else:
-            np.multiply(g, gate_b, out=gx)
-            rows = gx.reshape(-1, n)
-            # the first maximum of an upsampled row is its copy of x's first
-            # maximum at row f*r, column f*c: it comes first in row-major order
-            width = xd.shape[-1]
-            first = xd.reshape(rows.shape[0], -1).argmax(axis=-1)
-            first = first // width * (f * f * width) + first % width * f
-            rows[np.arange(rows.shape[0]), first] += g_max.reshape(-1)
-            gx += (g_avg / n).reshape(gate_b.shape)
-            if f != 1:
-                gx = tz._block_sum(gx, f)
-        return gx, gw1_m + gw1_a, gw2_m + gw2_a
-
-    tz.record((out,), (x, w_compress, w_expand), bw)
-    return out
-
-
 def _blocks(a, f):
     """[..., H*f, W*f] viewed as [..., H, f, W, f]: the f x f block of each pixel."""
     *lead, h, w = a.shape
     return a.reshape(*lead, h // f, f, w // f, f)
 
 
-def temporal_attention(x, params, upsample=1):
-    """Gate each time step by a scalar computed from all steps (of x upsampled
-    by the given factor)."""
-    x, (w_compress, w_expand) = _module_input(x, params, "T")
-    return _mlp_gate(x, 1, w_compress, w_expand, upsample)
+def _spread(a):
+    """[..., H, W] as [..., H, 1, W, 1]: a broadcast over the f x f blocks of _blocks."""
+    return a[..., :, None, :, None]
 
 
-def channel_attention(x, params, upsample=1):
-    """Gate each channel per step from its spatial summary (of x upsampled by
-    the given factor)."""
-    x, (w_compress, w_expand) = _module_input(x, params, "C")
-    return _mlp_gate(x, 2, w_compress, w_expand, upsample)
+def _lift(gate, ndim):
+    """A [kept] gate with trailing singleton axes up to rank ndim, to broadcast."""
+    return gate.reshape(gate.shape + (1,) * (ndim - gate.ndim))
+
+
+def _mlp_state(a, n_kept, w1, w2):
+    """(pools, hidden, relus, gate) of the MLP module that keeps a's first
+    n_kept axes: the pools reduce every axis after them, so the gate holds
+    one value per kept index."""
+    flat = a.reshape(a.shape[:n_kept] + (-1,))
+    pools = (flat.mean(axis=-1), flat.max(axis=-1))
+    hidden = tuple(v @ w1.T for v in pools)
+    relus = tuple(np.maximum(h, 0.0) for h in hidden)
+    return pools, hidden, relus, _sigmoid(relus[0] @ w2.T + relus[1] @ w2.T)
+
+
+def _spatial_state(a, wd):
+    """(maps, gate) of the spatial module: a's channel-average and
+    channel-max maps, and the sigmoid of their conv with wd."""
+    t, _, h, w = a.shape
+    maps = np.empty((t, 2, h, w))
+    np.mean(a, axis=1, out=maps[:, 0])
+    np.max(a, axis=1, out=maps[:, 1])
+    return maps, _sigmoid(tz._shifted_conv(maps, wd))
+
+
+def _mlp_grads(g, b, f, w1, w2, state, need_gx, own):
+    """(d loss / d up, d w_compress, d w_expand) of an MLP module gating
+    up = the f x f upsample of b, given g = d loss / d (up * gate).
+
+    The input gradient is None unless need_gx; with own it is written into g.
+    """
+    pools, hidden, relus, gate = state
+    kept = gate.shape
+    # g * up summed per kept index over as many time steps at a time as fit
+    # in tz._CHUNK_FLOATS (at least one): the same row sums as over the whole
+    # product, without a [T, C, H, W] array
+    span = max(1, tz._CHUNK_FLOATS // g[0].size)
+    buf = np.empty((min(span, len(g)),) + g.shape[1:])
+    gz = np.empty(kept)
+    for lo in range(0, len(g), span):
+        part = buf[:len(g) - lo]
+        np.multiply(_blocks(g[lo:lo + span], f), _spread(b[lo:lo + span]),
+                    out=_blocks(part, f))
+        gz[lo:lo + span] = part.reshape(part.shape[:len(kept)] + (-1,)).sum(axis=-1)
+    gz = gz * gate * (1.0 - gate)
+    grads = []  # per branch: (d pool, d w_compress, d w_expand)
+    for v, h, r in zip(pools, hidden, relus):
+        gr, gw2 = _linear_grads(gz, r, w2)
+        gv, gw1 = _linear_grads(gr * (h > 0), v, w1)
+        grads.append((gv, gw1, gw2))
+    (g_avg, gw1_a, gw2_a), (g_max, gw1_m, gw2_m) = grads
+    if not need_gx:
+        return None, gw1_m + gw1_a, gw2_m + gw2_a
+    gate_b = _lift(gate, g.ndim)
+    gx = np.multiply(g, gate_b, out=g if own else None)
+    rows = gx.reshape(gate.size, -1)
+    # the first maximum of an upsampled row is its copy of b's first maximum
+    # at row f*r, column f*c: it comes first in row-major order
+    width = b.shape[-1]
+    first = b.reshape(gate.size, -1).argmax(axis=-1)
+    first = first // width * (f * f * width) + first % width * f
+    rows[np.arange(gate.size), first] += g_max.reshape(-1)
+    gx += (g_avg / rows.shape[1]).reshape(gate_b.shape)
+    return gx, gw1_m + gw1_a, gw2_m + gw2_a
+
+
+def _spatial_grads(g, a, wd, state, need_gx):
+    """(d loss / d a, d s_conv) of the spatial module gating a, given
+    g = d loss / d (a * gate). The input gradient, None unless need_gx, is
+    written into a."""
+    maps, gate = state
+    t, c, h, w = a.shape
+    # the channel sum of g * a without a [T, C, H, W] product
+    gz = np.einsum("tchw,tchw->thw", g, a)[:, None] * gate * (1.0 - gate)
+    gw, gmaps = tz._shifted_grads(maps, wd, gz, need_gx)
+    if gmaps is None:
+        return None, gw
+    # first channel at the maximum: c minus the largest (c - channel) over
+    # the hits; a max reduce, where argmax over axis 1 would copy a
+    rank = np.arange(c, 0, -1, dtype=np.min_scalar_type(c)).reshape(c, 1, 1)
+    first = c - ((a == maps[:, 1:]) * rank).max(axis=1, initial=1)
+    gx = np.multiply(g, gate, out=a)
+    hw = h * w
+    pos = (np.arange(t)[:, None] * c + first.reshape(t, hw)) * hw + np.arange(hw)
+    gx.reshape(-1)[pos] += gmaps[:, 1].reshape(t, hw)
+    gx += gmaps[:, :1] / c
+    return gx, gw
+
+
+def _site(x, params, modules, upsample=1):
+    """Gate the f x f nearest upsample of x (f = upsample) by the listed
+    modules, in order: one tape entry that keeps x and each module's small
+    state, and rebuilds the gated intermediates in its backward."""
+    x = tz.as_tensor(x)
+    xd, f = x.data, upsample
+    if xd.ndim != 4:
+        raise tz.DimensionError("attention input must be [T, C, H, W], got %s"
+                                % (xd.shape,))
+    weights = []
+    for m in modules:
+        if m not in params.enabled:
+            raise tz.StateError("%s module not enabled on this site" % m)
+        weights.append([params.weights[name] for name in _WEIGHTS[m]])
+        axis = "TC".find(m)  # the axis an MLP gate keeps; -1 for S
+        if axis >= 0 and xd.shape[axis] != weights[-1][0].data.shape[1]:
+            raise tz.DimensionError("%s axis is %d, parameters expect %d"
+                                    % (("time", "channel")[axis], xd.shape[axis],
+                                       weights[-1][0].data.shape[1]))
+    a = xd if f == 1 else tz._upsample(xd, f)
+    shape = a.shape
+    mlps, spatial = [], None  # the T and C modules' (weights, state); S's (weight, state)
+    for m, ws in zip(modules, weights):
+        wd = tuple(w.data for w in ws)
+        if m == "S":
+            spatial = wd[0], _spatial_state(a, wd[0])
+            gate = spatial[1][1]
+        else:
+            mlps.append((wd, _mlp_state(a, "TC".index(m) + 1, *wd)))
+            gate = _lift(mlps[-1][1][-1], a.ndim)
+        a = a * gate  # the module's input is dropped here, unless it is x
+    out = Tensor(a)
+
+    def bw(g):
+        # each T or C module's input before the upsample: x, then x times each
+        # gate in turn; the forward gated the upsample of each
+        gates = [state[-1] for _, state in mlps]
+        ins = [xd]
+        for gate in gates[:-1]:
+            ins.append(ins[-1] * _lift(gate, 4))
+        grads = []
+        own = spatial is not None  # whether g is a buffer bw may overwrite
+        if own:
+            # the spatial module's input, in a buffer that then takes its gradient
+            buf = np.empty(shape)
+            if mlps:
+                np.multiply(_spread(ins[-1]), _lift(gates[-1], 6), out=_blocks(buf, f))
+            else:
+                _blocks(buf, f)[...] = _spread(xd)
+            g, gw = _spatial_grads(g, buf, *spatial, bool(mlps) or x.requires_grad)
+            grads.append((gw,))
+        for i in reversed(range(len(mlps))):
+            (w1, w2), state = mlps[i]
+            g, *gws = _mlp_grads(g, ins[i], f, w1, w2, state, i > 0 or x.requires_grad, own)
+            grads.append(gws)
+            own = True
+        if g is not None and f != 1:
+            g = tz._block_sum(g, f)
+        return (g,) + tuple(gw for gws in reversed(grads) for gw in gws)
+
+    tz.record((out,), (x,) + tuple(w for ws in weights for w in ws), bw)
+    return out
+
+
+def temporal_attention(x, params):
+    """Gate each time step by a scalar computed from all steps."""
+    return _site(x, params, "T")
+
+
+def channel_attention(x, params):
+    """Gate each channel per step from its spatial summary."""
+    return _site(x, params, "C")
 
 
 def spatial_attention(x, params):
     """Gate each pixel per step from cross-channel average and max maps."""
-    x, (s_conv,) = _module_input(x, params, "S")
-    xd, wd = x.data, s_conv.data
-    t, c, h, w = xd.shape
-    maps = np.empty((t, 2, h, w))
-    np.mean(xd, axis=1, out=maps[:, 0])
-    np.max(xd, axis=1, out=maps[:, 1])
-    gate = _sigmoid(tz._shifted_conv(maps, wd))
-    out = Tensor(xd * gate)
-
-    def bw(g):
-        # the channel sum of g * x without a [T, C, H, W] product
-        gz = np.einsum("tchw,tchw->thw", g, xd)[:, None] * gate * (1.0 - gate)
-        gw, gmaps = tz._shifted_grads(maps, wd, gz, x.requires_grad)
-        if gmaps is None:
-            return None, gw
-        gx = np.empty(xd.shape)
-        np.multiply(g, gate, out=gx)
-        # first channel at the maximum: c minus the largest (c - channel) over
-        # the hits; a max reduce, where argmax over axis 1 would copy x
-        rank = np.arange(c, 0, -1, dtype=np.min_scalar_type(c)).reshape(c, 1, 1)
-        first = c - ((xd == maps[:, 1:]) * rank).max(axis=1, initial=1)
-        hw = h * w
-        pos = (np.arange(t)[:, None] * c + first.reshape(t, hw)) * hw + np.arange(hw)
-        gx.reshape(-1)[pos] += gmaps[:, 1].reshape(t, hw)
-        gx += gmaps[:, :1] / c
-        return gx, gw
-
-    tz.record((out,), (x, s_conv), bw)
-    return out
-
-
-_APPLY = {"T": temporal_attention, "C": channel_attention, "S": spatial_attention}
+    return _site(x, params, "S")
 
 
 def tcsa(x, params, upsample=1):
-    """Apply the enabled modules in T, C, S order; identity when none.
-
-    With upsample = f > 1 the modules gate the f x f nearest upsample of x.
-    When a T or C gate comes first, that gate's tape entry does the upsample
-    (see _mlp_gate); otherwise tz.nearest_upsample runs in front.
-    """
+    """Apply the enabled modules in T, C, S order to the f x f nearest
+    upsample of x (f = upsample), as one tape entry; only the upsample when
+    no module is enabled."""
     x = tz.as_tensor(x)
-    enabled = params.enabled
-    if upsample != 1:
-        if enabled[:1] in ("T", "C"):
-            x = _APPLY[enabled[0]](x, params, upsample)
-            enabled = enabled[1:]
-        else:
-            x = tz.nearest_upsample(x, upsample)
-    for m in enabled:
-        x = _APPLY[m](x, params)
-    return x
+    if params.enabled:
+        return _site(x, params, params.enabled, upsample)
+    return x if upsample == 1 else tz.nearest_upsample(x, upsample)

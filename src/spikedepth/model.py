@@ -24,11 +24,10 @@ upsampled input would give, from a quarter of the pixels. Every layer but
 the last then upsamples its input by 2, gates it with attention, 3x3 conv,
 IF, and adds the matching encoder output as an elementwise skip; that sum
 feeds the next layer. The upsample is folded into the gate: the layer hands
-its input and the factor 2 to `attention.tcsa`, whose first T or C gate
-upsamples, pools and gates as one tape entry that keeps the input rather
-than its 4x copy (a site with no such gate upsamples in front of it). The
-last layer is head -> integrator -> upsample, and its map cropped back to
-the input geometry is the final depth.
+its input and the factor 2 to `attention.tcsa`, whose site upsamples, pools
+and gates as one tape entry that keeps the input rather than its 4x copy or
+any gated intermediate. The last layer is head -> integrator -> upsample,
+and its map cropped back to the input geometry is the final depth.
 
 Every weight's name and shape comes from one table, `param_shapes(config)`
 (with `attention.weight_shapes` for each gating site): DepthNet fills its

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,7 +275,7 @@ def test_fused_gates_match_composed_graph(t, hidden, r, h, w, enabled, kind,
     weight = rng.uniform(-1.0, 1.0, shape)
     out, gx, gws, n_ops = run_taped(at.tcsa, x, p, requires_grad, weight)
     want, want_gx, want_gws, _ = run_taped(tcsa_composed, x, p, requires_grad, weight)
-    assert n_ops == len(enabled) + 2  # one per module, plus mul and sum_all
+    assert n_ops == 3  # one for the site, plus mul and sum_all
     np.testing.assert_array_equal(out, want)
     if requires_grad:
         np.testing.assert_allclose(gx, want_gx, rtol=1e-12, atol=0.0)
@@ -315,27 +317,36 @@ def test_max_pool_gradient_goes_to_the_first_tied_maximum():
 # the decoder's folded upsample
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(t=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 4), w=st.integers(1, 4),
-       f=st.sampled_from([2, 3]), enabled=st.sets(st.sampled_from("TCS")),
+       f=st.sampled_from([1, 2, 3]), enabled=st.sets(st.sampled_from("TCS")),
        kind=st.sampled_from(["uniform", "binary", "zeros"]),
        requires_grad=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_folded_upsample_matches_upsample_then_gates(t, c, h, w, f, enabled, kind,
                                                      requires_grad, seed):
-    """tcsa(x, upsample=f) computes the bits of tcsa(nearest_upsample(x, f)):
-    outputs and every gradient; binary inputs tie in the max pools. A T or C
-    gate in front takes the upsample into its own tape entry."""
+    """tcsa(x, upsample=f) computes the bits of nearest_upsample(x, f) followed
+    by the one-module sites in T, C, S order: outputs and every gradient, so
+    the intermediates the site's backward rebuilds equal the ones its forward
+    gated; binary inputs tie in the max pools."""
     rng = np.random.default_rng(seed)
     if kind == "uniform":
         x = rng.uniform(-1.0, 1.0, (t, c, h, w))
     else:
         x = (rng.uniform(0.0, 1.0, (t, c, h, w)) < (0.3 if kind == "binary" else 0.0)) * 1.0
-    enabled = "".join(enabled)
+    enabled = at.normalize_enabled(enabled)
     p = attention_params(t, c, 1, enabled, rng=rng)
+    one_module = {"T": at.temporal_attention, "C": at.channel_attention,
+                  "S": at.spatial_attention}
+
+    def upsample_then_gates(xt, p):
+        xt = xt if f == 1 else tz.nearest_upsample(xt, f)
+        for m in enabled:
+            xt = one_module[m](xt, p)
+        return xt
+
     weight = rng.uniform(-1.0, 1.0, (t, c, h * f, w * f))
     got = run_taped(lambda xt, p: at.tcsa(xt, p, upsample=f), x, p, requires_grad, weight)
-    want = run_taped(lambda xt, p: at.tcsa(tz.nearest_upsample(xt, f), p), x, p,
-                     requires_grad, weight)
+    want = run_taped(upsample_then_gates, x, p, requires_grad, weight)
     np.testing.assert_array_equal(got[0], want[0])
     if requires_grad:
         np.testing.assert_array_equal(got[1], want[1])
@@ -343,22 +354,65 @@ def test_folded_upsample_matches_upsample_then_gates(t, c, h, w, f, enabled, kin
         assert got[1] is None and want[1] is None
     for g, ref in zip(got[2], want[2]):
         np.testing.assert_array_equal(g, ref)
-    # an upsample of an x that needs no gradient is not taped either way
-    folded = requires_grad and at.normalize_enabled(enabled)[:1] in ("T", "C")
-    assert got[3] == want[3] - folded
+    # the upsample and every enabled module are one entry; with none enabled,
+    # tcsa is the upsample alone
+    assert got[3] == (3 if enabled else want[3])
 
 
-@pytest.mark.parametrize("enabled", ["CS", "TCS", "C"])
+def closure_arrays(fn):
+    """Every array that fn's closure holds, through tuples, lists and Tensors."""
+    arrays, todo = [], [cell.cell_contents for cell in fn.__closure__]
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, tz.Tensor):
+            arrays.append(obj.data)
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+    return arrays
+
+
+@pytest.mark.parametrize("enabled", ["T", "C", "S", "TC", "TS", "CS", "TCS"])
 def test_folded_upsample_entry_keeps_the_input_not_its_copy(enabled):
-    x = tz.Tensor(rand((4, 6, 5, 7), seed=40), requires_grad=True)
-    p = rand_params(enabled, seed=41)
-    for wt in p.weights.values():
-        wt.requires_grad = True
-    with tz.Tape() as tape:
-        at.tcsa(x, p, upsample=2)
-    _, _, gate_backward = tape._ops[0]
-    assert gate_backward.__qualname__ == "_mlp_gate.<locals>.bw"
-    held = [cell.cell_contents for cell in gate_backward.__closure__]
-    arrays = [a for a in held if isinstance(a, np.ndarray)]
-    arrays += [t.data for t in held if isinstance(t, tz.Tensor)]
-    assert max(a.nbytes for a in arrays) == x.data.nbytes
+    # the site keeps x and per-module state, no gated intermediate and no
+    # upsampled copy; the spatial maps hold 2 f^2 values per pixel of x, at
+    # most x's C = 8 values at f = 2 (a decoder site has C >= 16)
+    for f in (1, 2):
+        x = tz.Tensor(rand((4, 8, 5, 7), seed=40), requires_grad=True)
+        p = rand_params(enabled, c=8, seed=41)
+        for wt in p.weights.values():
+            wt.requires_grad = True
+        with tz.Tape() as tape:
+            at.tcsa(x, p, upsample=f)
+        [(_, _, site_backward)] = tape._ops
+        assert site_backward.__qualname__ == "_site.<locals>.bw"
+        arrays = closure_arrays(site_backward)
+        assert any(a is x.data for a in arrays)
+        assert max(a.nbytes for a in arrays) == x.data.nbytes
+
+
+def test_channel_gate_output_is_freed_after_the_forward(monkeypatch):
+    # the spatial module reads the channel gate's output; once the forward is
+    # done nothing holds it, and the backward rebuilds it from x and the gate
+    seen = []
+    state = at._spatial_state
+
+    def watched(a, wd):
+        seen.append(weakref.ref(a))
+        return state(a, wd)
+
+    monkeypatch.setattr(at, "_spatial_state", watched)
+    x = rand((4, 6, 5, 7), seed=42)
+    p = rand_params("CS", seed=43)
+    weight = rand((4, 6, 10, 14), seed=44)
+    for f in (1, 2):
+        xt = tz.Tensor(x, requires_grad=True)
+        for wt in p.weights.values():
+            wt.requires_grad, wt.grad = True, None
+        with tz.Tape() as tape:
+            out = at.tcsa(xt, p, upsample=f)
+            loss = sum_all(mul(out, tz.Tensor(weight[:, :, :5 * f, :7 * f])))
+        assert seen[-1]() is None
+        tz.backward(loss, tape)
+        assert np.isfinite(xt.grad).all() and xt.grad.shape == x.shape

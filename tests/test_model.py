@@ -249,10 +249,10 @@ def tape_kinds(entries):
 def test_default_forward_tape_has_one_entry_per_if_population():
     # the 7 residual and decoder populations and the 4 integrator heads are one
     # entry each (the CE-Att encoder populations feed only the counts and stay
-    # off the tape), and so is each channel and spatial gate of the nine
-    # attention sites (the last decoder layer has none); the input requires a
-    # gradient, so enc0's attention over it is taped too. The only upsample
-    # entries are the 4 depth maps': a decoder channel gate upsamples its
+    # off the tape), and so is each of the nine attention sites with its
+    # channel and spatial gates (the last decoder layer has none); the input
+    # requires a gradient, so enc0's attention over it is taped too. The only
+    # upsample entries are the 4 depth maps': a decoder site upsamples its
     # input inside its own entry
     net = md.DepthNet(md.ModelConfig(), seed=0)
     x = tz.Tensor(rand((5, 4, 64, 64), seed=14, lo=0.0, hi=2.0), requires_grad=True)
@@ -260,9 +260,9 @@ def test_default_forward_tape_has_one_entry_per_if_population():
         net.forward(x)
     kinds = tape_kinds(tape._ops)
     assert kinds.count("if_run") == 11
-    assert kinds.count("_mlp_gate") == kinds.count("spatial_attention") == 9
+    assert kinds.count("_site") == 9
     assert kinds.count("nearest_upsample") == 4
-    assert len(tape) == 57
+    assert len(tape) == 48
 
 
 def record_entries(blk, tape):
@@ -323,9 +323,9 @@ def test_last_decoder_block_stops_at_its_head():
     assert dead == {last + "conv"} | {last + "att." + n for n in net.decoders[-1].att.weights}
 
 
-@pytest.mark.parametrize("multiscale, entries", [(False, 58), (True, 64)])
+@pytest.mark.parametrize("multiscale, entries", [(False, 49), (True, 55)])
 def test_default_training_step_tape_has_one_loss_entry_per_scale(multiscale, entries):
-    # the 57 forward entries above, then one total_loss per supervised scale
+    # the 48 forward entries above, then one total_loss per supervised scale
     # and one add joining each extra scale
     cfg = md.ModelConfig()
     net = md.DepthNet(cfg, seed=0)
