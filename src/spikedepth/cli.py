@@ -225,7 +225,9 @@ def _run_settings(entries):
     A `cfg.<name>` entry that names no RunConfig field is an ArgumentError,
     so a misspelt or foreign setting is not dropped without a word.
     """
-    known = {"cfg." + f.name for f in fields(RunConfig)}
+    # convs are bias-free; older checkpoints store the retired flag as 0, and
+    # one that stores 1 holds bias weights that load_model has already refused
+    known = {"cfg." + f.name for f in fields(RunConfig)} | {"cfg.conv_bias"}
     for key in entries:
         if key.startswith("cfg.") and key not in known:
             raise tz.ArgumentError("checkpoint has unknown config entry %r" % key)
@@ -405,6 +407,8 @@ def cmd_predict(args):
     left = ev.load_events(args.events)
     if c.in_channels == 4 and not args.events_right:
         raise CliError("this model takes binocular input; pass --events-right")
+    if c.in_channels == 2 and args.events_right:
+        raise CliError("this model takes monocular input; drop --events-right")
     right = ev.load_events(args.events_right) if c.in_channels == 4 else None
     x = _stack_window(c.stack_mode, left, right, args.window_start, window_len,
                       c.time_steps, c.height, c.width, c.binarize)
@@ -543,6 +547,10 @@ def main(argv=None):
         return e.code
     except INPUT_ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        # inputs numpy can index but this host cannot hold, say a 1e9-row stack
+        print("error: %s" % (str(e) or "out of memory"), file=sys.stderr)
         return 2
 
 

@@ -222,7 +222,8 @@ def _window_counts(events, window_start, window_len, t_steps, height, width):
     return counts.astype(np.float64).reshape(t_steps, 2, height, width)
 
 
-def _validate_stack_args(window_len, t_steps, height, width):
+def _validate_stack_args(window_start, window_len, t_steps, height, width):
+    """O(1) checks; the last two keep _window_counts' int64 sums and array in range."""
     if t_steps < 1:
         raise tz.ArgumentError("t_steps must be >= 1, got %d" % t_steps)
     if window_len < 1:
@@ -232,12 +233,19 @@ def _validate_stack_args(window_len, t_steps, height, width):
                                % (window_len, t_steps))
     if height < 1 or width < 1:
         raise tz.ArgumentError("geometry must be positive, got %dx%d" % (height, width))
+    top = np.iinfo(np.int64).max
+    if window_start < -top - 1 or window_start + window_len > top or window_len * t_steps > top:
+        raise tz.ArgumentError("window [%d, +%d) over %d steps leaves int64 range"
+                               % (window_start, window_len, t_steps))
+    if t_steps * 2 * height * width > np.iinfo(np.intp).max // 8:
+        raise tz.ArgumentError("a [%d, 2, %d, %d] stack exceeds numpy's largest array"
+                               % (t_steps, height, width))
 
 
 def cumulative_stack(events, window_start, window_len, t_steps, height, width,
                      binarize=False):
     """Nested event-count frames over one window."""
-    _validate_stack_args(window_len, t_steps, height, width)
+    _validate_stack_args(window_start, window_len, t_steps, height, width)
     counts = _window_counts(events, window_start, window_len, t_steps, height, width)
     return _finish_stack(np.cumsum(counts, axis=0), window_start, window_len, binarize)
 
@@ -245,7 +253,7 @@ def cumulative_stack(events, window_start, window_len, t_steps, height, width,
 def repeat_stack(events, window_start, window_len, t_steps, height, width,
                  binarize=False):
     """The whole-window histogram replicated at every step."""
-    _validate_stack_args(window_len, t_steps, height, width)
+    _validate_stack_args(window_start, window_len, t_steps, height, width)
     counts = _window_counts(events, window_start, window_len, 1, height, width)
     return _finish_stack(np.repeat(counts, t_steps, axis=0), window_start, window_len, binarize)
 

@@ -78,7 +78,6 @@ class ModelConfig:
     v_reset: float = 0.0
     surrogate_alpha: float = 1.0
     neuron_mode: str = kv.choice("spiking", NEURON_MODES)
-    conv_bias: bool = False
 
     def __post_init__(self):
         kv.check_choices(self)
@@ -189,39 +188,25 @@ class Counts:
 
 
 def draw_weights(shapes, rng):
-    """Arrays for a name -> shape table, drawn in table order: biases zero,
-    other weights uniform in +-1/sqrt(fan_in)."""
+    """Arrays for a name -> shape table in table order, uniform in +-1/sqrt(fan_in)."""
     out = {}
     for name, shape in shapes.items():
-        if name.endswith("_bias"):
-            out[name] = np.zeros(shape)
-        else:
-            bound = np.sqrt(1.0 / int(np.prod(shape[1:])))
-            out[name] = rng.uniform(-bound, bound, size=shape)
+        bound = np.sqrt(1.0 / int(np.prod(shape[1:])))
+        out[name] = rng.uniform(-bound, bound, size=shape)
     return out
 
 
-class _ConvLayer:
-    """Conv by the stored weight `name`, plus a per-channel bias when the
-    store holds `name_bias`."""
-
-    def __init__(self, weights, name, stride=1):
-        self.weight = weights[name]
-        self.bias = weights.get(name + "_bias")
-        self.stride = stride
-
-    def __call__(self, x, counts, upsample=1):
-        out = tz.conv2d(x, self.weight, stride=self.stride)
-        counts.conv(x, self.weight, self.stride, out, upsample)
-        if self.bias is not None:
-            out = tz.add(out, tz.reshape(self.bias, (1, -1, 1, 1)))
-        return out
+def _conv(x, weight, counts, stride=1, upsample=1):
+    """tz.conv2d of x by weight, tallied in counts (see Counts.conv)."""
+    out = tz.conv2d(x, weight, stride=stride)
+    counts.conv(x, weight, stride, out, upsample)
+    return out
 
 
 class EncoderBlock:
     def __init__(self, cfg, store, prefix):
         self.variant = cfg.encoder_variant
-        self.conv = _ConvLayer(store.group(prefix + "."), "conv", stride=2)
+        self.conv = store.group(prefix + ".")["conv"]
         self.att = at.AttentionParams(store.group(prefix + ".att."))
         self.neuron = cfg.if_params()
 
@@ -232,7 +217,7 @@ class EncoderBlock:
         if self.variant in ("CE-Att", "DE-Att1"):
             counts.attention(self.att, x.data.shape)
             x = at.tcsa(x, self.att)
-        y = self.conv(x, counts)
+        y = _conv(x, self.conv, counts, stride=2)
         if self.variant == "DE-Att2":
             counts.attention(self.att, y.data.shape)
             y = at.tcsa(y, self.att)
@@ -247,18 +232,18 @@ class EncoderBlock:
 class ResidualBlock:
     def __init__(self, cfg, store, prefix):
         weights = store.group(prefix + ".")
-        self.conv1 = _ConvLayer(weights, "conv1")
-        self.conv2 = _ConvLayer(weights, "conv2")
+        self.conv1 = weights["conv1"]
+        self.conv2 = weights["conv2"]
         self.att = at.AttentionParams(store.group(prefix + ".att."))
         self.neuron = cfg.if_params()
 
     def forward(self, x, counts):
         s1, _ = nr.if_run(x, self.neuron)
         counts.fire("residual", s1)
-        y1 = self.conv1(s1, counts)
+        y1 = _conv(s1, self.conv1, counts)
         s2, _ = nr.if_run(y1, self.neuron)
         counts.fire("residual", s2)
-        y2 = self.conv2(s2, counts)
+        y2 = _conv(s2, self.conv2, counts)
         counts.attention(self.att, y2.data.shape)
         gated = at.tcsa(y2, self.att)
         return tz.add(gated, x)
@@ -267,8 +252,8 @@ class ResidualBlock:
 class DecoderBlock:
     def __init__(self, cfg, store, prefix):
         weights = store.group(prefix + ".")
-        self.conv = _ConvLayer(weights, "conv")
-        self.head = _ConvLayer(weights, "head")
+        self.conv = weights["conv"]
+        self.head = weights["head"]
         self.att = at.AttentionParams(store.group(prefix + ".att."))
         self.neuron = cfg.if_params()
         self.head_neuron = cfg.integrator_params()
@@ -280,7 +265,7 @@ class DecoderBlock:
         upsampled, so no [T, C] tensor at the upsampled scale is made for
         the head alone.
         """
-        head_in = self.head(x, counts, upsample=2)
+        head_in = _conv(x, self.head, counts, upsample=2)
         _, membrane = nr.if_run(head_in, self.head_neuron)
         pred = tz.nearest_upsample(tz.reshape(membrane, membrane.data.shape[-2:]), 2)
         if skip is None:
@@ -288,7 +273,7 @@ class DecoderBlock:
         t, c, h, w = x.data.shape
         counts.attention(self.att, (t, c, 2 * h, 2 * w))
         gated = at.tcsa(x, self.att, upsample=2)
-        y = self.conv(gated, counts)
+        y = _conv(gated, self.conv, counts)
         spikes, _ = nr.if_run(y, self.neuron)
         counts.fire("decoder", spikes)
         if spikes.data.shape != skip.data.shape:
@@ -433,10 +418,8 @@ def param_shapes(config):
     ladder = config.channel_ladder
     shapes = {}
 
-    def conv(name, c_in, c_out, k=KERNEL, bias=config.conv_bias):
+    def conv(name, c_in, c_out, k=KERNEL):
         shapes[name] = (c_out, c_in, k, k)
-        if bias:
-            shapes[name + "_bias"] = (c_out,)
 
     def att(prefix, channels):
         for name, shape in at.weight_shapes(config.time_steps, channels, config.reduction,
@@ -456,7 +439,7 @@ def param_shapes(config):
     for i in range(config.layers):
         c_in, c_out = ladder[config.layers - i], ladder[config.layers - i - 1]
         conv("dec%d.conv" % i, c_in, c_out)
-        conv("dec%d.head" % i, c_in, 1, k=1, bias=False)
+        conv("dec%d.head" % i, c_in, 1, k=1)
         att("dec%d" % i, c_in)
     return shapes
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from spikedepth import cli
 from spikedepth import events as ev
+from spikedepth import kv
 from spikedepth import model as md
 from spikedepth import neurons as nr
 from spikedepth import synth as sy
@@ -139,13 +141,21 @@ def test_config_training_would_reject_fails_at_parse(tmp_path, dataset, bad, cap
 
 
 def test_readme_config_table_lists_every_key():
+    # and gives each key its RunConfig default, as --dump-config prints it
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
         section = fh.read().split("## Run config")[1].split("\n## ")[0]
     keys = []
     for line in section.split("\n"):
         if line.startswith("| `"):
-            keys += line.split("|")[1].split("`")[1::2]
+            key_cell, default_cell = line.split("|")[1:3]
+            row = key_cell.split("`")[1::2]
+            want = [kv.format_value(getattr(RunConfig(), key)) for key in row]
+            if default_cell.strip() == "empty":
+                assert want == [""] * len(row), key_cell
+            else:
+                assert default_cell.split("`")[1::2] == want, key_cell
+            keys += row
     assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
 
 
@@ -265,6 +275,33 @@ def test_stack_binarize_gives_binary_values(dataset, tmp_path, capsys):
     assert data.sum() > 0
 
 
+def refuse_bincount(flat, minlength):
+    # stands in for the allocation numpy refuses, so no test asks for TiBs
+    raise MemoryError("Unable to allocate %d bytes for an array of %d counts"
+                      % (8 * minlength, minlength))
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--height", "4611686018427387904"], "exceeds numpy's largest array"),
+    (["--window-start", "100000000000000000000"], "leaves int64 range"),
+    (["--window-start", "-9223372036854775809"], "leaves int64 range"),
+    (["--window-start", "9223372036854775000"], "leaves int64 range"),
+    (["--window-ms", "9223372036854775"], "leaves int64 range"),
+    (["--height", "100000000000000"], "Unable to allocate"),
+])
+def test_stack_arguments_numpy_cannot_hold_are_exit_2(dataset, tmp_path, flags, message,
+                                                       capsys):
+    out = str(tmp_path / "x.spkt")
+    argv = ["stack", "--events", os.path.join(dataset, "events_left.csv"),
+            "--T", "5", "--out", out] + flags
+    with mock.patch.object(ev.np, "bincount", refuse_bincount):
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 
@@ -278,18 +315,6 @@ def trained(tmp_path_factory, dataset):
     assert code == 0
     return {"out": str(root / "out"), "cfg": cfg_path,
             "log": read_text(str(root / "out" / "train.log"))}
-
-
-def test_train_step_with_conv_bias(tmp_path, dataset):
-    # T = 5 against C_out = 2 and 4: the bias must broadcast over channels
-    cfg_path = str(tmp_path / "run.cfg")
-    write_cfg(cfg_path, epochs=1, conv_bias=True, data_dir=dataset,
-              out_dir=str(tmp_path / "out"))
-    assert main(["--quiet", "train", "--config", cfg_path]) == 0
-    entries = md.load_checkpoint(tmp_path / "out" / "last.spkc")
-    biases = {k: v for k, v in entries.items() if k.endswith("_bias")}
-    assert biases["param.enc0.conv_bias"].shape == (2,)
-    assert any((v != 0.0).any() for v in biases.values())  # drawn as zeros, then trained
 
 
 def test_train_lr_trace_follows_milestones(trained):
@@ -381,6 +406,46 @@ def test_checkpoint_with_optimizer_moments_evaluates_the_same(trained, dataset, 
     assert reports[0] == reports[1]
 
 
+def with_conv_bias_entries(entries, flag):
+    """entries as a checkpoint written with the retired conv_bias flag: its
+    cfg entry after cfg.neuron_mode, and with flag 1 a zero bias after every
+    3x3 conv weight."""
+    out = {}
+    for key, value in entries.items():
+        out[key] = value
+        if key == "cfg.neuron_mode":
+            out["cfg.conv_bias"] = np.float64(flag)
+        elif flag and re.fullmatch(r"param\.\w+\.conv[12]?", key):
+            out[key + "_bias"] = np.zeros(value.shape[0])
+    return out
+
+
+def checkpoint_commands(ckpt, dataset, prefix):
+    return (["eval", "--model", ckpt, "--data", dataset],
+            ["inspect", "--model", ckpt, "--data", dataset],
+            ["--quiet", "predict", "--model", ckpt,
+             "--events", os.path.join(dataset, "events_left.csv"),
+             "--events-right", os.path.join(dataset, "events_right.csv"),
+             "--out", prefix])
+
+
+def test_checkpoint_with_retired_conv_bias_off_runs_the_same(trained, dataset, tmp_path,
+                                                             capsys):
+    last = os.path.join(trained["out"], "last.spkc")
+    older = str(tmp_path / "older.spkc")
+    md.save_checkpoint(older, with_conv_bias_entries(md.load_checkpoint(last), 0))
+    outputs = []
+    for ckpt, tag in ((last, "now"), (older, "older")):
+        prefix = str(tmp_path / tag)
+        run = []
+        for argv in checkpoint_commands(ckpt, dataset, prefix):
+            assert main(argv) == 0
+            run.append(capsys.readouterr())
+        run += [read_text(prefix + ".txt"), read_text(prefix + ".pgm")]
+        outputs.append(run)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("key,index", [
     ("cfg.encoder_variant", 5), ("cfg.encoder_variant", -1), ("cfg.ssi_sign", 2),
     ("cfg.ssi_sign", -1), ("cfg.stack_mode", 0.5), ("cfg.attention", 8),
@@ -409,20 +474,16 @@ def test_load_model_rejects_mismatched_config_before_building(trained, dataset, 
 
 
 def test_unknown_parameter_is_exit_2(trained, dataset, tmp_path, capsys):
-    entries = md.load_checkpoint(os.path.join(trained["out"], "last.spkc"))
-    entries["param.enc0.conv_bias"] = np.zeros(entries["param.enc0.conv"].shape[0])
+    # a checkpoint written with the retired conv_bias = 1 holds bias weights
+    entries = with_conv_bias_entries(
+        md.load_checkpoint(os.path.join(trained["out"], "last.spkc")), 1)
     ckpt = str(tmp_path / "extra.spkc")
     md.save_checkpoint(ckpt, entries)
     prefix = str(tmp_path / "p")
-    for argv in (["eval", "--model", ckpt, "--data", dataset],
-                 ["inspect", "--model", ckpt, "--data", dataset],
-                 ["predict", "--model", ckpt,
-                  "--events", os.path.join(dataset, "events_left.csv"),
-                  "--events-right", os.path.join(dataset, "events_right.csv"),
-                  "--out", prefix]):
+    for argv in checkpoint_commands(ckpt, dataset, prefix):
         assert main(argv) == 2
-        assert capsys.readouterr().err == \
-            "error: checkpoint has unknown parameter 'enc0.conv_bias'\n"
+        assert capsys.readouterr() == \
+            ("", "error: checkpoint has unknown parameter 'enc0.conv_bias'\n")
     assert not os.path.exists(prefix + ".pgm")
 
 
@@ -669,6 +730,39 @@ def test_predict_binocular_model_requires_right(trained, dataset, tmp_path, caps
                  "--events", os.path.join(dataset, "events_left.csv"),
                  "--out", str(tmp_path / "p")]) == 2
     assert "right" in capsys.readouterr().err
+
+
+def test_predict_monocular_model_refuses_right(tmp_path, capsys):
+    cfg = md.ModelConfig(height=16, width=16, in_channels=2, base_channels=2, layers=2)
+    ckpt = str(tmp_path / "model.spkc")
+    md.save_model(ckpt, md.DepthNet(cfg, seed=1))
+    events_path = str(tmp_path / "empty.csv")
+    with open(events_path, "w") as fh:
+        fh.write("t_us,x,y,p\n")
+    prefix = str(tmp_path / "p")
+    assert main(["predict", "--model", ckpt, "--events", events_path,
+                 "--events-right", str(tmp_path / "missing" / "right.csv"),
+                 "--window-len", "50000", "--out", prefix]) == 2
+    assert capsys.readouterr().err == \
+        "error: this model takes monocular input; drop --events-right\n"
+    assert not os.path.exists(prefix + ".pgm")
+
+
+def test_predict_stack_too_large_for_memory_is_exit_2(tmp_path, capsys):
+    # a 1e9-row model: numpy can index its stack, the host cannot hold it
+    cfg = md.ModelConfig(height=10 ** 9, width=16, in_channels=2, base_channels=2, layers=2)
+    ckpt = str(tmp_path / "tall.spkc")
+    md.save_model(ckpt, md.DepthNet(cfg, seed=1))
+    events_path = str(tmp_path / "empty.csv")
+    with open(events_path, "w") as fh:
+        fh.write("t_us,x,y,p\n")
+    prefix = str(tmp_path / "p")
+    with mock.patch.object(ev.np, "bincount", refuse_bincount):
+        assert main(["predict", "--model", ckpt, "--events", events_path,
+                     "--window-len", "50000", "--out", prefix]) == 2
+    assert capsys.readouterr().err == ("error: Unable to allocate %d bytes for an array "
+                                       "of %d counts\n" % (8 * 16 * 10 ** 10, 16 * 10 ** 10))
+    assert not os.path.exists(prefix + ".pgm")
 
 
 def test_inspect_quiescent_input_reports_zero(tmp_path, capsys):

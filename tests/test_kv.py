@@ -122,11 +122,10 @@ def test_index_must_be_plain_decimal(key):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(md.ENCODER_VARIANTS), st.sampled_from(md.NEURON_MODES),
-       st.sets(st.sampled_from(at.MODULE_ORDER)), st.booleans(),
-       st.floats(-2.0, 0.9), st.floats(0.01, 3.0))
-def test_checkpoint_entries_round_trip(variant, mode, modules, bias, v_reset, alpha):
+       st.sets(st.sampled_from(at.MODULE_ORDER)), st.floats(-2.0, 0.9), st.floats(0.01, 3.0))
+def test_checkpoint_entries_round_trip(variant, mode, modules, v_reset, alpha):
     cfg = md.ModelConfig(encoder_variant=variant, neuron_mode=mode,
-                         attention="".join(modules), conv_bias=bias, v_reset=v_reset,
+                         attention="".join(modules), v_reset=v_reset,
                          surrogate_alpha=alpha, height=16, layers=3)
     entries = kv.to_entries(cfg)
     assert list(entries) == ["cfg." + name for name in md.ModelConfig.__dataclass_fields__]

@@ -10,7 +10,7 @@ from spikedepth import model as md
 from spikedepth import events as ev
 from spikedepth import cli
 from spikedepth import losses as ls
-from helpers import check_op_gradient, mul, param_names, spike_trains, sum_all, total_params
+from helpers import mul, param_names, spike_trains, sum_all, total_params
 
 
 def small_cfg(**kw):
@@ -59,7 +59,7 @@ def block_pair(variant, seed=3):
     plain = "CE" if variant.startswith("CE") else "DE"
     blk_a = built_block("encoders", seed, base_channels=4, encoder_variant=variant)
     blk_b = built_block("encoders", seed, base_channels=4, encoder_variant=plain)
-    blk_b.conv.weight.data = blk_a.conv.weight.data.copy()
+    blk_b.conv.data = blk_a.conv.data.copy()
     for t in blk_a.att.weights.values():
         t.data = np.zeros_like(t.data)
     return blk_a, blk_b
@@ -104,37 +104,14 @@ def test_encoder_requires_even_dims():
         blk.forward(tz.Tensor(np.zeros((2, 2, 7, 8))), counts)
 
 
-def test_conv_bias_acts_per_channel():
-    # T == C_out, where a bias aligned with the time axis would still broadcast
-    blk = built_block("encoders", 0, conv_bias=True)
-    assert blk.conv.weight.data.shape[0] == 2 and blk.conv.bias.data.shape == (2,)
-    blk.conv.weight.data[...] = 0.0
-    blk.conv.bias.data[...] = [0.25, -0.5]
-    out = blk.conv(tz.Tensor(rand((2, 2, 8, 8), seed=30)), md.Counts())
-    want = np.broadcast_to(np.array([0.25, -0.5]).reshape(1, 2, 1, 1), (2, 2, 4, 4))
-    np.testing.assert_array_equal(out.data, want)
-
-
-def test_conv_bias_gradient_matches_fd():
-    rng = np.random.default_rng(31)
-    x, w, b = (rng.uniform(-1, 1, shape) for shape in ((3, 2, 5, 5), (4, 2, 3, 3), (4,)))
-    weight = tz.Tensor(rng.uniform(-1, 1, (3, 4, 5, 5)))
-
-    def build(ts):
-        layer = md._ConvLayer({"conv": ts[1], "conv_bias": ts[2]}, "conv")
-        return mul(layer(ts[0], md.Counts()), weight)
-
-    check_op_gradient(build, [x, w, b], label="conv bias")
-
-
 # ---------------------------------------------------------------------------
 # residual block
 
 
 def test_residual_identity_on_dead_path():
     blk = built_block("residuals", 2)  # 4 channels
-    blk.conv1.weight.data = np.zeros_like(blk.conv1.weight.data)
-    blk.conv2.weight.data = np.zeros_like(blk.conv2.weight.data)
+    blk.conv1.data = np.zeros_like(blk.conv1.data)
+    blk.conv2.data = np.zeros_like(blk.conv2.data)
     x = rand((2, 4, 4, 4), seed=6)
     counts = md.Counts()
     out = blk.forward(tz.Tensor(x), counts)
@@ -165,7 +142,7 @@ def test_decoder_shapes_and_head_accumulation():
     assert pred.data.shape == (8, 8)
     # integrator head: membrane equals the sum of per-step head responses
     up = np.repeat(np.repeat(x, 2, axis=-2), 2, axis=-1)
-    w = blk.head.weight.data[:, :, 0, 0]
+    w = blk.head.data[:, :, 0, 0]
     manual = np.einsum("tchw,oc->tohw", up, w).sum(axis=0)[0]
     np.testing.assert_allclose(pred.data, manual, rtol=1e-12)
 
@@ -422,7 +399,7 @@ def architecture_macs(cfg):
     for name, shape in md.param_shapes(cfg).items():
         block, rest = name.split(".", 1)
         i = int(block[3:])
-        if rest.endswith("_bias") or name.startswith(last) and rest != "head":
+        if name.startswith(last) and rest != "head":
             continue
         if block.startswith("enc"):  # stride 2: the conv works at scale i + 1
             scale = i + 1 if rest == "conv" or cfg.encoder_variant == "DE-Att2" else i
@@ -465,7 +442,7 @@ def test_binarized_input_counts_first_conv_as_ac():
     x = (rand((2, 2, 32, 32), seed=17) > 1.0).astype(np.float64)
     net.forward(tz.Tensor(x))
     # first conv consumes the binary input, later convs consume spike sums or spikes
-    c_out = net.encoders[0].conv.weight.data.shape[0]
+    c_out = net.encoders[0].conv.data.shape[0]
     want_first = c_out * md._spike_incidences(x, 3, 2)
     assert net.last_ops.ac_ops >= want_first
     zero = np.zeros((2, 2, 32, 32))
@@ -578,11 +555,11 @@ def test_checkpoint_unknown_param(tmp_path, name):
 
 
 @pytest.mark.parametrize("variant", md.ENCODER_VARIANTS)
-@pytest.mark.parametrize("attention,conv_bias,reduction", [
+@pytest.mark.parametrize("attention,binocular,reduction", [
     ("CS", False, 1), ("TCS", True, 2), ("T", False, 1), ("", True, 1)])
-def test_param_shapes_match_the_built_model(variant, attention, conv_bias, reduction):
-    cfg = small_cfg(encoder_variant=variant, attention=attention, conv_bias=conv_bias,
-                    reduction=reduction, layers=2)
+def test_param_shapes_match_the_built_model(variant, attention, binocular, reduction):
+    cfg = small_cfg(encoder_variant=variant, attention=attention,
+                    in_channels=4 if binocular else 2, reduction=reduction, layers=2)
     built = [(name, t.data.shape) for name, t in md.DepthNet(cfg).params]
     assert list(md.param_shapes(cfg).items()) == built
 
