@@ -109,7 +109,14 @@ def index(key, line):
 
 
 def format_value(value):
-    """A value as `read` parses it back; floats print with full repr precision."""
+    """A value as `read` parses it back; floats print with full repr precision.
+
+    A str that `read` would not give back unchanged is an ArgumentError: one
+    holding `#` (a comment), a line break, or whitespace at either end.
+    """
+    if isinstance(value, str) and (value != value.strip() or any(c in value for c in "#\n\r")):
+        raise ArgumentError("%r cannot be written as a key = value value: a '#', a line "
+                            "break or whitespace at either end would not read back" % (value,))
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):

@@ -15,19 +15,20 @@ In the CE variants the spikes reach only the counts, so their population
 runs on an untaped view of the conv output and keeps nothing on the tape.
 
 Residual blocks (IF, conv, IF, conv, attention, plus identity) keep the
-bottleneck scale. Each decoder layer predicts its scale's depth map with a
-1x1 conv head into an integrator population, whose membrane after step T,
-upsampled by 2 (nearest), is that map. The head and the integrator run on
-the layer's input before the upsample: a 1x1 conv and a sum over steps
-commute with nearest upsampling, so the map is the one a head on the
-upsampled input would give, from a quarter of the pixels. Every layer but
-the last then upsamples its input by 2, gates it with attention, 3x3 conv,
-IF, and adds the matching encoder output as an elementwise skip; that sum
-feeds the next layer. The upsample is folded into the gate: the layer hands
-its input and the factor 2 to `attention.tcsa`, whose site upsamples, pools
-and gates as one tape entry that keeps the input rather than its 4x copy or
-any gated intermediate. The last layer is head -> integrator -> upsample,
-and its map cropped back to the input geometry is the final depth.
+bottleneck scale. Each decoder layer reads its scale's depth map from
+non-spiking output neurons: a bias-free 1x1 conv head drives them, their
+membrane only accumulates over the T steps, and the membrane after step T,
+upsampled by 2 (nearest), is that map (`_depth_head`, one tape entry). The
+head runs on the layer's input before the upsample: a 1x1 conv and a sum
+over steps commute with nearest upsampling, so the map is the one a head on
+the upsampled input would give, from a quarter of the pixels. Every layer
+but the last then upsamples its input by 2, gates it with attention, 3x3
+conv, IF, and adds the matching encoder output as an elementwise skip; that
+sum feeds the next layer. The upsample is folded into the gate: the layer
+hands its input and the factor 2 to `attention.tcsa`, whose site upsamples,
+pools and gates as one tape entry that keeps the input rather than its 4x
+copy or any gated intermediate. The last layer stops at its depth head, and
+its map cropped back to the input geometry is the final depth.
 
 Every weight's name and shape comes from one table, `param_shapes(config)`
 (with `attention.weight_shapes` for each gating site): DepthNet fills its
@@ -36,12 +37,12 @@ checkpoint stores each entry as `param.<name>`.
 
 Each population starts from a zero membrane, so samples are independent.
 A forward tallies its cost in one `Counts` record as it runs: spikes and
-neuron-steps per block group as each spiking population fires (integrator
-heads never fire), accumulate ops for every conv that reads a binary spike
-tensor (counted from the actual spike positions), and the dense
-multiply-accumulate total of the work that feeds the depth output. Dense
-MACs are the architecture's cost: each head counts at the upsampled
-resolution it predicts, not at the input resolution it runs on.
+neuron-steps per block group as each spiking population fires (a depth
+head's output neurons never fire), accumulate ops for every conv that
+reads a binary spike tensor (counted from the actual spike positions),
+and the dense multiply-accumulate total of the work that feeds the depth
+output. Dense MACs are the architecture's cost: each head counts at the
+upsampled resolution it predicts, not at the input resolution it runs on.
 """
 
 import os
@@ -58,7 +59,6 @@ from . import kv
 from .tensor import Tensor
 
 ENCODER_VARIANTS = ("CE", "DE", "CE-Att", "DE-Att1", "DE-Att2")
-NEURON_MODES = ("spiking", "smooth")
 RESIDUAL_BLOCKS = 2
 KERNEL = 3
 
@@ -77,7 +77,7 @@ class ModelConfig:
     v_threshold: float = 1.0
     v_reset: float = 0.0
     surrogate_alpha: float = 1.0
-    neuron_mode: str = kv.choice("spiking", NEURON_MODES)
+    neuron_mode: str = kv.choice("spiking", nr.MODES)
 
     def __post_init__(self):
         kv.check_choices(self)
@@ -97,9 +97,6 @@ class ModelConfig:
     def if_params(self):
         return nr.IFParams(v_threshold=self.v_threshold, v_reset=self.v_reset,
                            surrogate_alpha=self.surrogate_alpha, mode=self.neuron_mode)
-
-    def integrator_params(self):
-        return nr.IFParams(v_reset=self.v_reset, mode="integrator")
 
 
 def _spike_incidences(x4, k, stride):
@@ -138,18 +135,14 @@ class Counts:
                 getattr(self, group + "_spikes") + float(spikes.data.sum()))
         setattr(self, group + "_steps", getattr(self, group + "_steps") + spikes.data.size)
 
-    def conv(self, x, weight, stride, out, upsample=1):
-        """Dense MACs of one conv, plus its ACs when the input is a spike tensor.
-
-        A 1x1 conv run before an f x f nearest upsample counts as run after
-        it (upsample = f): f*f times the MACs and ACs it spends.
-        """
+    def conv(self, x, weight, stride, out):
+        """Dense MACs of one conv at the resolution of out, plus its ACs when
+        the input is a spike tensor."""
         c_out, c_in, k, _ = weight.data.shape
         ho, wo = out.data.shape[-2:]
-        area = upsample * upsample
-        self.dense_macs += area * x.data.shape[0] * c_out * ho * wo * c_in * k * k
+        self.dense_macs += x.data.shape[0] * c_out * ho * wo * c_in * k * k
         if x.is_spike:
-            self.ac_ops += area * c_out * _spike_incidences(x.data, k, stride)
+            self.ac_ops += c_out * _spike_incidences(x.data, k, stride)
 
     def attention(self, params, x_shape):
         """Dense MACs of one TCSA site: two MLP layers per pooled branch (per
@@ -196,11 +189,41 @@ def draw_weights(shapes, rng):
     return out
 
 
-def _conv(x, weight, counts, stride=1, upsample=1):
+def _conv(x, weight, counts, stride=1):
     """tz.conv2d of x by weight, tallied in counts (see Counts.conv)."""
     out = tz.conv2d(x, weight, stride=stride)
-    counts.conv(x, weight, stride, out, upsample)
+    counts.conv(x, weight, stride, out)
     return out
+
+
+def _depth_head(x, weight, counts):
+    """The depth map [2h, 2w] that a 1x1 head reads from x [T, C, h, w], as one tape entry.
+
+    The head weight [1, C, 1, 1] drives one non-spiking neuron per pixel,
+    whose membrane sums the T head responses from zero; the map is that
+    membrane upsampled by 2 (nearest). The backward sums each 2 x 2 block of
+    the map's gradient g, which reaches every step alike: gW = sum_t g x_t^T
+    and gx_t = W^T g. MACs are counted at the map's resolution; x is never a
+    spike tensor (every decoder input is a sum), so no ACs are counted.
+    """
+    shape, need_gx = x.data.shape, x.requires_grad
+    t, c, h, w = shape
+    w2 = weight.data.reshape(1, c)
+    x3 = x.data.reshape(t, c, h * w)
+    y = np.matmul(w2, x3)
+    v = np.zeros((1, h * w))
+    for step in range(t):
+        v = v + y[step]
+    pred = Tensor(tz._upsample(v.reshape(h, w), 2))
+    counts.conv(x, weight, 1, pred)
+
+    def bw(g):
+        g3 = np.broadcast_to(tz._block_sum(g, 2).reshape(1, 1, h * w), (t, 1, h * w))
+        gw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0).reshape(1, c, 1, 1)
+        return (np.multiply(w2.T, g3).reshape(shape) if need_gx else None), gw
+
+    tz.record((pred,), (x, weight), bw)
+    return pred
 
 
 class EncoderBlock:
@@ -256,18 +279,14 @@ class DecoderBlock:
         self.head = weights["head"]
         self.att = at.AttentionParams(store.group(prefix + ".att."))
         self.neuron = cfg.if_params()
-        self.head_neuron = cfg.integrator_params()
 
     def forward(self, x, skip, counts):
         """(skip + spikes, depth map), or (None, depth map) with no skip.
 
-        The head and its integrator run on x, and their membrane map is
-        upsampled, so no [T, C] tensor at the upsampled scale is made for
-        the head alone.
+        The depth head runs on x and upsamples only its map, so no [T, C]
+        tensor at the upsampled scale is made for the head.
         """
-        head_in = _conv(x, self.head, counts, upsample=2)
-        _, membrane = nr.if_run(head_in, self.head_neuron)
-        pred = tz.nearest_upsample(tz.reshape(membrane, membrane.data.shape[-2:]), 2)
+        pred = _depth_head(x, self.head, counts)
         if skip is None:
             return None, pred
         t, c, h, w = x.data.shape

@@ -5,19 +5,22 @@ charged membrane reaches threshold, and firing hard-resets the membrane to
 the reset level. Non-firing neurons keep their charge, so potential carries
 across steps.
 
-Three modes share the same recurrence and differ in the firing nonlinearity:
+Two modes share the same recurrence and differ in the firing nonlinearity:
 
-  spiking     hard step forward (binary spikes), triangular surrogate backward
-  integrator  never fires; the membrane accumulates and is read out directly
-  smooth      forward is the piecewise-quadratic ramp whose exact derivative
-              is the triangular window, so finite differences of a smooth-mode
-              network check the same backward path spiking mode uses
+  spiking  hard step forward (binary spikes), triangular surrogate backward
+  smooth   forward is the piecewise-quadratic ramp whose exact derivative is
+           the triangular window, so finite differences of a smooth-mode
+           network check the same backward path spiking mode uses
+
+The network's non-spiking output neurons, whose membrane only accumulates
+and is read out as depth, are not a population here: each depth head is one
+fused op of its own (`model._depth_head`).
 
 A population runs over all T steps in one call (multi-step mode) and is one
 tape entry: the forward loops over T from a zero membrane, and the backward
 is backpropagation through time in closed form, from the last step to the
-first. The gradient is not detached through the reset term: both firing
-modes differentiate membrane_new = charged - (charged - v_reset) * spike as
+first. The gradient is not detached through the reset term: both modes
+differentiate membrane_new = charged - (charged - v_reset) * spike as
 written. The charged membranes h are all the backward keeps: each step's
 spikes are a function of h alone, so the backward fires them again from h
 and the spike train is freed once the forward's callers drop it.
@@ -30,7 +33,7 @@ import numpy as np
 from . import tensor as tz
 from .tensor import Tensor
 
-MODES = ("spiking", "integrator", "smooth")
+MODES = ("spiking", "smooth")
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,7 @@ class IFParams:
         if self.surrogate_alpha <= 0:
             raise tz.ArgumentError("surrogate_alpha must be positive, got %r"
                                    % (self.surrogate_alpha,))
-        if self.mode != "integrator" and not self.v_threshold > self.v_reset:
+        if not self.v_threshold > self.v_reset:
             raise tz.ArgumentError("v_threshold (%r) must exceed v_reset (%r)"
                                    % (self.v_threshold, self.v_reset))
 
@@ -70,7 +73,7 @@ def _smooth_ramp(h, v_threshold, alpha):
 def if_run(x, params):
     """Run one population over x[T, ...] from a zero membrane, as one tape op.
 
-    Returns (spikes [T, ...] or None for integrators, final membrane).
+    Returns (spikes [T, ...], final membrane).
     """
     x = tz.as_tensor(x)
     xd, shape = x.data, x.data.shape
@@ -78,13 +81,6 @@ def if_run(x, params):
         raise tz.DimensionError("if_run needs a leading time axis of size >= 1")
     t_steps = shape[0]
     v = np.zeros(shape[1:])
-    if params.mode == "integrator":
-        for t in range(t_steps):
-            v = v + xd[t]
-        membrane = Tensor(v)
-        tz.record((membrane,), (x,), lambda gv: (np.broadcast_to(gv, shape),))
-        return None, membrane
-
     th, v_reset, alpha = params.v_threshold, params.v_reset, params.surrogate_alpha
     spiking = params.mode == "spiking"
 

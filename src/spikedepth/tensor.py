@@ -243,14 +243,6 @@ def add(a, b):
 # shape ops
 
 
-def reshape(a, shape):
-    a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape))
-    orig = a.data.shape
-    record((out,), (a,), lambda g: (g.reshape(orig),))
-    return out
-
-
 def slice_nd(a, bounds):
     """Rectangular slice; bounds is one (start, stop) pair per axis."""
     a = as_tensor(a)
@@ -307,31 +299,20 @@ def pad_bottom_right(a, pad_h, pad_w):
 _CHUNK_FLOATS = (4 << 20) // 8
 
 
-def _tap_gemm(a, b, out):
-    """out = a [M, K] @ b [..., K, L]. With K = 1 that is an outer product,
-    which np.multiply runs about 4x faster than a K = 1 GEMM."""
-    return (np.multiply if a.shape[1] == 1 else np.matmul)(a, b, out=out)
-
-
 def _shifted_conv(xd, wd):
     """Same-padded stride-1 cross-correlation of xd [N, C_in, H, W] with wd [C_out, C_in, k, k].
 
-    A 1x1 conv is one GEMM on the frames. Otherwise a chunk of frames at a
-    time is zero-padded by p = k // 2 into one buffer, each frame laid out
-    row by row at width Wp = W + 2p and followed by k - 1 zeros, so that the
-    slice [u*Wp + v : u*Wp + v + H*Wp] of a row exists for every tap (u, v).
-    Tap (u, v) is one GEMM W[:, :, u, v] @ that slice, added into a
-    [C_out, H*Wp] accumulator whose last k - 1 columns of each row are
-    cropped at the end. A chunk holds as many frames as keep max(C_in, C_out)
-    padded frames each under _CHUNK_FLOATS, at least one.
+    A chunk of frames at a time is zero-padded by p = k // 2 into one
+    buffer, each frame laid out row by row at width Wp = W + 2p and followed
+    by k - 1 zeros, so that the slice [u*Wp + v : u*Wp + v + H*Wp] of a row
+    exists for every tap (u, v). Tap (u, v) is one GEMM W[:, :, u, v] @ that
+    slice, added into a [C_out, H*Wp] accumulator whose last k - 1 columns
+    of each row are cropped at the end. A chunk holds as many frames as keep
+    max(C_in, C_out) padded frames each under _CHUNK_FLOATS, at least one.
     """
     n, c_in, h, w = xd.shape
     c_out, _, k, _ = wd.shape
     out = np.empty((n, c_out, h, w))
-    if k == 1:
-        _tap_gemm(wd.reshape(c_out, c_in), xd.reshape(n, c_in, h * w),
-                  out.reshape(n, c_out, h * w))
-        return out
     p = k // 2
     hp, wp = h + 2 * p, w + 2 * p
     span = h * wp
@@ -348,9 +329,9 @@ def _shifted_conv(xd, wd):
             for v in range(k):
                 shifted = xp[:m, :, u * wp + v:u * wp + v + span]
                 if u == v == 0:
-                    _tap_gemm(taps[0, 0], shifted, acc[:m])
+                    np.matmul(taps[0, 0], shifted, out=acc[:m])
                 else:
-                    _tap_gemm(taps[u, v], shifted, part[:m])
+                    np.matmul(taps[u, v], shifted, out=part[:m])
                     acc[:m] += part[:m]
         out[lo:lo + m] = acc[:m].reshape(m, c_out, h, wp)[..., :w]
     return out
@@ -371,19 +352,10 @@ def _shifted_grads(xd, wd, g, need_gx):
     columns per row are copied into the frames, and one GEMM cols @ x_wide^T
     adds into the flipped gW; x_wide is x at the same row width, zero past
     column W and in the gaps. A block holds several frames when they fit
-    under _CHUNK_FLOATS and part of a frame when one does not. A 1x1 conv
-    copies nothing: gx = W^T g and gW = sum g x^T.
+    under _CHUNK_FLOATS and part of a frame when one does not.
     """
     n, c_in, h, w = xd.shape
     c_out, _, k, _ = wd.shape
-    if k == 1:
-        g3, x3 = g.reshape(n, c_out, h * w), xd.reshape(n, c_in, h * w)
-        gw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0).reshape(wd.shape)
-        if not need_gx:
-            return gw, None
-        gx = np.empty(xd.shape)
-        _tap_gemm(wd.reshape(c_out, c_in).T, g3, gx.reshape(n, c_in, h * w))
-        return gw, gx
     p = k // 2
     wq = w + k - 1
     period = h + p                # tall-image rows per frame: its x rows, then a gap
@@ -425,7 +397,7 @@ def _shifted_grads(xd, wd, g, need_gx):
         cols = cols.reshape(k * k * c_out, span)
         gw += cols @ xw.reshape(c_in, span).T
         if need_gx:
-            gxw = _tap_gemm(w_flip, cols, gx_buf[:c_in * span].reshape(c_in, span))
+            gxw = np.matmul(w_flip, cols, out=gx_buf[:c_in * span].reshape(c_in, span))
             gxw = gxw.reshape(c_in, nb, wq)
             for i, rb, rf in x_rows:
                 gx[i, :, rf] = gxw[:, rb, :w]
@@ -499,9 +471,9 @@ def conv2d(x, weight, stride=1):
     backward keeps nothing padded on the tape: it copies the k*k shifted
     views of the zero-padded output gradient into one column buffer and runs
     two GEMMs on it, one for the input gradient and one for the weight
-    gradient (see _shifted_grads). A 1x1 conv is one GEMM each way, with no
-    copy. The forward goes in chunks of frames and the backward in row
-    blocks, each buffer under 4 MiB.
+    gradient (see _shifted_grads). The forward goes in chunks of frames and
+    the backward in row blocks, each buffer under 4 MiB. A 1x1 kernel takes
+    the same path with one tap.
 
     Stride > 1 is one GEMM per frame: its columns [C_in*k*k, Ho*Wo] (k*k
     strided slices of the zero-padded frame, see _frame_columns) times the

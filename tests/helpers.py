@@ -153,23 +153,18 @@ def check_op_gradient(build, arrays, eps=1e-5, rtol=1e-6, atol=1e-9, label=""):
         assert_grads_close(leaf.grad, g, rtol=rtol, atol=atol, label=label)
 
 
-def brute_if_trace(inputs, v_th, v_reset, mode="spiking"):
+def brute_if_trace(inputs, v_th, v_reset):
     """Scalar-stepped reference of the membrane recurrence.
 
-    inputs: [T, ...] array. Returns (spikes [T, ...] or None, final membrane).
+    inputs: [T, ...] array. Returns (spikes [T, ...], final membrane).
     """
     v = np.zeros_like(inputs[0])
     spikes = []
     for t in range(inputs.shape[0]):
         h = v + inputs[t]
-        if mode == "integrator":
-            v = h
-            continue
         s = (h - v_th >= 0).astype(np.float64)
         spikes.append(s)
         v = h * (1.0 - s) + v_reset * s
-    if mode == "integrator":
-        return None, v
     return np.stack(spikes, axis=0), v
 
 
@@ -217,17 +212,27 @@ def if_run_stepwise(x, params):
     spikes = []
     for frame in _unstack(x):
         charged = tz.add(membrane, frame)
-        if params.mode == "integrator":
-            membrane = charged
-            continue
         s = _fire(charged, params)
         spikes.append(s)
         membrane = sub(charged, mul(sub(charged, params.v_reset), s))
-    if params.mode == "integrator":
-        return None, membrane
     out = _stack(spikes)
     out.is_spike = params.mode == "spiking"
     return out, membrane
+
+
+def depth_head_composed(x, weight):
+    """The depth head as a chain of generic taped ops: the oracle for model._depth_head.
+
+    A 1x1 tz.conv2d of x [T, C, h, w], the per-step sum of its [T, 1, h, w]
+    output from a zero membrane (unstacked, one add per step), a reshape of
+    the [1, h, w] membrane to [h, w] and a 2x nearest upsample.
+    """
+    x = tz.as_tensor(x)
+    y = tz.conv2d(x, weight)
+    membrane = tz.Tensor(np.zeros(y.data.shape[1:]))
+    for frame in _unstack(y):
+        membrane = tz.add(membrane, frame)
+    return tz.nearest_upsample(reshape(membrane, membrane.data.shape[-2:]), 2)
 
 
 def surrogate_grad(charged, params):
@@ -287,6 +292,14 @@ def scalar_stack(events, window_start, window_len, t_steps, height, width,
 
 # ---------------------------------------------------------------------------
 # test-only API: ops, accessors and codecs the package itself never calls
+
+
+def reshape(a, shape):
+    a = tz.as_tensor(a)
+    out = tz.Tensor(a.data.reshape(shape))
+    orig = a.data.shape
+    tz.record((out,), (a,), lambda g: (g.reshape(orig),))
+    return out
 
 
 def sub(a, b):
@@ -401,8 +414,7 @@ def spike_trains(model, x):
 
     def capture(inp, params):
         spikes, membrane = run(inp, params)
-        if spikes is not None:  # integrator heads never fire
-            trains.append(spikes)
+        trains.append(spikes)
         return spikes, membrane
 
     with mock.patch.object(nr, "if_run", capture):
@@ -531,8 +543,8 @@ def _mlp_gate(x, axes, w_compress, w_expand):
 
 def _spatial_gate(x, s_conv):
     t, _, h, w = x.data.shape
-    avg = tz.reshape(pool(x, axes=(1,), mode="avg"), (t, 1, h, w))
-    mx = tz.reshape(pool(x, axes=(1,), mode="max"), (t, 1, h, w))
+    avg = reshape(pool(x, axes=(1,), mode="avg"), (t, 1, h, w))
+    mx = reshape(pool(x, axes=(1,), mode="max"), (t, 1, h, w))
     maps = concat([avg, mx], axis=1)
     gate = sigmoid(tz.conv2d(maps, s_conv))
     return mul(x, gate)

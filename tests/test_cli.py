@@ -89,6 +89,28 @@ def test_dump_config_roundtrips_overrides(tmp_path, capsys):
     assert capsys.readouterr().out == dump
 
 
+@pytest.mark.parametrize("flag, value", [("--data", "runs/a#b"), ("--out", "out dir "),
+                                         ("--data", " runs/a"), ("--out", "out\ndir"),
+                                         ("--data", "runs\r/a")])
+def test_dump_config_refuses_a_string_that_would_not_read_back(flag, value, capsys):
+    # `#` starts a comment and the reader strips each value and splits lines,
+    # so such a value would come back changed
+    assert main(["train", "--dump-config", flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_train_takes_paths_a_config_file_could_not_hold(tmp_path, dataset, capsys):
+    data = str(tmp_path / "runs#1")
+    shutil.copytree(dataset, data)
+    cfg_path = str(tmp_path / "run.cfg")
+    write_cfg(cfg_path, epochs=1)
+    out = str(tmp_path / "out #1 ")
+    assert main(["--quiet", "train", "--config", cfg_path, "--data", data, "--out", out]) == 0
+    assert os.path.isfile(os.path.join(out, "last.spkc"))
+    capsys.readouterr()
+
+
 def test_unknown_config_key_is_exit_2(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("frobnicate = 1\n")

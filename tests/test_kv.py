@@ -10,8 +10,11 @@ from spikedepth import attention as at
 from spikedepth import events as ev
 from spikedepth import kv
 from spikedepth import model as md
+from spikedepth import neurons as nr
 from spikedepth import synth as sy
-from spikedepth.cli import INPUT_ERRORS, RunConfig, parse_run_config, serialize_run_config
+from spikedepth.tensor import ArgumentError
+from spikedepth.cli import (INPUT_ERRORS, RunConfig, load_run_config, parse_run_config,
+                            serialize_run_config)
 
 TOKENS = ("", "x", "nan", "inf", "-1", "1.5", "yes", "²")
 
@@ -120,8 +123,36 @@ def test_index_must_be_plain_decimal(key):
         sy.parse_scene_spec("%s = 1.0, 0, 0, 64, 64, 8.0\n" % key)
 
 
+@pytest.mark.parametrize("value", ["a#b", "#", "a\nb", "a\rb", " a", "a ", "a\t", "\u2028a"])
+def test_format_value_refuses_a_string_that_would_not_read_back(value):
+    with pytest.raises(ArgumentError):
+        kv.format_value(value)
+
+
+def read_back_from_file(text):
+    """data_dir as a run config file holding `data_dir = <text>` reads it, or None."""
+    fd, path = tempfile.mkstemp()
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(("data_dir = %s\n" % text).encode("utf-8"))
+        return read_or_input_error(lambda p: load_run_config(p).data_dir, path)
+    finally:
+        os.remove(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(st.characters(blacklist_categories=("Cs",))))
+def test_format_value_refuses_exactly_the_strings_that_would_not_read_back(value):
+    try:
+        text = kv.format_value(value)
+    except ArgumentError:
+        assert read_back_from_file(value) != value
+    else:
+        assert text == value and read_back_from_file(text) == value
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(md.ENCODER_VARIANTS), st.sampled_from(md.NEURON_MODES),
+@given(st.sampled_from(md.ENCODER_VARIANTS), st.sampled_from(nr.MODES),
        st.sets(st.sampled_from(at.MODULE_ORDER)), st.floats(-2.0, 0.9), st.floats(0.01, 3.0))
 def test_checkpoint_entries_round_trip(variant, mode, modules, v_reset, alpha):
     cfg = md.ModelConfig(encoder_variant=variant, neuron_mode=mode,

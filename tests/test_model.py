@@ -10,7 +10,8 @@ from spikedepth import model as md
 from spikedepth import events as ev
 from spikedepth import cli
 from spikedepth import losses as ls
-from helpers import mul, param_names, spike_trains, sum_all, total_params
+from helpers import (check_op_gradient, depth_head_composed, mul, param_names, spike_trains,
+                     sum_all, total_params)
 
 
 def small_cfg(**kw):
@@ -140,7 +141,7 @@ def test_decoder_shapes_and_head_accumulation():
     out, pred = blk.forward(tz.Tensor(x), tz.Tensor(skip), counts)
     assert out.data.shape == (3, 4, 8, 8)
     assert pred.data.shape == (8, 8)
-    # integrator head: membrane equals the sum of per-step head responses
+    # depth head: the map is the sum of the per-step head responses
     up = np.repeat(np.repeat(x, 2, axis=-2), 2, axis=-1)
     w = blk.head.data[:, :, 0, 0]
     manual = np.einsum("tchw,oc->tohw", up, w).sum(axis=0)[0]
@@ -162,6 +163,71 @@ def test_decoder_skip_shape_mismatch():
     with pytest.raises(tz.DimensionError):
         blk.forward(tz.Tensor(np.zeros((2, 8, 4, 4))),
                     tz.Tensor(np.zeros((2, 4, 4, 4))), counts)
+
+
+def _depth_map_and_grads(head, x, weight, x_needs_grad, loss_weights):
+    """The map of head(x, weight), x.grad, weight.grad under sum(map * loss_weights)."""
+    xt = tz.Tensor(x.copy(), requires_grad=x_needs_grad)
+    wt = tz.Tensor(weight.copy(), requires_grad=True)
+    with tz.Tape() as tape:
+        pred = head(xt, wt)
+        loss = sum_all(mul(pred, tz.Tensor(loss_weights)))
+    tz.backward(loss, tape)
+    return pred.data, xt.grad, wt.grad
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), hw=st.sampled_from([(3, 5), (5, 3), (1, 7)]),
+       x_needs_grad=st.booleans())
+def test_depth_head_matches_the_composed_chain(seed, hw, x_needs_grad):
+    # the oracle is a 1x1 conv2d, a per-step sum from a zero membrane, a
+    # reshape and a 2x nearest upsample; small integers keep every sum exact,
+    # so the two summation orders give the same bits
+    rng = np.random.default_rng(seed)
+    (h, w), t, c = hw, 3, 4
+    x = rng.integers(-4, 5, (t, c, h, w)).astype(np.float64)
+    weight = rng.integers(-4, 5, (1, c, 1, 1)).astype(np.float64)
+    loss_weights = rng.integers(-3, 4, (2 * h, 2 * w)).astype(np.float64)
+    counts = md.Counts()
+    got = _depth_map_and_grads(lambda a, b: md._depth_head(a, b, counts), x, weight,
+                               x_needs_grad, loss_weights)
+    want = _depth_map_and_grads(depth_head_composed, x, weight, x_needs_grad, loss_weights)
+    assert got[0].shape == (2 * h, 2 * w)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[2], want[2])
+    if x_needs_grad:
+        np.testing.assert_array_equal(got[1], want[1])
+        for step in range(t):  # every step's input gets the same gradient
+            np.testing.assert_array_equal(got[1][step], got[1][0])
+    else:
+        assert got[1] is None and want[1] is None
+    # MACs at the resolution of the map, and no ACs from a continuous input
+    assert counts.dense_macs == t * c * (2 * h) * (2 * w) and counts.ac_ops == 0
+
+
+@pytest.mark.parametrize("x_needs_grad", [True, False])
+def test_depth_head_gradient_matches_finite_differences(x_needs_grad):
+    x = rand((3, 4, 3, 5), seed=42, lo=-1.0, hi=1.0)
+    weight = rand((1, 4, 1, 1), seed=43, lo=-1.0, hi=1.0)
+    if x_needs_grad:
+        check_op_gradient(lambda ts: md._depth_head(ts[0], ts[1], md.Counts()),
+                          [x, weight], label="depth head")
+    else:
+        check_op_gradient(lambda ts: md._depth_head(tz.Tensor(x), ts[0], md.Counts()),
+                          [weight], label="depth head weight")
+
+
+def test_depth_head_is_one_tape_entry_that_keeps_only_its_inputs():
+    x = tz.Tensor(rand((3, 4, 3, 5), seed=44), requires_grad=True)
+    weight = tz.Tensor(rand((1, 4, 1, 1), seed=45), requires_grad=True)
+    with tz.Tape() as tape:
+        md._depth_head(x, weight, md.Counts())
+    [(_, _, head_backward)] = tape._ops
+    assert head_backward.__qualname__ == "_depth_head.<locals>.bw"
+    held = [c.cell_contents for c in head_backward.__closure__]
+    arrays = [a for a in held if isinstance(a, np.ndarray)]
+    assert arrays and all(np.shares_memory(a, x.data) or np.shares_memory(a, weight.data)
+                          for a in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -224,22 +290,23 @@ def tape_kinds(entries):
 
 
 def test_default_forward_tape_has_one_entry_per_if_population():
-    # the 7 residual and decoder populations and the 4 integrator heads are one
+    # the 7 residual and decoder populations and the 4 depth heads are one
     # entry each (the CE-Att encoder populations feed only the counts and stay
     # off the tape), and so is each of the nine attention sites with its
     # channel and spatial gates (the last decoder layer has none); the input
-    # requires a gradient, so enc0's attention over it is taped too. The only
-    # upsample entries are the 4 depth maps': a decoder site upsamples its
-    # input inside its own entry
+    # requires a gradient, so enc0's attention over it is taped too. No entry
+    # is an upsample of its own: a decoder site upsamples its input inside
+    # its entry, and a depth head its map
     net = md.DepthNet(md.ModelConfig(), seed=0)
     x = tz.Tensor(rand((5, 4, 64, 64), seed=14, lo=0.0, hi=2.0), requires_grad=True)
     with tz.Tape() as tape:
         net.forward(x)
     kinds = tape_kinds(tape._ops)
-    assert kinds.count("if_run") == 11
+    assert kinds.count("if_run") == 7
+    assert kinds.count("_depth_head") == 4
     assert kinds.count("_site") == 9
-    assert kinds.count("nearest_upsample") == 4
-    assert len(tape) == 48
+    assert kinds.count("nearest_upsample") == 0
+    assert len(tape) == 36
 
 
 def record_entries(blk, tape):
@@ -271,7 +338,7 @@ def test_ce_encoder_populations_are_off_the_tape(variant):
 
 
 def test_last_decoder_block_stops_at_its_head():
-    # at the input scale only the head's membrane map is upsampled: no gate,
+    # at the input scale only the depth head runs, as one entry: no gate,
     # conv or IF population runs there, and the head runs before the upsample,
     # so no 4-D tensor at the input resolution is on the tape; the weights of
     # the layer's unused gate and conv get no gradient even when every scale's
@@ -286,7 +353,7 @@ def test_last_decoder_block_stops_at_its_head():
         for p in preds[1:]:
             loss = tz.add(loss, sum_all(mul(p, p)))
     [last_entries] = calls
-    assert tape_kinds(last_entries) == ["conv2d", "if_run", "reshape", "nearest_upsample"]
+    assert tape_kinds(last_entries) == ["_depth_head"]
     # an entry names each output and each input by a node or a leaf tensor,
     # both of which carry the shape
     held = [k.shape for nodes, keys, _ in last_entries for k in nodes + keys if k is not None]
@@ -300,9 +367,9 @@ def test_last_decoder_block_stops_at_its_head():
     assert dead == {last + "conv"} | {last + "att." + n for n in net.decoders[-1].att.weights}
 
 
-@pytest.mark.parametrize("multiscale, entries", [(False, 49), (True, 55)])
+@pytest.mark.parametrize("multiscale, entries", [(False, 37), (True, 43)])
 def test_default_training_step_tape_has_one_loss_entry_per_scale(multiscale, entries):
-    # the 48 forward entries above, then one total_loss per supervised scale
+    # the 36 forward entries above, then one total_loss per supervised scale
     # and one add joining each extra scale
     cfg = md.ModelConfig()
     net = md.DepthNet(cfg, seed=0)

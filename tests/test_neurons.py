@@ -11,7 +11,7 @@ from helpers import (brute_if_trace, central_diff, assert_grads_close, if_multis
 def run_trace(inputs, **kw):
     params = nr.IFParams(**kw)
     spikes, membrane = if_multistep(tz.Tensor(inputs), params)
-    return (None if spikes is None else spikes.data), membrane.data
+    return spikes.data, membrane.data
 
 
 def test_quiescent_below_threshold():
@@ -40,13 +40,6 @@ def test_threshold_equality_fires():
     spikes, v = run_trace(np.array([[1.0]]))
     assert spikes[0, 0] == 1.0
     assert v[0] == 0.0
-
-
-def test_integrator_accumulates():
-    x = np.array([[0.5], [2.0], [-0.3]])
-    spikes, v = run_trace(x, mode="integrator")
-    assert spikes is None
-    np.testing.assert_allclose(v, [2.2])
 
 
 def test_single_step_degenerate():
@@ -199,16 +192,6 @@ def test_spiking_backward_uses_surrogate():
         np.testing.assert_allclose(x.grad, [tri], rtol=1e-12)
 
 
-def test_integrator_gradient_is_identity_per_step():
-    params = nr.IFParams(mode="integrator")
-    x = tz.Tensor(np.ones((4, 2)), requires_grad=True)
-    with tz.Tape() as tape:
-        _, v = if_multistep(x, params)
-        loss = sum_all(v)
-    tz.backward(loss, tape)
-    np.testing.assert_array_equal(x.grad, np.ones((4, 2)))
-
-
 # ---------------------------------------------------------------------------
 # the fused op against the per-step taped oracle
 
@@ -236,8 +219,6 @@ def _run_with_loss(run, x, params, use, weights):
        mode=st.sampled_from(nr.MODES), v_reset=st.sampled_from((0.0, 0.25, -0.4)),
        use=st.sampled_from(("spikes", "membrane", "both")))
 def test_fused_if_run_matches_the_per_step_oracle(seed, t_steps, tail, mode, v_reset, use):
-    if mode == "integrator":
-        use = "membrane"  # an integrator has no spikes
     rng = np.random.default_rng(seed)
     shape = (t_steps,) + tuple(tail)
     x = rng.uniform(-1.0, 2.5, size=shape)
@@ -245,11 +226,8 @@ def test_fused_if_run_matches_the_per_step_oracle(seed, t_steps, tail, mode, v_r
     params = nr.IFParams(v_reset=v_reset, surrogate_alpha=0.7, mode=mode)
     got = _run_with_loss(nr.if_run, x, params, use, weights)
     want = _run_with_loss(if_run_stepwise, x, params, use, weights)
-    if mode == "integrator":
-        assert got[0] is None and want[0] is None
-    else:
-        np.testing.assert_array_equal(got[0].data, want[0].data)
-        assert got[0].is_spike == want[0].is_spike == (mode == "spiking")
+    np.testing.assert_array_equal(got[0].data, want[0].data)
+    assert got[0].is_spike == want[0].is_spike == (mode == "spiking")
     np.testing.assert_array_equal(got[1].data, want[1].data)
     np.testing.assert_array_equal(got[2], want[2])
 

@@ -12,7 +12,7 @@ from spikedepth import tensor as tz
 from helpers import (naive_conv2d, naive_conv2d_grads, central_diff, assert_grads_close,
                      check_op_gradient, reference_backward, avg_downsample, mean_all,
                      load_tensor, total_params, param_names, pool, linear, relu, sigmoid,
-                     sub, mul, absolute, sum_all, concat, if_run_stepwise)
+                     sub, mul, absolute, sum_all, concat, if_run_stepwise, reshape)
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
@@ -150,7 +150,7 @@ def stride1_grad_row_floats(c_in, c_out, k, w):
                           (2, 2, 1, 0), (3, 2, 5, 2), (2, 3, 5, 2)])
 def test_conv_stride1_chunks_with_partial_last_chunk(monkeypatch, c_in, c_out, k, padding):
     # 5 frames, 2 per forward chunk, then 2 per backward block: chunks or blocks of 2, 2
-    # and 1 frames through the same buffers (a 1x1 conv is one GEMM either way)
+    # and 1 frames through the same buffers
     assert padding == k // 2
     h, w = 6, 7
     x = rand((5, c_in, h, w), seed=21)
@@ -182,7 +182,7 @@ def test_conv_stride1_splits_frames_into_row_blocks(monkeypatch, c_in, c_out, k,
 
 @pytest.mark.parametrize("channels", [1, 2, 4])
 def test_conv_1x1_matches_loops(channels):
-    # one channel in or out takes the outer-product path of _tap_gemm
+    # one channel in makes each tap a K = 1 GEMM, one channel out an M = 1 GEMM
     check_conv_grads(rand((3, channels, 5, 6), seed=24), rand((channels, channels, 1, 1),
                                                               seed=25), 1, seed=26)
 
@@ -549,9 +549,8 @@ TAPE_OPS = ("add", "sub", "mul", "square", "gate", "pool_avg", "pool_max", "upsa
 POOL_OPS = ("drop", "leaf")
 
 
-# IF populations for the if_run kind: two with two outputs, and an integrator
-IF_KINDS = (nr.IFParams(v_reset=0.25), nr.IFParams(mode="smooth", surrogate_alpha=0.7),
-            nr.IFParams(mode="integrator"))
+# IF populations for the if_run kind, one per mode
+IF_KINDS = (nr.IFParams(v_reset=0.25), nr.IFParams(mode="smooth", surrogate_alpha=0.7))
 
 
 def build_random_tape(ops, used, seed):
@@ -593,11 +592,11 @@ def build_random_tape(ops, used, seed):
                 up = mul(tz.nearest_upsample(a, f), tz.nearest_upsample(b, f))
                 out = avg_downsample(up, f)
             elif kind == "if_run":  # one output is used, the spikes or the membrane
-                spikes, membrane = nr.if_run(a, IF_KINDS[j % 3])
-                if spikes is not None and j % 2:
+                spikes, membrane = nr.if_run(a, IF_KINDS[j % 2])
+                if j // 2 % 2:
                     out = spikes
                 else:
-                    out = tz.add(tz.reshape(membrane, (1, 3, 2, 2)), b)
+                    out = tz.add(reshape(membrane, (1, 3, 2, 2)), b)
             elif kind == "drop":
                 if len(vals) > 1:
                     del vals[i % len(vals)]
