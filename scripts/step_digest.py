@@ -1,19 +1,24 @@
-"""One SHA-256 per encoder variant over a fixed two-step training run.
+"""One SHA-256 per encoder variant and attention set over a fixed two-step training run.
 
 For each of the encoder variants CE-Att, DE and DE-Att2, builds the default
 run config (`cli.RunConfig`) at --height x --width with that variant, and
 `multiscale_loss` on when the geometry allows it (height and width divisible
-by 2**layers). It then runs two training steps as `train` does: zero the
-gradients, forward and loss on a tape, `tz.backward`, then one Adam step.
+by 2**layers). Two more runs set the attention too: DE-Att1 with TCS gates
+the spike trains in front of the encoder convs and runs the temporal gate,
+and CE with none leaves each decoder site the bare upsample. Each run then
+takes two training steps as `train` does: zero the gradients, forward and
+loss on a tape, `tz.backward`, then one Adam step.
 The first window is a random stack of event counts and the second a random
 binary spike stack, so both the dense and the spike-fed conv counts run.
 The ground truth is a random depth map whose top-left corner is invalid.
 
 Each digest covers, per step, the depth map, the loss, every per-scale
 prediction, every parameter gradient and the `Counts` fields, and, after
-the second Adam step, every parameter. It prints one line per variant:
+the second Adam step, every parameter. It prints one line per run, with an
+attention field on the runs that set it:
 
     variant=CE-Att height=64 width=64 multiscale_loss=1 sha256=<64 hex digits>
+    variant=CE attention= height=64 width=64 multiscale_loss=1 sha256=<64 hex digits>
 
     python3 scripts/step_digest.py --height 260 --width 346
 
@@ -39,7 +44,8 @@ import numpy as np  # noqa: E402  (after the thread settings)
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from spikedepth import cli, events as ev, model as md, tensor as tz  # noqa: E402
 
-VARIANTS = ("CE-Att", "DE", "DE-Att2")
+# (encoder variant, attention set or None for the default)
+RUNS = (("CE-Att", None), ("DE", None), ("DE-Att2", None), ("DE-Att1", "TCS"), ("CE", ""))
 
 
 def _windows(mc, height, width):
@@ -57,12 +63,13 @@ def _windows(mc, height, width):
     return out
 
 
-def step_digest(variant, height, width):
+def step_digest(variant, height, width, attention=None):
     """(multiscale_loss, hex digest) of two training steps of one variant."""
     mult = 1 << md.ModelConfig.layers
     multiscale = height % mult == 0 and width % mult == 0
+    extra = {} if attention is None else {"attention": attention}
     cfg = cli.RunConfig(height=height, width=width, encoder_variant=variant,
-                        multiscale_loss=multiscale)
+                        multiscale_loss=multiscale, **extra)
     mc = cfg.model_config()
     net = md.DepthNet(mc, seed=cfg.seed)
     h = hashlib.sha256()
@@ -97,10 +104,11 @@ def main(argv=None):
     ap.add_argument("--height", type=int, default=64)
     ap.add_argument("--width", type=int, default=64)
     args = ap.parse_args(argv)
-    for variant in VARIANTS:
-        multiscale, digest = step_digest(variant, args.height, args.width)
+    for variant, attention in RUNS:
+        multiscale, digest = step_digest(variant, args.height, args.width, attention)
+        label = variant if attention is None else "%s attention=%s" % (variant, attention)
         print("variant=%s height=%d width=%d multiscale_loss=%d sha256=%s"
-              % (variant, args.height, args.width, multiscale, digest))
+              % (label, args.height, args.width, multiscale, digest))
 
 
 if __name__ == "__main__":

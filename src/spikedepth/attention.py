@@ -11,6 +11,12 @@ channel, then spatial, applying only the enabled modules.
 The channel and spatial gates are computed independently at each time step.
 The temporal gate is the only part that mixes information across steps.
 
+`tcsa(x, weights, upsample=1)` is the one entry point. `weights` is one
+site's {name: Tensor} dict as `weight_shapes` names it (`t_compress`,
+`t_expand`, `c_compress`, `c_expand`, `s_conv`); a module is enabled on the
+site when its weights are in the dict, and an empty dict leaves only the
+upsample.
+
 A gating site is one tape entry that covers every enabled module and, at a
 decoder site, the nearest 2x upsample of its input in front of them. The
 forward runs pools, MLP or conv, sigmoid and gating in numpy and drops each
@@ -71,19 +77,6 @@ def weight_shapes(t_steps, channels, reduction, enabled):
     if "S" in enabled:
         shapes["s_conv"] = (1, 2, 3, 3)
     return shapes
-
-
-class AttentionParams:
-    """One gating site's weight tensors by checkpoint name (`t_compress`,
-    `t_expand`, `c_compress`, `c_expand`, `s_conv`); a module is enabled
-    when its weights are present."""
-
-    def __init__(self, weights):
-        self.weights = dict(weights)
-
-    @property
-    def enabled(self):
-        return "".join(m for m in MODULE_ORDER if _WEIGHTS[m][0] in self.weights)
 
 
 def _sigmoid(z):
@@ -199,29 +192,27 @@ def _spatial_grads(g, a, wd, state, need_gx):
     return gx, gw
 
 
-def _site(x, params, modules, upsample=1):
-    """Gate the f x f nearest upsample of x (f = upsample) by the listed
-    modules, in order: one tape entry that keeps x and each module's small
-    state, and rebuilds the gated intermediates in its backward."""
-    x = tz.as_tensor(x)
+def _site(x, weights, upsample):
+    """Gate the f x f nearest upsample of x (f = upsample) by every module
+    with weights in the dict, in T, C, S order: one tape entry that keeps x
+    and each module's small state, and rebuilds the gated intermediates in
+    its backward."""
     xd, f = x.data, upsample
     if xd.ndim != 4:
         raise tz.DimensionError("attention input must be [T, C, H, W], got %s"
                                 % (xd.shape,))
-    weights = []
-    for m in modules:
-        if m not in params.enabled:
-            raise tz.StateError("%s module not enabled on this site" % m)
-        weights.append([params.weights[name] for name in _WEIGHTS[m]])
+    modules = [(m, [weights[name] for name in _WEIGHTS[m]])
+               for m in MODULE_ORDER if _WEIGHTS[m][0] in weights]
+    for m, (w, *_) in modules:
         axis = "TC".find(m)  # the axis an MLP gate keeps; -1 for S
-        if axis >= 0 and xd.shape[axis] != weights[-1][0].data.shape[1]:
+        if axis >= 0 and xd.shape[axis] != w.data.shape[1]:
             raise tz.DimensionError("%s axis is %d, parameters expect %d"
                                     % (("time", "channel")[axis], xd.shape[axis],
-                                       weights[-1][0].data.shape[1]))
+                                       w.data.shape[1]))
     a = xd if f == 1 else tz._upsample(xd, f)
     shape = a.shape
     mlps, spatial = [], None  # the T and C modules' (weights, state); S's (weight, state)
-    for m, ws in zip(modules, weights):
+    for m, ws in modules:
         wd = tuple(w.data for w in ws)
         if m == "S":
             spatial = wd[0], _spatial_state(a, wd[0])
@@ -259,30 +250,15 @@ def _site(x, params, modules, upsample=1):
             g = tz._block_sum(g, f)
         return (g,) + tuple(gw for gws in reversed(grads) for gw in gws)
 
-    tz.record((out,), (x,) + tuple(w for ws in weights for w in ws), bw)
+    tz.record((out,), (x,) + tuple(w for _, ws in modules for w in ws), bw)
     return out
 
 
-def temporal_attention(x, params):
-    """Gate each time step by a scalar computed from all steps."""
-    return _site(x, params, "T")
-
-
-def channel_attention(x, params):
-    """Gate each channel per step from its spatial summary."""
-    return _site(x, params, "C")
-
-
-def spatial_attention(x, params):
-    """Gate each pixel per step from cross-channel average and max maps."""
-    return _site(x, params, "S")
-
-
-def tcsa(x, params, upsample=1):
-    """Apply the enabled modules in T, C, S order to the f x f nearest
-    upsample of x (f = upsample), as one tape entry; only the upsample when
-    no module is enabled."""
+def tcsa(x, weights, upsample=1):
+    """Gate the f x f nearest upsample of x (f = upsample) by the modules
+    whose weights are in `weights`, in T, C, S order, as one tape entry; only
+    the upsample when the dict is empty."""
     x = tz.as_tensor(x)
-    if params.enabled:
-        return _site(x, params, params.enabled, upsample)
+    if weights:
+        return _site(x, weights, upsample)
     return x if upsample == 1 else tz.nearest_upsample(x, upsample)

@@ -261,9 +261,7 @@ def repeat_stack(events, window_start, window_len, t_steps, height, width,
 def _finish_stack(data, window_start, window_len, binarize):
     if binarize:
         data = (data > 0).astype(np.float64)
-    t = Tensor(data)
-    t.is_spike = bool(binarize)
-    return StackedTensor(data=t, window_start=window_start, window_len=window_len)
+    return StackedTensor(data=Tensor(data), window_start=window_start, window_len=window_len)
 
 
 def binocular_concat(left, right):
@@ -276,7 +274,6 @@ def binocular_concat(left, right):
         raise tz.DimensionError("view shapes differ: %s vs %s"
                                 % (left.data.shape, right.data.shape))
     joined = Tensor(np.concatenate([left.data.data, right.data.data], axis=1))
-    joined.is_spike = left.data.is_spike and right.data.is_spike
     return StackedTensor(data=joined, window_start=left.window_start,
                          window_len=left.window_len)
 

@@ -25,10 +25,14 @@ the upsampled input would give, from a quarter of the pixels. Every layer
 but the last then upsamples its input by 2, gates it with attention, 3x3
 conv, IF, and adds the matching encoder output as an elementwise skip; that
 sum feeds the next layer. The upsample is folded into the gate: the layer
-hands its input and the factor 2 to `attention.tcsa`, whose site upsamples,
-pools and gates as one tape entry that keeps the input rather than its 4x
-copy or any gated intermediate. The last layer stops at its depth head, and
-its map cropped back to the input geometry is the final depth.
+hands its input and the factor 2 to its site, which upsamples, pools and
+gates as one tape entry that keeps the input rather than its 4x copy or any
+gated intermediate. The last layer stops at its depth head, and its map
+cropped back to the input geometry is the final depth.
+
+Every gating site is one `_gate` call: `attention.tcsa` on the block's
+tensor with the site's weight dict (`<block>.att.*` in the store, whose names
+say which gates are on), tallied from the gated output's shape.
 
 Every weight's name and shape comes from one table, `param_shapes(config)`
 (with `attention.weight_shapes` for each gating site): DepthNet fills its
@@ -38,11 +42,17 @@ checkpoint stores each entry as `param.<name>`.
 Each population starts from a zero membrane, so samples are independent.
 A forward tallies its cost in one `Counts` record as it runs: spikes and
 neuron-steps per block group as each spiking population fires (a depth
-head's output neurons never fire), accumulate ops for every conv that
-reads a binary spike tensor (counted from the actual spike positions),
-and the dense multiply-accumulate total of the work that feeds the depth
-output. Dense MACs are the architecture's cost: each head counts at the
-upsampled resolution it predicts, not at the input resolution it runs on.
+head's output neurons never fire), accumulate ops for every conv fed a
+binary spike train (counted from the actual spike positions), and the dense
+multiply-accumulate total of the work that feeds the depth output. Dense
+MACs are the architecture's cost: each head counts at the upsampled
+resolution it predicts, not at the input resolution it runs on.
+
+The blocks tell each conv whether it is fed spikes: enc0's is when the input
+holds only 0s and 1s, a later encoder's when the encoder before it is a DE
+variant in spiking mode, and a residual conv's in spiking mode. A gate in
+front of an encoder conv (CE-Att, DE-Att1) makes its input continuous; a
+decoder conv or depth head never reads spikes.
 """
 
 import os
@@ -135,24 +145,25 @@ class Counts:
                 getattr(self, group + "_spikes") + float(spikes.data.sum()))
         setattr(self, group + "_steps", getattr(self, group + "_steps") + spikes.data.size)
 
-    def conv(self, x, weight, stride, out):
+    def conv(self, x, weight, stride, out, spikes):
         """Dense MACs of one conv at the resolution of out, plus its ACs when
-        the input is a spike tensor."""
+        x is a binary spike train (spikes)."""
         c_out, c_in, k, _ = weight.data.shape
         ho, wo = out.data.shape[-2:]
         self.dense_macs += x.data.shape[0] * c_out * ho * wo * c_in * k * k
-        if x.is_spike:
+        if spikes:
             self.ac_ops += c_out * _spike_incidences(x.data, k, stride)
 
-    def attention(self, params, x_shape):
-        """Dense MACs of one TCSA site: two MLP layers per pooled branch (per
-        step for the channel gate), each as large as its compress weight, and
-        the spatial gate's 2 -> 1 conv at every pixel."""
-        t, _, h, w = x_shape
+    def attention(self, weights, shape):
+        """Dense MACs of one TCSA site whose gated output has shape [T, C, H, W]:
+        two MLP layers per pooled branch (per step for the channel gate), each
+        as large as its compress weight, and the spatial gate's 2 -> 1 conv at
+        every pixel."""
+        t, _, h, w = shape
         for name, per_weight in (("t_compress", 2 * 2), ("c_compress", 2 * 2 * t),
                                  ("s_conv", t * h * w)):
-            if name in params.weights:
-                self.dense_macs += per_weight * params.weights[name].data.size
+            if name in weights:
+                self.dense_macs += per_weight * weights[name].data.size
 
     def _rate(self, *groups):
         spikes = sum(getattr(self, g + "_spikes") for g in groups)
@@ -189,10 +200,19 @@ def draw_weights(shapes, rng):
     return out
 
 
-def _conv(x, weight, counts, stride=1):
-    """tz.conv2d of x by weight, tallied in counts (see Counts.conv)."""
+def _conv(x, weight, counts, spikes, stride=1):
+    """tz.conv2d of x by weight, tallied in counts (see Counts.conv); spikes
+    says whether x is a binary spike train."""
     out = tz.conv2d(x, weight, stride=stride)
-    counts.conv(x, weight, stride, out)
+    counts.conv(x, weight, stride, out, spikes)
+    return out
+
+
+def _gate(x, weights, counts, upsample=1):
+    """at.tcsa of x by one site's weight dict, tallied in counts (see
+    Counts.attention)."""
+    out = at.tcsa(x, weights, upsample)
+    counts.attention(weights, out.data.shape)
     return out
 
 
@@ -215,7 +235,7 @@ def _depth_head(x, weight, counts):
     for step in range(t):
         v = v + y[step]
     pred = Tensor(tz._upsample(v.reshape(h, w), 2))
-    counts.conv(x, weight, 1, pred)
+    counts.conv(x, weight, 1, pred, False)
 
     def bw(g):
         g3 = np.broadcast_to(tz._block_sum(g, 2).reshape(1, 1, h * w), (t, 1, h * w))
@@ -230,20 +250,20 @@ class EncoderBlock:
     def __init__(self, cfg, store, prefix):
         self.variant = cfg.encoder_variant
         self.conv = store.group(prefix + ".")["conv"]
-        self.att = at.AttentionParams(store.group(prefix + ".att."))
+        self.att = store.group(prefix + ".att.")
         self.neuron = cfg.if_params()
 
-    def forward(self, x, counts):
+    def forward(self, x, spikes, counts):
+        """The block output; spikes says whether x is a binary spike train."""
         if x.data.shape[-1] % 2 or x.data.shape[-2] % 2:
             raise tz.StateError("encoder expects even spatial dims, got %s"
                                 % (x.data.shape,))
         if self.variant in ("CE-Att", "DE-Att1"):
-            counts.attention(self.att, x.data.shape)
-            x = at.tcsa(x, self.att)
-        y = _conv(x, self.conv, counts, stride=2)
+            x = _gate(x, self.att, counts)
+            spikes = spikes and not self.att  # a gated input is not binary
+        y = _conv(x, self.conv, counts, spikes, stride=2)
         if self.variant == "DE-Att2":
-            counts.attention(self.att, y.data.shape)
-            y = at.tcsa(y, self.att)
+            y = _gate(y, self.att, counts)
         de = self.variant.startswith("DE")
         # a CE block propagates y, so its spikes reach only the counts: fired
         # from an untaped view of y, the population keeps nothing on the tape
@@ -257,19 +277,18 @@ class ResidualBlock:
         weights = store.group(prefix + ".")
         self.conv1 = weights["conv1"]
         self.conv2 = weights["conv2"]
-        self.att = at.AttentionParams(store.group(prefix + ".att."))
+        self.att = store.group(prefix + ".att.")
         self.neuron = cfg.if_params()
 
     def forward(self, x, counts):
+        spiking = self.neuron.mode == "spiking"
         s1, _ = nr.if_run(x, self.neuron)
         counts.fire("residual", s1)
-        y1 = _conv(s1, self.conv1, counts)
+        y1 = _conv(s1, self.conv1, counts, spiking)
         s2, _ = nr.if_run(y1, self.neuron)
         counts.fire("residual", s2)
-        y2 = _conv(s2, self.conv2, counts)
-        counts.attention(self.att, y2.data.shape)
-        gated = at.tcsa(y2, self.att)
-        return tz.add(gated, x)
+        y2 = _conv(s2, self.conv2, counts, spiking)
+        return tz.add(_gate(y2, self.att, counts), x)
 
 
 class DecoderBlock:
@@ -277,7 +296,7 @@ class DecoderBlock:
         weights = store.group(prefix + ".")
         self.conv = weights["conv"]
         self.head = weights["head"]
-        self.att = at.AttentionParams(store.group(prefix + ".att."))
+        self.att = store.group(prefix + ".att.")
         self.neuron = cfg.if_params()
 
     def forward(self, x, skip, counts):
@@ -289,15 +308,10 @@ class DecoderBlock:
         pred = _depth_head(x, self.head, counts)
         if skip is None:
             return None, pred
-        t, c, h, w = x.data.shape
-        counts.attention(self.att, (t, c, 2 * h, 2 * w))
-        gated = at.tcsa(x, self.att, upsample=2)
-        y = _conv(gated, self.conv, counts)
+        gated = _gate(x, self.att, counts, upsample=2)
+        y = _conv(gated, self.conv, counts, False)
         spikes, _ = nr.if_run(y, self.neuron)
         counts.fire("decoder", spikes)
-        if spikes.data.shape != skip.data.shape:
-            raise tz.DimensionError("skip shape %s does not match decoder output %s"
-                                    % (skip.data.shape, spikes.data.shape))
         return tz.add(spikes, skip), pred
 
 
@@ -334,21 +348,18 @@ class DepthNet:
         if c != self.config.in_channels:
             raise tz.DimensionError("channel axis is %d, model expects %d"
                                     % (c, self.config.in_channels))
-        if not x.is_spike:
-            vals = x.data
-            if ((vals == 0.0) | (vals == 1.0)).all():
-                x.is_spike = True
 
         counts = Counts()
         mult = 1 << self.config.layers
-        padded = tz.pad_bottom_right(x, (-h) % mult, (-w) % mult)
-        padded.is_spike = x.is_spike
-
+        cur = tz.pad_bottom_right(x, (-h) % mult, (-w) % mult)
         skips = [None]  # the last decoder layer joins no skip
-        cur = padded
+        # enc0 reads spikes when the input is binary, a later encoder when the
+        # encoder before it propagates a spiking population's output
+        spikes = bool(((x.data == 0.0) | (x.data == 1.0)).all())
         for block in self.encoders:
-            cur = block.forward(cur, counts)
+            cur = block.forward(cur, spikes, counts)
             skips.append(cur)
+            spikes = block.variant.startswith("DE") and block.neuron.mode == "spiking"
         for block in self.residuals:
             cur = block.forward(cur, counts)
         preds = []

@@ -91,7 +91,6 @@ def if_run(x, params):
         s[t] = h[t] >= th if spiking else _smooth_ramp(h[t], th, alpha)
         v = h[t] - (h[t] - v_reset) * s[t]
     spikes, membrane = Tensor(s), Tensor(v)
-    spikes.is_spike = spiking
 
     def bw(gs, gv):
         # per step, the sums of the unrolled add/fire/sub/mul/sub graph in its

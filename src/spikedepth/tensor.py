@@ -10,10 +10,6 @@ captured, and an intermediate that no closure reads is freed as soon as the
 forward drops it. With no tape active every op runs in plain inference mode
 at numpy speed.
 
-add broadcasts leading-aligned: the lower-rank operand is padded with
-trailing singleton axes, so a per-step term of shape [T] adds to a [T,C,H,W]
-activation without any manual reshape.
-
 conv2d is same-padded: it takes [T, C_in, H, W] and an odd square kernel,
 zero-pads every side by k // 2, and returns [T, C_out, ceil(H/s), ceil(W/s)]
 for stride s. There is no padding argument.
@@ -91,18 +87,16 @@ class _Node:
 class Tensor:
     """Rank-N float64 array plus gradient buffer.
 
-    is_spike marks tensors whose values are binary spike indicators; the
-    network uses it to route synaptic-operation counting. node is the tape
-    handle of the op that made the tensor, None for a tensor no op made.
+    node is the tape handle of the op that made the tensor, None for a
+    tensor no op made.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "is_spike", "node")
+    __slots__ = ("data", "grad", "requires_grad", "node")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self.is_spike = False
         self.node = None
 
     @property
@@ -196,46 +190,17 @@ def backward(loss, tape):
 
 
 # ---------------------------------------------------------------------------
-# broadcasting helpers
-
-
-def _lead_align(a, b):
-    """Right-pad the lower-rank array with singleton axes; check compatibility."""
-    da, db = a.data, b.data
-    if da.shape == db.shape:
-        return da, db
-    if da.ndim < db.ndim:
-        da = da.reshape(da.shape + (1,) * (db.ndim - da.ndim))
-    elif db.ndim < da.ndim:
-        db = db.reshape(db.shape + (1,) * (da.ndim - db.ndim))
-    for axis, (m, n) in enumerate(zip(da.shape, db.shape)):
-        if m != n and m != 1 and n != 1:
-            raise DimensionError("axis %d mismatch: %d vs %d" % (axis, m, n))
-    return da, db
-
-
-def _unbroadcast(g, orig_shape):
-    """Reduce a broadcast gradient back to the operand's original shape."""
-    if g.shape == orig_shape:
-        return g
-    padded = orig_shape + (1,) * (g.ndim - len(orig_shape))
-    axes = tuple(i for i, (go, po) in enumerate(zip(g.shape, padded)) if po == 1 and go != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(orig_shape)
-
-
-# ---------------------------------------------------------------------------
 # elementwise ops
 
 
 def add(a, b):
+    """a + b of two equal-shape tensors."""
     a, b = as_tensor(a), as_tensor(b)
-    da, db = _lead_align(a, b)
-    out = Tensor(da + db)
-    sa, sb = a.data.shape, b.data.shape
-    record((out,), (a, b),
-           lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+    if a.data.shape != b.data.shape:
+        raise DimensionError("add needs equal shapes, got %s and %s"
+                             % (a.data.shape, b.data.shape))
+    out = Tensor(a.data + b.data)
+    record((out,), (a, b), lambda g: (g, g))
     return out
 
 

@@ -215,9 +215,7 @@ def if_run_stepwise(x, params):
         s = _fire(charged, params)
         spikes.append(s)
         membrane = sub(charged, mul(sub(charged, params.v_reset), s))
-    out = _stack(spikes)
-    out.is_spike = params.mode == "spiking"
-    return out, membrane
+    return _stack(spikes), membrane
 
 
 def depth_head_composed(x, weight):
@@ -302,23 +300,52 @@ def reshape(a, shape):
     return out
 
 
+def _lead_align(a, b):
+    """Right-pad the lower-rank array with singleton axes; check compatibility."""
+    da, db = a.data, b.data
+    if da.shape == db.shape:
+        return da, db
+    if da.ndim < db.ndim:
+        da = da.reshape(da.shape + (1,) * (db.ndim - da.ndim))
+    elif db.ndim < da.ndim:
+        db = db.reshape(db.shape + (1,) * (da.ndim - db.ndim))
+    for axis, (m, n) in enumerate(zip(da.shape, db.shape)):
+        if m != n and m != 1 and n != 1:
+            raise tz.DimensionError("axis %d mismatch: %d vs %d" % (axis, m, n))
+    return da, db
+
+
+def _unbroadcast(g, orig_shape):
+    """Reduce a broadcast gradient back to the operand's original shape."""
+    if g.shape == orig_shape:
+        return g
+    padded = orig_shape + (1,) * (g.ndim - len(orig_shape))
+    axes = tuple(i for i, (go, po) in enumerate(zip(g.shape, padded)) if po == 1 and go != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(orig_shape)
+
+
 def sub(a, b):
+    """a - b, broadcast leading-aligned: the lower-rank operand is padded with
+    trailing singleton axes, so a per-step term [T] meets a [T, C, H, W] one."""
     a, b = tz.as_tensor(a), tz.as_tensor(b)
-    da, db = tz._lead_align(a, b)
+    da, db = _lead_align(a, b)
     out = tz.Tensor(da - db)
     sa, sb = a.data.shape, b.data.shape
     tz.record((out,), (a, b),
-              lambda g: (tz._unbroadcast(g, sa), tz._unbroadcast(-g, sb)))
+              lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
     return out
 
 
 def mul(a, b):
+    """a * b, broadcast as in sub."""
     a, b = tz.as_tensor(a), tz.as_tensor(b)
-    da, db = tz._lead_align(a, b)
+    da, db = _lead_align(a, b)
     out = tz.Tensor(da * db)
     sa, sb = a.data.shape, b.data.shape
     tz.record((out,), (a, b),
-              lambda g: (tz._unbroadcast(g * db, sa), tz._unbroadcast(g * da, sb)))
+              lambda g: (_unbroadcast(g * db, sa), _unbroadcast(g * da, sb)))
     return out
 
 
@@ -550,27 +577,26 @@ def _spatial_gate(x, s_conv):
     return mul(x, gate)
 
 
-def tcsa_composed(x, params):
+def tcsa_composed(x, weights):
     """at.tcsa as a graph of taped pool, linear, relu, sigmoid, conv and mul
     ops, so the generic reverse sweep does the backward."""
     x = tz.as_tensor(x)
-    w = params.weights
-    if "T" in params.enabled:
-        x = _mlp_gate(x, (1, 2, 3), w["t_compress"], w["t_expand"])
-    if "C" in params.enabled:
-        x = _mlp_gate(x, (2, 3), w["c_compress"], w["c_expand"])
-    if "S" in params.enabled:
-        x = _spatial_gate(x, w["s_conv"])
+    if "t_compress" in weights:
+        x = _mlp_gate(x, (1, 2, 3), weights["t_compress"], weights["t_expand"])
+    if "c_compress" in weights:
+        x = _mlp_gate(x, (2, 3), weights["c_compress"], weights["c_expand"])
+    if "s_conv" in weights:
+        x = _spatial_gate(x, weights["s_conv"])
     return x
 
 
 def attention_params(t, c, reduction=1, enabled="TCS", rng=None):
-    """One gating site's weights, drawn as DepthNet draws them, or zeros
+    """One gating site's weight dict, drawn as DepthNet draws it, or zeros
     without an rng."""
     shapes = at.weight_shapes(t, c, reduction, enabled)
     arrays = (md.draw_weights(shapes, rng) if rng is not None
               else {name: np.zeros(shape) for name, shape in shapes.items()})
-    return at.AttentionParams({name: tz.Tensor(a) for name, a in arrays.items()})
+    return {name: tz.Tensor(a) for name, a in arrays.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,8 @@ def rand_params(enabled="TCS", t=4, c=6, r=1, seed=0):
 
 def test_each_module_halves_with_zero_weights():
     x = rand((4, 6, 5, 5), seed=1)
-    p = zero_params()
-    for fn in (at.temporal_attention, at.channel_attention, at.spatial_attention):
-        out = fn(tz.Tensor(x), p)
+    for enabled in "TCS":
+        out = at.tcsa(tz.Tensor(x), zero_params(enabled))
         np.testing.assert_array_equal(out.data, x * 0.5)
 
 
@@ -81,7 +80,7 @@ def test_sigmoid_matches_the_two_branch_form_bit_for_bit():
 def test_temporal_gate_is_scalar_per_step():
     x = rand((4, 6, 5, 5), seed=7)
     p = rand_params("T", seed=8)
-    out = at.temporal_attention(tz.Tensor(x), p)
+    out = at.tcsa(tz.Tensor(x), p)
     for tau in range(4):
         nz = x[tau] != 0
         ratios = out.data[tau][nz] / x[tau][nz]
@@ -91,8 +90,8 @@ def test_temporal_gate_is_scalar_per_step():
 def test_channel_gate_matches_pooling_oracle():
     x = rand((3, 4, 6, 6), seed=9)
     p = rand_params("C", t=3, c=4, seed=10)
-    out = at.channel_attention(tz.Tensor(x), p)
-    w1, w2 = p.weights["c_compress"].data, p.weights["c_expand"].data
+    out = at.tcsa(tz.Tensor(x), p)
+    w1, w2 = p["c_compress"].data, p["c_expand"].data
 
     def mlp(v):
         return w2 @ np.maximum(w1 @ v, 0.0)
@@ -109,8 +108,8 @@ def test_channel_gate_per_step_independence():
     x = rand((4, 6, 5, 5), seed=11)
     p = rand_params("C", seed=12)
     perm = [2, 0, 3, 1]
-    out = at.channel_attention(tz.Tensor(x), p)
-    out_p = at.channel_attention(tz.Tensor(x[perm]), p)
+    out = at.tcsa(tz.Tensor(x), p)
+    out_p = at.tcsa(tz.Tensor(x[perm]), p)
     np.testing.assert_allclose(out_p.data, out.data[perm], rtol=1e-13)
 
 
@@ -118,8 +117,8 @@ def test_spatial_gate_per_step_independence():
     x = rand((4, 6, 5, 5), seed=13)
     p = rand_params("S", seed=14)
     perm = [3, 1, 0, 2]
-    out = at.spatial_attention(tz.Tensor(x), p)
-    out_p = at.spatial_attention(tz.Tensor(x[perm]), p)
+    out = at.tcsa(tz.Tensor(x), p)
+    out_p = at.tcsa(tz.Tensor(x[perm]), p)
     np.testing.assert_allclose(out_p.data, out.data[perm], rtol=1e-13)
 
 
@@ -127,15 +126,15 @@ def test_temporal_gate_mixes_steps():
     x = rand((4, 6, 5, 5), seed=15)
     p = rand_params("T", seed=16)
     perm = [1, 0, 3, 2]
-    out = at.temporal_attention(tz.Tensor(x), p)
-    out_p = at.temporal_attention(tz.Tensor(x[perm]), p)
+    out = at.tcsa(tz.Tensor(x), p)
+    out_p = at.tcsa(tz.Tensor(x[perm]), p)
     assert not np.allclose(out_p.data, out.data[perm])
 
 
 def test_spatial_gate_constant_on_constant_interior():
     x = np.full((2, 3, 8, 8), 0.7)
     p = rand_params("S", t=2, c=3, seed=17)
-    out = at.spatial_attention(tz.Tensor(x), p)
+    out = at.tcsa(tz.Tensor(x), p)
     interior = out.data[:, :, 1:-1, 1:-1]
     assert np.ptp(interior) < 1e-12
     # borders see zero padding, so their gates may differ
@@ -145,7 +144,7 @@ def test_spatial_gate_constant_on_constant_interior():
 def test_spatial_gate_shared_across_channels():
     x = rand((2, 5, 6, 6), seed=18)
     p = rand_params("S", t=2, c=5, seed=19)
-    out = at.spatial_attention(tz.Tensor(x), p)
+    out = at.tcsa(tz.Tensor(x), p)
     nz = np.abs(x) > 1e-9
     gate = np.where(nz, out.data / np.where(nz, x, 1.0), np.nan)
     for tau in range(2):
@@ -163,17 +162,16 @@ def test_spatial_gate_shared_across_channels():
 
 def test_param_allocation_respects_enabled_set():
     p = zero_params("CS", t=5, c=8, r=2)
-    assert list(p.weights) == ["c_compress", "c_expand", "s_conv"]
-    assert p.enabled == "CS"
+    assert list(p) == ["c_compress", "c_expand", "s_conv"]
     q = zero_params("T", t=4, c=8, r=2)
-    assert list(q.weights) == ["t_compress", "t_expand"]
-    assert q.weights["t_compress"].data.shape == (2, 4)
+    assert list(q) == ["t_compress", "t_expand"]
+    assert q["t_compress"].data.shape == (2, 4)
 
 
 def test_param_count_independent_of_t_when_temporal_off():
     a = zero_params("CS", t=1, c=8)
     b = zero_params("CS", t=5, c=8)
-    count = lambda p: sum(t.data.size for t in p.weights.values())
+    count = lambda p: sum(t.data.size for t in p.values())
     assert count(a) == count(b)
 
 
@@ -189,11 +187,11 @@ def test_divisibility_validation():
 def test_shape_validation():
     p = rand_params("C", t=3, c=4, seed=20)
     with pytest.raises(tz.DimensionError):
-        at.channel_attention(tz.Tensor(np.zeros((3, 5, 4, 4))), p)
+        at.tcsa(tz.Tensor(np.zeros((3, 5, 4, 4))), p)
     with pytest.raises(tz.DimensionError):
-        at.temporal_attention(tz.Tensor(np.zeros((2, 4, 4, 4))), rand_params("T", t=3, c=4))
-    with pytest.raises(tz.StateError):
-        at.temporal_attention(tz.Tensor(np.zeros((3, 4, 4, 4))), p)
+        at.tcsa(tz.Tensor(np.zeros((2, 4, 4, 4))), rand_params("T", t=3, c=4))
+    with pytest.raises(tz.DimensionError):
+        at.tcsa(tz.Tensor(np.zeros((3, 4, 4))), p)
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +202,10 @@ def test_shape_validation():
 def test_module_gradients_match_fd(enabled):
     x = rand((3, 4, 5, 5), seed=21)
     p = rand_params(enabled, t=3, c=4, seed=22)
-    weights = [t.data for t in p.weights.values()]
-    fn = {"T": at.temporal_attention, "C": at.channel_attention,
-          "S": at.spatial_attention}[enabled]
+    weights = [t.data for t in p.values()]
 
     def build(ts):
-        p2 = zero_params(enabled, t=3, c=4)
-        for name, leaf in zip(p.weights, ts[1:]):
-            p2.weights[name] = leaf
-        return fn(ts[0], p2)
+        return at.tcsa(ts[0], dict(zip(p, ts[1:])))
 
     check_op_gradient(build, [x] + weights, rtol=1e-5, atol=1e-8,
                       label="attention " + enabled)
@@ -221,13 +214,10 @@ def test_module_gradients_match_fd(enabled):
 def test_composed_gradient_matches_fd():
     x = rand((2, 4, 4, 4), seed=23)
     p = rand_params("TCS", t=2, c=4, seed=24)
-    weights = [t.data for t in p.weights.values()]
+    weights = [t.data for t in p.values()]
 
     def build(ts):
-        p2 = zero_params("TCS", t=2, c=4)
-        for name, leaf in zip(p.weights, ts[1:]):
-            p2.weights[name] = leaf
-        return at.tcsa(ts[0], p2)
+        return at.tcsa(ts[0], dict(zip(p, ts[1:])))
 
     check_op_gradient(build, [x] + weights, rtol=1e-5, atol=1e-8, label="tcsa")
 
@@ -241,13 +231,13 @@ def run_taped(fn, x, p, requires_grad, weight):
 
     Returns (output, input gradient, parameter gradients, tape length)."""
     xt = tz.Tensor(x, requires_grad=requires_grad)
-    for t in p.weights.values():
+    for t in p.values():
         t.requires_grad, t.grad = True, None
     with tz.Tape() as tape:
         out = fn(xt, p)
         loss = sum_all(mul(out, tz.Tensor(weight)))
     tz.backward(loss, tape)
-    return out.data, xt.grad, [t.grad for t in p.weights.values()], len(tape)
+    return out.data, xt.grad, [t.grad for t in p.values()], len(tape)
 
 
 @settings(max_examples=150, deadline=None)
@@ -288,13 +278,13 @@ def test_fused_gates_match_composed_graph(t, hidden, r, h, w, enabled, kind,
 @pytest.mark.parametrize("requires_grad", [False, True])
 def test_each_module_records_one_tape_entry(requires_grad):
     x = rand((4, 6, 5, 5), seed=25)
-    p = rand_params("TCS", seed=26)
-    for t in p.weights.values():
-        t.requires_grad = True
-    for fn in (at.temporal_attention, at.channel_attention, at.spatial_attention):
+    for enabled in "TCS":
+        p = rand_params(enabled, seed=26)
+        for t in p.values():
+            t.requires_grad = True
         with tz.Tape() as tape:
-            fn(tz.Tensor(x, requires_grad=requires_grad), p)
-        assert len(tape) == 1, fn.__name__
+            at.tcsa(tz.Tensor(x, requires_grad=requires_grad), p)
+        assert len(tape) == 1, enabled
 
 
 def test_max_pool_gradient_goes_to_the_first_tied_maximum():
@@ -303,12 +293,12 @@ def test_max_pool_gradient_goes_to_the_first_tied_maximum():
     x = np.zeros((1, 3, 2, 2))
     x[0, 0] = x[0, 2] = 1.0
     p = rand_params("S", t=1, c=3, seed=27)
-    _, gx, _, _ = run_taped(at.spatial_attention, x, p, True, np.ones(x.shape))
+    _, gx, _, _ = run_taped(at.tcsa, x, p, True, np.ones(x.shape))
     np.testing.assert_array_equal(gx[0, 1], gx[0, 2])  # avg-pool share only
     assert (gx[0, 0] != gx[0, 2]).all()
     p = rand_params("C", t=1, c=3, seed=28)
     weight = rand(x.shape, seed=29)
-    _, gx, _, _ = run_taped(at.channel_attention, x, p, True, weight)
+    _, gx, _, _ = run_taped(at.tcsa, x, p, True, weight)
     _, want, _, _ = run_taped(tcsa_composed, x, p, True, weight)
     np.testing.assert_array_equal(gx, want)
 
@@ -335,13 +325,11 @@ def test_folded_upsample_matches_upsample_then_gates(t, c, h, w, f, enabled, kin
         x = (rng.uniform(0.0, 1.0, (t, c, h, w)) < (0.3 if kind == "binary" else 0.0)) * 1.0
     enabled = at.normalize_enabled(enabled)
     p = attention_params(t, c, 1, enabled, rng=rng)
-    one_module = {"T": at.temporal_attention, "C": at.channel_attention,
-                  "S": at.spatial_attention}
 
     def upsample_then_gates(xt, p):
         xt = xt if f == 1 else tz.nearest_upsample(xt, f)
-        for m in enabled:
-            xt = one_module[m](xt, p)
+        for m in enabled:  # each module's weight names start with its letter
+            xt = at.tcsa(xt, {name: w for name, w in p.items() if name[0] == m.lower()})
         return xt
 
     weight = rng.uniform(-1.0, 1.0, (t, c, h * f, w * f))
@@ -381,7 +369,7 @@ def test_folded_upsample_entry_keeps_the_input_not_its_copy(enabled):
     for f in (1, 2):
         x = tz.Tensor(rand((4, 8, 5, 7), seed=40), requires_grad=True)
         p = rand_params(enabled, c=8, seed=41)
-        for wt in p.weights.values():
+        for wt in p.values():
             wt.requires_grad = True
         with tz.Tape() as tape:
             at.tcsa(x, p, upsample=f)
@@ -408,7 +396,7 @@ def test_channel_gate_output_is_freed_after_the_forward(monkeypatch):
     weight = rand((4, 6, 10, 14), seed=44)
     for f in (1, 2):
         xt = tz.Tensor(x, requires_grad=True)
-        for wt in p.weights.values():
+        for wt in p.values():
             wt.requires_grad, wt.grad = True, None
         with tz.Tape() as tape:
             out = at.tcsa(xt, p, upsample=f)

@@ -232,7 +232,6 @@ def test_binarize_clamps_counts():
     events = make_events([(1, 0, 0, 1), (2, 0, 0, 1), (3, 0, 0, 1)])
     st_ = ev.cumulative_stack(events, 0, 50000, 5, 2, 2, binarize=True)
     assert st_.data.data.max() == 1.0
-    assert st_.data.is_spike
 
 
 @settings(max_examples=30, deadline=None)

@@ -61,7 +61,7 @@ def block_pair(variant, seed=3):
     blk_a = built_block("encoders", seed, base_channels=4, encoder_variant=variant)
     blk_b = built_block("encoders", seed, base_channels=4, encoder_variant=plain)
     blk_b.conv.data = blk_a.conv.data.copy()
-    for t in blk_a.att.weights.values():
+    for t in blk_a.att.values():
         t.data = np.zeros_like(t.data)
     return blk_a, blk_b
 
@@ -69,7 +69,7 @@ def block_pair(variant, seed=3):
 def run_block(blk):
     counts = md.Counts()
     x = tz.Tensor(rand((2, 2, 8, 8), seed=5))
-    out = blk.forward(x, counts)
+    out = blk.forward(x, False, counts)
     return out, counts
 
 
@@ -87,22 +87,21 @@ def test_ce_propagates_continuous_de_propagates_binary():
     out_de, _ = run_block(blk_de)
     assert not set(np.unique(out_ce.data)) <= {0.0, 1.0}
     assert set(np.unique(out_de.data)) <= {0.0, 1.0}
-    assert out_de.is_spike
 
 
 def test_encoder_variants_attention_site():
     # DE-Att2 gates after the conv: zero gates quarter the IF drive, not the conv input
     blk = built_block("encoders", 9, base_channels=4, encoder_variant="DE-Att2")
-    assert blk.att.weights["c_compress"].data.shape[1] == 4
+    assert blk.att["c_compress"].data.shape[1] == 4
     blk2 = built_block("encoders", 9, base_channels=4, encoder_variant="DE-Att1")
-    assert blk2.att.weights["c_compress"].data.shape[1] == 2
+    assert blk2.att["c_compress"].data.shape[1] == 2
 
 
 def test_encoder_requires_even_dims():
     blk = built_block("encoders", 1, base_channels=4)
     counts = md.Counts()
     with pytest.raises(tz.StateError):
-        blk.forward(tz.Tensor(np.zeros((2, 2, 7, 8))), counts)
+        blk.forward(tz.Tensor(np.zeros((2, 2, 7, 8))), False, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +363,7 @@ def test_last_decoder_block_stops_at_its_head():
     tz.backward(loss, tape)
     last = "dec%d." % (len(net.decoders) - 1)
     dead = {name for name, p in net.params if not p.grad.any()}
-    assert dead == {last + "conv"} | {last + "att." + n for n in net.decoders[-1].att.weights}
+    assert dead == {last + "conv"} | {last + "att." + n for n in net.decoders[-1].att}
 
 
 @pytest.mark.parametrize("multiscale, entries", [(False, 37), (True, 43)])
@@ -485,9 +484,22 @@ def architecture_macs(cfg):
     return total
 
 
-@pytest.mark.parametrize("height, width, want", [(64, 64, 36_608_640), (260, 346, None)])
-def test_dense_macs_are_the_architecture_cost(height, width, want):
-    cfg = md.ModelConfig(height=height, width=width)
+def mac_cases():
+    """The default config at 64x64, with its pinned total, and at 260x346,
+    then every other encoder variant and attention set at 64x64."""
+    yield pytest.param(64, 64, "CE-Att", "CS", 36_608_640, id="64-64-36608640")
+    yield pytest.param(260, 346, "CE-Att", "CS", None, id="260-346-None")
+    for variant in md.ENCODER_VARIANTS:
+        for attention in ("", "T", "CS", "TCS"):
+            if (variant, attention) != ("CE-Att", "CS"):
+                yield pytest.param(64, 64, variant, attention, None,
+                                   id="64-64-%s-%s" % (variant, attention or "none"))
+
+
+@pytest.mark.parametrize("height, width, variant, attention, want", mac_cases())
+def test_dense_macs_are_the_architecture_cost(height, width, variant, attention, want):
+    cfg = md.ModelConfig(height=height, width=width, encoder_variant=variant,
+                         attention=attention)
     if want is not None:
         assert architecture_macs(cfg) == want
     net = md.DepthNet(cfg, seed=0)
@@ -515,6 +527,24 @@ def test_binarized_input_counts_first_conv_as_ac():
     zero = np.zeros((2, 2, 32, 32))
     net.forward(tz.Tensor(zero))
     assert net.last_ops.ac_ops == 0.0
+
+
+@pytest.mark.parametrize("variant", ["DE", "DE-Att2"])
+def test_ac_ops_are_the_incidences_of_the_spike_fed_convs(variant):
+    # on binary input enc0's conv reads the input, each later encoder conv the
+    # spikes of the encoder before it and each residual conv its population's
+    # spikes; no other conv reads spikes. The low threshold makes every one of
+    # those populations fire, so each of them adds to the count
+    net = md.DepthNet(small_cfg(encoder_variant=variant, v_threshold=0.02), seed=8)
+    x = (rand((2, 2, 32, 32), seed=17) > 1.0).astype(np.float64)
+    (_, _, counts), trains = spike_trains(net, tz.Tensor(x))
+    fed = [(x, net.encoders[0].conv, 2)]
+    fed += [(s.data, blk.conv, 2) for s, blk in zip(trains["encoder"], net.encoders[1:])]
+    res_convs = [w for blk in net.residuals for w in (blk.conv1, blk.conv2)]
+    fed += [(s.data, w, 1) for s, w in zip(trains["residual"], res_convs)]
+    assert all(a.any() for a, _, _ in fed)
+    want = sum(w.data.shape[0] * md._spike_incidences(a, 3, stride) for a, w, stride in fed)
+    assert counts.ac_ops == want
 
 
 def test_sparsity_ratio_bounds():

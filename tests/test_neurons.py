@@ -227,7 +227,6 @@ def test_fused_if_run_matches_the_per_step_oracle(seed, t_steps, tail, mode, v_r
     got = _run_with_loss(nr.if_run, x, params, use, weights)
     want = _run_with_loss(if_run_stepwise, x, params, use, weights)
     np.testing.assert_array_equal(got[0].data, want[0].data)
-    assert got[0].is_spike == want[0].is_spike == (mode == "spiking")
     np.testing.assert_array_equal(got[1].data, want[1].data)
     np.testing.assert_array_equal(got[2], want[2])
 

@@ -448,7 +448,7 @@ def test_broadcast_gradients_match_fd():
     g = rand((3,), seed=21)
     check_op_gradient(lambda ts: mul(ts[0], ts[1]), [x, g], label="bcast mul")
     g2 = rand((3, 2), seed=22)
-    check_op_gradient(lambda ts: tz.add(ts[0], ts[1]), [x, g2], label="bcast add")
+    check_op_gradient(lambda ts: sub(ts[0], ts[1]), [x, g2], label="bcast sub")
 
 
 def test_concat_and_split_gradients():
@@ -582,11 +582,11 @@ def build_random_tape(ops, used, seed):
             elif kind == "square":
                 out = mul(a, a)
             elif kind == "gate":  # broadcast [2] over [2, 3, 2, 2], both orders
-                out = mul(leaves["gate"], a) if j % 2 else tz.add(a, leaves["gate"])
+                out = mul(leaves["gate"], a) if j % 2 else sub(a, leaves["gate"])
             elif kind == "pool_avg":
                 out = mul(b, pool(a, axes=(2, 3), mode="avg"))
             elif kind == "pool_max":
-                out = tz.add(pool(a, axes=(1, 2, 3), mode="max"), b)
+                out = sub(pool(a, axes=(1, 2, 3), mode="max"), b)
             elif kind == "upsample":
                 f = 2 + j % 3
                 up = mul(tz.nearest_upsample(a, f), tz.nearest_upsample(b, f))
@@ -596,7 +596,7 @@ def build_random_tape(ops, used, seed):
                 if j // 2 % 2:
                     out = spikes
                 else:
-                    out = tz.add(reshape(membrane, (1, 3, 2, 2)), b)
+                    out = sub(reshape(membrane, (1, 3, 2, 2)), b)
             elif kind == "drop":
                 if len(vals) > 1:
                     del vals[i % len(vals)]
