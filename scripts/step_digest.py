@@ -5,20 +5,22 @@ run config (`cli.RunConfig`) at --height x --width with that variant, and
 `multiscale_loss` on when the geometry allows it (height and width divisible
 by 2**layers). Two more runs set the attention too: DE-Att1 with TCS gates
 the spike trains in front of the encoder convs and runs the temporal gate,
-and CE with none leaves each decoder site the bare upsample. Each run then
-takes two training steps as `train` does: zero the gradients, forward and
-loss on a tape, `tz.backward`, then one Adam step.
+and CE with none leaves each decoder site the bare upsample. The last run is
+DE in smooth neuron mode, so the IF populations' smooth backward runs too.
+Each run then takes two training steps as `train` does: zero the gradients,
+forward and loss on a tape, `tz.backward`, then one Adam step.
 The first window is a random stack of event counts and the second a random
 binary spike stack, so both the dense and the spike-fed conv counts run.
 The ground truth is a random depth map whose top-left corner is invalid.
 
 Each digest covers, per step, the depth map, the loss, every per-scale
 prediction, every parameter gradient and the `Counts` fields, and, after
-the second Adam step, every parameter. It prints one line per run, with an
-attention field on the runs that set it:
+the second Adam step, every parameter. It prints one line per run, with a
+field for each setting the run changes:
 
     variant=CE-Att height=64 width=64 multiscale_loss=1 sha256=<64 hex digits>
     variant=CE attention= height=64 width=64 multiscale_loss=1 sha256=<64 hex digits>
+    variant=DE neuron_mode=smooth height=64 width=64 multiscale_loss=1 sha256=<64 hex digits>
 
     python3 scripts/step_digest.py --height 260 --width 346
 
@@ -44,8 +46,9 @@ import numpy as np  # noqa: E402  (after the thread settings)
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from spikedepth import cli, events as ev, model as md, tensor as tz  # noqa: E402
 
-# (encoder variant, attention set or None for the default)
-RUNS = (("CE-Att", None), ("DE", None), ("DE-Att2", None), ("DE-Att1", "TCS"), ("CE", ""))
+# (encoder variant, the run config fields it sets besides the defaults)
+RUNS = (("CE-Att", {}), ("DE", {}), ("DE-Att2", {}), ("DE-Att1", {"attention": "TCS"}),
+        ("CE", {"attention": ""}), ("DE", {"neuron_mode": "smooth"}))
 
 
 def _windows(mc, height, width):
@@ -63,13 +66,12 @@ def _windows(mc, height, width):
     return out
 
 
-def step_digest(variant, height, width, attention=None):
+def step_digest(variant, height, width, settings):
     """(multiscale_loss, hex digest) of two training steps of one variant."""
     mult = 1 << md.ModelConfig.layers
     multiscale = height % mult == 0 and width % mult == 0
-    extra = {} if attention is None else {"attention": attention}
     cfg = cli.RunConfig(height=height, width=width, encoder_variant=variant,
-                        multiscale_loss=multiscale, **extra)
+                        multiscale_loss=multiscale, **settings)
     mc = cfg.model_config()
     net = md.DepthNet(mc, seed=cfg.seed)
     h = hashlib.sha256()
@@ -104,9 +106,9 @@ def main(argv=None):
     ap.add_argument("--height", type=int, default=64)
     ap.add_argument("--width", type=int, default=64)
     args = ap.parse_args(argv)
-    for variant, attention in RUNS:
-        multiscale, digest = step_digest(variant, args.height, args.width, attention)
-        label = variant if attention is None else "%s attention=%s" % (variant, attention)
+    for variant, settings in RUNS:
+        multiscale, digest = step_digest(variant, args.height, args.width, settings)
+        label = variant + "".join(" %s=%s" % item for item in settings.items())
         print("variant=%s height=%d width=%d multiscale_loss=%d sha256=%s"
               % (label, args.height, args.width, multiscale, digest))
 

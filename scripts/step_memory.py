@@ -61,16 +61,16 @@ def step_memory(height, width):
 
     record = tz.record
 
-    def traced_record(outputs, inputs, backward):
-        # the kind and shape only: a closure holding outputs would pin every
+    def traced_record(output, inputs, backward):
+        # the kind and shape only: a closure holding the output would pin every
         # op's output and report that as what the tape keeps
-        kind, shape = _kind(backward), outputs[0].data.shape
+        kind, shape = _kind(backward), output.data.shape
 
-        def bw(*gouts):
+        def bw(gout):
             close_step()
             steps.append([kind, shape, None])
-            return backward(*gouts)
-        return record(outputs, inputs, bw)
+            return backward(gout)
+        return record(output, inputs, bw)
 
     tracemalloc.start()
     tz.record = traced_record

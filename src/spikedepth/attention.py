@@ -250,7 +250,7 @@ def _site(x, weights, upsample):
             g = tz._block_sum(g, f)
         return (g,) + tuple(gw for gws in reversed(grads) for gw in gws)
 
-    tz.record((out,), (x,) + tuple(w for _, ws in modules for w in ws), bw)
+    tz.record(out, (x,) + tuple(w for _, ws in modules for w in ws), bw)
     return out
 
 

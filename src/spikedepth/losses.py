@@ -130,7 +130,7 @@ def total_loss(pred, gt, config=LossConfig()):
             g_resid = g_resid + _scatter(resid.shape, hi, gd)
         return (-(g_resid * mask) + g_ssi,)
 
-    tz.record((out,), (pred,), bw)
+    tz.record(out, (pred,), bw)
     return out
 
 

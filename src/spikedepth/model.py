@@ -96,17 +96,18 @@ class ModelConfig:
                      "base_channels", "layers", "reduction"):
             if getattr(self, name) < 1:
                 raise tz.ArgumentError("%s must be >= 1, got %r" % (name, getattr(self, name)))
-        self.if_params()  # rejects v_threshold <= v_reset and surrogate_alpha <= 0
+        if self.surrogate_alpha <= 0:
+            raise tz.ArgumentError("surrogate_alpha must be positive, got %r"
+                                   % (self.surrogate_alpha,))
+        if not self.v_threshold > self.v_reset:
+            raise tz.ArgumentError("v_threshold (%r) must exceed v_reset (%r)"
+                                   % (self.v_threshold, self.v_reset))
         param_shapes(self)  # rejects a reduction that does not divide a gated axis
 
     @property
     def channel_ladder(self):
         return [self.in_channels] + [self.base_channels * (1 << i)
                                      for i in range(self.layers)]
-
-    def if_params(self):
-        return nr.IFParams(v_threshold=self.v_threshold, v_reset=self.v_reset,
-                           surrogate_alpha=self.surrogate_alpha, mode=self.neuron_mode)
 
 
 def _spike_incidences(x4, k, stride):
@@ -242,7 +243,7 @@ def _depth_head(x, weight, counts):
         gw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0).reshape(1, c, 1, 1)
         return (np.multiply(w2.T, g3).reshape(shape) if need_gx else None), gw
 
-    tz.record((pred,), (x, weight), bw)
+    tz.record(pred, (x, weight), bw)
     return pred
 
 
@@ -251,7 +252,7 @@ class EncoderBlock:
         self.variant = cfg.encoder_variant
         self.conv = store.group(prefix + ".")["conv"]
         self.att = store.group(prefix + ".att.")
-        self.neuron = cfg.if_params()
+        self.cfg = cfg
 
     def forward(self, x, spikes, counts):
         """The block output; spikes says whether x is a binary spike train."""
@@ -267,7 +268,7 @@ class EncoderBlock:
         de = self.variant.startswith("DE")
         # a CE block propagates y, so its spikes reach only the counts: fired
         # from an untaped view of y, the population keeps nothing on the tape
-        spikes, _ = nr.if_run(y if de else Tensor(y.data), self.neuron)
+        spikes = nr.if_run(y if de else Tensor(y.data), self.cfg)
         counts.fire("encoder", spikes)
         return spikes if de else y
 
@@ -278,14 +279,14 @@ class ResidualBlock:
         self.conv1 = weights["conv1"]
         self.conv2 = weights["conv2"]
         self.att = store.group(prefix + ".att.")
-        self.neuron = cfg.if_params()
+        self.cfg = cfg
 
     def forward(self, x, counts):
-        spiking = self.neuron.mode == "spiking"
-        s1, _ = nr.if_run(x, self.neuron)
+        spiking = self.cfg.neuron_mode == "spiking"
+        s1 = nr.if_run(x, self.cfg)
         counts.fire("residual", s1)
         y1 = _conv(s1, self.conv1, counts, spiking)
-        s2, _ = nr.if_run(y1, self.neuron)
+        s2 = nr.if_run(y1, self.cfg)
         counts.fire("residual", s2)
         y2 = _conv(s2, self.conv2, counts, spiking)
         return tz.add(_gate(y2, self.att, counts), x)
@@ -297,7 +298,7 @@ class DecoderBlock:
         self.conv = weights["conv"]
         self.head = weights["head"]
         self.att = store.group(prefix + ".att.")
-        self.neuron = cfg.if_params()
+        self.cfg = cfg
 
     def forward(self, x, skip, counts):
         """(skip + spikes, depth map), or (None, depth map) with no skip.
@@ -310,7 +311,7 @@ class DecoderBlock:
             return None, pred
         gated = _gate(x, self.att, counts, upsample=2)
         y = _conv(gated, self.conv, counts, False)
-        spikes, _ = nr.if_run(y, self.neuron)
+        spikes = nr.if_run(y, self.cfg)
         counts.fire("decoder", spikes)
         return tz.add(spikes, skip), pred
 
@@ -359,7 +360,7 @@ class DepthNet:
         for block in self.encoders:
             cur = block.forward(cur, spikes, counts)
             skips.append(cur)
-            spikes = block.variant.startswith("DE") and block.neuron.mode == "spiking"
+            spikes = block.variant.startswith("DE") and self.config.neuron_mode == "spiking"
         for block in self.residuals:
             cur = block.forward(cur, counts)
         preds = []
@@ -416,6 +417,8 @@ def load_checkpoint(path):
             for _ in range(count):
                 (nlen,) = struct.unpack("<H", tz.read_exact(fh, 2))
                 name = tz.read_exact(fh, nlen).decode("utf-8")
+                if name in entries:
+                    raise tz.ArgumentError("repeated entry %r" % name)
                 entries[name] = tz.read_tensor(fh)
     except (tz.ArgumentError, UnicodeDecodeError) as e:
         raise tz.ArgumentError("%s: %s" % (path, e)) from None

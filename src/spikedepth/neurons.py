@@ -17,8 +17,9 @@ and is read out as depth, are not a population here: each depth head is one
 fused op of its own (`model._depth_head`).
 
 A population runs over all T steps in one call (multi-step mode) and is one
-tape entry: the forward loops over T from a zero membrane, and the backward
-is backpropagation through time in closed form, from the last step to the
+tape entry with one output, the spike train; the membrane stays inside the
+op. The forward loops over T from a zero membrane, and the backward is
+backpropagation through time in closed form, from the last step to the
 first. The gradient is not detached through the reset term: both modes
 differentiate membrane_new = charged - (charged - v_reset) * spike as
 written. The charged membranes h are all the backward keeps: each step's
@@ -26,32 +27,12 @@ spikes are a function of h alone, so the backward fires them again from h
 and the spike train is freed once the forward's callers drop it.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as tz
 from .tensor import Tensor
 
 MODES = ("spiking", "smooth")
-
-
-@dataclass(frozen=True)
-class IFParams:
-    v_threshold: float = 1.0
-    v_reset: float = 0.0
-    surrogate_alpha: float = 1.0
-    mode: str = "spiking"
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise tz.ArgumentError("mode must be one of %s, got %r" % (MODES, self.mode))
-        if self.surrogate_alpha <= 0:
-            raise tz.ArgumentError("surrogate_alpha must be positive, got %r"
-                                   % (self.surrogate_alpha,))
-        if not self.v_threshold > self.v_reset:
-            raise tz.ArgumentError("v_threshold (%r) must exceed v_reset (%r)"
-                                   % (self.v_threshold, self.v_reset))
 
 
 def _triangle(h, v_threshold, alpha):
@@ -70,10 +51,11 @@ def _smooth_ramp(h, v_threshold, alpha):
     return out
 
 
-def if_run(x, params):
+def if_run(x, cfg):
     """Run one population over x[T, ...] from a zero membrane, as one tape op.
 
-    Returns (spikes [T, ...], final membrane).
+    cfg is the model config: its v_threshold, v_reset, surrogate_alpha and
+    neuron_mode set the population. Returns the spikes [T, ...].
     """
     x = tz.as_tensor(x)
     xd, shape = x.data, x.data.shape
@@ -81,8 +63,8 @@ def if_run(x, params):
         raise tz.DimensionError("if_run needs a leading time axis of size >= 1")
     t_steps = shape[0]
     v = np.zeros(shape[1:])
-    th, v_reset, alpha = params.v_threshold, params.v_reset, params.surrogate_alpha
-    spiking = params.mode == "spiking"
+    th, v_reset, alpha = cfg.v_threshold, cfg.v_reset, cfg.surrogate_alpha
+    spiking = cfg.neuron_mode == "spiking"
 
     h = np.empty(shape)  # charged membranes: all the backward keeps
     s = np.empty(shape)
@@ -90,14 +72,16 @@ def if_run(x, params):
         h[t] = v + xd[t]
         s[t] = h[t] >= th if spiking else _smooth_ramp(h[t], th, alpha)
         v = h[t] - (h[t] - v_reset) * s[t]
-    spikes, membrane = Tensor(s), Tensor(v)
+    spikes = Tensor(s)
 
-    def bw(gs, gv):
+    def bw(gs):
         # per step, the sums of the unrolled add/fire/sub/mul/sub graph in its
         # reverse-sweep order: charged gets gv, then -gv * s through the reset,
-        # then (gs - gv * (charged - v_reset)) * tri through the fire; s is
-        # fired again from h, so the spike train is not kept for the backward
+        # then (gs - gv * (charged - v_reset)) * tri through the fire; gv is the
+        # membrane's gradient, 0 after the last step; s is fired again from h,
+        # so the spike train is not kept for the backward
         gx = np.empty(shape)
+        gv = 0.0
         for t in range(t_steps - 1, -1, -1):
             neg = -gv
             tri = _triangle(h[t], th, alpha)
@@ -106,5 +90,5 @@ def if_run(x, params):
             gv = gx[t]
         return (gx,)
 
-    tz.record((spikes, membrane), (x,), bw)
-    return spikes, membrane
+    tz.record(spikes, (x,), bw)
+    return spikes

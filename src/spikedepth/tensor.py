@@ -1,14 +1,14 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
-The tape is an explicit operation list: ops append (output nodes, input keys,
+The tape is an explicit operation list: ops append (output node, input keys,
 backward) entries while a Tape is active, and backward() replays the list in
-reverse. An entry holds no array of its own. Each output is named by a node,
-a per-tape handle with the output's shape; an input is named by its node when
-an op on the same tape made it, and is kept as the Tensor itself when it is a
-leaf. So the arrays a tape keeps are exactly those its backward closures
-captured, and an intermediate that no closure reads is freed as soon as the
-forward drops it. With no tape active every op runs in plain inference mode
-at numpy speed.
+reverse. Every op has exactly one output. An entry holds no array of its
+own. The output is named by a node, a per-tape handle; an input is named by
+its node when an op on the same tape made it, and is kept as the Tensor
+itself when it is a leaf. So the arrays a tape keeps are exactly those its
+backward closures captured, and an intermediate that no closure reads is
+freed as soon as the forward drops it. With no tape active every op runs
+in plain inference mode at numpy speed.
 
 conv2d is same-padded: it takes [T, C_in, H, W] and an odd square kernel,
 zero-pads every side by k // 2, and returns [T, C_out, ceil(H/s), ceil(W/s)]
@@ -45,7 +45,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._ops = []          # (output nodes, input keys, backward) per op
+        self._ops = []          # (output node, input keys, backward) per op
         self._id = object()     # what this tape's nodes name as their tape
 
     def __enter__(self):
@@ -73,15 +73,13 @@ class _Node:
     """The handle by which one tape names one op output.
 
     tape is the owning Tape's _id rather than the Tape, so that a closure
-    holding the output does not close a reference cycle through the tape;
-    shape is the output's, for the zero gradient of an unused output.
+    holding the output does not close a reference cycle through the tape.
     """
 
-    __slots__ = ("tape", "shape")
+    __slots__ = ("tape",)
 
-    def __init__(self, tape, shape):
+    def __init__(self, tape):
         self.tape = tape
-        self.shape = shape
 
 
 class Tensor:
@@ -126,25 +124,24 @@ def _key(t, tape):
     return t if t.requires_grad else None
 
 
-def record(outputs, inputs, backward):
+def record(output, inputs, backward):
     """Append one op to the active tape.
 
-    outputs / inputs are tuples of Tensors; backward maps the outputs'
-    gradient arrays to one gradient array (or None) per input. Extension
-    point for ops defined outside this module. No-op without an active tape
-    or when no input requires a gradient. The entry keeps backward, a new
-    node per output, and per input its node, the leaf Tensor, or None when
-    the input needs no gradient; so it pins no output and no intermediate
-    input, only what backward itself captured.
+    output is the op's Tensor and inputs a tuple of Tensors; backward maps
+    the output's gradient array to one gradient array (or None) per input.
+    Extension point for ops defined outside this module. No-op without an
+    active tape or when no input requires a gradient. The entry keeps
+    backward, a new node for the output, and per input its node, the leaf
+    Tensor, or None when the input needs no gradient; so it pins no output
+    and no intermediate input, only what backward itself captured.
     """
     tape = _active_tape()
     if tape is None or not any(t.requires_grad for t in inputs):
         return
     keys = tuple(_key(t, tape) for t in inputs)
-    for out in outputs:
-        out.requires_grad = True
-        out.node = _Node(tape._id, out.data.shape)
-    tape._ops.append((tuple(out.node for out in outputs), keys, backward))
+    output.requires_grad = True
+    output.node = _Node(tape._id)
+    tape._ops.append((output.node, keys, backward))
 
 
 def backward(loss, tape):
@@ -155,13 +152,14 @@ def backward(loss, tape):
     when no op made it. Only leaves receive .grad; intermediates keep
     grad = None. The sweep walks the tape in reverse, keying the gradients
     still to be used by node (an op output) or by leaf Tensor, and pops an
-    op's output gradients when it reaches that op: every consumer of a
+    op's output gradient when it reaches that op: every consumer of a
     tensor comes later on the tape, so the gradient is complete by then and
-    is freed once used. What is left at the end belongs to leaves and is
-    added into their .grad as an owned, writable copy, so repeated calls
-    accumulate (no zeroing between calls is implied). An empty tape is a
-    no-op. The tape holds only what its backward closures captured, so the
-    sweep's memory is those arrays plus the gradients in flight.
+    is freed once used. An op whose output received no gradient is
+    skipped. What is left at the end belongs to leaves and is added into
+    their .grad as an owned, writable copy, so repeated calls accumulate
+    (no zeroing between calls is implied). An empty tape is a no-op. The
+    tape holds only what its backward closures captured, so the sweep's
+    memory is those arrays plus the gradients in flight.
     """
     if not isinstance(loss, Tensor):
         raise ArgumentError("backward needs a Tensor loss")
@@ -169,14 +167,13 @@ def backward(loss, tape):
         raise ArgumentError("loss must be scalar, got shape %s" % (loss.data.shape,))
     if len(tape._ops) == 0:
         return
-    # node or leaf -> gradient so far; an op's output nodes leave it when the op runs
+    # node or leaf -> gradient so far; an op's output node leaves it when the op runs
     pending = {_key(loss, tape): np.ones((), dtype=np.float64)}
-    for nodes, keys, bw in reversed(tape._ops):
-        gouts = tuple(pending.pop(n, None) for n in nodes)
-        if all(g is None for g in gouts):
+    for node, keys, bw in reversed(tape._ops):
+        gout = pending.pop(node, None)
+        if gout is None:
             continue
-        gouts = tuple(np.zeros(n.shape) if g is None else g for n, g in zip(nodes, gouts))
-        gins = bw(*gouts)
+        gins = bw(gout)
         for k, g in zip(keys, gins):
             if g is None or k is None:
                 continue
@@ -200,7 +197,7 @@ def add(a, b):
         raise DimensionError("add needs equal shapes, got %s and %s"
                              % (a.data.shape, b.data.shape))
     out = Tensor(a.data + b.data)
-    record((out,), (a, b), lambda g: (g, g))
+    record(out, (a, b), lambda g: (g, g))
     return out
 
 
@@ -229,7 +226,7 @@ def slice_nd(a, bounds):
         full[idx] = g
         return (full,)
 
-    record((out,), (a,), bw)
+    record(out, (a,), bw)
     return out
 
 
@@ -249,7 +246,7 @@ def pad_bottom_right(a, pad_h, pad_w):
     def bw(g):
         return (g[..., :h, :w],)
 
-    record((out,), (a,), bw)
+    record(out, (a,), bw)
     return out
 
 
@@ -479,7 +476,7 @@ def conv2d(x, weight, stride=1):
             gw, gx = _strided_grads(xd, wd, g, stride, x.requires_grad)
         return gx, gw
 
-    record((out,), (x, weight), bw)
+    record(out, (x, weight), bw)
     return out
 
 
@@ -487,7 +484,7 @@ def nearest_upsample(x, factor):
     """Replicate every pixel of the last two axes into an f x f block."""
     x = as_tensor(x)
     out = Tensor(_upsample(x.data, factor))
-    record((out,), (x,), lambda g: (_block_sum(g, factor),))
+    record(out, (x,), lambda g: (_block_sum(g, factor),))
     return out
 
 

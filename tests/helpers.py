@@ -81,12 +81,11 @@ def reference_backward(loss, tape):
         return
     own = loss.node is not None and loss.node.tape is tape._id
     grads = {loss.node if own else loss: np.ones((), dtype=np.float64)}
-    for nodes, keys, bw in reversed(tape._ops):
-        gouts = tuple(grads.get(n) for n in nodes)
-        if all(g is None for g in gouts):
+    for node, keys, bw in reversed(tape._ops):
+        gout = grads.get(node)
+        if gout is None:
             continue
-        gouts = tuple(np.zeros(n.shape) if g is None else g for n, g in zip(nodes, gouts))
-        gins = bw(*gouts)
+        gins = bw(gout)
         for k, g in zip(keys, gins):
             if g is None or k is None:
                 continue
@@ -156,53 +155,73 @@ def check_op_gradient(build, arrays, eps=1e-5, rtol=1e-6, atol=1e-9, label=""):
 def brute_if_trace(inputs, v_th, v_reset):
     """Scalar-stepped reference of the membrane recurrence.
 
-    inputs: [T, ...] array. Returns (spikes [T, ...], final membrane).
+    inputs: [T, ...] array. Returns (spikes [T, ...], charged levels [T, ...]),
+    the charged level of step t being the membrane after its input arrives.
     """
     v = np.zeros_like(inputs[0])
-    spikes = []
+    spikes, charged = [], []
     for t in range(inputs.shape[0]):
         h = v + inputs[t]
         s = (h - v_th >= 0).astype(np.float64)
         spikes.append(s)
+        charged.append(h)
         v = h * (1.0 - s) + v_reset * s
-    return np.stack(spikes, axis=0), v
+    return np.stack(spikes, axis=0), np.stack(charged, axis=0)
 
 
-def if_multistep(x, params):
-    """Run x[T, ...] through an IF population from a zero membrane."""
-    return nr.if_run(x, params)
+def if_run_charged(x, cfg):
+    """(spikes, charged membranes) of nr.if_run(x, cfg), as arrays [T, ...].
+
+    The charged membranes are the one array the op's tape entry keeps, read
+    from its backward closure; x is copied into a leaf that requires a
+    gradient so that the op is recorded.
+    """
+    xt = tz.Tensor(np.array(x, dtype=np.float64), requires_grad=True)
+    with tz.Tape() as tape:
+        spikes = nr.if_run(xt, cfg)
+    [(_, _, bw)] = tape._ops
+    [h] = [c.cell_contents for c in bw.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+    return spikes.data, h
 
 
-def _fire(charged, params):
+def _fire(charged, cfg):
     """One step's firing nonlinearity, taped with the triangle window as its backward."""
-    if params.mode == "spiking":
-        s_data = (charged.data >= params.v_threshold).astype(np.float64)
+    if cfg.neuron_mode == "spiking":
+        s_data = (charged.data >= cfg.v_threshold).astype(np.float64)
     else:
-        s_data = nr._smooth_ramp(charged.data, params.v_threshold, params.surrogate_alpha)
+        s_data = nr._smooth_ramp(charged.data, cfg.v_threshold, cfg.surrogate_alpha)
     out = tz.Tensor(s_data)
-    tri = nr._triangle(charged.data, params.v_threshold, params.surrogate_alpha)
-    tz.record((out,), (charged,), lambda g: (g * tri,))
+    tri = nr._triangle(charged.data, cfg.v_threshold, cfg.surrogate_alpha)
+    tz.record(out, (charged,), lambda g: (g * tri,))
     return out
 
 
 def _unstack(x):
-    """The frames of x[T, ...] as tensors; one tape entry for all of them."""
-    frames = tuple(tz.Tensor(x.data[i]) for i in range(x.data.shape[0]))
-    tz.record(frames, (x,), lambda *gs: (np.stack(gs, axis=0),))
+    """The frames of x[T, ...] as tensors; one tape entry per frame."""
+    shape = x.data.shape
+    frames = []
+    for i in range(shape[0]):
+        def bw(g, i=i):
+            full = np.zeros(shape)
+            full[i] = g
+            return (full,)
+        frame = tz.Tensor(x.data[i])
+        tz.record(frame, (x,), bw)
+        frames.append(frame)
     return frames
 
 
 def _stack(frames):
     """Equal-shape tensors stacked along a new leading axis; one tape entry."""
     out = tz.Tensor(np.stack([f.data for f in frames], axis=0))
-    tz.record((out,), tuple(frames), lambda g: tuple(g[i] for i in range(len(frames))))
+    tz.record(out, tuple(frames), lambda g: tuple(g[i] for i in range(len(frames))))
     return out
 
 
-def if_run_stepwise(x, params):
+def if_run_stepwise(x, cfg):
     """Per-step taped IF population: the gradient oracle for nr.if_run.
 
-    Same signature and results as nr.if_run, but unrolled on the tape: x is
+    Same signature and result as nr.if_run, but unrolled on the tape: x is
     split into frames, every step records add, fire, sub, mul and sub
     (membrane = charged - (charged - v_reset) * spikes), and the spikes are
     stacked again, so the generic reverse sweep does the BPTT.
@@ -212,10 +231,10 @@ def if_run_stepwise(x, params):
     spikes = []
     for frame in _unstack(x):
         charged = tz.add(membrane, frame)
-        s = _fire(charged, params)
+        s = _fire(charged, cfg)
         spikes.append(s)
-        membrane = sub(charged, mul(sub(charged, params.v_reset), s))
-    return _stack(spikes), membrane
+        membrane = sub(charged, mul(sub(charged, cfg.v_reset), s))
+    return _stack(spikes)
 
 
 def depth_head_composed(x, weight):
@@ -233,10 +252,10 @@ def depth_head_composed(x, weight):
     return tz.nearest_upsample(reshape(membrane, membrane.data.shape[-2:]), 2)
 
 
-def surrogate_grad(charged, params):
+def surrogate_grad(charged, cfg):
     """The surrogate derivative the IF backward applies at a charged membrane."""
     charged = tz.as_tensor(charged)
-    return tz.Tensor(nr._triangle(charged.data, params.v_threshold, params.surrogate_alpha))
+    return tz.Tensor(nr._triangle(charged.data, cfg.v_threshold, cfg.surrogate_alpha))
 
 
 def make_events(rows):
@@ -296,7 +315,7 @@ def reshape(a, shape):
     a = tz.as_tensor(a)
     out = tz.Tensor(a.data.reshape(shape))
     orig = a.data.shape
-    tz.record((out,), (a,), lambda g: (g.reshape(orig),))
+    tz.record(out, (a,), lambda g: (g.reshape(orig),))
     return out
 
 
@@ -333,7 +352,7 @@ def sub(a, b):
     da, db = _lead_align(a, b)
     out = tz.Tensor(da - db)
     sa, sb = a.data.shape, b.data.shape
-    tz.record((out,), (a, b),
+    tz.record(out, (a, b),
               lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
     return out
 
@@ -344,7 +363,7 @@ def mul(a, b):
     da, db = _lead_align(a, b)
     out = tz.Tensor(da * db)
     sa, sb = a.data.shape, b.data.shape
-    tz.record((out,), (a, b),
+    tz.record(out, (a, b),
               lambda g: (_unbroadcast(g * db, sa), _unbroadcast(g * da, sb)))
     return out
 
@@ -354,7 +373,7 @@ def absolute(a):
     a = tz.as_tensor(a)
     out = tz.Tensor(np.abs(a.data))
     sgn = np.sign(a.data)
-    tz.record((out,), (a,), lambda g: (g * sgn,))
+    tz.record(out, (a,), lambda g: (g * sgn,))
     return out
 
 
@@ -362,7 +381,7 @@ def sum_all(a):
     a = tz.as_tensor(a)
     out = tz.Tensor(a.data.sum())
     shape = a.data.shape
-    tz.record((out,), (a,), lambda g: (np.broadcast_to(g, shape),))
+    tz.record(out, (a,), lambda g: (np.broadcast_to(g, shape),))
     return out
 
 
@@ -382,7 +401,7 @@ def concat(parts, axis):
                                     % (axis, tuple(base), tuple(s)))
     out = tz.Tensor(np.concatenate([p.data for p in parts], axis=axis))
     splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
-    tz.record((out,), tuple(parts), lambda g: tuple(np.split(g, splits, axis=axis)))
+    tz.record(out, tuple(parts), lambda g: tuple(np.split(g, splits, axis=axis)))
     return out
 
 
@@ -391,7 +410,7 @@ def mean_all(a):
     a = tz.as_tensor(a)
     out = tz.Tensor(a.data.mean())
     shape, n = a.data.shape, a.data.size
-    tz.record((out,), (a,), lambda g: (np.broadcast_to(g / n, shape),))
+    tz.record(out, (a,), lambda g: (np.broadcast_to(g / n, shape),))
     return out
 
 
@@ -406,7 +425,7 @@ def avg_downsample(x, factor):
         g = np.broadcast_to(g[..., :, None, :, None] / (factor * factor), blocks)
         return (g.reshape(lead + (h, w)),)
 
-    tz.record((out,), (x,), bw)
+    tz.record(out, (x,), bw)
     return out
 
 
@@ -439,10 +458,10 @@ def spike_trains(model, x):
     trains = []
     run = nr.if_run
 
-    def capture(inp, params):
-        spikes, membrane = run(inp, params)
+    def capture(inp, cfg):
+        spikes = run(inp, cfg)
         trains.append(spikes)
-        return spikes, membrane
+        return spikes
 
     with mock.patch.object(nr, "if_run", capture):
         out = model.forward(x)
@@ -463,7 +482,7 @@ def sigmoid(a):
     e = np.exp(-np.abs(x))
     s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = tz.Tensor(s)
-    tz.record((out,), (a,), lambda g: (g * s * (1.0 - s),))
+    tz.record(out, (a,), lambda g: (g * s * (1.0 - s),))
     return out
 
 
@@ -471,7 +490,7 @@ def relu(a):
     a = tz.as_tensor(a)
     out = tz.Tensor(np.maximum(a.data, 0.0))
     pos = a.data > 0
-    tz.record((out,), (a,), lambda g: (g * pos,))
+    tz.record(out, (a,), lambda g: (g * pos,))
     return out
 
 
@@ -519,7 +538,7 @@ def pool(a, axes, mode="avg"):
             np.put_along_axis(gf, arg[..., None], g[..., None], axis=-1)
             return (gf.reshape(moved.shape).transpose(np.argsort(perm)),)
 
-    tz.record((out,), (a,), bw)
+    tz.record(out, (a,), bw)
     return out
 
 
@@ -553,7 +572,7 @@ def linear(x, weight, bias=None):
             return (gx, gw)
         return (gx, gw, g2.sum(axis=0))
 
-    tz.record((out,), inputs, bw)
+    tz.record(out, inputs, bw)
     return out
 
 

@@ -25,12 +25,11 @@ from spikedepth import attention as at
 from spikedepth import events as ev
 from spikedepth import losses as ls
 from spikedepth import model as md
-from spikedepth import neurons as nr
 from spikedepth import tensor as tz
 from spikedepth.cli import (load_run_config, load_windows, parse_run_config,
                             serialize_run_config)
 
-from helpers import (attention_params, brute_if_trace, check_op_gradient, if_multistep,
+from helpers import (attention_params, brute_if_trace, check_op_gradient, if_run_charged,
                      make_events, recount_stack, spike_trains)
 
 
@@ -183,11 +182,9 @@ def test_c02_if_matches_brute_simulator():
         scale = float(rng.uniform(0.3, 2.5))
         x = rng.normal(0.0, 1.0, size=(t_steps,) + extra) * scale
         v_th = float(rng.uniform(0.3, 1.5))
-        params = nr.IFParams(v_threshold=v_th)
-        spikes, membrane = if_multistep(tz.Tensor(x.copy()), params)
-        bs, bv = brute_if_trace(x, v_th, 0.0)
-        if not (np.array_equal(spikes.data, bs)
-                and np.array_equal(membrane.data, bv)):
+        spikes, charged = if_run_charged(x, md.ModelConfig(v_threshold=v_th))
+        bs, bh = brute_if_trace(x, v_th, 0.0)
+        if not (np.array_equal(spikes, bs) and np.array_equal(charged, bh)):
             bad += 1
             if not first:
                 first = " first=case%d(T=%d,v_th=%.3f)" % (i, t_steps, v_th)

@@ -5,6 +5,7 @@ import io
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -820,6 +821,20 @@ def test_corrupt_checkpoint_is_exit_2(tmp_path, dataset, capsys):
         fh.write(b"NOTACKPT" + b"\x00" * 16)
     assert main(["eval", "--model", bad, "--data", dataset]) == 2
     assert "bad.spkc" in capsys.readouterr().err
+    # a checkpoint that names an entry twice, whose later copy would replace
+    # the first without a word
+    twice = tmp_path / "twice.spkc"
+    md.save_model(str(twice), md.DepthNet(md.ModelConfig(height=16, width=16,
+                                                         base_channels=2, layers=2)))
+    name = "param.enc0.conv"
+    md.save_checkpoint(str(tmp_path / "one.spkc"),
+                       {name: md.load_checkpoint(twice)[name]})
+    raw = twice.read_bytes()
+    (count,) = struct.unpack("<I", raw[8:12])
+    twice.write_bytes(raw[:8] + struct.pack("<I", count + 1) + raw[12:]
+                      + (tmp_path / "one.spkc").read_bytes()[12:])
+    assert main(["eval", "--model", str(twice), "--data", dataset]) == 2
+    assert capsys.readouterr().err == "error: %s: repeated entry %r\n" % (twice, name)
 
 
 def run_cli(*args):

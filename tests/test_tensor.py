@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikedepth import model as md
 from spikedepth import neurons as nr
 from spikedepth import tensor as tz
 from helpers import (naive_conv2d, naive_conv2d_grads, central_diff, assert_grads_close,
                      check_op_gradient, reference_backward, avg_downsample, mean_all,
                      load_tensor, total_params, param_names, pool, linear, relu, sigmoid,
-                     sub, mul, absolute, sum_all, concat, if_run_stepwise, reshape)
+                     sub, mul, absolute, sum_all, concat, if_run_stepwise)
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
@@ -214,17 +215,17 @@ def test_tape_frees_the_arrays_no_backward_reads(mode):
     """The conv output feeds only if_run, which keeps its own membranes, and
     the spikes feed only a sum: once the forward drops them both arrays are
     freed, and the gradients are those of the per-step oracle population."""
-    params = nr.IFParams(mode=mode, surrogate_alpha=0.7)
+    cfg = md.ModelConfig(neuron_mode=mode, surrogate_alpha=0.7)
 
     def run(population):
         x = tz.Tensor(rand((3, 2, 6, 7), seed=40, lo=0.0, hi=1.5), requires_grad=True)
         w = tz.Tensor(rand((4, 2, 3, 3), seed=41), requires_grad=True)
         with tz.Tape() as tape:
             y = tz.conv2d(x, w)
-            s, v = population(y, params)
-            loss = tz.add(sum_all(s), sum_all(v))
+            s = population(y, cfg)
+            loss = sum_all(s)
         refs = weakref.ref(y.data), weakref.ref(s.data)
-        del y, s, v
+        del y, s
         gc.collect()
         tz.backward(loss, tape)
         return refs, x.grad, w.grad
@@ -550,7 +551,8 @@ POOL_OPS = ("drop", "leaf")
 
 
 # IF populations for the if_run kind, one per mode
-IF_KINDS = (nr.IFParams(v_reset=0.25), nr.IFParams(mode="smooth", surrogate_alpha=0.7))
+IF_KINDS = (md.ModelConfig(v_reset=0.25),
+            md.ModelConfig(neuron_mode="smooth", surrogate_alpha=0.7))
 
 
 def build_random_tape(ops, used, seed):
@@ -591,12 +593,8 @@ def build_random_tape(ops, used, seed):
                 f = 2 + j % 3
                 up = mul(tz.nearest_upsample(a, f), tz.nearest_upsample(b, f))
                 out = avg_downsample(up, f)
-            elif kind == "if_run":  # one output is used, the spikes or the membrane
-                spikes, membrane = nr.if_run(a, IF_KINDS[j % 2])
-                if j // 2 % 2:
-                    out = spikes
-                else:
-                    out = sub(reshape(membrane, (1, 3, 2, 2)), b)
+            elif kind == "if_run":
+                out = nr.if_run(a, IF_KINDS[j % 2])
             elif kind == "drop":
                 if len(vals) > 1:
                     del vals[i % len(vals)]
