@@ -62,7 +62,7 @@ def _windows(mc, height, width):
         depth = rng.uniform(0.5, 4.0, (height, width))
         valid = np.ones((height, width), dtype=bool)
         valid[:height // 4, :width // 4] = False
-        out.append((x, ev.DepthFrame(depth=tz.Tensor(depth * valid), valid=valid, t=0)))
+        out.append((x, ev.DepthFrame(depth=depth * valid, valid=valid, t=0)))
     return out
 
 

@@ -47,7 +47,7 @@ def step_memory(height, width):
     rng = np.random.default_rng(0)
     x = tz.Tensor(rng.poisson(0.3, (mc.time_steps, mc.in_channels, height, width))
                   .astype(np.float64))
-    gt = ev.DepthFrame(depth=tz.Tensor(rng.uniform(0.5, 4.0, (height, width))),
+    gt = ev.DepthFrame(depth=rng.uniform(0.5, 4.0, (height, width)),
                        valid=np.ones((height, width), dtype=bool), t=0)
     net.params.zero_grad()
 

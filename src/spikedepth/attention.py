@@ -259,6 +259,4 @@ def tcsa(x, weights, upsample=1):
     whose weights are in `weights`, in T, C, S order, as one tape entry; only
     the upsample when the dict is empty."""
     x = tz.as_tensor(x)
-    if weights:
-        return _site(x, weights, upsample)
-    return x if upsample == 1 else tz.nearest_upsample(x, upsample)
+    return _site(x, weights, upsample) if weights or upsample != 1 else x

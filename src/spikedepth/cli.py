@@ -55,7 +55,6 @@ class RunConfig(ls.LossConfig, md.ModelConfig):
     adam_eps: float = 1e-08
     epochs: int = 10
     milestone_fractions: tuple = (0.5, 0.75)
-    windows_per_step: int = 1
     val_fraction: float = 0.2
     stack_mode: str = kv.choice("cumulative", STACK_MODES)
     binarize: bool = False
@@ -71,9 +70,8 @@ class RunConfig(ls.LossConfig, md.ModelConfig):
                                    "got %d" % self.in_channels)
         if self.seed < 0:
             raise tz.ArgumentError("seed must be >= 0, got %d" % self.seed)
-        for name in ("epochs", "windows_per_step"):
-            if getattr(self, name) < 1:
-                raise tz.ArgumentError("%s must be >= 1, got %d" % (name, getattr(self, name)))
+        if self.epochs < 1:
+            raise tz.ArgumentError("epochs must be >= 1, got %d" % self.epochs)
         for name in ("learning_rate", "adam_eps"):
             if getattr(self, name) <= 0:
                 raise tz.ArgumentError("%s must be positive, got %r" % (name, getattr(self, name)))
@@ -168,10 +166,10 @@ def load_windows(data_dir, height, width, t_steps, in_channels, stack_mode, bina
 
 def _downsample_frame(gt, factor):
     """Block-average depth; a block is valid only when every pixel is."""
-    h, w = gt.depth.data.shape
-    d = gt.depth.data.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
+    h, w = gt.depth.shape
+    d = gt.depth.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
     v = gt.valid.reshape(h // factor, factor, w // factor, factor).all(axis=(1, 3))
-    return ev.DepthFrame(depth=tz.Tensor(d * v), valid=v, t=gt.t)
+    return ev.DepthFrame(depth=d * v, valid=v, t=gt.t)
 
 
 def window_loss(depth, preds, gt, loss_cfg, multiscale, layers):
@@ -182,6 +180,11 @@ def window_loss(depth, preds, gt, loss_cfg, multiscale, layers):
             small = _downsample_frame(gt, 1 << (layers - 1 - i))
             loss = tz.add(loss, ls.total_loss(p, small, loss_cfg))
     return loss
+
+
+def _mean_mde(model, samples):
+    """Mean MDE in cm of the model's untaped forward over a window list."""
+    return sum(ls.mde_cm(model.forward(s.x)[0], s.gt) for s in samples) / len(samples)
 
 
 def evaluate_dataset(model, samples, loss_cfg):
@@ -321,40 +324,25 @@ def cmd_train(args):
 
         for epoch in range(cfg.epochs):
             lr = cfg.learning_rate * 0.5 ** sum(1 for m in milestones if epoch >= m)
-            i = 0
-            while i < len(train_set):
-                group = train_set[i:i + cfg.windows_per_step]
-                i += len(group)
+            for s in train_set:
                 model.params.zero_grad()
-                g_loss = 0.0
-                g_mde = 0.0
-                g_counts = md.Counts()
-                for s in group:
-                    with tz.Tape() as tape:
-                        depth, preds, c = model.forward(s.x)
-                        loss = window_loss(depth, preds, s.gt, loss_cfg,
-                                           cfg.multiscale_loss, cfg.layers)
-                    value = loss.item()
-                    if not math.isfinite(value):
-                        raise CliError("loss is not finite at epoch %d step %d; "
-                                       "stopping before the checkpoint is touched"
-                                       % (epoch, step + 1), code=3)
-                    tz.backward(loss, tape)
-                    g_loss += value
-                    g_mde += ls.mde_cm(depth, s.gt)
-                    g_counts.merge(c)
-                model.params.scale_grad(1.0 / len(group))
-                tz.adam_step(model.params, lr,
-                             betas=(cfg.adam_beta1, cfg.adam_beta2),
+                with tz.Tape() as tape:
+                    depth, preds, c = model.forward(s.x)
+                    loss = window_loss(depth, preds, s.gt, loss_cfg, cfg.multiscale_loss,
+                                       cfg.layers)
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise CliError("loss is not finite at epoch %d step %d; "
+                                   "stopping before the checkpoint is touched"
+                                   % (epoch, step + 1), code=3)
+                tz.backward(loss, tape)
+                tz.adam_step(model.params, lr, betas=(cfg.adam_beta1, cfg.adam_beta2),
                              eps=cfg.adam_eps)
                 step += 1
                 emit("step=%d epoch=%d lr=%r loss=%r mde_cm=%r firing_rate_total=%r"
-                     % (step, epoch, lr, g_loss / len(group), g_mde / len(group),
-                        g_counts.rate_total))
+                     % (step, epoch, lr, value, ls.mde_cm(depth, s.gt), c.rate_total))
 
-            val_pool = val_set if val_set else train_set
-            val_mde = sum(ls.mde_cm(model.forward(s.x)[0], s.gt)
-                          for s in val_pool) / len(val_pool)
+            val_mde = _mean_mde(model, val_set if val_set else train_set)
             emit("epoch=%d val_mde_cm=%r" % (epoch, val_mde))
             extras = _train_extras(cfg, window_len_us, epoch, step, lr,
                                    min(best, val_mde), model.params)
@@ -363,9 +351,8 @@ def cmd_train(args):
                 best = val_mde
                 md.save_model(os.path.join(cfg.out_dir, "best.spkc"), model, extras)
 
-        metrics, _ = evaluate_dataset(model, samples, loss_cfg)
         emit("total_steps=%d" % step)
-        emit("final_mde_cm=%r" % metrics["mde_cm"])
+        emit("final_mde_cm=%r" % _mean_mde(model, samples))
     return 0
 
 

@@ -106,19 +106,19 @@ class StackedTensor:
 
 @dataclass
 class DepthFrame:
-    """Metric depth with validity mask; invalid pixels hold 0.0."""
+    """Metric depth in a float64 array with validity mask; invalid pixels hold 0.0."""
 
-    depth: Tensor
+    depth: np.ndarray
     valid: np.ndarray
     t: int
 
     def __post_init__(self):
-        if self.depth.data.ndim != 2:
-            raise tz.DimensionError("depth must be rank 2, got %s" % (self.depth.data.shape,))
-        if self.valid.shape != self.depth.data.shape:
+        if self.depth.ndim != 2:
+            raise tz.DimensionError("depth must be rank 2, got %s" % (self.depth.shape,))
+        if self.valid.shape != self.depth.shape:
             raise tz.DimensionError("valid mask shape %s does not match depth %s"
-                                    % (self.valid.shape, self.depth.data.shape))
-        d = self.depth.data[self.valid]
+                                    % (self.valid.shape, self.depth.shape))
+        d = self.depth[self.valid]
         if d.size and (not np.isfinite(d).all() or (d <= 0).any()):
             raise ParseError("valid depth values must be finite and positive")
 
@@ -328,13 +328,13 @@ def parse_depth_frame(text):
                 raise ParseError("line %d: bad depth value %r" % (r, cell))
             depth[r - 2, c] = v
             valid[r - 2, c] = True
-    return DepthFrame(depth=Tensor(depth), valid=valid, t=t)
+    return DepthFrame(depth=depth, valid=valid, t=t)
 
 
 def serialize_depth_frame(frame):
-    h, w = frame.depth.data.shape
+    h, w = frame.depth.shape
     rows = [" ".join(repr(v) if ok else "nan" for v, ok in zip(row, valid))
-            for row, valid in zip(frame.depth.data.tolist(), frame.valid.tolist())]
+            for row, valid in zip(frame.depth.tolist(), frame.valid.tolist())]
     return "\n".join(["%d %d %d" % (h, w, frame.t)] + rows) + "\n"
 
 

@@ -64,7 +64,8 @@ def parse_value(kind, name, text, line):
         if kind is float:
             return _finite(text)
         if kind is tuple:
-            return tuple(_finite(p) for p in text.split(",") if p.strip())
+            # the empty value is the empty tuple; an empty field is an error
+            return tuple(_finite(p) for p in text.split(",")) if text else ()
         if kind is str:
             return text
     except ValueError:

@@ -45,14 +45,14 @@ class LossConfig:
 def _masked_residual(pred, gt):
     """(R, mask, n) as numpy arrays: ground truth minus pred, zeroed off the valid pixels."""
     pred = tz.as_tensor(pred)
-    if pred.data.shape != gt.depth.data.shape:
+    if pred.data.shape != gt.depth.shape:
         raise tz.DimensionError("prediction %s does not match ground truth %s"
-                                % (pred.data.shape, gt.depth.data.shape))
+                                % (pred.data.shape, gt.depth.shape))
     n = int(gt.valid.sum())
     if n == 0:
         raise MetricError("no valid ground-truth pixels")
     mask = gt.valid.astype(np.float64)
-    return (gt.depth.data - pred.data) * mask, mask, n
+    return (gt.depth - pred.data) * mask, mask, n
 
 
 def _ssi(resid, n, sign):

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import events as ev
 from . import kv
-from .tensor import Tensor
 
 
 class ValidationError(ValueError):
@@ -218,7 +217,7 @@ def generate_scene(spec):
     valid = np.ones((spec.height, spec.width), dtype=bool)
     frames = []
     for k in range(spec.n_windows):
-        frames.append(ev.DepthFrame(depth=Tensor(depth_map.copy()),
+        frames.append(ev.DepthFrame(depth=depth_map.copy(),
                                     valid=valid.copy(),
                                     t=(k + 1) * spec.window_len_us))
     return SceneData(spec=spec, events_left=left, events_right=right, gt_frames=frames)

@@ -480,18 +480,10 @@ def conv2d(x, weight, stride=1):
     return out
 
 
-def nearest_upsample(x, factor):
-    """Replicate every pixel of the last two axes into an f x f block."""
-    x = as_tensor(x)
-    out = Tensor(_upsample(x.data, factor))
-    record(out, (x,), lambda g: (_block_sum(g, factor),))
-    return out
-
-
 def _upsample(a, factor):
-    """The array of nearest_upsample(a, factor), untaped."""
+    """a with every pixel of the last two axes replicated into an f x f block."""
     if a.ndim < 2:
-        raise DimensionError("nearest_upsample needs rank >= 2")
+        raise DimensionError("nearest upsample needs rank >= 2")
     if not isinstance(factor, int) or factor < 1:
         raise ArgumentError("upsample factor must be an integer >= 1, got %r" % (factor,))
     return np.repeat(np.repeat(a, factor, axis=-2), factor, axis=-1)

@@ -249,7 +249,7 @@ def depth_head_composed(x, weight):
     membrane = tz.Tensor(np.zeros(y.data.shape[1:]))
     for frame in _unstack(y):
         membrane = tz.add(membrane, frame)
-    return tz.nearest_upsample(reshape(membrane, membrane.data.shape[-2:]), 2)
+    return nearest_upsample(reshape(membrane, membrane.data.shape[-2:]), 2)
 
 
 def surrogate_grad(charged, cfg):
@@ -411,6 +411,15 @@ def mean_all(a):
     out = tz.Tensor(a.data.mean())
     shape, n = a.data.shape, a.data.size
     tz.record(out, (a,), lambda g: (np.broadcast_to(g / n, shape),))
+    return out
+
+
+def nearest_upsample(x, factor):
+    """Taped copy of every pixel of the last two axes into an f x f block: the
+    oracle for the upsample an attention site folds in."""
+    x = tz.as_tensor(x)
+    out = tz.Tensor(tz._upsample(x.data, factor))
+    tz.record(out, (x,), lambda g: (tz._block_sum(g, factor),))
     return out
 
 
@@ -624,14 +633,14 @@ def attention_params(t, c, reduction=1, enabled="TCS", rng=None):
 
 def masked_residual_composed(pred, gt):
     pred = tz.as_tensor(pred)
-    if pred.data.shape != gt.depth.data.shape:
+    if pred.data.shape != gt.depth.shape:
         raise tz.DimensionError("prediction %s does not match ground truth %s"
-                                % (pred.data.shape, gt.depth.data.shape))
+                                % (pred.data.shape, gt.depth.shape))
     n = int(gt.valid.sum())
     if n == 0:
         raise ls.MetricError("no valid ground-truth pixels")
     mask = gt.valid.astype(np.float64)
-    return mul(sub(gt.depth, pred), tz.Tensor(mask)), mask, n
+    return mul(sub(tz.Tensor(gt.depth), pred), tz.Tensor(mask)), mask, n
 
 
 def ssi_loss_composed(pred, gt, config=ls.LossConfig()):

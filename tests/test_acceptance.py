@@ -127,7 +127,7 @@ def test_c01_gradient_fidelity():
     x = tz.Tensor(rng.uniform(0.0, 2.0, (2, 2, 8, 8)))
     valid = rng.random((8, 8)) < 0.85
     valid[0, 0] = True
-    gt = ev.DepthFrame(depth=tz.Tensor(rng.uniform(0.5, 2.0, (8, 8)) * valid),
+    gt = ev.DepthFrame(depth=rng.uniform(0.5, 2.0, (8, 8)) * valid,
                        valid=valid, t=0)
     lcfg = ls.LossConfig()
 
@@ -242,7 +242,7 @@ def test_c04_loss_invariants():
         valid = rng.random((h, w)) < 0.8
         valid[0, 0] = True
         valid[h - 1, w - 1] = False
-        gt = ev.DepthFrame(depth=tz.Tensor(rng.uniform(0.5, 3.0, (h, w)) * valid),
+        gt = ev.DepthFrame(depth=rng.uniform(0.5, 3.0, (h, w)) * valid,
                            valid=valid, t=0)
         pred = rng.uniform(0.0, 3.0, (h, w))
         lam = float(rng.uniform(0.0, 2.0))
@@ -259,7 +259,7 @@ def test_c04_loss_invariants():
         if plus < base - 1e-12 * max(1.0, abs(base)):
             problems.append("plus below minus, case %d" % i)
 
-        exact = tz.Tensor(np.array(gt.depth.data, copy=True))
+        exact = tz.Tensor(np.array(gt.depth, copy=True))
         if (ls.ssi_loss(exact, gt, cfg_minus) != 0.0
                 or ls.reg_loss(exact, gt) != 0.0
                 or ls.total_loss(exact, gt, cfg_minus).item() != 0.0
@@ -420,7 +420,7 @@ def crafted_dataset(tmp_path_factory):
                        for t in sorted(int(v) for v in rng.integers(0, 2000, size=40))])
     ev.save_events(str(root / "left.csv"), evs)
     for k in range(2):
-        frame = ev.DepthFrame(depth=tz.Tensor(np.full((8, 8), 1.5)),
+        frame = ev.DepthFrame(depth=np.full((8, 8), 1.5),
                               valid=np.ones((8, 8), dtype=bool),
                               t=(k + 1) * 1000)
         ev.save_depth_frame(str(root / ("gt%d.txt" % k)), frame)

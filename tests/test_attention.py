@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from spikedepth import tensor as tz
 from spikedepth import attention as at
-from helpers import attention_params, check_op_gradient, mul, sum_all, tcsa_composed
+from helpers import (attention_params, check_op_gradient, mul, nearest_upsample, sum_all,
+                     tcsa_composed)
 
 
 def rand(shape, seed=0):
@@ -327,7 +328,7 @@ def test_folded_upsample_matches_upsample_then_gates(t, c, h, w, f, enabled, kin
     p = attention_params(t, c, 1, enabled, rng=rng)
 
     def upsample_then_gates(xt, p):
-        xt = xt if f == 1 else tz.nearest_upsample(xt, f)
+        xt = xt if f == 1 else nearest_upsample(xt, f)
         for m in enabled:  # each module's weight names start with its letter
             xt = at.tcsa(xt, {name: w for name, w in p.items() if name[0] == m.lower()})
         return xt

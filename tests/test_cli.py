@@ -1,6 +1,7 @@
 """CLI behavior: config handling, command wiring, exit codes, artifacts."""
 
 import contextlib
+import importlib.util
 import io
 import os
 import re
@@ -26,7 +27,6 @@ from spikedepth import synth as sy
 from spikedepth import tensor as tz
 from spikedepth.cli import (INPUT_ERRORS, RunConfig, main, parse_run_config,
                             serialize_run_config)
-from spikedepth.tensor import Tensor
 from helpers import if_run_stepwise, load_tensor
 
 
@@ -375,6 +375,41 @@ def test_train_is_deterministic(tmp_path, dataset, trained, capsys):
         assert b.read() == first
 
 
+def load_workloads():
+    """perfbench/workloads.py, which is a script directory and not a package."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_times_the_step_train_runs(tmp_path, dataset):
+    # the benchmark's train64 and sensor ops are TrainSession.op; run over the
+    # same windows and epochs, it must write what train writes, all but
+    # train's two closing lines
+    cfg_path = str(tmp_path / "run.cfg")
+    cfg = write_cfg(cfg_path, epochs=2, val_fraction=0.0, data_dir=dataset,
+                    out_dir=str(tmp_path / "train"))
+    assert main(["--quiet", "train", "--config", cfg_path]) == 0
+    samples = cli.load_windows(dataset, cfg.height, cfg.width, cfg.time_steps,
+                               cfg.in_channels, cfg.stack_mode, cfg.binarize)
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    session = load_workloads().TrainSession(cfg, samples,
+                                            md.DepthNet(cfg.model_config(), seed=cfg.seed),
+                                            str(bench), epoch_end=True)
+    for _ in range(cfg.epochs * len(samples)):
+        session.op()
+        session.between()
+    session.close()
+    log = (tmp_path / "train" / "train.log").read_bytes().split(b"\n")
+    assert log[-3].startswith(b"total_steps=") and log[-1] == b""
+    assert (bench / "train.log").read_bytes() == b"\n".join(log[:-3] + [b""])
+    for name in ("last.spkc", "best.spkc"):
+        assert (bench / name).read_bytes() == (tmp_path / "train" / name).read_bytes()
+
+
 def test_fused_neurons_train_the_same_bytes_as_the_per_step_oracle(tmp_path, dataset,
                                                                   monkeypatch):
     # DE encoders pass their spikes on, so every spiking population gets a
@@ -642,7 +677,7 @@ def test_nan_loss_is_exit_3(tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()
     (data / "left.csv").write_text("t_us,x,y,p\n")
-    frame = ev.DepthFrame(depth=Tensor(np.full((4, 4), 1e200)),
+    frame = ev.DepthFrame(depth=np.full((4, 4), 1e200),
                           valid=np.ones((4, 4), dtype=bool), t=1000)
     ev.save_depth_frame(str(data / "gt0.txt"), frame)
     (data / "manifest.txt").write_text(
@@ -666,7 +701,7 @@ def test_untrained_model_matches_zero_predictor_order(tmp_path, dataset, capsys)
     report = capsys.readouterr().out
     mde = float(log_values(report, "mde_cm")[0])
     gt = ev.load_depth_frame(os.path.join(dataset, "gt_0000.txt"))
-    zero_mde = 100.0 * float(np.abs(gt.depth.data).mean())
+    zero_mde = 100.0 * float(np.abs(gt.depth).mean())
     assert zero_mde / 30.0 < mde < zero_mde * 30.0
 
 

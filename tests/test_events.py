@@ -360,7 +360,7 @@ def test_binocular_window_mismatch():
 
 
 def frame_at(t, h=2, w=2, value=1.5):
-    return ev.DepthFrame(depth=tz.Tensor(np.full((h, w), value)),
+    return ev.DepthFrame(depth=np.full((h, w), value),
                          valid=np.ones((h, w), dtype=bool), t=t)
 
 
@@ -385,14 +385,14 @@ def test_align_out_of_tolerance():
 def test_depth_file_roundtrip(tmp_path):
     depth = np.array([[1.0, 2.5], [0.0, 0.125]])
     valid = np.array([[True, True], [False, True]])
-    fr = ev.DepthFrame(depth=tz.Tensor(depth), valid=valid, t=50000)
+    fr = ev.DepthFrame(depth=depth, valid=valid, t=50000)
     path = tmp_path / "gt.txt"
     ev.save_depth_frame(path, fr)
     text = path.read_text()
     assert text.splitlines()[0] == "2 2 50000"
     assert "nan" in text
     back = ev.load_depth_frame(path)
-    np.testing.assert_array_equal(back.depth.data, depth)
+    np.testing.assert_array_equal(back.depth, depth)
     np.testing.assert_array_equal(back.valid, valid)
     assert back.t == 50000
     # canonical text is a fixed point
@@ -415,5 +415,5 @@ def test_depth_file_errors():
 
 def test_depth_frame_rejects_nonpositive_valid():
     with pytest.raises(ev.ParseError):
-        ev.DepthFrame(depth=tz.Tensor(np.array([[0.0]])),
+        ev.DepthFrame(depth=np.array([[0.0]]),
                       valid=np.array([[True]]), t=0)

@@ -13,7 +13,7 @@ from spikedepth import model as md
 from spikedepth import neurons as nr
 from spikedepth import synth as sy
 from spikedepth.tensor import ArgumentError
-from spikedepth.cli import (INPUT_ERRORS, RunConfig, load_run_config, parse_run_config,
+from spikedepth.cli import (INPUT_ERRORS, RunConfig, load_run_config, main, parse_run_config,
                             serialize_run_config)
 
 TOKENS = ("", "x", "nan", "inf", "-1", "1.5", "yes", "²")
@@ -93,6 +93,8 @@ def test_manifest_reader_under_mutation(manifest_text, data):
 def test_valid_files_read_back():
     assert serialize_run_config(parse_run_config(RUN_CONFIG)) == RUN_CONFIG
     assert sy.parse_scene_spec(SCENE_SPEC) == SCENE
+    # the empty value is how format_value writes the empty tuple
+    assert parse_run_config("milestone_fractions =\n").milestone_fractions == ()
 
 
 def test_manifest_reads_back(manifest_text, tmp_path):
@@ -115,6 +117,16 @@ def test_manifest_reads_back(manifest_text, tmp_path):
 def test_codec_errors_name_the_line(text, message):
     with pytest.raises(ev.ParseError, match=message):
         parse_run_config(text)
+
+
+@pytest.mark.parametrize("value", ["0.5,,0.75", "0.5,", ", 0.5", " , "])
+def test_tuple_with_an_empty_field_is_exit_2(tmp_path, value, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 1\nmilestone_fractions = %s\n" % value)
+    assert main(["train", "--config", str(path), "--dump-config"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: line 2: milestone_fractions must be comma-separated")
 
 
 @pytest.mark.parametrize("key", ["plane.01", "plane.-1", "plane.²", "plane.x", "plane."])

@@ -12,7 +12,7 @@ def gt_frame(depth, valid=None, t=0):
     depth = np.asarray(depth, dtype=np.float64)
     if valid is None:
         valid = np.ones(depth.shape, dtype=bool)
-    return ev.DepthFrame(depth=tz.Tensor(np.where(valid, depth, 0.0)),
+    return ev.DepthFrame(depth=np.where(valid, depth, 0.0),
                          valid=valid, t=t)
 
 

@@ -376,7 +376,7 @@ def test_default_training_step_tape_has_one_loss_entry_per_scale(multiscale, ent
     cfg = md.ModelConfig()
     net = md.DepthNet(cfg, seed=0)
     x = tz.Tensor(rand((5, 4, 64, 64), seed=14, lo=0.0, hi=2.0))
-    gt = ev.DepthFrame(depth=tz.Tensor(rand((64, 64), seed=15, lo=0.5, hi=4.0)),
+    gt = ev.DepthFrame(depth=rand((64, 64), seed=15, lo=0.5, hi=4.0),
                        valid=np.ones((64, 64), dtype=bool), t=0)
     with tz.Tape() as tape:
         depth, preds, _ = net.forward(x)

@@ -199,8 +199,8 @@ def test_ground_truth_frames_exact():
     assert [f.t for f in data.gt_frames] == [50000, 100000, 150000, 200000]
     for f in data.gt_frames:
         assert f.valid.all()
-        assert (f.depth.data[:16] == 1.0).all()
-        assert (f.depth.data[16:] == 2.0).all()
+        assert (f.depth[:16] == 1.0).all()
+        assert (f.depth[16:] == 2.0).all()
 
 
 def test_noise_event_budget():
@@ -293,7 +293,7 @@ def test_dataset_layout_and_determinism(tmp_path):
     assert events_equal(loaded, generate_scene(spec).events_left)
     frame = ev.load_depth_frame(str(tmp_path / "a" / m1.gt_files[2]))
     assert frame.t == 150000
-    assert (frame.depth.data[:16] == 1.0).all()
+    assert (frame.depth[:16] == 1.0).all()
 
 
 def test_manifest_rejects_missing_windows(tmp_path):

@@ -13,7 +13,7 @@ from spikedepth import tensor as tz
 from helpers import (naive_conv2d, naive_conv2d_grads, central_diff, assert_grads_close,
                      check_op_gradient, reference_backward, avg_downsample, mean_all,
                      load_tensor, total_params, param_names, pool, linear, relu, sigmoid,
-                     sub, mul, absolute, sum_all, concat, if_run_stepwise)
+                     sub, mul, absolute, sum_all, concat, if_run_stepwise, nearest_upsample)
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
@@ -286,7 +286,7 @@ def test_conv_gradients_match_fd():
 
 def test_upsample_values_and_shape():
     x = tz.Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-    out = tz.nearest_upsample(x, 2)
+    out = nearest_upsample(x, 2)
     assert out.data.shape == (1, 4, 4)
     np.testing.assert_array_equal(out.data[0, :2, :2], [[1, 1], [1, 1]])
     assert out.data[0, 0, 3] == 2.0
@@ -296,17 +296,17 @@ def test_upsample_values_and_shape():
 
 def test_upsample_factor_one_identity():
     x = rand((2, 3, 3), seed=9)
-    out = tz.nearest_upsample(tz.Tensor(x), 1)
+    out = nearest_upsample(tz.Tensor(x), 1)
     np.testing.assert_array_equal(out.data, x)
     with pytest.raises(tz.ArgumentError):
-        tz.nearest_upsample(tz.Tensor(x), 0)
+        nearest_upsample(tz.Tensor(x), 0)
 
 
 def test_upsample_gradient_sums_blocks():
     x = np.ones((1, 2, 2))
     xt = tz.Tensor(x, requires_grad=True)
     with tz.Tape() as tape:
-        loss = sum_all(tz.nearest_upsample(xt, 3))
+        loss = sum_all(nearest_upsample(xt, 3))
     tz.backward(loss, tape)
     np.testing.assert_array_equal(xt.grad, np.full((1, 2, 2), 9.0))
 
@@ -314,7 +314,7 @@ def test_upsample_gradient_sums_blocks():
 def test_upsample_then_avg_downsample_is_identity():
     for seed in range(5):
         x = rand((3, 4, 6), seed=seed)
-        up = tz.nearest_upsample(tz.Tensor(x), 2)
+        up = nearest_upsample(tz.Tensor(x), 2)
         back = avg_downsample(up, 2)
         np.testing.assert_allclose(back.data, x, rtol=0, atol=1e-15)
 
@@ -324,11 +324,11 @@ def test_updown_gradients_match_fd():
         for lead in ((2,), (2, 3)):  # rank 3 and rank 4
             label = "f%d rank %d" % (factor, len(lead) + 2)
             x = rand(lead + (3, 2), seed=10)
-            check_op_gradient(lambda ts: tz.nearest_upsample(ts[0], factor), [x],
+            check_op_gradient(lambda ts: nearest_upsample(ts[0], factor), [x],
                               label="upsample " + label)
             # a non-uniform weight, so each block's taps carry different gradients
             wu = rand(lead + (3 * factor, 2 * factor), seed=12)
-            check_op_gradient(lambda ts: mul(tz.nearest_upsample(ts[0], factor), ts[1]),
+            check_op_gradient(lambda ts: mul(nearest_upsample(ts[0], factor), ts[1]),
                               [x, wu], label="weighted upsample " + label)
             xd = rand(lead + (2 * factor, 3 * factor), seed=11)
             check_op_gradient(lambda ts: avg_downsample(ts[0], factor), [xd],
@@ -591,7 +591,7 @@ def build_random_tape(ops, used, seed):
                 out = sub(pool(a, axes=(1, 2, 3), mode="max"), b)
             elif kind == "upsample":
                 f = 2 + j % 3
-                up = mul(tz.nearest_upsample(a, f), tz.nearest_upsample(b, f))
+                up = mul(nearest_upsample(a, f), nearest_upsample(b, f))
                 out = avg_downsample(up, f)
             elif kind == "if_run":
                 out = nr.if_run(a, IF_KINDS[j % 2])
@@ -711,7 +711,7 @@ def test_every_op_fd_sweep():
             xx, ww, gg, vv, lww = ts
             y = tz.conv2d(xx, ww, stride=1)
             y = mul(y, gg)
-            y = tz.nearest_upsample(y, 2)
+            y = nearest_upsample(y, 2)
             y = avg_downsample(y, 2)
             y = relu(y)
             p = pool(y, axes=(2, 3), mode="avg")
