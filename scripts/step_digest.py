@@ -15,8 +15,10 @@ The ground truth is a random depth map whose top-left corner is invalid.
 
 Each digest covers, per step, the depth map, the loss, every per-scale
 prediction, every parameter gradient and the `Counts` fields, and, after
-the second Adam step, every parameter. It prints one line per run, with a
-field for each setting the run changes:
+the second Adam step, every parameter. The last prediction, `preds[-1]`,
+is the depth map itself, cropped to --height x --width; the coarser ones
+keep the geometry padded to a multiple of 2**layers. It prints one line
+per run, with a field for each setting the run changes:
 
     variant=CE-Att height=64 width=64 multiscale_loss=1 sha256=<64 hex digits>
     variant=CE attention= height=64 width=64 multiscale_loss=1 sha256=<64 hex digits>

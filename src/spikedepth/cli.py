@@ -1,8 +1,10 @@
 """Command-line harness: synthesize, stack, train, evaluate, predict, inspect.
 
-Every run is a pure function of its config file and dataset: logs, checkpoints,
-and reports contain no timestamps and print floats via repr, so identical
-inputs give byte-identical outputs.
+Every run is a pure function of its config file, dataset and BLAS thread count
+(CI, the benchmark and the digest and sweep scripts run OPENBLAS_NUM_THREADS=1;
+another count can split a GEMM's sums differently): logs, checkpoints, and
+reports contain no timestamps and print floats via repr, so identical inputs
+give byte-identical outputs.
 
 Exit codes: 0 success, 2 usage or validation failure, 3 numerical failure.
 """

@@ -27,8 +27,10 @@ conv, IF, and adds the matching encoder output as an elementwise skip; that
 sum feeds the next layer. The upsample is folded into the gate: the layer
 hands its input and the factor 2 to its site, which upsamples, pools and
 gates as one tape entry that keeps the input rather than its 4x copy or any
-gated intermediate. The last layer stops at its depth head, and its map
-cropped back to the input geometry is the final depth.
+gated intermediate. The last layer stops at its depth head, whose map is
+the final depth. An input that 2**layers does not divide is zero-padded on
+the bottom/right, and that head crops its map back to the input geometry
+inside the same tape entry.
 
 Every gating site is one `_gate` call: `attention.tcsa` on the block's
 tensor with the site's weight dict (`<block>.att.*` in the store, whose names
@@ -146,11 +148,11 @@ class Counts:
                 getattr(self, group + "_spikes") + float(spikes.data.sum()))
         setattr(self, group + "_steps", getattr(self, group + "_steps") + spikes.data.size)
 
-    def conv(self, x, weight, stride, out, spikes):
-        """Dense MACs of one conv at the resolution of out, plus its ACs when
-        x is a binary spike train (spikes)."""
+    def conv(self, x, weight, stride, out_hw, spikes):
+        """Dense MACs of one conv at the output resolution out_hw (h, w), plus
+        its ACs when x is a binary spike train (spikes)."""
         c_out, c_in, k, _ = weight.data.shape
-        ho, wo = out.data.shape[-2:]
+        ho, wo = out_hw
         self.dense_macs += x.data.shape[0] * c_out * ho * wo * c_in * k * k
         if spikes:
             self.ac_ops += c_out * _spike_incidences(x.data, k, stride)
@@ -205,7 +207,7 @@ def _conv(x, weight, counts, spikes, stride=1):
     """tz.conv2d of x by weight, tallied in counts (see Counts.conv); spikes
     says whether x is a binary spike train."""
     out = tz.conv2d(x, weight, stride=stride)
-    counts.conv(x, weight, stride, out, spikes)
+    counts.conv(x, weight, stride, out.data.shape[-2:], spikes)
     return out
 
 
@@ -217,28 +219,33 @@ def _gate(x, weights, counts, upsample=1):
     return out
 
 
-def _depth_head(x, weight, counts):
-    """The depth map [2h, 2w] that a 1x1 head reads from x [T, C, h, w], as one tape entry.
+def _depth_head(x, weight, counts, size=None):
+    """The depth map [2h, 2w] that a 1x1 head reads from x [T, C, h, w], as one tape entry,
+    or its top-left size = (H, W) crop when given.
 
     The head weight [1, C, 1, 1] drives one non-spiking neuron per pixel,
     whose membrane sums the T head responses from zero; the map is that
-    membrane upsampled by 2 (nearest). The backward sums each 2 x 2 block of
-    the map's gradient g, which reaches every step alike: gW = sum_t g x_t^T
-    and gx_t = W^T g. MACs are counted at the map's resolution; x is never a
-    spike tensor (every decoder input is a sum), so no ACs are counted.
+    membrane upsampled by 2 (nearest). The backward zero-pads the map's
+    gradient g back to 2h x 2w on the bottom/right and sums each 2 x 2 block,
+    which reaches every step alike: gW = sum_t g x_t^T and gx_t = W^T g. MACs
+    are counted at the uncropped map's resolution; x is never a spike tensor
+    (every decoder input is a sum), so no ACs are counted.
     """
     shape, need_gx = x.data.shape, x.requires_grad
     t, c, h, w = shape
+    ph, pw = (0, 0) if size is None else (2 * h - size[0], 2 * w - size[1])
     w2 = weight.data.reshape(1, c)
     x3 = x.data.reshape(t, c, h * w)
     y = np.matmul(w2, x3)
     v = np.zeros((1, h * w))
     for step in range(t):
         v = v + y[step]
-    pred = Tensor(tz._upsample(v.reshape(h, w), 2))
-    counts.conv(x, weight, 1, pred, False)
+    pred = Tensor(tz._upsample(v.reshape(h, w), 2)[:2 * h - ph, :2 * w - pw])
+    counts.conv(x, weight, 1, (2 * h, 2 * w), False)
 
     def bw(g):
+        if ph or pw:
+            g = np.pad(g, ((0, ph), (0, pw)))
         g3 = np.broadcast_to(tz._block_sum(g, 2).reshape(1, 1, h * w), (t, 1, h * w))
         gw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0).reshape(1, c, 1, 1)
         return (np.multiply(w2.T, g3).reshape(shape) if need_gx else None), gw
@@ -256,9 +263,6 @@ class EncoderBlock:
 
     def forward(self, x, spikes, counts):
         """The block output; spikes says whether x is a binary spike train."""
-        if x.data.shape[-1] % 2 or x.data.shape[-2] % 2:
-            raise tz.StateError("encoder expects even spatial dims, got %s"
-                                % (x.data.shape,))
         if self.variant in ("CE-Att", "DE-Att1"):
             x = _gate(x, self.att, counts)
             spikes = spikes and not self.att  # a gated input is not binary
@@ -300,15 +304,16 @@ class DecoderBlock:
         self.att = store.group(prefix + ".att.")
         self.cfg = cfg
 
-    def forward(self, x, skip, counts):
-        """(skip + spikes, depth map), or (None, depth map) with no skip.
+    def forward(self, x, skip, counts, size=None):
+        """(skip + spikes, depth map), or (None, depth map cropped to size
+        (H, W)) with no skip.
 
         The depth head runs on x and upsamples only its map, so no [T, C]
         tensor at the upsampled scale is made for the head.
         """
-        pred = _depth_head(x, self.head, counts)
         if skip is None:
-            return None, pred
+            return None, _depth_head(x, self.head, counts, size)
+        pred = _depth_head(x, self.head, counts)
         gated = _gate(x, self.att, counts, upsample=2)
         y = _conv(gated, self.conv, counts, False)
         spikes = nr.if_run(y, self.cfg)
@@ -338,8 +343,17 @@ class DepthNet:
         self.last_ops = None
 
     def forward(self, stacked):
-        """Run one sample; returns (depth, per-scale predictions, Counts)."""
+        """Run one sample; returns (depth, per-scale predictions, Counts).
+
+        An H or W that 2**layers does not divide is zero-padded on the
+        bottom/right, and the last head crops its map, the depth, back to H x W.
+        The input is never differentiated, so one that requires a gradient is
+        an ArgumentError.
+        """
         x = stacked.data if isinstance(stacked, ev.StackedTensor) else tz.as_tensor(stacked)
+        if x.requires_grad:
+            raise tz.ArgumentError("forward does not differentiate its input; "
+                                   "pass it without requires_grad")
         if x.data.ndim != 4:
             raise tz.DimensionError("input must be [T, C, H, W], got %s" % (x.data.shape,))
         t, c, h, w = x.data.shape
@@ -352,7 +366,8 @@ class DepthNet:
 
         counts = Counts()
         mult = 1 << self.config.layers
-        cur = tz.pad_bottom_right(x, (-h) % mult, (-w) % mult)
+        pad = ((0, 0), (0, 0), (0, (-h) % mult), (0, (-w) % mult))
+        cur = Tensor(np.pad(x.data, pad)) if h % mult or w % mult else x
         skips = [None]  # the last decoder layer joins no skip
         # enc0 reads spikes when the input is binary, a later encoder when the
         # encoder before it propagates a spiking population's output
@@ -365,14 +380,10 @@ class DepthNet:
             cur = block.forward(cur, counts)
         preds = []
         for i, block in enumerate(self.decoders):
-            cur, pred = block.forward(cur, skips[self.config.layers - 1 - i], counts)
+            cur, pred = block.forward(cur, skips[self.config.layers - 1 - i], counts, (h, w))
             preds.append(pred)
-
-        depth = preds[-1]
-        if depth.data.shape != (h, w):
-            depth = tz.slice_nd(depth, ((0, h), (0, w)))
         self.last_ops = counts
-        return depth, preds, counts
+        return preds[-1], preds, counts
 
 
 # ---------------------------------------------------------------------------

@@ -202,55 +202,6 @@ def add(a, b):
 
 
 # ---------------------------------------------------------------------------
-# shape ops
-
-
-def slice_nd(a, bounds):
-    """Rectangular slice; bounds is one (start, stop) pair per axis."""
-    a = as_tensor(a)
-    if len(bounds) != a.data.ndim:
-        raise DimensionError("slice_nd needs %d bounds, got %d" % (a.data.ndim, len(bounds)))
-    idx = []
-    for axis, (lo, hi) in enumerate(bounds):
-        n = a.data.shape[axis]
-        if not (0 <= lo < hi <= n):
-            raise ArgumentError("slice bounds (%d, %d) invalid on axis %d of size %d"
-                                % (lo, hi, axis, n))
-        idx.append(slice(lo, hi))
-    idx = tuple(idx)
-    out = Tensor(a.data[idx])
-    orig = a.data.shape
-
-    def bw(g):
-        full = np.zeros(orig)
-        full[idx] = g
-        return (full,)
-
-    record(out, (a,), bw)
-    return out
-
-
-def pad_bottom_right(a, pad_h, pad_w):
-    """Zero-pad the last two axes on the bottom/right edges only."""
-    a = as_tensor(a)
-    if a.data.ndim < 2:
-        raise DimensionError("pad_bottom_right needs rank >= 2")
-    if pad_h < 0 or pad_w < 0:
-        raise ArgumentError("padding must be non-negative")
-    if pad_h == 0 and pad_w == 0:
-        return a
-    widths = [(0, 0)] * (a.data.ndim - 2) + [(0, pad_h), (0, pad_w)]
-    out = Tensor(np.pad(a.data, widths))
-    h, w = a.data.shape[-2], a.data.shape[-1]
-
-    def bw(g):
-        return (g[..., :h, :w],)
-
-    record(out, (a,), bw)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # convolution
 
 

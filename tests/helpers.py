@@ -311,6 +311,21 @@ def scalar_stack(events, window_start, window_len, t_steps, height, width,
 # test-only API: ops, accessors and codecs the package itself never calls
 
 
+def take(a, index):
+    """Taped a[index] for a tuple of slices; the backward scatters g into zeros."""
+    a = tz.as_tensor(a)
+    out = tz.Tensor(a.data[index])
+    shape = a.data.shape
+
+    def bw(g):
+        full = np.zeros(shape)
+        full[index] = g
+        return (full,)
+
+    tz.record(out, (a,), bw)
+    return out
+
+
 def reshape(a, shape):
     a = tz.as_tensor(a)
     out = tz.Tensor(a.data.reshape(shape))
@@ -659,11 +674,11 @@ def reg_loss_composed(pred, gt):
     h, w = resid.data.shape
     total = None
     if w > 1:
-        dx = sub(tz.slice_nd(resid, ((0, h), (1, w))), tz.slice_nd(resid, ((0, h), (0, w - 1))))
+        dx = sub(take(resid, np.s_[:, 1:]), take(resid, np.s_[:, :-1]))
         pair_x = tz.Tensor(mask[:, 1:] * mask[:, :-1])
         total = sum_all(absolute(mul(dx, pair_x)))
     if h > 1:
-        dy = sub(tz.slice_nd(resid, ((1, h), (0, w))), tz.slice_nd(resid, ((0, h - 1), (0, w))))
+        dy = sub(take(resid, np.s_[1:, :]), take(resid, np.s_[:-1, :]))
         pair_y = tz.Tensor(mask[1:, :] * mask[:-1, :])
         sy = sum_all(absolute(mul(dy, pair_y)))
         total = sy if total is None else tz.add(total, sy)

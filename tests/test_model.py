@@ -97,13 +97,6 @@ def test_encoder_variants_attention_site():
     assert blk2.att["c_compress"].data.shape[1] == 2
 
 
-def test_encoder_requires_even_dims():
-    blk = built_block("encoders", 1, base_channels=4)
-    counts = md.Counts()
-    with pytest.raises(tz.StateError):
-        blk.forward(tz.Tensor(np.zeros((2, 2, 7, 8))), False, counts)
-
-
 # ---------------------------------------------------------------------------
 # residual block
 
@@ -265,14 +258,74 @@ def test_forward_validates_axes():
 
 
 def test_forward_pads_and_crops_odd_geometry():
-    cfg = md.ModelConfig(height=260, width=346, time_steps=1, in_channels=2,
-                         base_channels=4, layers=4)
+    # at 260x346 the forward pads its input to 272x352 as data and the last
+    # depth head crops its own map back, so a default training step records
+    # the 37 entries of a 64x64 one
+    cfg = md.ModelConfig(height=260, width=346)
     net = md.DepthNet(cfg, seed=3)
-    x = tz.Tensor(rand((1, 2, 260, 346), seed=11, lo=0.0, hi=2.0))
-    depth, preds, _ = net.forward(x)
+    x = tz.Tensor(rand((5, 4, 260, 346), seed=11, lo=0.0, hi=2.0))
+    gt = ev.DepthFrame(depth=rand((260, 346), seed=17, lo=0.5, hi=4.0),
+                       valid=np.ones((260, 346), dtype=bool), t=0)
+    with tz.Tape() as tape:
+        depth, preds, _ = net.forward(x)
+        cli.window_loss(depth, preds, gt, ls.LossConfig(), False, cfg.layers)
     assert depth.data.shape == (260, 346)
-    assert preds[-1].data.shape == (272, 352)
+    assert depth is preds[-1] and preds[-2].data.shape == (136, 176)
     assert np.isfinite(depth.data).all()
+    assert tape._ops[-2][0] is depth.node and len(tape) == 37
+
+
+def test_forward_rejects_an_input_that_requires_a_gradient():
+    # the forward pads its input as data and never differentiates it, so an
+    # input leaf would silently get no gradient
+    net = md.DepthNet(small_cfg(), seed=2)
+    x = tz.Tensor(rand((2, 2, 32, 32), seed=12), requires_grad=True)
+    with pytest.raises(tz.ArgumentError):
+        net.forward(x)
+    with tz.Tape(), pytest.raises(tz.ArgumentError):
+        net.forward(x)
+
+
+def _training_step(net, x, gt):
+    """(depth, loss, Counts, weight gradients) of one taped default training
+    step with multiscale_loss off."""
+    net.params.zero_grad()
+    with tz.Tape() as tape:
+        depth, preds, counts = net.forward(tz.Tensor(x))
+        loss = cli.window_loss(depth, preds, gt, ls.LossConfig(), False, net.config.layers)
+    tz.backward(loss, tape)
+    return depth.data, loss.item(), counts, {name: p.grad.copy() for name, p in net.params}
+
+
+def test_odd_geometry_equals_hand_padding():
+    # a 36x52 step pads its input to 48x64 and crops the last map back; the
+    # same input padded by hand, with the added border invalid in the ground
+    # truth, gives the same map bit for bit and the same counts, while the
+    # loss sums run over a larger array, so loss and gradients agree to
+    # rounding; a lower threshold makes the encoder populations fire
+    net = md.DepthNet(md.ModelConfig(height=36, width=52, v_threshold=0.25), seed=6)
+    rng = np.random.default_rng(21)
+    x = rng.poisson(0.3, (5, 4, 36, 52)).astype(np.float64)
+    valid = np.ones((36, 52), dtype=bool)
+    valid[:9, :13] = False
+    gt = ev.DepthFrame(depth=rng.uniform(0.5, 4.0, (36, 52)) * valid, valid=valid, t=0)
+    x_pad = np.zeros((5, 4, 48, 64))
+    x_pad[..., :36, :52] = x
+    valid_pad = np.zeros((48, 64), dtype=bool)
+    valid_pad[:36, :52] = valid
+    depth_pad = np.zeros((48, 64))
+    depth_pad[:36, :52] = gt.depth
+    gt_pad = ev.DepthFrame(depth=depth_pad, valid=valid_pad, t=0)
+
+    depth, loss, counts, grads = _training_step(net, x, gt)
+    depth_p, loss_p, counts_p, grads_p = _training_step(net, x_pad, gt_pad)
+    assert depth.shape == (36, 52)
+    np.testing.assert_array_equal(depth, depth_p[:36, :52])
+    assert counts == counts_p and counts.encoder_spikes > 0
+    np.testing.assert_allclose(loss, loss_p, rtol=1e-10)
+    assert any(g.any() for g in grads.values())
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, grads_p[name], rtol=1e-10, err_msg=name)
 
 
 def test_forward_deterministic_replay():
@@ -292,12 +345,12 @@ def test_default_forward_tape_has_one_entry_per_if_population():
     # the 7 residual and decoder populations and the 4 depth heads are one
     # entry each (the CE-Att encoder populations feed only the counts and stay
     # off the tape), and so is each of the nine attention sites with its
-    # channel and spatial gates (the last decoder layer has none); the input
-    # requires a gradient, so enc0's attention over it is taped too. No entry
-    # is an upsample of its own: a decoder site upsamples its input inside
-    # its entry, and a depth head its map
+    # channel and spatial gates (the last decoder layer has none); enc0's
+    # attention over the input is taped for its weights. No entry is an
+    # upsample of its own: a decoder site upsamples its input inside its
+    # entry, and a depth head its map
     net = md.DepthNet(md.ModelConfig(), seed=0)
-    x = tz.Tensor(rand((5, 4, 64, 64), seed=14, lo=0.0, hi=2.0), requires_grad=True)
+    x = tz.Tensor(rand((5, 4, 64, 64), seed=14, lo=0.0, hi=2.0))
     with tz.Tape() as tape:
         net.forward(x)
     kinds = tape_kinds(tape._ops)
@@ -327,7 +380,7 @@ def test_ce_encoder_populations_are_off_the_tape(variant):
     # a CE block propagates its conv output, so its spikes feed only the counts;
     # a DE block propagates its spikes, and their population stays taped
     net = md.DepthNet(small_cfg(encoder_variant=variant), seed=12)
-    x = tz.Tensor(rand((2, 2, 32, 32), seed=20, lo=0.0, hi=3.0), requires_grad=True)
+    x = tz.Tensor(rand((2, 2, 32, 32), seed=20, lo=0.0, hi=3.0))
     with tz.Tape() as tape:
         per_block = [record_entries(blk, tape) for blk in net.encoders]
         (_, _, stats), trains = spike_trains(net, x)

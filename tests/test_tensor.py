@@ -462,21 +462,6 @@ def test_concat_and_split_gradients():
         concat([tz.Tensor(a), tz.Tensor(np.zeros((2, 1, 5, 4)))], axis=1)
 
 
-def test_slice_and_pad():
-    x = rand((2, 5, 6), seed=26)
-    sl = tz.slice_nd(tz.Tensor(x), ((0, 2), (1, 4), (2, 6)))
-    np.testing.assert_array_equal(sl.data, x[:, 1:4, 2:6])
-    check_op_gradient(lambda ts: tz.slice_nd(ts[0], ((0, 2), (1, 4), (2, 6))), [x],
-                      label="slice")
-    check_op_gradient(lambda ts: tz.pad_bottom_right(ts[0], 3, 2), [x], label="pad")
-    padded = tz.pad_bottom_right(tz.Tensor(x), 3, 2)
-    assert padded.data.shape == (2, 8, 8)
-    np.testing.assert_array_equal(padded.data[:, :5, :6], x)
-    assert padded.data[:, 5:, :].sum() == 0.0
-    with pytest.raises(tz.ArgumentError):
-        tz.slice_nd(tz.Tensor(x), ((0, 2), (1, 4), (2, 7)))
-
-
 # ---------------------------------------------------------------------------
 # backward mechanics
 
@@ -495,6 +480,34 @@ def test_backward_square_chain():
         loss = sum_all(mul(x, x))
     tz.backward(loss, tape)
     np.testing.assert_allclose(x.grad, [2.0, -4.0, 6.0])
+
+
+def test_tapes_nest_innermost_active():
+    # an op records on the innermost active tape only; the outer tape names
+    # the inner op's output as a leaf, so its sweep stops there
+    x = tz.Tensor(rand((3,), seed=30), requires_grad=True)
+    with tz.Tape() as outer:
+        a = mul(x, x)
+        with tz.Tape() as inner:
+            b = mul(a, x)
+        c = sum_all(b)
+    assert len(inner) == 1 and inner._ops[0][0] is b.node
+    assert len(outer) == 2 and [n for n, _, _ in outer._ops] == [a.node, c.node]
+    tz.backward(c, outer)
+    np.testing.assert_array_equal(b.grad, np.ones(3))
+    assert x.grad is None and a.grad is None
+
+
+def test_tape_exited_out_of_order_raises():
+    outer, inner = tz.Tape(), tz.Tape()
+    outer.__enter__()
+    inner.__enter__()
+    with pytest.raises(tz.StateError):
+        outer.__exit__(None, None, None)  # pops inner, which is still innermost
+    outer.__exit__(None, None, None)
+    x = tz.Tensor(rand((3,), seed=31), requires_grad=True)
+    mul(x, x)  # no tape is active any more: nothing is recorded
+    assert len(outer) == 0 and len(inner) == 0
 
 
 def test_backward_empty_tape_noop():
