@@ -2,7 +2,8 @@
 
 Every run is a pure function of its config file, dataset and BLAS thread count
 (CI, the benchmark and the digest and sweep scripts run OPENBLAS_NUM_THREADS=1;
-another count can split a GEMM's sums differently): logs, checkpoints, and
+another count can split a GEMM's sums differently), not of the usable CPU
+count that sizes the conv kernels' thread pool: logs, checkpoints, and
 reports contain no timestamps and print floats via repr, so identical inputs
 give byte-identical outputs.
 

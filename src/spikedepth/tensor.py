@@ -13,10 +13,22 @@ in plain inference mode at numpy speed.
 conv2d is same-padded: it takes [T, C_in, H, W] and an odd square kernel,
 zero-pads every side by k // 2, and returns [T, C_out, ceil(H/s), ceil(W/s)]
 for stride s. There is no padding argument.
+
+A conv kernel whose data spans more than one _CHUNK_FLOATS buffer (the
+sensor-size convs) splits its frame chunks, row blocks or frames over a
+thread pool with one thread per usable CPU, made on first use; smaller
+convs run inline. Each item writes its own slice of the output and each
+weight-gradient partial is added in item order, so the CPU count never
+changes the bits. BLAS is meant to run on one thread
+(OPENBLAS_NUM_THREADS=1), so that the pool and BLAS do not compete for the
+same CPUs. Only those kernels run on the pool: no op, tape entry or
+backward sweep does.
 """
 
 import math
+import os
 import struct
+import threading
 
 import numpy as np
 
@@ -53,9 +65,10 @@ class Tape:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _ACTIVE.pop()
-        if popped is not self:
+        # check before popping, so an out-of-order exit leaves the stack as it was
+        if not _ACTIVE or _ACTIVE[-1] is not self:
             raise StateError("tape exited out of order")
+        _ACTIVE.pop()
         return False
 
     def __len__(self):
@@ -212,6 +225,61 @@ def add(a, b):
 _CHUNK_FLOATS = (4 << 20) // 8
 
 
+# one worker per CPU this process may run on; os.cpu_count() where affinity is unknown
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_POOL = None                 # the kernels' ThreadPoolExecutor, made on first use
+_POOL_LOCK = threading.Lock()
+_THREAD = threading.local()  # .worker is True on the pool's own threads
+
+
+def _mark_worker():
+    _THREAD.worker = True
+
+
+def _pool():
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            # imported here: a process whose convs all run inline never loads it
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="spikedepth-conv",
+                                       initializer=_mark_worker)
+        return _POOL
+
+
+def _spread(work, items, floats, scratch):
+    """work(item, *buffers) for every item of the range items.
+
+    scratch() makes one worker's buffers. When floats, the size of the
+    kernel's data, fits one _CHUNK_FLOATS buffer, or on a pool thread, one
+    set of buffers is made and the items run inline. Otherwise
+    workers = min(_WORKERS, len(items)) sets are made here on the calling
+    thread, and worker j takes items j, j + workers, ... in order on its own
+    set. The caller waits for every worker; the first failing worker's
+    exception is raised unchanged. work must write only its own item's
+    outputs.
+    """
+    workers = min(_WORKERS, len(items))
+    if floats <= _CHUNK_FLOATS or workers == 1 or getattr(_THREAD, "worker", False):
+        buffers = scratch()
+        for item in items:
+            work(item, *buffers)
+        return
+    buffers = [scratch() for _ in range(workers)]
+
+    def run(j):
+        for item in items[j::workers]:
+            work(item, *buffers[j])
+
+    pool = _pool()
+    futures = [pool.submit(run, j) for j in range(workers)]
+    for f in futures:
+        f.exception()   # waits, so no worker still writes once the caller goes on
+    for f in futures:
+        f.result()
+
+
 def _shifted_conv(xd, wd):
     """Same-padded stride-1 cross-correlation of xd [N, C_in, H, W] with wd [C_out, C_in, k, k].
 
@@ -222,6 +290,7 @@ def _shifted_conv(xd, wd):
     slice, added into a [C_out, H*Wp] accumulator whose last k - 1 columns
     of each row are cropped at the end. A chunk holds as many frames as keep
     max(C_in, C_out) padded frames each under _CHUNK_FLOATS, at least one.
+    Several chunks are spread over the pool (see _spread).
     """
     n, c_in, h, w = xd.shape
     c_out, _, k, _ = wd.shape
@@ -230,12 +299,16 @@ def _shifted_conv(xd, wd):
     hp, wp = h + 2 * p, w + 2 * p
     span = h * wp
     taps = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))
-    step = min(n, max(1, _CHUNK_FLOATS // (max(c_in, c_out) * hp * wp)))
-    xp = np.zeros((step, c_in, hp * wp + k - 1))
-    inner = xp[:, :, :hp * wp].reshape(step, c_in, hp, wp)[:, :, p:p + h, p:p + w]
-    acc = np.empty((step, c_out, span))
-    part = np.empty_like(acc)
-    for lo in range(0, n, step):
+    frame = max(c_in, c_out) * hp * wp
+    step = min(n, max(1, _CHUNK_FLOATS // frame))
+
+    def scratch():
+        xp = np.zeros((step, c_in, hp * wp + k - 1))
+        inner = xp[:, :, :hp * wp].reshape(step, c_in, hp, wp)[:, :, p:p + h, p:p + w]
+        acc = np.empty((step, c_out, span))
+        return xp, inner, acc, np.empty_like(acc)
+
+    def chunk(lo, xp, inner, acc, part):
         m = min(step, n - lo)
         inner[:m] = xd[lo:lo + m]
         for u in range(k):
@@ -247,6 +320,8 @@ def _shifted_conv(xd, wd):
                     np.matmul(taps[u, v], shifted, out=part[:m])
                     acc[:m] += part[:m]
         out[lo:lo + m] = acc[:m].reshape(m, c_out, h, wp)[..., :w]
+
+    _spread(chunk, range(0, n, step), n * frame, scratch)
     return out
 
 
@@ -265,7 +340,9 @@ def _shifted_grads(xd, wd, g, need_gx):
     columns per row are copied into the frames, and one GEMM cols @ x_wide^T
     adds into the flipped gW; x_wide is x at the same row width, zero past
     column W and in the gaps. A block holds several frames when they fit
-    under _CHUNK_FLOATS and part of a frame when one does not.
+    under _CHUNK_FLOATS and part of a frame when one does not. Several
+    blocks are spread over the pool (see _spread); each block's gW term is
+    kept and the terms are added in block order.
     """
     n, c_in, h, w = xd.shape
     c_out, _, k, _ = wd.shape
@@ -273,16 +350,20 @@ def _shifted_grads(xd, wd, g, need_gx):
     wq = w + k - 1
     period = h + p                # tall-image rows per frame: its x rows, then a gap
     rows = (n - 1) * period + h   # tall-image rows that hold some frame's x
-    block = max(1, min(rows, _CHUNK_FLOATS // (max(k * k * c_out, c_in) * wq)))
+    row = max(k * k * c_out, c_in) * wq
+    block = max(1, min(rows, _CHUNK_FLOATS // row))
     w_flip = np.ascontiguousarray(wd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0)).reshape(
         c_in, k * k * c_out)
-    gp_buf = np.empty(c_out * ((block + k - 1) * wq + k - 1))
-    cols_buf = np.empty(k * k * c_out * block * wq)
-    xw_buf = np.empty(c_in * block * wq)
-    gx_buf = np.empty(c_in * block * wq) if need_gx else None
-    gw = np.zeros((k * k * c_out, c_in))
+    gw_parts = np.empty((-(-rows // block), k * k * c_out, c_in))
     gx = np.empty(xd.shape) if need_gx else None
-    for r0 in range(0, rows, block):
+
+    def scratch():
+        return (np.empty(c_out * ((block + k - 1) * wq + k - 1)),
+                np.empty(k * k * c_out * block * wq), np.empty(c_in * block * wq),
+                np.empty(c_in * block * wq) if need_gx else None)
+
+    def row_block(j, gp_buf, cols_buf, xw_buf, gx_buf):
+        r0 = j * block
         nb = min(block, rows - r0)
         span = nb * wq
         gp = gp_buf[:c_out * ((nb + k - 1) * wq + k - 1)].reshape(c_out, -1)
@@ -308,12 +389,17 @@ def _shifted_grads(xd, wd, g, need_gx):
             for v in range(k):
                 cols[u, v] = gp[:, u * wq + v:u * wq + v + span]
         cols = cols.reshape(k * k * c_out, span)
-        gw += cols @ xw.reshape(c_in, span).T
+        np.matmul(cols, xw.reshape(c_in, span).T, out=gw_parts[j])
         if need_gx:
             gxw = np.matmul(w_flip, cols, out=gx_buf[:c_in * span].reshape(c_in, span))
             gxw = gxw.reshape(c_in, nb, wq)
             for i, rb, rf in x_rows:
                 gx[i, :, rf] = gxw[:, rb, :w]
+
+    _spread(row_block, range(len(gw_parts)), rows * row, scratch)
+    gw = np.zeros((k * k * c_out, c_in))
+    for part in gw_parts:
+        gw += part
     return gw.reshape(k, k, c_out, c_in)[::-1, ::-1].transpose(2, 3, 0, 1), gx
 
 
@@ -323,7 +409,7 @@ def _frame_columns(xd, k, stride, ho, wo):
     Returns cols(i) -> [C_in*k*k, Ho*Wo]: row (c, u, v), column (r, s) holds
     input pixel (c, r*stride + u - p, s*stride + v - p) with p = k // 2, zero
     in the padding. Each call refills the same buffer, so only one frame's
-    columns exist at once.
+    columns exist per _frame_columns call: a pool worker gets its own.
     """
     c_in, h, w = xd.shape[1:]
     p = k // 2
@@ -344,8 +430,10 @@ def _strided_grads(xd, wd, g, stride, need_gx):
     """(d loss / d W, d loss / d x or None) of a same-padded stride > 1 conv through im2col.
 
     Each frame's columns are rebuilt rather than kept on the tape; g_i @ cols^T
-    adds into the weight gradient and W^T @ g_i is scattered back onto the
-    padded input gradient with k*k strided adds (col2im).
+    is frame i's weight-gradient term, and the terms are added in frame
+    order. Then W^T @ g_i is scattered back onto the padded input gradient
+    with k*k strided adds (col2im). Both frame loops are spread over the
+    pool when the frames' columns span more than one _CHUNK_FLOATS buffer.
     """
     n, c_in, h, w = xd.shape
     c_out, _, k, _ = wd.shape
@@ -353,20 +441,28 @@ def _strided_grads(xd, wd, g, stride, need_gx):
     ho, wo = g.shape[2:]
     w2 = wd.reshape(c_out, c_in * k * k)
     g3 = g.reshape(n, c_out, ho * wo)
-    cols_of = _frame_columns(xd, k, stride, ho, wo)
+    floats = n * c_in * k * k * ho * wo
+    gw_parts = np.empty((n, c_out, c_in * k * k))
+
+    def weight_part(i, cols_of):
+        np.matmul(g3[i], cols_of(i).T, out=gw_parts[i])
+
+    _spread(weight_part, range(n), floats, lambda: (_frame_columns(xd, k, stride, ho, wo),))
     gw = np.zeros((c_out, c_in * k * k))
-    for i in range(n):
-        gw += g3[i] @ cols_of(i).T
+    for part in gw_parts:
+        gw += part
     gw = gw.reshape(wd.shape)
     if not need_gx:
         return gw, None
     gxp = np.zeros((n, c_in, h + 2 * p, w + 2 * p))
-    gcols = np.empty((c_in, k, k, ho, wo))
-    for i in range(n):
+
+    def input_part(i, gcols):
         np.matmul(w2.T, g3[i], out=gcols.reshape(c_in * k * k, ho * wo))
         for u in range(k):
             for v in range(k):
                 gxp[i, :, u:u + ho * stride:stride, v:v + wo * stride:stride] += gcols[:, u, v]
+
+    _spread(input_part, range(n), floats, lambda: (np.empty((c_in, k, k, ho, wo)),))
     return gw, gxp[:, :, p:p + h, p:p + w]
 
 
@@ -392,6 +488,16 @@ def conv2d(x, weight, stride=1):
     strided slices of the zero-padded frame, see _frame_columns) times the
     weight viewed as [C_out, C_in*k*k]; the backward is _strided_grads.
     The input gradient is None when x does not require one.
+
+    When a kernel's data spans more than one _CHUNK_FLOATS buffer, as at
+    the 260x346 sensor size, its chunks, row blocks or frames run on a pool
+    with one thread per usable CPU, each worker with its own buffers; at
+    64x64 every conv runs inline. Each output value keeps the expression
+    it has inline, so the CPU count never changes the bits. BLAS is meant
+    to stay on one thread (OPENBLAS_NUM_THREADS=1), so that the pool and
+    BLAS do not compete for the same CPUs. conv2d and its backward
+    closure run on the calling thread; only the kernels' items go to the
+    pool.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     xd, wd = x.data, weight.data
@@ -415,10 +521,13 @@ def conv2d(x, weight, stride=1):
         n, _, h, w = xd.shape
         ho, wo = -(-h // stride), -(-w // stride)
         w2 = wd.reshape(c_out, c_in * k * k)
-        cols_of = _frame_columns(xd, k, stride, ho, wo)
         out = Tensor(np.empty((n, c_out, ho, wo)))
-        for i in range(n):
+
+        def frame(i, cols_of):
             np.matmul(w2, cols_of(i), out=out.data[i].reshape(c_out, ho * wo))
+
+        _spread(frame, range(n), n * c_in * k * k * ho * wo,
+                lambda: (_frame_columns(xd, k, stride, ho, wo),))
 
     def bw(g):
         if stride == 1:

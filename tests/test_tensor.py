@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import io
+import threading
 import weakref
 
 import numpy as np
@@ -179,6 +181,111 @@ def test_conv_stride1_splits_frames_into_row_blocks(monkeypatch, c_in, c_out, k,
     monkeypatch.setattr(tz, "_CHUNK_FLOATS", block * stride1_grad_row_floats(c_in, c_out, k, w))
     check_conv_grads(x, wt, 1, seed=34)
     check_conv_grads(x, wt, 1, x_needs_grad=False, seed=35)
+
+
+@contextlib.contextmanager
+def conv_workers(monkeypatch, workers):
+    """The conv kernels' pool sized to workers for the block, then shut down."""
+    monkeypatch.setattr(tz, "_WORKERS", workers)
+    monkeypatch.setattr(tz, "_POOL", None)
+    try:
+        yield
+    finally:
+        if tz._POOL is not None:
+            tz._POOL.shutdown()
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("x_needs_grad", [True, False])
+def test_conv_bits_do_not_depend_on_the_worker_count(monkeypatch, stride, x_needs_grad):
+    # 7 frames and buffers of two frames' floats: every kernel spreads 3 or more
+    # items (forward chunks, backward row blocks, stride-2 frames) over the pool
+    x, wt = rand((7, 3, 9, 11), seed=50), rand((4, 3, 3, 3), seed=51)
+    g = rand((7, 4, same_size(9, stride), same_size(11, stride)), seed=52)
+    monkeypatch.setattr(tz, "_CHUNK_FLOATS", 2 * 4 * 11 * 13)
+    spread, items = tz._spread, []
+
+    def counted(work, todo, floats, scratch):
+        items.append((len(todo), floats > tz._CHUNK_FLOATS))
+        return spread(work, todo, floats, scratch)
+
+    monkeypatch.setattr(tz, "_spread", counted)
+    results = []
+    for workers in (1, 2, 3):
+        with conv_workers(monkeypatch, workers):
+            xt = tz.Tensor(x, requires_grad=x_needs_grad)
+            with tz.Tape() as tape:
+                out = tz.conv2d(xt, tz.Tensor(wt, requires_grad=True), stride=stride)
+            _, _, conv_backward = tape._ops[0]
+            gx, gw = conv_backward(g)
+            assert (tz._POOL is not None) == (workers > 1)
+        results.append((out.data, gw, gx))
+    kernels = 2 if stride == 1 else 2 + x_needs_grad
+    assert len(items) == 3 * kernels and all(n >= 3 and big for n, big in items)
+    for out, gw, gx in results[1:]:
+        assert np.array_equal(out, results[0][0]) and np.array_equal(gw, results[0][1])
+        assert gx is None if not x_needs_grad else np.array_equal(gx, results[0][2])
+
+
+def test_conv_worker_error_reaches_the_caller(monkeypatch):
+    # the error raised by one frame on a pool thread is the caller's, unchanged, and
+    # the next call still works and gives the inline bits
+    x, wt = tz.Tensor(rand((6, 2, 9, 11), seed=53)), tz.Tensor(rand((3, 2, 3, 3), seed=54))
+    monkeypatch.setattr(tz, "_CHUNK_FLOATS", 2 * 2 * 9 * 5 * 6)
+    with conv_workers(monkeypatch, 1):
+        want = tz.conv2d(x, wt, stride=2).data
+    frame_columns, err, threads = tz._frame_columns, MemoryError("frame 4"), set()
+
+    def failing(*args):
+        cols_of = frame_columns(*args)
+
+        def cols(i):
+            threads.add(threading.current_thread().name)
+            if i == 4:
+                raise err
+            return cols_of(i)
+        return cols
+
+    with conv_workers(monkeypatch, 3):
+        monkeypatch.setattr(tz, "_frame_columns", failing)
+        with pytest.raises(MemoryError) as info:
+            tz.conv2d(x, wt, stride=2)
+        assert info.value is err
+        assert threads and all(t.startswith("spikedepth-conv") for t in threads)
+        monkeypatch.setattr(tz, "_frame_columns", frame_columns)
+        assert np.array_equal(tz.conv2d(x, wt, stride=2).data, want)
+
+
+def test_spread_runs_a_nested_call_inline(monkeypatch):
+    # a pool thread never submits to the pool: a nested call runs on that thread
+    # (the third worker is idle, so a nested submit would finish there, not hang)
+    seen = []
+
+    def outer(i, _):
+        name = threading.current_thread().name
+        tz._spread(lambda j, _: seen.append((name, threading.current_thread().name)),
+                   range(3), tz._CHUNK_FLOATS + 1, lambda: (None,))
+
+    with conv_workers(monkeypatch, 3):
+        tz._spread(outer, range(2), tz._CHUNK_FLOATS + 1, lambda: (None,))
+    assert len(seen) == 6
+    assert all(name.startswith("spikedepth-conv") and name == inner for name, inner in seen)
+
+
+def test_desk_size_step_runs_every_conv_inline(monkeypatch):
+    # every conv of a default 64x64 training step fits one _CHUNK_FLOATS buffer
+    def no_pool():
+        raise AssertionError("a 64x64 conv reached the pool")
+
+    monkeypatch.setattr(tz, "_pool", no_pool)
+    monkeypatch.setattr(tz, "_WORKERS", 2)
+    cfg = md.ModelConfig()
+    net = md.DepthNet(cfg, seed=0)
+    x = rand((cfg.time_steps, cfg.in_channels, 64, 64), seed=55, lo=0.0, hi=2.0)
+    with tz.Tape() as tape:
+        depth, _, _ = net.forward(tz.Tensor(x))
+        loss = sum_all(depth)
+    tz.backward(loss, tape)
 
 
 @pytest.mark.parametrize("channels", [1, 2, 4])
@@ -499,15 +606,21 @@ def test_tapes_nest_innermost_active():
 
 
 def test_tape_exited_out_of_order_raises():
+    # the failed exit leaves the stack as it was: inner stays innermost and records
     outer, inner = tz.Tape(), tz.Tape()
     outer.__enter__()
     inner.__enter__()
-    with pytest.raises(tz.StateError):
-        outer.__exit__(None, None, None)  # pops inner, which is still innermost
-    outer.__exit__(None, None, None)
-    x = tz.Tensor(rand((3,), seed=31), requires_grad=True)
-    mul(x, x)  # no tape is active any more: nothing is recorded
-    assert len(outer) == 0 and len(inner) == 0
+    try:
+        with pytest.raises(tz.StateError):
+            outer.__exit__(None, None, None)
+        assert tz._ACTIVE[-2:] == [outer, inner]
+        x = tz.Tensor(rand((3,), seed=31), requires_grad=True)
+        mul(x, x)
+        assert len(outer) == 0 and len(inner) == 1
+    finally:
+        inner.__exit__(None, None, None)
+        outer.__exit__(None, None, None)
+    assert tz._active_tape() is None
 
 
 def test_backward_empty_tape_noop():
