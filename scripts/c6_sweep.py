@@ -17,8 +17,7 @@ record per seed: `seed`, `final_mde_cm`, `margin_cm`, `steps`, `wall_s`) and
 `margin_cm` (`min`, `median`, `max` over the seeds).
 
 The program and the test module (which needs numpy and pytest) are imported
-from the `src/` and `tests/` beside this script, and the commands run with one
-BLAS thread unless OPENBLAS_NUM_THREADS says otherwise. Each run trains in a
+from the `src/` and `tests/` beside this script. Each run trains in a
 temporary directory that is removed afterwards.
 """
 
@@ -39,6 +38,7 @@ BOUND_CM = 5.0
 # C6's own scene and run config, so that the sweep trains the run C6 checks
 sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 from test_acceptance import OVERFIT_CFG, OVERFIT_SCENE  # noqa: E402
+from spikedepth import tensor as tz  # noqa: E402
 
 C6_CFG = dict(line.split(" = ", 1) for line in OVERFIT_CFG.splitlines())
 
@@ -51,7 +51,6 @@ def run_cfg(seed, epochs):
 
 def _cli(*args):
     env = dict(os.environ)
-    env.setdefault("OPENBLAS_NUM_THREADS", "1")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     r = subprocess.run([sys.executable, "-m", "spikedepth", "--quiet"] + list(args),
@@ -114,8 +113,9 @@ def main(argv=None):
         "label": args.label,
         "bound_cm": BOUND_CM,
         "epochs": args.epochs,
+        # cpus: the CPUs this process may use, which size the conv kernels' pool
         "host": {"python": platform.python_version(), "machine": platform.machine(),
-                 "cpus": os.cpu_count()},
+                 "cpus": tz._WORKERS},
         "runs": runs,
         "margin_cm": {"min": min(margins), "median": statistics.median(margins),
                       "max": max(margins)},

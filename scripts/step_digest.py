@@ -27,26 +27,21 @@ per run, with a field for each setting the run changes:
     python3 scripts/step_digest.py --height 260 --width 346
 
 Two commits that print the same digests compute the same bits on this run.
-BLAS runs on one thread, as in perfbench/run.py, so a GEMM's summation order
-does not depend on the host's core count. The program is imported from the
-`src/` beside this script.
+The program is imported from the `src/` beside this script before numpy, so
+the package's one-thread BLAS pin holds and a GEMM's summation order does not
+depend on the shell's thread settings or the host's core count.
 """
 
 import argparse
 import dataclasses
 import hashlib
-import os
 import sys
 from pathlib import Path
 
-# set before numpy is first imported
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
-os.environ["OMP_NUM_THREADS"] = "1"
-
-import numpy as np  # noqa: E402  (after the thread settings)
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from spikedepth import cli, events as ev, model as md, tensor as tz  # noqa: E402
+
+import numpy as np  # noqa: E402  (after spikedepth pins BLAS)
 
 # (encoder variant, the run config fields it sets besides the defaults)
 RUNS = (("CE-Att", {}), ("DE", {}), ("DE-Att2", {}), ("DE-Att1", {"attention": "TCS"}),

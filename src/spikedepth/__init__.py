@@ -10,6 +10,16 @@ Modules:
   synth      deterministic synthetic scene and dataset generator
   kv         key = value config files and the checkpoint cfg.* encoding
   cli        command-line harness (synth, stack, train, eval, predict, inspect)
+
+Importing the package sets BLAS to one thread. This takes effect only when
+numpy is not yet loaded, as in `python -m spikedepth` and the `spikedepth`
+command; a process that imported numpy first keeps its own BLAS threads.
 """
+
+import os
+
+# the conv pool owns the parallelism, and a second BLAS thread would reorder a GEMM's sums
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
 
 __version__ = "0.1.0"

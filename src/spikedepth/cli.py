@@ -1,9 +1,8 @@
 """Command-line harness: synthesize, stack, train, evaluate, predict, inspect.
 
-Every run is a pure function of its config file, dataset and BLAS thread count
-(CI, the benchmark and the digest and sweep scripts run OPENBLAS_NUM_THREADS=1;
-another count can split a GEMM's sums differently), not of the usable CPU
-count that sizes the conv kernels' thread pool: logs, checkpoints, and
+Every run is a pure function of its config file and dataset, not of the
+shell's BLAS thread setting (the package pins one thread) or of the usable
+CPU count that sizes the conv kernels' thread pool: logs, checkpoints, and
 reports contain no timestamps and print floats via repr, so identical inputs
 give byte-identical outputs.
 

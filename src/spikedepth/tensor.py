@@ -19,10 +19,9 @@ sensor-size convs) splits its frame chunks, row blocks or frames over a
 thread pool with one thread per usable CPU, made on first use; smaller
 convs run inline. Each item writes its own slice of the output and each
 weight-gradient partial is added in item order, so the CPU count never
-changes the bits. BLAS is meant to run on one thread
-(OPENBLAS_NUM_THREADS=1), so that the pool and BLAS do not compete for the
-same CPUs. Only those kernels run on the pool: no op, tape entry or
-backward sweep does.
+changes the bits. Importing the package pins BLAS to one thread, so that
+the pool and BLAS do not compete for the same CPUs. Only those kernels run
+on the pool: no op, tape entry or backward sweep does.
 """
 
 import math
@@ -493,11 +492,9 @@ def conv2d(x, weight, stride=1):
     the 260x346 sensor size, its chunks, row blocks or frames run on a pool
     with one thread per usable CPU, each worker with its own buffers; at
     64x64 every conv runs inline. Each output value keeps the expression
-    it has inline, so the CPU count never changes the bits. BLAS is meant
-    to stay on one thread (OPENBLAS_NUM_THREADS=1), so that the pool and
-    BLAS do not compete for the same CPUs. conv2d and its backward
-    closure run on the calling thread; only the kernels' items go to the
-    pool.
+    it has inline, so the CPU count never changes the bits. conv2d and its
+    backward closure run on the calling thread; only the kernels' items go
+    to the pool.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     xd, wd = x.data, weight.data

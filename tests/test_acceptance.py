@@ -39,9 +39,9 @@ def _report(n, ok, detail):
     assert ok, "C%d: %s" % (n, detail)
 
 
-def _cli(*args):
+def _cli(*args, env=None):
     return subprocess.run([sys.executable, "-m", "spikedepth"] + list(args),
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def _last_value(text, key):
@@ -102,10 +102,13 @@ def overfit_run(tmp_path_factory):
     if r.returncode != 0:
         raise RuntimeError("synth failed: %s" % r.stderr)
     walls = []
-    for tag in ("a", "b"):
+    # run a with the BLAS thread settings at 1 and run b at 2: the package
+    # pins one thread, so C6's byte-identical check covers the shell's setting
+    for tag, threads in (("a", "1"), ("b", "2")):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         t0 = time.monotonic()
         r = _cli("--quiet", "train", "--config", str(cfg),
-                 "--data", str(data), "--out", str(root / ("out_" + tag)))
+                 "--data", str(data), "--out", str(root / ("out_" + tag)), env=env)
         walls.append(time.monotonic() - t0)
         if r.returncode != 0:
             raise RuntimeError("train failed: %s" % r.stderr)
