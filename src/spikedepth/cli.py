@@ -381,7 +381,7 @@ def _in_float_range(model_path, source, run):
 
 def cmd_eval(args):
     _, (metrics, _) = _evaluate_checkpoint(args)
-    sys.stdout.write(ls.format_metrics(metrics))
+    sys.stdout.write("".join("%s=%r\n" % item for item in metrics.items()))
     return 0
 
 

@@ -139,25 +139,3 @@ def mde_cm(pred, gt):
     resid, _, n = _masked_residual(pred, gt)
     return float(100.0 * np.abs(resid[gt.valid]).sum() / n)
 
-
-METRIC_KEYS = ("mde_cm", "loss_ssi", "loss_reg", "loss_total",
-               "firing_rate_encoder", "firing_rate_residual",
-               "firing_rate_decoder", "firing_rate_total")
-
-
-def format_metrics(values):
-    """key=value lines in the canonical key order; extra keys follow sorted."""
-    lines = []
-    for key in METRIC_KEYS:
-        if key in values:
-            lines.append("%s=%s" % (key, _fmt(values[key])))
-    for key in sorted(values):
-        if key not in METRIC_KEYS:
-            lines.append("%s=%s" % (key, _fmt(values[key])))
-    return "\n".join(lines) + "\n"
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)

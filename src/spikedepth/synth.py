@@ -97,6 +97,21 @@ class SceneSpec:
             raise ValidationError("baseline_px %r shifts the plane at depth %r by more "
                                   "than the %d-px width" % (self.baseline_px, nearest,
                                                             self.width))
+        # numpy's largest array, the bound events._validate_stack_args uses
+        top = np.iinfo(np.intp).max // 8
+        duration_s = self.duration_us * 1e-6
+        for p in self.planes:
+            # (segments of the stripe signal) x (grid levels one segment crosses) x pixels
+            omega = self.camera_velocity / p.depth_m / p.period_px
+            bound = ((2.0 * omega * duration_s + 2.0)
+                     * (2.0 * AMPLITUDE / self.contrast_threshold + 1.0) * p.width * p.height)
+            if not bound <= top:
+                raise ValidationError("the plane at depth %r may fire %r events, more than "
+                                      "an array can hold" % (p.depth_m, bound))
+        noise = self.noise_rate_hz * self.height * self.width * duration_s
+        if not noise <= top:
+            raise ValidationError("noise_rate_hz %r asks for %r events, more than an array "
+                                  "can hold" % (self.noise_rate_hz, noise))
 
     @property
     def duration_us(self):

@@ -430,9 +430,10 @@ def _strided_grads(xd, wd, g, stride, need_gx):
 
     Each frame's columns are rebuilt rather than kept on the tape; g_i @ cols^T
     is frame i's weight-gradient term, and the terms are added in frame
-    order. Then W^T @ g_i is scattered back onto the padded input gradient
-    with k*k strided adds (col2im). Both frame loops are spread over the
-    pool when the frames' columns span more than one _CHUNK_FLOATS buffer.
+    order. Then W^T @ g_i overwrites the same column buffer and is scattered
+    back onto the padded input gradient with k*k strided adds (col2im). The
+    frame loop is spread over the pool when the frames' columns span more
+    than one _CHUNK_FLOATS buffer.
     """
     n, c_in, h, w = xd.shape
     c_out, _, k, _ = wd.shape
@@ -440,29 +441,25 @@ def _strided_grads(xd, wd, g, stride, need_gx):
     ho, wo = g.shape[2:]
     w2 = wd.reshape(c_out, c_in * k * k)
     g3 = g.reshape(n, c_out, ho * wo)
-    floats = n * c_in * k * k * ho * wo
     gw_parts = np.empty((n, c_out, c_in * k * k))
+    gxp = np.zeros((n, c_in, h + 2 * p, w + 2 * p)) if need_gx else None
 
-    def weight_part(i, cols_of):
-        np.matmul(g3[i], cols_of(i).T, out=gw_parts[i])
+    def work(i, cols_of):
+        cols = cols_of(i)
+        np.matmul(g3[i], cols.T, out=gw_parts[i])
+        if need_gx:
+            gcols = np.matmul(w2.T, g3[i], out=cols).reshape(c_in, k, k, ho, wo)
+            for u in range(k):
+                for v in range(k):
+                    gxp[i, :, u:u + ho * stride:stride, v:v + wo * stride:stride] += gcols[:, u, v]
 
-    _spread(weight_part, range(n), floats, lambda: (_frame_columns(xd, k, stride, ho, wo),))
+    _spread(work, range(n), n * c_in * k * k * ho * wo,
+            lambda: (_frame_columns(xd, k, stride, ho, wo),))
     gw = np.zeros((c_out, c_in * k * k))
     for part in gw_parts:
         gw += part
-    gw = gw.reshape(wd.shape)
-    if not need_gx:
-        return gw, None
-    gxp = np.zeros((n, c_in, h + 2 * p, w + 2 * p))
-
-    def input_part(i, gcols):
-        np.matmul(w2.T, g3[i], out=gcols.reshape(c_in * k * k, ho * wo))
-        for u in range(k):
-            for v in range(k):
-                gxp[i, :, u:u + ho * stride:stride, v:v + wo * stride:stride] += gcols[:, u, v]
-
-    _spread(input_part, range(n), floats, lambda: (np.empty((c_in, k, k, ho, wo)),))
-    return gw, gxp[:, :, p:p + h, p:p + w]
+    gx = gxp[:, :, p:p + h, p:p + w] if need_gx else None
+    return gw.reshape(wd.shape), gx
 
 
 def conv2d(x, weight, stride=1):

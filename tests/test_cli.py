@@ -239,6 +239,17 @@ def test_synth_overlap_is_exit_2(tmp_path, capsys):
     ("plane.1 =", "plane.\u00b2 ="),
     ("seed = 5", "seed = -1"),
     ("baseline_px = 4.0", "baseline_px = 1e300"),
+    # more events than an array can hold: a traceback, a loop that never ends or
+    # a run out of memory without the check
+    pytest.param("camera_velocity = 80.0\ncontrast_threshold = 0.4\nbaseline_px = 4.0\n"
+                 "noise_rate_hz = 0.0\nplane.0 = 1.0,",
+                 "camera_velocity = 1e308\ncontrast_threshold = 0.4\nbaseline_px = 0.0\n"
+                 "noise_rate_hz = 0.0\nplane.0 = 1e-10,",
+                 id="camera_velocity = 1e308-plane.0 depth = 1e-10"),
+    ("camera_velocity = 80.0", "camera_velocity = 1e308"),
+    ("contrast_threshold = 0.4", "contrast_threshold = 1e-300"),
+    ("plane.0 = 1.0, 0, 0, 16, 8, 8.0", "plane.0 = 1.0, 0, 0, 16, 8, 1e-300"),
+    ("noise_rate_hz = 0.0", "noise_rate_hz = 1e300"),
 ])
 def test_synth_bad_spec_value_is_exit_2(tmp_path, old, new, capsys):
     text = sy.serialize_scene_spec(scene_spec())
@@ -436,8 +447,9 @@ def test_eval_reproduces_final_train_mde(trained, dataset, capsys):
                  "--data", dataset]) == 0
     report = capsys.readouterr().out
     assert float(log_values(report, "mde_cm")[0]) == final
-    for key in ("loss_ssi", "loss_reg", "loss_total", "firing_rate_total"):
-        assert len(log_values(report, key)) == 1
+    assert report.endswith("\n") and [line.split("=")[0] for line in report.split("\n")] == [
+        "mde_cm", "loss_ssi", "loss_reg", "loss_total", "firing_rate_encoder",
+        "firing_rate_residual", "firing_rate_decoder", "firing_rate_total", ""]
 
 
 def test_checkpoint_holds_no_optimizer_moments(trained):

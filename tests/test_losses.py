@@ -214,15 +214,3 @@ def test_fused_total_loss_matches_composed_graph(h, w, seed, hole_rate, tie_rate
     assert got[0][:2] == got[1][:2]
     assert got[0][2] == 1
 
-
-def test_metrics_report_format():
-    text = ls.format_metrics({"mde_cm": 16.5, "loss_total": 1.25,
-                              "loss_ssi": 1.0, "loss_reg": 0.5,
-                              "firing_rate_total": 0.126, "windows": 8})
-    lines = text.strip().split("\n")
-    assert lines[0] == "mde_cm=16.5"
-    assert lines[1] == "loss_ssi=1.0"
-    assert lines[2] == "loss_reg=0.5"
-    assert lines[3] == "loss_total=1.25"
-    assert lines[-1] == "windows=8"
-    assert text.endswith("\n")

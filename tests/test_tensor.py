@@ -220,20 +220,31 @@ def test_conv_bits_do_not_depend_on_the_worker_count(monkeypatch, stride, x_need
             gx, gw = conv_backward(g)
             assert (tz._POOL is not None) == (workers > 1)
         results.append((out.data, gw, gx))
-    kernels = 2 if stride == 1 else 2 + x_needs_grad
-    assert len(items) == 3 * kernels and all(n >= 3 and big for n, big in items)
+    # one forward and one backward kernel per worker count
+    assert len(items) == 3 * 2 and all(n >= 3 and big for n, big in items)
     for out, gw, gx in results[1:]:
         assert np.array_equal(out, results[0][0]) and np.array_equal(gw, results[0][1])
         assert gx is None if not x_needs_grad else np.array_equal(gx, results[0][2])
 
 
 def test_conv_worker_error_reaches_the_caller(monkeypatch):
-    # the error raised by one frame on a pool thread is the caller's, unchanged, and
-    # the next call still works and gives the inline bits
-    x, wt = tz.Tensor(rand((6, 2, 9, 11), seed=53)), tz.Tensor(rand((3, 2, 3, 3), seed=54))
+    # the error raised by one frame on a pool thread is the caller's, unchanged, in
+    # the stride-2 forward and backward alike, and the next call still works and
+    # gives the inline bits
+    x = tz.Tensor(rand((6, 2, 9, 11), seed=53), requires_grad=True)
+    wt = tz.Tensor(rand((3, 2, 3, 3), seed=54), requires_grad=True)
+    g = rand((6, 3, 5, 6), seed=55)
     monkeypatch.setattr(tz, "_CHUNK_FLOATS", 2 * 2 * 9 * 5 * 6)
+
+    def taped():
+        with tz.Tape() as tape:
+            out = tz.conv2d(x, wt, stride=2)
+        _, _, conv_backward = tape._ops[0]
+        return out.data, conv_backward
+
     with conv_workers(monkeypatch, 1):
-        want = tz.conv2d(x, wt, stride=2).data
+        want, conv_backward = taped()
+        want_gx, want_gw = conv_backward(g)
     frame_columns, err, threads = tz._frame_columns, MemoryError("frame 4"), set()
 
     def failing(*args):
@@ -247,13 +258,19 @@ def test_conv_worker_error_reaches_the_caller(monkeypatch):
         return cols
 
     with conv_workers(monkeypatch, 3):
-        monkeypatch.setattr(tz, "_frame_columns", failing)
-        with pytest.raises(MemoryError) as info:
-            tz.conv2d(x, wt, stride=2)
-        assert info.value is err
-        assert threads and all(t.startswith("spikedepth-conv") for t in threads)
-        monkeypatch.setattr(tz, "_frame_columns", frame_columns)
+        out, conv_backward = taped()
+        assert np.array_equal(out, want)
+        for call in (lambda: tz.conv2d(x, wt, stride=2), lambda: conv_backward(g)):
+            threads.clear()
+            monkeypatch.setattr(tz, "_frame_columns", failing)
+            with pytest.raises(MemoryError) as info:
+                call()
+            assert info.value is err
+            assert threads and all(t.startswith("spikedepth-conv") for t in threads)
+            monkeypatch.setattr(tz, "_frame_columns", frame_columns)
         assert np.array_equal(tz.conv2d(x, wt, stride=2).data, want)
+        gx, gw = conv_backward(g)
+        assert np.array_equal(gx, want_gx) and np.array_equal(gw, want_gw)
 
 
 def test_spread_runs_a_nested_call_inline(monkeypatch):
