@@ -49,42 +49,26 @@ INPUT_ERRORS = (OSError, tz.ArgumentError, tz.DimensionError, tz.StateError, ev.
 class RunConfig(ls.LossConfig, md.ModelConfig):
     """One training run: the model and loss fields it inherits, then its own."""
 
-    seed: int = 0
+    seed: int = kv.at_least(0, 0)
     multiscale_loss: bool = False
-    learning_rate: float = 0.002
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-08
-    epochs: int = 10
-    milestone_fractions: tuple = (0.5, 0.75)
-    val_fraction: float = 0.2
+    learning_rate: float = kv.positive(0.002)
+    adam_beta1: float = kv.fraction(0.9)
+    adam_beta2: float = kv.fraction(0.999)
+    adam_eps: float = kv.positive(1e-08)
+    epochs: int = kv.at_least(10, 1)
+    milestone_fractions: tuple = kv.within((0.5, 0.75), 0, 1, low_open=True)
+    val_fraction: float = kv.fraction(0.2)
     stack_mode: str = kv.choice("cumulative", STACK_MODES)
     binarize: bool = False
     data_dir: str = ""
     out_dir: str = ""
 
     def __post_init__(self):
-        # each parent checks every choice field, stack_mode included
+        # checks the domain of every field, this class's own included
         md.ModelConfig.__post_init__(self)
-        ls.LossConfig.__post_init__(self)
         if self.in_channels not in (2, 4):
             raise tz.ArgumentError("in_channels must be 2 (mono) or 4 (binocular), "
                                    "got %d" % self.in_channels)
-        if self.seed < 0:
-            raise tz.ArgumentError("seed must be >= 0, got %d" % self.seed)
-        if self.epochs < 1:
-            raise tz.ArgumentError("epochs must be >= 1, got %d" % self.epochs)
-        for name in ("learning_rate", "adam_eps"):
-            if getattr(self, name) <= 0:
-                raise tz.ArgumentError("%s must be positive, got %r" % (name, getattr(self, name)))
-        for name in ("val_fraction", "adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise tz.ArgumentError("%s must lie in [0, 1), got %r"
-                                       % (name, getattr(self, name)))
-        for f in self.milestone_fractions:
-            if not 0.0 < f <= 1.0:
-                raise tz.ArgumentError("milestone fractions must lie in (0, 1], got %r"
-                                       % (f,))
         mult = 1 << self.layers
         if self.multiscale_loss and (self.height % mult or self.width % mult):
             raise tz.ArgumentError("multiscale_loss needs height and width divisible by %d"
@@ -103,10 +87,7 @@ class RunConfig(ls.LossConfig, md.ModelConfig):
 
 def parse_run_config(text):
     """Flat key = value lines with # comments; unknown keys are hard errors."""
-    values, rest = kv.read(text, RunConfig)
-    if rest:
-        raise ev.ParseError("line %d: unknown config key %r" % rest[0][:2])
-    return RunConfig(**values)
+    return RunConfig(**kv.read(text, RunConfig, "config "))
 
 
 def serialize_run_config(cfg):

@@ -4,7 +4,13 @@ manifests, and the `cfg.*` checkpoint encoding of the same config dataclasses.
 A text file holds one `key = value` per line; `#` starts a comment, blank
 lines are skipped and a key may appear once. A value takes the type of the
 dataclass field its key names: int, finite float, `true`/`false`, str, or a
-tuple of finite floats written comma-separated. Errors name the 1-based line.
+tuple of finite floats written comma-separated. An `indexed` field is a list
+written as one `prefix.K` line per item, K = 0, 1, ... in decimal without
+leading zeros; a dataclass item is written as its fields, comma-separated.
+Errors name the 1-based line.
+
+A field declares its domain here (`choice`, `letter_set`, `within` and its
+shorthands), and `check_fields` checks an object against the declarations.
 
 A checkpoint stores a field as the float64 scalar `cfg.<name>`: numbers and
 bools as themselves, a `choice` field as the index of its value and a
@@ -12,7 +18,7 @@ bools as themselves, a `choice` field as the index of its value and a
 """
 
 import math
-from dataclasses import field, fields
+from dataclasses import MISSING, astuple, field, fields, is_dataclass
 
 import numpy as np
 
@@ -21,7 +27,7 @@ from .tensor import ArgumentError
 
 
 def choice(default, choices):
-    """A str field whose value must be one of `choices` (see check_choices)."""
+    """A str field whose value must be one of `choices`."""
     return field(default=default, metadata={"choices": choices})
 
 
@@ -30,13 +36,56 @@ def letter_set(default, letters):
     return field(default=default, metadata={"letters": letters})
 
 
-def check_choices(obj):
-    """ArgumentError unless every `choice` field of obj holds one of its choices."""
+def within(default, low, high, low_open=False, high_open=False):
+    """A number field, or a tuple of numbers, whose values lie between low and
+    high; each end is included unless it is open."""
+    return field(default=default, metadata={"domain": (low, high, low_open, high_open)})
+
+
+def at_least(default, low):
+    return within(default, low, math.inf)
+
+
+def positive(default):
+    return within(default, 0, math.inf, low_open=True)
+
+
+def fraction(default):
+    """A float field in [0, 1)."""
+    return within(default, 0, 1, high_open=True)
+
+
+def indexed(prefix, item):
+    """A list field written as `prefix.K = <item>` lines; item is a type or a dataclass."""
+    return field(default=(), metadata={"prefix": prefix, "item": item})
+
+
+def _rule(low, high, low_open, high_open):
+    if high < math.inf:
+        return "lie in %s%r, %r%s" % ("[("[low_open], low, high, "])"[high_open])
+    if low_open:
+        return "be positive" if low == 0 else "be > %r" % low
+    return "be >= %r" % low
+
+
+def check_fields(obj, error, where=""):
+    """Raise `error` unless every field of dataclass obj lies in its declared
+    domain; the fields of an indexed field's dataclass items are checked in
+    turn, each error naming its item `prefix.K: `."""
     for f in fields(obj):
-        allowed = f.metadata.get("choices")
         value = getattr(obj, f.name)
+        allowed, domain = f.metadata.get("choices"), f.metadata.get("domain")
         if allowed is not None and value not in allowed:
-            raise ArgumentError("%s must be one of %s, got %r" % (f.name, allowed, value))
+            raise error("%s%s must be one of %s, got %r" % (where, f.name, allowed, value))
+        if domain is not None:
+            low, high, low_open, high_open = domain
+            for x in value if isinstance(value, tuple) else (value,):
+                if not ((x > low if low_open else x >= low)
+                        and (x < high if high_open else x <= high)):
+                    raise error("%s%s must %s, got %r" % (where, f.name, _rule(*domain), x))
+        if is_dataclass(f.metadata.get("item")):
+            for k, item in enumerate(value):
+                check_fields(item, error, "%s.%d: " % (f.metadata["prefix"], k))
 
 
 # ---------------------------------------------------------------------------
@@ -73,16 +122,17 @@ def parse_value(kind, name, text, line):
     raise ParseError("line %d: %s must be %s, got %r" % (line, name, _EXPECTED[kind], text))
 
 
-def read(text, cls, skip=()):
-    """Parse `key = value` text against the fields of dataclass cls.
+def read(text, cls, kind, ignore=()):
+    """The field values of dataclass cls that `key = value` text holds.
 
-    Returns the typed values of the keys that name a field (other than the
-    fields in `skip`) and the (line, key, value) of every other line, which
-    the caller reads or rejects.
+    An indexed field's value is its items in K order, which must run from 0
+    without holes. A key that names no field, and starts with no prefix in
+    `ignore`, is an "unknown <kind>key" error, as is a field without a default
+    that no line names; kind is the file's kind with a trailing space, or "".
     """
-    typed = {f.name: f.type for f in fields(cls) if f.name not in skip}
-    values, rest = {}, []
-    seen = set()
+    typed = {f.name: f.type for f in fields(cls) if "prefix" not in f.metadata}
+    lists = {f.metadata["prefix"]: f for f in fields(cls) if "prefix" in f.metadata}
+    values, items, seen = {}, {prefix: {} for prefix in lists}, set()
     for i, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -94,19 +144,37 @@ def read(text, cls, skip=()):
         if key in seen:
             raise ParseError("line %d: duplicate key %r" % (i, key))
         seen.add(key)
+        prefix, dot, k = key.partition(".")
         if key in typed:
             values[key] = parse_value(typed[key], key, value, i)
-        else:
-            rest.append((i, key, value))
-    return values, rest
+        elif dot and prefix in lists:
+            # K in ASCII decimal without leading zeros
+            if not (k.isascii() and k.isdigit() and str(int(k)) == k):
+                raise ParseError("line %d: bad index in key %r" % (i, key))
+            items[prefix][int(k)] = _parse_item(lists[prefix].metadata["item"], key, value, i)
+        elif not key.startswith(ignore):
+            raise ParseError("line %d: unknown %skey %r" % (i, kind, key))
+    for prefix, f in lists.items():
+        got = sorted(items[prefix])
+        if got != list(range(len(got))):
+            raise ParseError("%s indices must be 0..%d without holes, got %s"
+                             % (prefix, len(got) - 1, got))
+        values[f.name] = f.type(items[prefix][k] for k in got)
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in values:
+            raise ParseError("%slacks key %r" % (kind, f.name))
+    return values
 
 
-def index(key, line):
-    """The N of an indexed key `name.N`, written in ASCII decimal without leading zeros."""
-    text = key.partition(".")[2]
-    if not (text.isascii() and text.isdigit() and str(int(text)) == text):
-        raise ParseError("line %d: bad index in key %r" % (line, key))
-    return int(text)
+def _parse_item(item, key, text, line):
+    if not is_dataclass(item):
+        return parse_value(item, key, text, line)
+    parts, names = text.split(","), [f.name for f in fields(item)]
+    if len(parts) != len(names):
+        raise ParseError("line %d: %s needs %d fields (%s), got %d"
+                         % (line, key, len(names), ", ".join(names), len(parts)))
+    return item(*(parse_value(f.type, f.name, p.strip(), line)
+                  for f, p in zip(fields(item), parts)))
 
 
 def format_value(value):
@@ -125,10 +193,19 @@ def format_value(value):
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def format_lines(obj, skip=()):
-    """`key = value` lines for the fields of dataclass obj, in field order."""
-    return ["%s = %s" % (f.name, format_value(getattr(obj, f.name)))
-            for f in fields(obj) if f.name not in skip]
+def format_lines(obj):
+    """`key = value` lines for the fields of dataclass obj, in field order; an
+    indexed field gives one `prefix.K` line per item."""
+    lines = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if "prefix" in f.metadata:
+            lines += ["%s.%d = %s" % (f.metadata["prefix"], k,
+                                      format_value(astuple(x) if is_dataclass(x) else x))
+                      for k, x in enumerate(value)]
+        else:
+            lines.append("%s = %s" % (f.name, format_value(value)))
+    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -33,13 +33,11 @@ SSI_SIGNS = ("minus", "plus")
 
 @dataclass(frozen=True)
 class LossConfig:
-    lambda_reg: float = 0.5
+    lambda_reg: float = kv.at_least(0.5, 0)
     ssi_sign: str = kv.choice("minus", SSI_SIGNS)
 
     def __post_init__(self):
-        kv.check_choices(self)
-        if self.lambda_reg < 0:
-            raise tz.ArgumentError("lambda_reg must be >= 0, got %r" % (self.lambda_reg,))
+        kv.check_fields(self, tz.ArgumentError)
 
 
 def _masked_residual(pred, gt):

@@ -77,30 +77,23 @@ KERNEL = 3
 
 @dataclass(frozen=True)
 class ModelConfig:
-    height: int = 64
-    width: int = 64
-    time_steps: int = 5
-    in_channels: int = 4
-    base_channels: int = 8
-    layers: int = 4
+    height: int = kv.at_least(64, 1)
+    width: int = kv.at_least(64, 1)
+    time_steps: int = kv.at_least(5, 1)
+    in_channels: int = kv.at_least(4, 1)
+    base_channels: int = kv.at_least(8, 1)
+    layers: int = kv.at_least(4, 1)
     encoder_variant: str = kv.choice("CE-Att", ENCODER_VARIANTS)
     attention: str = kv.letter_set("CS", at.MODULE_ORDER)
-    reduction: int = 1
+    reduction: int = kv.at_least(1, 1)
     v_threshold: float = 1.0
     v_reset: float = 0.0
-    surrogate_alpha: float = 1.0
+    surrogate_alpha: float = kv.positive(1.0)
     neuron_mode: str = kv.choice("spiking", nr.MODES)
 
     def __post_init__(self):
-        kv.check_choices(self)
+        kv.check_fields(self, tz.ArgumentError)
         object.__setattr__(self, "attention", at.normalize_enabled(self.attention))
-        for name in ("height", "width", "time_steps", "in_channels",
-                     "base_channels", "layers", "reduction"):
-            if getattr(self, name) < 1:
-                raise tz.ArgumentError("%s must be >= 1, got %r" % (name, getattr(self, name)))
-        if self.surrogate_alpha <= 0:
-            raise tz.ArgumentError("surrogate_alpha must be positive, got %r"
-                                   % (self.surrogate_alpha,))
         if not self.v_threshold > self.v_reset:
             raise tz.ArgumentError("v_threshold (%r) must exceed v_reset (%r)"
                                    % (self.v_threshold, self.v_reset))

@@ -20,7 +20,7 @@ scene spec, so the same spec yields byte-identical files.
 """
 
 import os
-from dataclasses import MISSING, astuple, dataclass, fields
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
@@ -35,54 +35,45 @@ class ValidationError(ValueError):
 AMPLITUDE = 1.0
 
 
+# The most events one eye may fire. SceneSpec bounds a scene's events before
+# any is made and refuses a bound past this: crossings are listed in Python and
+# each event takes 32 bytes of int64 columns, so a tiny contrast_threshold would
+# otherwise run for hours. 2**26 is about 2 GB of columns and 15 times the bound
+# of the largest scene in use (8 windows of the two-plane scene at 260x346,
+# about 4.3 million).
+EVENT_BUDGET = 2 ** 26
+
+
 @dataclass(frozen=True)
 class PlaneSpec:
-    depth_m: float
-    x0: int
-    y0: int
-    width: int
-    height: int
-    period_px: float
+    depth_m: float = kv.positive(MISSING)
+    x0: int = kv.at_least(MISSING, 0)
+    y0: int = kv.at_least(MISSING, 0)
+    width: int = kv.at_least(MISSING, 1)
+    height: int = kv.at_least(MISSING, 1)
+    period_px: float = kv.positive(MISSING)
 
 
 @dataclass(frozen=True)
 class SceneSpec:
-    seed: int = 0
-    height: int = 64
-    width: int = 64
-    n_windows: int = 8
-    window_len_us: int = 50000
-    camera_velocity: float = 80.0
-    contrast_threshold: float = 0.4
-    baseline_px: float = 16.0
-    noise_rate_hz: float = 0.0
-    planes: tuple = ()
+    seed: int = kv.at_least(0, 0)
+    height: int = kv.at_least(64, 1)
+    width: int = kv.at_least(64, 1)
+    n_windows: int = kv.at_least(8, 1)
+    window_len_us: int = kv.at_least(50000, 1)
+    camera_velocity: float = kv.at_least(80.0, 0)
+    contrast_threshold: float = kv.positive(0.4)
+    baseline_px: float = kv.at_least(16.0, 0)
+    noise_rate_hz: float = kv.at_least(0.0, 0)
+    planes: tuple = kv.indexed("plane", PlaneSpec)
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ValidationError("geometry must be positive, got %dx%d"
-                                  % (self.height, self.width))
-        if self.n_windows < 1:
-            raise ValidationError("n_windows must be >= 1, got %d" % self.n_windows)
-        if self.window_len_us < 1:
-            raise ValidationError("window_len_us must be >= 1, got %d" % self.window_len_us)
-        if self.contrast_threshold <= 0:
-            raise ValidationError("contrast_threshold must be positive, got %r"
-                                  % (self.contrast_threshold,))
-        for name in ("seed", "camera_velocity", "baseline_px", "noise_rate_hz"):
-            if getattr(self, name) < 0:
-                raise ValidationError("%s must be >= 0, got %r" % (name, getattr(self, name)))
+        kv.check_fields(self, ValidationError)
         if not self.planes:
             raise ValidationError("scene needs at least one plane")
         cover = np.zeros((self.height, self.width), dtype=np.int64)
         for p in self.planes:
-            if p.depth_m <= 0:
-                raise ValidationError("plane depth must be positive, got %r" % (p.depth_m,))
-            if p.period_px <= 0:
-                raise ValidationError("texture period must be positive, got %r"
-                                      % (p.period_px,))
-            if (p.x0 < 0 or p.y0 < 0 or p.width < 1 or p.height < 1
-                    or p.x0 + p.width > self.width or p.y0 + p.height > self.height):
+            if p.x0 + p.width > self.width or p.y0 + p.height > self.height:
                 raise ValidationError("plane region (x0=%d, y0=%d, w=%d, h=%d) leaves "
                                       "the %dx%d frame"
                                       % (p.x0, p.y0, p.width, p.height,
@@ -97,21 +88,16 @@ class SceneSpec:
             raise ValidationError("baseline_px %r shifts the plane at depth %r by more "
                                   "than the %d-px width" % (self.baseline_px, nearest,
                                                             self.width))
-        # numpy's largest array, the bound events._validate_stack_args uses
-        top = np.iinfo(np.intp).max // 8
         duration_s = self.duration_us * 1e-6
+        bound = self.noise_rate_hz * self.height * self.width * duration_s
         for p in self.planes:
             # (segments of the stripe signal) x (grid levels one segment crosses) x pixels
             omega = self.camera_velocity / p.depth_m / p.period_px
-            bound = ((2.0 * omega * duration_s + 2.0)
-                     * (2.0 * AMPLITUDE / self.contrast_threshold + 1.0) * p.width * p.height)
-            if not bound <= top:
-                raise ValidationError("the plane at depth %r may fire %r events, more than "
-                                      "an array can hold" % (p.depth_m, bound))
-        noise = self.noise_rate_hz * self.height * self.width * duration_s
-        if not noise <= top:
-            raise ValidationError("noise_rate_hz %r asks for %r events, more than an array "
-                                  "can hold" % (self.noise_rate_hz, noise))
+            bound += ((2.0 * omega * duration_s + 2.0)
+                      * (2.0 * AMPLITUDE / self.contrast_threshold + 1.0) * p.width * p.height)
+        if not bound <= EVENT_BUDGET:
+            raise ValidationError("the scene may fire %r events per eye, more than the "
+                                  "budget of %d" % (bound, EVENT_BUDGET))
 
     @property
     def duration_us(self):
@@ -243,32 +229,11 @@ def generate_scene(spec):
 
 
 def serialize_scene_spec(spec):
-    lines = kv.format_lines(spec, skip=("planes",))
-    lines += ["plane.%d = %s" % (i, kv.format_value(astuple(p)))
-              for i, p in enumerate(spec.planes)]
-    return "\n".join(lines) + "\n"
+    return "\n".join(kv.format_lines(spec)) + "\n"
 
 
 def parse_scene_spec(text):
-    values, rest = kv.read(text, SceneSpec, skip=("planes",))
-    planes = {}
-    for i, key, value in rest:
-        if not key.startswith("plane."):
-            raise ev.ParseError("line %d: unknown key %r" % (i, key))
-        parts = value.split(",")
-        if len(parts) != 6:
-            raise ev.ParseError("line %d: plane needs 6 fields "
-                                "(depth, x0, y0, width, height, period), got %d"
-                                % (i, len(parts)))
-        planes[kv.index(key, i)] = PlaneSpec(*(kv.parse_value(f.type, f.name, p.strip(), i)
-                                               for f, p in zip(fields(PlaneSpec), parts)))
-    if planes:
-        indices = sorted(planes)
-        if indices != list(range(len(indices))):
-            raise ev.ParseError("plane indices must be 0..%d without holes, got %s"
-                                % (len(indices) - 1, indices))
-        values["planes"] = tuple(planes[i] for i in indices)
-    return SceneSpec(**values)
+    return SceneSpec(**kv.read(text, SceneSpec, ""))
 
 
 def load_scene_spec(path):
@@ -291,11 +256,8 @@ class DatasetManifest:
     binocular: bool = False
     events_left: str
     events_right: str = ""
-    window_starts: list
-    gt_files: list
-
-
-_INDEXED = ("window_starts", "gt_files")  # written as window.K and gt.K lines
+    window_starts: list = kv.indexed("window", int)
+    gt_files: list = kv.indexed("gt", str)
 
 
 def write_dataset(spec, out_dir):
@@ -314,34 +276,16 @@ def write_dataset(spec, out_dir):
     for name, frame in zip(man.gt_files, data.gt_frames):
         ev.save_depth_frame(os.path.join(out_dir, name), frame)
 
-    lines = kv.format_lines(man, skip=_INDEXED)
-    lines += ["window.%d = %d" % (k, start) for k, start in enumerate(man.window_starts)]
-    lines += ["gt.%d = %s" % (k, name) for k, name in enumerate(man.gt_files)]
-    lines += ["spec." + line for line in serialize_scene_spec(spec).strip().split("\n")]
+    lines = kv.format_lines(man) + ["spec." + line for line in kv.format_lines(spec)]
     with open(os.path.join(out_dir, MANIFEST_NAME), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return man
 
 
 def load_manifest(path):
-    values, rest = kv.read(ev.read_text(path), DatasetManifest, skip=_INDEXED)
-    windows = {}
-    gts = {}
-    for i, key, value in rest:
-        if key.startswith("window."):
-            windows[kv.index(key, i)] = kv.parse_value(int, key, value, i)
-        elif key.startswith("gt."):
-            gts[kv.index(key, i)] = value
-        elif not key.startswith("spec."):
-            raise ev.ParseError("line %d: unknown manifest key %r" % (i, key))
-    for f in fields(DatasetManifest):
-        if f.default is MISSING and f.name not in values and f.name not in _INDEXED:
-            raise ev.ParseError("manifest lacks key %r" % f.name)
-    n = values["n_windows"]
-    # windows and gts hold at most one entry per line; checking their sizes
-    # first bounds the work by the file rather than by n_windows
-    if (min(len(windows), len(gts)) < n
-            or any(k not in windows or k not in gts for k in range(n))):
+    man = DatasetManifest(**kv.read(ev.read_text(path), DatasetManifest, "manifest ",
+                                    ignore=("spec.",)))
+    n = man.n_windows
+    if not len(man.window_starts) == len(man.gt_files) == n:
         raise ev.ParseError("manifest needs window.k and gt.k for k in 0..%d" % (n - 1))
-    return DatasetManifest(window_starts=[windows[k] for k in range(n)],
-                           gt_files=[gts[k] for k in range(n)], **values)
+    return man

@@ -9,6 +9,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import fields, replace
 from unittest import mock
@@ -259,6 +260,19 @@ def test_synth_bad_spec_value_is_exit_2(tmp_path, old, new, capsys):
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_synth_over_the_event_budget_is_exit_2_at_once(tmp_path, capsys):
+    # about 3.8e11 events per eye: without the budget synth runs for hours
+    spec_path = tmp_path / "scene.txt"
+    spec_path.write_text("height = 8\nwidth = 8\nn_windows = 1\nbaseline_px = 2.0\n"
+                         "contrast_threshold = 1e-9\nplane.0 = 1.0, 0, 0, 8, 8, 8.0\n")
+    start = time.perf_counter()
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.fixture(scope="module")
@@ -1051,6 +1065,20 @@ def test_manifest_non_integer_is_exit_2(tmp_path, dataset):
     manifest.write_text(text.replace("\nn_windows = 4\n", "\nn_windows = x\n"))
     line = assert_single_error_line(run_cli("eval", "--model", ckpt, "--data", str(data)))
     assert "line 4" in line
+
+
+def test_manifest_with_more_windows_than_n_windows_is_exit_2(tmp_path, dataset, capsys):
+    cfg = md.ModelConfig(height=16, width=16, base_channels=2, layers=2)
+    ckpt = str(tmp_path / "model.spkc")
+    md.save_model(ckpt, md.DepthNet(cfg, seed=0))
+    data = tmp_path / "data"
+    shutil.copytree(dataset, str(data))
+    manifest = data / "manifest.txt"
+    text = manifest.read_text()
+    assert "\nn_windows = 4\n" in text and "\nwindow.3 = " in text and "\ngt.3 = " in text
+    manifest.write_text(text.replace("\nn_windows = 4\n", "\nn_windows = 1\n"))
+    assert main(["eval", "--model", ckpt, "--data", str(data)]) == 2
+    assert capsys.readouterr().err == "error: manifest needs window.k and gt.k for k in 0..0\n"
 
 
 def test_negative_depth_header_is_exit_2(tmp_path, dataset):

@@ -1,7 +1,11 @@
-"""The key = value readers under mutation, and the checkpoint cfg.* codec."""
+"""The key = value readers under mutation, the declared field domains, and the
+checkpoint cfg.* codec."""
 
+import copy
+import math
 import os
 import tempfile
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,3 +184,59 @@ def test_attention_mask_keeps_its_bits():
     masks = {m: kv.to_entries(md.ModelConfig(attention=m))["cfg.attention"]
              for m in ("", "T", "C", "S", "TCS")}
     assert masks == {"": 0.0, "T": 1.0, "C": 2.0, "S": 4.0, "TCS": 7.0}
+
+
+def edge_pairs(kind, domain):
+    """(accepted, rejected) values at each finite end of a declared interval:
+    the end and one step outside it, or one step inside an open end and the end."""
+    low, high, low_open, high_open = domain
+    if kind is int:
+        def step(x, out):
+            return x + out
+    else:
+        def step(x, out):
+            return math.nextafter(x, out * math.inf)
+    ends = [(low, -1, low_open)] + ([(high, 1, high_open)] if high < math.inf else [])
+    return [(step(end, -out), end) if is_open else (end, step(end, out))
+            for end, out, is_open in ends]
+
+
+BASES = {RunConfig: RunConfig(), sy.SceneSpec: SCENE, sy.PlaneSpec: SCENE.planes[0]}
+
+
+def declared_domains():
+    for cls in BASES:
+        for f in fields(cls):
+            if "choices" in f.metadata:
+                for ok in f.metadata["choices"]:
+                    yield pytest.param(cls, f.name, ok, ok + "x",
+                                       id="%s.%s=%sx" % (cls.__name__, f.name, ok))
+            if "domain" in f.metadata:
+                kind = float if f.type is tuple else f.type
+                for ok, bad in edge_pairs(kind, f.metadata["domain"]):
+                    if f.type is tuple:
+                        ok, bad = (ok,), (bad,)
+                    yield pytest.param(cls, f.name, ok, bad,
+                                       id="%s.%s=%r" % (cls.__name__, f.name, bad))
+
+
+@pytest.mark.parametrize("cls,name,ok,bad", list(declared_domains()))
+def test_declared_domain_edges(tmp_path, capsys, cls, name, ok, bad):
+    # the edge passes the field checks; other fields' rules may still refuse it
+    obj = copy.copy(BASES[cls])
+    object.__setattr__(obj, name, ok)
+    kv.check_fields(obj, ArgumentError)
+    object.__setattr__(obj, name, bad)
+    path = tmp_path / "in.txt"
+    if cls is RunConfig:
+        argv = ["train", "--config", str(path), "--dump-config"]
+    else:
+        argv = ["synth", "--spec", str(path), "--out", str(tmp_path / "d")]
+        if cls is sy.PlaneSpec:
+            plane, obj = obj, copy.copy(SCENE)
+            object.__setattr__(obj, "planes", (plane,) + SCENE.planes[1:])
+    path.write_text("\n".join(kv.format_lines(obj)) + "\n")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert name in err and (cls is not sy.PlaneSpec or "plane.0: " in err)

@@ -271,6 +271,20 @@ def test_validation_rejects_bad_numbers():
         SceneSpec(height=4, width=4)
 
 
+@pytest.mark.parametrize("height,width,n_windows,window_len_us", [
+    (64, 64, 8, 50000),     # README's scene, which C6 trains on
+    (64, 64, 16, 50000),    # the benchmark's scenes
+    (260, 346, 2, 10000),
+    (260, 346, 8, 50000),   # the largest scene in use, about 4.3 million events
+])
+def test_two_plane_scenes_fit_the_event_budget(height, width, n_windows, window_len_us):
+    half = height // 2
+    SceneSpec(seed=12, height=height, width=width, n_windows=n_windows,
+              window_len_us=window_len_us,
+              planes=(PlaneSpec(1.0, 0, 0, width, half, 8.0),
+                      PlaneSpec(2.0, 0, half, width, height - half, 8.0)))
+
+
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -316,6 +330,13 @@ def test_manifest_huge_window_count_fails_within_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_manifest_rejects_a_missing_key(tmp_path):
+    path = tmp_path / "manifest.txt"
+    path.write_text("height = 4\nwidth = 4\nwindow_len_us = 100\nn_windows = 0\n")
+    with pytest.raises(ev.ParseError, match="^manifest lacks key 'events_left'"):
+        load_manifest(str(path))
 
 
 def test_manifest_rejects_unknown_key(tmp_path):
