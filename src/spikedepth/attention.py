@@ -79,6 +79,16 @@ def weight_shapes(t_steps, channels, reduction, enabled):
     return shapes
 
 
+def site_macs(weights, shape):
+    """Dense MACs of one site whose gated output has shape [T, C, H, W]: two
+    MLP layers per pooled branch (per step for the channel gate), each as
+    large as its compress weight, and the spatial gate's 2 -> 1 conv at every
+    pixel."""
+    t, _, h, w = shape
+    per_weight = {"t_compress": 2 * 2, "c_compress": 2 * 2 * t, "s_conv": t * h * w}
+    return sum(n * weights[name].data.size for name, n in per_weight.items() if name in weights)
+
+
 def _sigmoid(z):
     """Numerically stable logistic; saturates to 0/1 without overflow."""
     e = np.exp(-np.abs(z))

@@ -6,7 +6,8 @@ CPU count that sizes the conv kernels' thread pool: logs, checkpoints, and
 reports contain no timestamps and print floats via repr, so identical inputs
 give byte-identical outputs.
 
-Exit codes: 0 success, 2 usage or validation failure, 3 numerical failure.
+Exit codes: 0 success, 2 bad input (a usage error, an unreadable file or any
+`tensor.InputError`), 3 numerical failure.
 """
 
 import argparse
@@ -36,9 +37,7 @@ class CliError(Exception):
 
 
 # the errors main reports as bad input, with exit code 2
-INPUT_ERRORS = (OSError, tz.ArgumentError, tz.DimensionError, tz.StateError, ev.ParseError,
-                ev.OrderingError, ev.BoundsError, ev.AlignmentError, sy.ValidationError,
-                ls.MetricError)
+INPUT_ERRORS = (tz.InputError, OSError)
 
 
 # ---------------------------------------------------------------------------
@@ -67,11 +66,11 @@ class RunConfig(ls.LossConfig, md.ModelConfig):
         # checks the domain of every field, this class's own included
         md.ModelConfig.__post_init__(self)
         if self.in_channels not in (2, 4):
-            raise tz.ArgumentError("in_channels must be 2 (mono) or 4 (binocular), "
+            raise tz.InputError("in_channels must be 2 (mono) or 4 (binocular), "
                                    "got %d" % self.in_channels)
         mult = 1 << self.layers
         if self.multiscale_loss and (self.height % mult or self.width % mult):
-            raise tz.ArgumentError("multiscale_loss needs height and width divisible by %d"
+            raise tz.InputError("multiscale_loss needs height and width divisible by %d"
                                    % mult)
 
     def model_config(self):
@@ -208,7 +207,7 @@ def _train_extras(cfg, window_len_us, epoch, step, lr, best_mde, params):
 def _run_settings(entries):
     """The run config a checkpoint carries, defaults where it is silent.
 
-    A `cfg.<name>` entry that names no RunConfig field is an ArgumentError,
+    A `cfg.<name>` entry that names no RunConfig field is an InputError,
     so a misspelt or foreign setting is not dropped without a word.
     """
     # convs are bias-free; older checkpoints store the retired flag as 0, and
@@ -216,7 +215,7 @@ def _run_settings(entries):
     known = {"cfg." + f.name for f in fields(RunConfig)} | {"cfg.conv_bias"}
     for key in entries:
         if key.startswith("cfg.") and key not in known:
-            raise tz.ArgumentError("checkpoint has unknown config entry %r" % key)
+            raise tz.InputError("checkpoint has unknown config entry %r" % key)
     return RunConfig(**kv.from_entries(RunConfig, entries, required=False))
 
 
@@ -512,16 +511,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv, argparse.Namespace(seed=None, quiet=False))
     try:
         return args.func(args)
-    except CliError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return e.code
-    except INPUT_ERRORS as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except MemoryError as e:
-        # inputs numpy can index but this host cannot hold, say a 1e9-row stack
-        print("error: %s" % (str(e) or "out of memory"), file=sys.stderr)
-        return 2
+    except (CliError, MemoryError) + INPUT_ERRORS as e:
+        # MemoryError: input this host cannot hold, say a 1e9-row stack
+        empty = isinstance(e, MemoryError) and not str(e)
+        print("error: %s" % ("out of memory" if empty else e), file=sys.stderr)
+        return getattr(e, "code", 2)
 
 
 if __name__ == "__main__":

@@ -28,19 +28,19 @@ from . import tensor as tz
 from .tensor import Tensor
 
 
-class ParseError(ValueError):
+class ParseError(tz.InputError):
     """Malformed text input; carries a 1-based line number where known."""
 
 
-class OrderingError(ValueError):
+class OrderingError(tz.InputError):
     """Timestamps decrease."""
 
 
-class BoundsError(ValueError):
+class BoundsError(tz.InputError):
     """Event coordinates outside the sensor geometry."""
 
 
-class AlignmentError(ValueError):
+class AlignmentError(tz.InputError):
     """No ground-truth frame close enough to a window boundary."""
 
 

@@ -24,7 +24,7 @@ from . import kv
 from . import tensor as tz
 
 
-class MetricError(ValueError):
+class MetricError(tz.InputError):
     """Metric undefined for the given inputs (no valid pixels)."""
 
 

@@ -2,17 +2,12 @@
 decoder with a depth head per scale.
 
 Encoder blocks halve the resolution with a bias-free 3x3 stride-2 conv and
-feed an integrate-and-fire population. The block variant decides where
-attention sits and which tensor propagates:
-
-  CE       conv -> IF, continuous conv output propagates
-  CE-Att   attention -> conv -> IF, continuous conv output propagates
-  DE       conv -> IF, spike train propagates
-  DE-Att1  attention -> conv -> IF, spike train propagates
-  DE-Att2  conv -> attention -> IF, spike train propagates
-
-In the CE variants the spikes reach only the counts, so their population
-runs on an untaped view of the conv output and keeps nothing on the tape.
+feed an integrate-and-fire population. The `_ENCODER_LAYOUT` table gives
+each block variant's gate (attention before the conv, after it, or none) and
+whether the block passes on its spike train (DE) or its continuous conv
+output (CE). In the CE variants the spikes reach only the counts, so their
+population runs on an untaped view of the conv output and keeps nothing on
+the tape.
 
 Residual blocks (IF, conv, IF, conv, attention, plus identity) keep the
 bottleneck scale. Each decoder layer reads its scale's depth map from
@@ -34,7 +29,7 @@ inside the same tape entry.
 
 Every gating site is one `_gate` call: `attention.tcsa` on the block's
 tensor with the site's weight dict (`<block>.att.*` in the store, whose names
-say which gates are on), tallied from the gated output's shape.
+say which gates are on), priced by `attention.site_macs`.
 
 Every weight's name and shape comes from one table, `param_shapes(config)`
 (with `attention.weight_shapes` for each gating site): DepthNet fills its
@@ -46,9 +41,10 @@ A forward tallies its cost in one `Counts` record as it runs: spikes and
 neuron-steps per block group as each spiking population fires (a depth
 head's output neurons never fire), accumulate ops for every conv fed a
 binary spike train (counted from the actual spike positions), and the dense
-multiply-accumulate total of the work that feeds the depth output. Dense
-MACs are the architecture's cost: each head counts at the upsampled
-resolution it predicts, not at the input resolution it runs on.
+multiply-accumulate total of every conv, gate and depth head, the dec0-dec2
+heads included, though only the multiscale loss reads their maps. Dense MACs
+are the architecture's cost: each head counts at the upsampled resolution it
+predicts, not at the input resolution it runs on.
 
 The blocks tell each conv whether it is fed spikes: enc0's is when the input
 holds only 0s and 1s, a later encoder's when the encoder before it is a DE
@@ -70,7 +66,11 @@ from . import events as ev
 from . import kv
 from .tensor import Tensor
 
-ENCODER_VARIANTS = ("CE", "DE", "CE-Att", "DE-Att1", "DE-Att2")
+# variant -> (its gate: "before" the conv, "after" it or None; whether it passes on
+# its spike train); the order is the checkpoint's cfg.encoder_variant index
+_ENCODER_LAYOUT = {"CE": (None, False), "DE": (None, True), "CE-Att": ("before", False),
+                   "DE-Att1": ("before", True), "DE-Att2": ("after", True)}
+ENCODER_VARIANTS = tuple(_ENCODER_LAYOUT)
 RESIDUAL_BLOCKS = 2
 KERNEL = 3
 
@@ -150,17 +150,6 @@ class Counts:
         if spikes:
             self.ac_ops += c_out * _spike_incidences(x.data, k, stride)
 
-    def attention(self, weights, shape):
-        """Dense MACs of one TCSA site whose gated output has shape [T, C, H, W]:
-        two MLP layers per pooled branch (per step for the channel gate), each
-        as large as its compress weight, and the spatial gate's 2 -> 1 conv at
-        every pixel."""
-        t, _, h, w = shape
-        for name, per_weight in (("t_compress", 2 * 2), ("c_compress", 2 * 2 * t),
-                                 ("s_conv", t * h * w)):
-            if name in weights:
-                self.dense_macs += per_weight * weights[name].data.size
-
     def _rate(self, *groups):
         spikes = sum(getattr(self, g + "_spikes") for g in groups)
         steps = sum(getattr(self, g + "_steps") for g in groups)
@@ -205,10 +194,9 @@ def _conv(x, weight, counts, spikes, stride=1):
 
 
 def _gate(x, weights, counts, upsample=1):
-    """at.tcsa of x by one site's weight dict, tallied in counts (see
-    Counts.attention)."""
+    """at.tcsa of x by one site's weight dict, its at.site_macs added to counts."""
     out = at.tcsa(x, weights, upsample)
-    counts.attention(weights, out.data.shape)
+    counts.dense_macs += at.site_macs(weights, out.data.shape)
     return out
 
 
@@ -249,25 +237,24 @@ def _depth_head(x, weight, counts, size=None):
 
 class EncoderBlock:
     def __init__(self, cfg, store, prefix):
-        self.variant = cfg.encoder_variant
+        self.gate_at, self.passes_spikes = _ENCODER_LAYOUT[cfg.encoder_variant]
         self.conv = store.group(prefix + ".")["conv"]
         self.att = store.group(prefix + ".att.")
         self.cfg = cfg
 
     def forward(self, x, spikes, counts):
         """The block output; spikes says whether x is a binary spike train."""
-        if self.variant in ("CE-Att", "DE-Att1"):
+        if self.gate_at == "before":
             x = _gate(x, self.att, counts)
             spikes = spikes and not self.att  # a gated input is not binary
         y = _conv(x, self.conv, counts, spikes, stride=2)
-        if self.variant == "DE-Att2":
+        if self.gate_at == "after":
             y = _gate(y, self.att, counts)
-        de = self.variant.startswith("DE")
         # a CE block propagates y, so its spikes reach only the counts: fired
         # from an untaped view of y, the population keeps nothing on the tape
-        spikes = nr.if_run(y if de else Tensor(y.data), self.cfg)
+        spikes = nr.if_run(y if self.passes_spikes else Tensor(y.data), self.cfg)
         counts.fire("encoder", spikes)
-        return spikes if de else y
+        return spikes if self.passes_spikes else y
 
 
 class ResidualBlock:
@@ -368,7 +355,7 @@ class DepthNet:
         for block in self.encoders:
             cur = block.forward(cur, spikes, counts)
             skips.append(cur)
-            spikes = block.variant.startswith("DE") and self.config.neuron_mode == "spiking"
+            spikes = block.passes_spikes and self.config.neuron_mode == "spiking"
         for block in self.residuals:
             cur = block.forward(cur, counts)
         preds = []
@@ -463,12 +450,11 @@ def param_shapes(config):
                                             config.attention).items():
             shapes[prefix + ".att." + name] = shape
 
+    gate_at = _ENCODER_LAYOUT[config.encoder_variant][0]
     for i in range(config.layers):
         conv("enc%d.conv" % i, ladder[i], ladder[i + 1])
-        if config.encoder_variant == "DE-Att2":
-            att("enc%d" % i, ladder[i + 1])
-        elif config.encoder_variant in ("CE-Att", "DE-Att1"):
-            att("enc%d" % i, ladder[i])
+        if gate_at:  # on the conv's input or output channels
+            att("enc%d" % i, ladder[i + (gate_at == "after")])
     for i in range(RESIDUAL_BLOCKS):
         conv("res%d.conv1" % i, ladder[-1], ladder[-1])
         conv("res%d.conv2" % i, ladder[-1], ladder[-1])

@@ -26,9 +26,10 @@ import numpy as np
 
 from . import events as ev
 from . import kv
+from .tensor import InputError
 
 
-class ValidationError(ValueError):
+class ValidationError(InputError):
     """Scene spec violates a structural constraint."""
 
 
@@ -71,6 +72,10 @@ class SceneSpec:
         kv.check_fields(self, ValidationError)
         if not self.planes:
             raise ValidationError("scene needs at least one plane")
+        least = 2 * self.height * self.width  # the bound below is >= 2 per tiled pixel
+        if least > EVENT_BUDGET:  # refused before the frame's cover raster is made
+            raise ValidationError("a %dx%d frame may fire %d events per eye or more, past the "
+                                  "budget of %d" % (self.height, self.width, least, EVENT_BUDGET))
         cover = np.zeros((self.height, self.width), dtype=np.int64)
         for p in self.planes:
             if p.x0 + p.width > self.width or p.y0 + p.height > self.height:

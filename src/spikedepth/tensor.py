@@ -32,16 +32,20 @@ import threading
 import numpy as np
 
 
-class DimensionError(ValueError):
+class InputError(ValueError):
+    """Bad outside input; the CLI reports any subclass as one error line, exit 2."""
+
+
+class DimensionError(InputError):
     """Shape or axis constraint violated."""
 
 
-class ArgumentError(ValueError):
+class ArgumentError(InputError):
     """Out-of-domain argument."""
 
 
 class StateError(RuntimeError):
-    """Object used before required state was established."""
+    """Object used before required state was established: a programming error."""
 
 
 # ---------------------------------------------------------------------------

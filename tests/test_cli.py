@@ -275,6 +275,60 @@ def test_synth_over_the_event_budget_is_exit_2_at_once(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+ZEROS = np.zeros
+
+
+def refuse_large_zeros(shape, *args, **kw):
+    # stands in for an allocation this host cannot hold, so no test asks for TiBs
+    if np.prod(shape, dtype=np.float64) > 2 ** 26:
+        raise MemoryError("Unable to allocate an array of shape %s" % (shape,))
+    return ZEROS(shape, *args, **kw)
+
+
+def test_synth_frame_past_the_event_budget_is_exit_2_at_once(tmp_path, capsys):
+    # planes that tile a 1000000x1000000 frame fire at least 2e12 events; the
+    # spec is refused before its int64 cover raster, which would take 7.28 TiB
+    spec_path = tmp_path / "scene.txt"
+    spec_path.write_text("height = 1000000\nwidth = 1000000\nplane.0 = 1.0, 0, 0, 8, 8, 8.0\n")
+    with mock.patch.object(np, "zeros", refuse_large_zeros):
+        assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
+    assert not (tmp_path / "d").exists()
+
+
+def input_error_classes(cls=tz.InputError):
+    """Every class below cls, however deep, so a new one is covered unlisted."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from input_error_classes(sub)
+
+
+def test_every_bad_input_error_derives_from_input_error():
+    assert {c.__name__ for c in input_error_classes()} >= {
+        "ArgumentError", "DimensionError", "ParseError", "OrderingError", "BoundsError",
+        "AlignmentError", "ValidationError", "MetricError"}
+
+
+def raise_in_synth(monkeypatch, error):
+    def cmd(args):
+        raise error("raised inside the command")
+    monkeypatch.setattr(cli, "cmd_synth", cmd)
+    return ["synth", "--spec", "scene.txt", "--out", "d"]
+
+
+@pytest.mark.parametrize("error", list(input_error_classes()), ids=lambda c: c.__name__)
+def test_input_error_raised_in_a_command_is_exit_2(monkeypatch, capsys, error):
+    assert main(raise_in_synth(monkeypatch, error)) == 2
+    assert capsys.readouterr().err == "error: raised inside the command\n"
+
+
+def test_state_error_propagates_out_of_main(monkeypatch):
+    # tape misuse and a missing gradient are programming errors, not bad input
+    with pytest.raises(tz.StateError):
+        main(raise_in_synth(monkeypatch, tz.StateError))
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("data")

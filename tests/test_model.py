@@ -9,6 +9,7 @@ from spikedepth import neurons as nr
 from spikedepth import model as md
 from spikedepth import events as ev
 from spikedepth import cli
+from spikedepth import kv
 from spikedepth import losses as ls
 from helpers import (check_op_gradient, depth_head_composed, mul, param_names, spike_trains,
                      sum_all, total_params)
@@ -87,6 +88,14 @@ def test_ce_propagates_continuous_de_propagates_binary():
     out_de, _ = run_block(blk_de)
     assert not set(np.unique(out_ce.data)) <= {0.0, 1.0}
     assert set(np.unique(out_de.data)) <= {0.0, 1.0}
+
+
+def test_encoder_variant_order_is_the_stored_index():
+    # a checkpoint stores cfg.encoder_variant as its index in this tuple, so
+    # the order never changes
+    assert md.ENCODER_VARIANTS == ("CE", "DE", "CE-Att", "DE-Att1", "DE-Att2")
+    entries = kv.to_entries(md.ModelConfig(encoder_variant="DE-Att2"))
+    assert entries["cfg.encoder_variant"] == 4
 
 
 def test_encoder_variants_attention_site():

@@ -255,6 +255,22 @@ def test_validation_overlap_and_gap_name_a_pixel():
         SceneSpec(height=4, width=4, planes=planes)
 
 
+def test_frame_past_the_event_budget_is_refused_before_its_raster(monkeypatch):
+    # planes that tile the frame bound at least 2 events per pixel, so a frame
+    # with 2*H*W past the budget is refused before the H x W cover raster
+    zeros = np.zeros
+
+    def small_zeros(shape, *args, **kw):
+        assert np.prod(shape, dtype=np.float64) <= 2 ** 20, shape
+        return zeros(shape, *args, **kw)
+
+    monkeypatch.setattr(np, "zeros", small_zeros)
+    with pytest.raises(ValidationError, match=r"1000000x1000000 frame .* budget of 67108864"):
+        SceneSpec(height=10 ** 6, width=10 ** 6, planes=(PlaneSpec(1.0, 0, 0, 8, 8, 8.0),))
+    with pytest.raises(ValidationError, match="budget"):  # one column past it
+        SceneSpec(height=2 ** 13, width=2 ** 12 + 1, planes=(PlaneSpec(1.0, 0, 0, 8, 8, 8.0),))
+
+
 def test_validation_rejects_bad_numbers():
     good = (PlaneSpec(1.0, 0, 0, 4, 4, 2.0),)
     with pytest.raises(ValidationError, match="depth"):
