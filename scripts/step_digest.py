@@ -1,11 +1,11 @@
 """One SHA-256 per encoder variant and attention set over a fixed two-step training run.
 
 For each of the encoder variants CE-Att, DE and DE-Att2, builds the default
-run config (`cli.RunConfig`) at --height x --width with that variant, and
-`multiscale_loss` on when the geometry allows it (height and width divisible
-by 2**layers). Two more runs set the attention too: DE-Att1 with TCS gates
-the spike trains in front of the encoder convs and runs the temporal gate,
-and CE with none leaves each decoder site the bare upsample. The last run is
+run config (`cli.RunConfig`) at --height x --width with that variant and
+`multiscale_loss` on, so every depth head is supervised at any geometry.
+Two more runs set the attention too: DE-Att1 with TCS gates the spike
+trains in front of the encoder convs and runs the temporal gate, and CE
+with none leaves each decoder site the bare upsample. The last run is
 DE in smooth neuron mode, so the IF populations' smooth backward runs too.
 Each run then takes two training steps as `train` does: zero the gradients,
 forward and loss on a tape, `tz.backward`, then one Adam step.
@@ -17,7 +17,8 @@ Each digest covers, per step, the depth map, the loss, every per-scale
 prediction, every parameter gradient and the `Counts` fields, and, after
 the second Adam step, every parameter. The last prediction, `preds[-1]`,
 is the depth map itself, cropped to --height x --width; the coarser ones
-keep the geometry padded to a multiple of 2**layers. It prints one line
+keep the geometry padded to a multiple of 2**layers, and their ground truth
+is padded the same way, with the padding invalid. It prints one line
 per run, with a field for each setting the run changes:
 
     variant=CE-Att height=64 width=64 multiscale_loss=1 sha256=<64 hex digits>
@@ -64,11 +65,9 @@ def _windows(mc, height, width):
 
 
 def step_digest(variant, height, width, settings):
-    """(multiscale_loss, hex digest) of two training steps of one variant."""
-    mult = 1 << md.ModelConfig.layers
-    multiscale = height % mult == 0 and width % mult == 0
+    """Hex digest of two training steps of one variant."""
     cfg = cli.RunConfig(height=height, width=width, encoder_variant=variant,
-                        multiscale_loss=multiscale, **settings)
+                        multiscale_loss=True, **settings)
     mc = cfg.model_config()
     net = md.DepthNet(mc, seed=cfg.seed)
     h = hashlib.sha256()
@@ -82,7 +81,7 @@ def step_digest(variant, height, width, settings):
         net.params.zero_grad()
         with tz.Tape() as tape:
             depth, preds, counts = net.forward(tz.Tensor(x))
-            loss = cli.window_loss(depth, preds, gt, cfg.loss_config(), multiscale, mc.layers)
+            loss = cli.window_loss(depth, preds, gt, cfg.loss_config(), True, mc.layers)
         tz.backward(loss, tape)
         tz.adam_step(net.params, cfg.learning_rate,
                      betas=(cfg.adam_beta1, cfg.adam_beta2), eps=cfg.adam_eps)
@@ -95,7 +94,7 @@ def step_digest(variant, height, width, settings):
     for name, t in net.params:
         h.update(name.encode())
         add(t.data)
-    return multiscale, h.hexdigest()
+    return h.hexdigest()
 
 
 def main(argv=None):
@@ -104,10 +103,10 @@ def main(argv=None):
     ap.add_argument("--width", type=int, default=64)
     args = ap.parse_args(argv)
     for variant, settings in RUNS:
-        multiscale, digest = step_digest(variant, args.height, args.width, settings)
+        digest = step_digest(variant, args.height, args.width, settings)
         label = variant + "".join(" %s=%s" % item for item in settings.items())
-        print("variant=%s height=%d width=%d multiscale_loss=%d sha256=%s"
-              % (label, args.height, args.width, multiscale, digest))
+        print("variant=%s height=%d width=%d multiscale_loss=1 sha256=%s"
+              % (label, args.height, args.width, digest))
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ reports contain no timestamps and print floats via repr, so identical inputs
 give byte-identical outputs.
 
 Exit codes: 0 success, 2 bad input (a usage error, an unreadable file or any
-`tensor.InputError`), 3 numerical failure.
+`tensor.InputError`), 3 numerical failure (a `FloatingPointError`: the training
+loss went non-finite).
 """
 
 import argparse
@@ -26,14 +27,6 @@ from . import synth as sy
 from . import tensor as tz
 
 STACK_MODES = ("cumulative", "repeat")
-
-
-class CliError(Exception):
-    """User-facing failure with its process exit code."""
-
-    def __init__(self, message, code=2):
-        super().__init__(message)
-        self.code = code
 
 
 # the errors main reports as bad input, with exit code 2
@@ -68,10 +61,6 @@ class RunConfig(ls.LossConfig, md.ModelConfig):
         if self.in_channels not in (2, 4):
             raise tz.InputError("in_channels must be 2 (mono) or 4 (binocular), "
                                    "got %d" % self.in_channels)
-        mult = 1 << self.layers
-        if self.multiscale_loss and (self.height % mult or self.width % mult):
-            raise tz.InputError("multiscale_loss needs height and width divisible by %d"
-                                   % mult)
 
     def model_config(self):
         return self._project(md.ModelConfig)
@@ -121,16 +110,16 @@ def load_windows(data_dir, height, width, t_steps, in_channels, stack_mode, bina
     """Stack every manifest window and pair it with aligned ground truth."""
     man_path = os.path.join(data_dir, sy.MANIFEST_NAME)
     if not os.path.isfile(man_path):
-        raise CliError("no dataset manifest at %s" % man_path)
+        raise tz.InputError("no dataset manifest at %s" % man_path)
     man = sy.load_manifest(man_path)
     if (man.height, man.width) != (height, width):
-        raise CliError("dataset frames are %dx%d but the model expects %dx%d"
-                       % (man.height, man.width, height, width))
+        raise tz.InputError("dataset frames are %dx%d but the model expects %dx%d"
+                            % (man.height, man.width, height, width))
     if man.n_windows < 1:
-        raise CliError("dataset has no windows")
+        raise tz.InputError("dataset has no windows")
     if in_channels == 4 and not (man.binocular and man.events_right):
-        raise CliError("4-channel input needs a binocular dataset with "
-                       "right-camera events")
+        raise tz.InputError("4-channel input needs a binocular dataset with "
+                            "right-camera events")
     left = ev.load_events(os.path.join(data_dir, man.events_left))
     right = None
     if in_channels == 4:
@@ -146,11 +135,13 @@ def load_windows(data_dir, height, width, t_steps, in_channels, stack_mode, bina
     return samples
 
 
-def _downsample_frame(gt, factor):
-    """Block-average depth; a block is valid only when every pixel is."""
-    h, w = gt.depth.shape
-    d = gt.depth.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
-    v = gt.valid.reshape(h // factor, factor, w // factor, factor).all(axis=(1, 3))
+def _downsample_frame(gt, shape, factor):
+    """Block-average depth to `shape` over the frame padded bottom/right to shape x
+    factor, as the forward pads its input; a block is valid only when every pixel is."""
+    pad = [(0, n * factor - m) for n, m in zip(shape, gt.depth.shape)]
+    h, w = shape
+    d = np.pad(gt.depth, pad).reshape(h, factor, w, factor).mean(axis=(1, 3))
+    v = np.pad(gt.valid, pad).reshape(h, factor, w, factor).all(axis=(1, 3))
     return ev.DepthFrame(depth=d * v, valid=v, t=gt.t)
 
 
@@ -159,7 +150,7 @@ def window_loss(depth, preds, gt, loss_cfg, multiscale, layers):
     loss = ls.total_loss(depth, gt, loss_cfg)
     if multiscale:
         for i, p in enumerate(preds[:-1]):
-            small = _downsample_frame(gt, 1 << (layers - 1 - i))
+            small = _downsample_frame(gt, p.shape, 1 << (layers - 1 - i))
             loss = tz.add(loss, ls.total_loss(p, small, loss_cfg))
     return loss
 
@@ -226,8 +217,8 @@ def _window_len(entries):
         return None
     value = float(stored) if np.ndim(stored) == 0 else math.nan
     if not (value.is_integer() and value > 0):
-        raise CliError("checkpoint entry train.window_len_us must be a positive "
-                       "whole number, got %r" % value)
+        raise tz.InputError("checkpoint entry train.window_len_us must be a positive "
+                            "whole number, got %r" % value)
     return int(value)
 
 
@@ -263,7 +254,7 @@ def _resolve_train_config(args):
     elif args.dump_config:
         cfg = RunConfig()
     else:
-        raise CliError("train needs --config (or --dump-config for defaults)")
+        raise tz.InputError("train needs --config (or --dump-config for defaults)")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.data:
@@ -279,9 +270,9 @@ def cmd_train(args):
         sys.stdout.write(serialize_run_config(cfg))
         return 0
     if not cfg.data_dir:
-        raise CliError("no dataset: set data_dir in the config or pass --data")
+        raise tz.InputError("no dataset: set data_dir in the config or pass --data")
     if not cfg.out_dir:
-        raise CliError("no output directory: set out_dir in the config or pass --out")
+        raise tz.InputError("no output directory: set out_dir in the config or pass --out")
     samples = load_windows(cfg.data_dir, cfg.height, cfg.width, cfg.time_steps,
                            cfg.in_channels, cfg.stack_mode, cfg.binarize)
     window_len_us = samples[0].x.window_len
@@ -289,7 +280,7 @@ def cmd_train(args):
     train_set = samples[:len(samples) - n_val]
     val_set = samples[len(samples) - n_val:] if n_val else []
     if not train_set:
-        raise CliError("validation split leaves no training windows")
+        raise tz.InputError("validation split leaves no training windows")
 
     model = md.DepthNet(cfg.model_config(), seed=cfg.seed)
     loss_cfg = cfg.loss_config()
@@ -314,9 +305,9 @@ def cmd_train(args):
                                        cfg.layers)
                 value = loss.item()
                 if not math.isfinite(value):
-                    raise CliError("loss is not finite at epoch %d step %d; "
-                                   "stopping before the checkpoint is touched"
-                                   % (epoch, step + 1), code=3)
+                    raise FloatingPointError("loss is not finite at epoch %d step %d; "
+                                             "stopping before the checkpoint is touched"
+                                             % (epoch, step + 1))
                 tz.backward(loss, tape)
                 tz.adam_step(model.params, lr, betas=(cfg.adam_beta1, cfg.adam_beta2),
                              eps=cfg.adam_eps)
@@ -349,14 +340,14 @@ def _evaluate_checkpoint(args):
 
 
 def _in_float_range(model_path, source, run):
-    """run() with float64 overflow, invalid and divide-by-zero raised as one CliError."""
+    """run() with float64 overflow, invalid and divide-by-zero raised as one InputError."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return run()
     except FloatingPointError as e:
         # finite but huge weights (say 1e300) overflow in the forward
-        raise CliError("%s: evaluating over %s leaves float64 range (%s)"
-                       % (model_path, source, e)) from None
+        raise tz.InputError("%s: evaluating over %s leaves float64 range (%s)"
+                            % (model_path, source, e)) from None
 
 
 def cmd_eval(args):
@@ -367,23 +358,23 @@ def cmd_eval(args):
 
 def cmd_predict(args):
     if args.max_depth is not None and not (math.isfinite(args.max_depth) and args.max_depth > 0):
-        raise CliError("--max-depth must be positive and finite, got %r" % args.max_depth)
+        raise tz.InputError("--max-depth must be positive and finite, got %r" % args.max_depth)
     model, entries = md.load_model(args.model)
     c = _run_settings(entries)
     window_len = _window_len(entries) if args.window_len is None else args.window_len
     if window_len is None:
-        raise CliError("pass --window-len or use a checkpoint that records one")
+        raise tz.InputError("pass --window-len or use a checkpoint that records one")
     left = ev.load_events(args.events)
     if c.in_channels == 4 and not args.events_right:
-        raise CliError("this model takes binocular input; pass --events-right")
+        raise tz.InputError("this model takes binocular input; pass --events-right")
     if c.in_channels == 2 and args.events_right:
-        raise CliError("this model takes monocular input; drop --events-right")
+        raise tz.InputError("this model takes monocular input; drop --events-right")
     right = ev.load_events(args.events_right) if c.in_channels == 4 else None
     x = _stack_window(c.stack_mode, left, right, args.window_start, window_len,
                       c.time_steps, c.height, c.width, c.binarize)
     data = _in_float_range(args.model, args.events, lambda: model.forward(x)[0].data)
     if not np.isfinite(data).all():
-        raise CliError("%s: the depth map over %s is not finite" % (args.model, args.events))
+        raise tz.InputError("%s: the depth map over %s is not finite" % (args.model, args.events))
     _write_grid(args.out + ".txt", data)
     _write_pgm(args.out + ".pgm", data, args.max_depth)
     if not args.quiet:
@@ -511,11 +502,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv, argparse.Namespace(seed=None, quiet=False))
     try:
         return args.func(args)
-    except (CliError, MemoryError) + INPUT_ERRORS as e:
-        # MemoryError: input this host cannot hold, say a 1e9-row stack
+    except (FloatingPointError, MemoryError) + INPUT_ERRORS as e:
+        # FloatingPointError: a diverged run; MemoryError: input this host
+        # cannot hold, say a 1e9-row stack
         empty = isinstance(e, MemoryError) and not str(e)
         print("error: %s" % ("out of memory" if empty else e), file=sys.stderr)
-        return getattr(e, "code", 2)
+        return 3 if isinstance(e, FloatingPointError) else 2
 
 
 if __name__ == "__main__":

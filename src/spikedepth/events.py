@@ -313,12 +313,13 @@ def parse_depth_frame(text):
         raise ParseError("line 1: depth frame size must be positive, got %d x %d" % (h, w))
     if len(lines) != 1 + h:
         raise ParseError("expected %d depth rows, got %d" % (h, len(lines) - 1))
-    depth = np.zeros((h, w))
-    valid = np.zeros((h, w), dtype=bool)
-    for r, line in enumerate(lines[1:], start=2):
-        cells = line.split()
+    rows = [line.split() for line in lines[1:]]
+    for r, cells in enumerate(rows, start=2):  # before the arrays, so they fit the file
         if len(cells) != w:
             raise ParseError("line %d: expected %d values, got %d" % (r, w, len(cells)))
+    depth = np.zeros((h, w))
+    valid = np.zeros((h, w), dtype=bool)
+    for r, cells in enumerate(rows, start=2):
         for c, cell in enumerate(cells):
             if cell == "nan":
                 continue

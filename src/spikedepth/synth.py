@@ -41,7 +41,8 @@ AMPLITUDE = 1.0
 # each event takes 32 bytes of int64 columns, so a tiny contrast_threshold would
 # otherwise run for hours. 2**26 is about 2 GB of columns and 15 times the bound
 # of the largest scene in use (8 windows of the two-plane scene at 260x346,
-# about 4.3 million).
+# about 4.3 million). Noise events are drawn one scalar at a time, about 20 us
+# each, so a scene that spends the budget on noise takes over 20 minutes per eye.
 EVENT_BUDGET = 2 ** 26
 
 
@@ -73,21 +74,23 @@ class SceneSpec:
         if not self.planes:
             raise ValidationError("scene needs at least one plane")
         least = 2 * self.height * self.width  # the bound below is >= 2 per tiled pixel
-        if least > EVENT_BUDGET:  # refused before the frame's cover raster is made
+        if least > EVENT_BUDGET:  # so a frame this large fails whatever its planes
             raise ValidationError("a %dx%d frame may fire %d events per eye or more, past the "
                                   "budget of %d" % (self.height, self.width, least, EVENT_BUDGET))
-        cover = np.zeros((self.height, self.width), dtype=np.int64)
         for p in self.planes:
             if p.x0 + p.width > self.width or p.y0 + p.height > self.height:
                 raise ValidationError("plane region (x0=%d, y0=%d, w=%d, h=%d) leaves "
                                       "the %dx%d frame"
                                       % (p.x0, p.y0, p.width, p.height,
                                          self.height, self.width))
-            cover[p.y0:p.y0 + p.height, p.x0:p.x0 + p.width] += 1
-        for bad, what in ((cover > 1, "overlap"), (cover == 0, "leave a gap")):
-            if bad.any():
-                y, x = np.argwhere(bad)[0]
-                raise ValidationError("plane regions %s at (x=%d, y=%d)" % (what, x, y))
+        # a row's cover changes only at a plane's top or bottom edge
+        rows = sorted({0} | {p.y0 for p in self.planes}
+                      | {p.y0 + p.height for p in self.planes} - {self.height})
+        for what, overlap in (("overlap", True), ("leave a gap", False)):
+            for y in rows:
+                x = _first_miscovered(self.planes, y, self.width, overlap)
+                if x is not None:
+                    raise ValidationError("plane regions %s at (x=%d, y=%d)" % (what, x, y))
         nearest = min(p.depth_m for p in self.planes)
         if self.baseline_px / nearest > self.width:
             raise ValidationError("baseline_px %r shifts the plane at depth %r by more "
@@ -107,6 +110,19 @@ class SceneSpec:
     @property
     def duration_us(self):
         return self.n_windows * self.window_len_us
+
+
+def _first_miscovered(planes, y, width, overlap):
+    """The first x of row y that two planes cover (overlap) or none does, else None.
+
+    A gap is looked for only once no row has an overlap, so the row's spans are disjoint.
+    """
+    end = 0  # [0, end) is the part of the row the spans before this one reach
+    for x0, x1 in sorted((p.x0, p.x0 + p.width) for p in planes if p.y0 <= y < p.y0 + p.height):
+        if x0 < end if overlap else x0 > end:
+            return x0 if overlap else end
+        end = max(end, x1)
+    return None if overlap or end == width else end
 
 
 def _triangle(u):
@@ -178,10 +194,12 @@ def _plane_events(spec, plane, rng):
 
 def _noise_events(spec, rng):
     count = int(round(spec.noise_rate_hz * spec.height * spec.width * spec.duration_us * 1e-6))
-    # scalar draws interleaved per event: batching them would change the datasets
-    out = [(rng.integers(0, spec.duration_us), rng.integers(0, spec.width),
-            rng.integers(0, spec.height), rng.choice([-1, 1])) for _ in range(count)]
-    return np.array(out, dtype=np.int64).reshape(-1, 4).T
+    # scalar draws interleaved per event: batching them would change the datasets;
+    # fromiter writes each draw into the int64 buffer as it is made
+    draws = (v for _ in range(count)
+             for v in (rng.integers(0, spec.duration_us), rng.integers(0, spec.width),
+                       rng.integers(0, spec.height), rng.choice([-1, 1])))
+    return np.fromiter(draws, dtype=np.int64, count=4 * count).reshape(-1, 4).T
 
 
 def _sorted_events(parts):

@@ -692,3 +692,15 @@ def total_loss_composed(pred, gt, config=ls.LossConfig()):
     slice ops, so the generic reverse sweep does the backward."""
     return tz.add(ssi_loss_composed(pred, gt, config),
                   mul(reg_loss_composed(pred, gt), config.lambda_reg))
+
+
+def forbid_large_zeros(monkeypatch, limit=2 ** 20):
+    """Make np.zeros fail on more than `limit` elements, so that a test sees an
+    array sized from a header or a frame before the check that bounds it."""
+    zeros = np.zeros
+
+    def small_zeros(shape, *args, **kw):
+        assert np.prod(shape, dtype=np.float64) <= limit, shape
+        return zeros(shape, *args, **kw)
+
+    monkeypatch.setattr(np, "zeros", small_zeros)

@@ -63,6 +63,12 @@ def log_values(text, key):
     return out
 
 
+def assert_error(capsys, message):
+    """The command wrote nothing to stdout and exactly `error: message` to stderr."""
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: %s\n" % message)
+
+
 # ---------------------------------------------------------------------------
 # config file handling
 
@@ -149,7 +155,7 @@ def test_config_comments_and_blanks(tmp_path):
     {"seed": "-1"},
     {"v_threshold": "0.5", "v_reset": "1.0"},
     {"surrogate_alpha": "0"},
-    {"height": "18", "multiscale_loss": "true"},
+    {"epochs": "0"},
     {"reduction": "3"},
 ])
 def test_config_training_would_reject_fails_at_parse(tmp_path, dataset, bad, capsys):
@@ -162,6 +168,19 @@ def test_config_training_would_reject_fails_at_parse(tmp_path, dataset, bad, cap
     assert main(["--quiet", "train", "--config", str(path)]) == 2
     assert sorted(bad)[0] in capsys.readouterr().err
     assert not os.path.exists(str(tmp_path / "out" / "train.log"))
+
+
+def test_multiscale_config_takes_the_sensor_geometry(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("height = 260\nwidth = 346\nmultiscale_loss = true\n")
+    assert main(["train", "--config", str(path), "--dump-config"]) == 0
+    assert parse_run_config(capsys.readouterr().out) == RunConfig(
+        height=260, width=346, multiscale_loss=True)
+
+
+def test_dump_config_takes_the_seed_flag(capsys):
+    assert main(["train", "--dump-config", "--seed", "7"]) == 0
+    assert "\nseed = 7\n" in "\n" + capsys.readouterr().out
 
 
 def test_readme_config_table_lists_every_key():
@@ -287,7 +306,7 @@ def refuse_large_zeros(shape, *args, **kw):
 
 def test_synth_frame_past_the_event_budget_is_exit_2_at_once(tmp_path, capsys):
     # planes that tile a 1000000x1000000 frame fire at least 2e12 events; the
-    # spec is refused before its int64 cover raster, which would take 7.28 TiB
+    # spec is refused at once, before any work per pixel
     spec_path = tmp_path / "scene.txt"
     spec_path.write_text("height = 1000000\nwidth = 1000000\nplane.0 = 1.0, 0, 0, 8, 8, 8.0\n")
     with mock.patch.object(np, "zeros", refuse_large_zeros):
@@ -401,6 +420,14 @@ def test_stack_arguments_numpy_cannot_hold_are_exit_2(dataset, tmp_path, flags, 
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+    assert not os.path.exists(out)
+
+
+def test_stack_zero_height_is_exit_2(dataset, tmp_path, capsys):
+    out = str(tmp_path / "x.spkt")
+    assert main(["stack", "--events", os.path.join(dataset, "events_left.csv"),
+                 "--T", "5", "--height", "0", "--out", out]) == 2
+    assert_error(capsys, "geometry must be positive, got 0x64")
     assert not os.path.exists(out)
 
 
@@ -685,6 +712,27 @@ def test_predict_window_len_flag_must_be_positive(trained, dataset, tmp_path, va
     assert not os.path.exists(prefix + ".pgm")
 
 
+def test_predict_needs_a_window_length(fuzz_dir, dataset, tmp_path, capsys):
+    # the fuzz checkpoint holds a model and no train.* entries
+    prefix = str(tmp_path / "p")
+    assert main(["predict", "--model", str(fuzz_dir / "model.spkc"),
+                 "--events", os.path.join(dataset, "events_left.csv"),
+                 "--events-right", os.path.join(dataset, "events_right.csv"),
+                 "--out", prefix]) == 2
+    assert_error(capsys, "pass --window-len or use a checkpoint that records one")
+    assert not os.path.exists(prefix + ".pgm")
+
+
+def test_checkpoint_without_a_model_config_entry_is_exit_2(fuzz_dir, dataset, tmp_path,
+                                                          capsys):
+    entries = md.load_checkpoint(str(fuzz_dir / "model.spkc"))
+    del entries["cfg.layers"]
+    ckpt = str(tmp_path / "no_layers.spkc")
+    md.save_checkpoint(ckpt, entries)
+    assert main(["eval", "--model", ckpt, "--data", dataset]) == 2
+    assert_error(capsys, "checkpoint lacks 'cfg.layers'")
+
+
 def test_predict_max_depth_must_be_positive_and_finite(trained, dataset, tmp_path, capsys):
     ckpt = os.path.join(trained["out"], "last.spkc")
     for value in ("nan", "inf", "0", "-1"):
@@ -751,6 +799,82 @@ def test_train_requires_dirs(tmp_path, capsys):
     write_cfg(cfg_path)
     assert main(["train", "--config", cfg_path]) == 2
     assert "--data" in capsys.readouterr().err
+
+
+def test_train_needs_a_config_or_dump_config(capsys):
+    assert main(["train"]) == 2
+    assert_error(capsys, "train needs --config (or --dump-config for defaults)")
+
+
+def test_train_needs_an_out_dir(tmp_path, dataset, capsys):
+    cfg_path = str(tmp_path / "run.cfg")
+    write_cfg(cfg_path, data_dir=dataset)
+    assert main(["train", "--config", cfg_path]) == 2
+    assert_error(capsys, "no output directory: set out_dir in the config or pass --out")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: re.sub(r"\n(window|gt)\.\d+ = [^\n]*", "", text).replace(
+        "\nn_windows = 4\n", "\nn_windows = 0\n"), "dataset has no windows"),
+    (lambda text: text.replace("\nbinocular = true\n", "\nbinocular = false\n"),
+     "4-channel input needs a binocular dataset with right-camera events"),
+], ids=["no_windows", "monocular"])
+def test_train_refuses_a_dataset_it_cannot_train_on(tmp_path, dataset, edit, message, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(dataset, str(data))
+    manifest = data / "manifest.txt"
+    text = manifest.read_text()
+    manifest.write_text(edit(text))
+    assert manifest.read_text() != text
+    cfg_path = str(tmp_path / "run.cfg")
+    write_cfg(cfg_path, data_dir=str(data), out_dir=str(tmp_path / "out"))
+    assert main(["train", "--config", cfg_path]) == 2
+    assert_error(capsys, message)
+    assert not os.path.exists(str(tmp_path / "out"))
+
+
+def test_multiscale_with_no_fully_valid_coarse_block_is_exit_2(tmp_path, capsys):
+    # 4x4 pads to 16x16, so each 8x8 block of dec0's 2x2 map holds padding
+    sy.write_dataset(scene_spec(height=4, width=4), str(tmp_path / "data"))
+    cfg_path = str(tmp_path / "run.cfg")
+    write_cfg(cfg_path, height=4, width=4, layers=4, multiscale_loss=True,
+              data_dir=str(tmp_path / "data"), out_dir=str(tmp_path / "out"))
+    assert main(["--quiet", "train", "--config", cfg_path]) == 2
+    assert_error(capsys, "no valid ground-truth pixels")
+    assert not os.path.exists(str(tmp_path / "out" / "last.spkc"))
+
+
+@pytest.mark.parametrize("height, width", [(36, 52), (260, 346)])
+def test_multiscale_step_equals_the_hand_padded_step(height, width):
+    # the forward pads its input to a multiple of 2**layers and the loss its
+    # ground truth, with the padding invalid; padding both by hand is the same step
+    mult = 1 << RunConfig.layers
+    padded = (-(-height // mult) * mult, -(-width // mult) * mult)
+    rng = np.random.default_rng(1)
+    x = (rng.random((2, 4, height, width)) < 0.2).astype(np.float64)
+    valid = np.ones((height, width), dtype=bool)
+    valid[:height // 4, :width // 4] = False
+    depth = rng.uniform(0.5, 4.0, (height, width)) * valid
+    steps = []
+    for h, w in ((height, width), padded):
+        cfg = RunConfig(height=h, width=w, time_steps=2, base_channels=2,
+                        multiscale_loss=True)
+        net = md.DepthNet(cfg.model_config(), seed=0)
+        pad = ((0, h - height), (0, w - width))
+        gt = ev.DepthFrame(depth=np.pad(depth, pad), valid=np.pad(valid, pad), t=0)
+        with tz.Tape() as tape:
+            d, preds, _ = net.forward(tz.Tensor(np.pad(x, ((0, 0), (0, 0)) + pad)))
+            loss = cli.window_loss(d, preds, gt, cfg.loss_config(), True, cfg.layers)
+        tz.backward(loss, tape)
+        steps.append((loss.item(), {name: t.grad for name, t in net.params}))
+    (loss, grads), (want_loss, want_grads) = steps
+    np.testing.assert_allclose(loss, want_loss, rtol=1e-10)
+    assert grads.keys() == want_grads.keys()
+    for name, g in grads.items():
+        if want_grads[name] is None:
+            assert g is None, name
+        else:
+            np.testing.assert_allclose(g, want_grads[name], rtol=1e-10, atol=0, err_msg=name)
 
 
 def test_nan_loss_is_exit_3(tmp_path, capsys):

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from spikedepth import tensor as tz
 from spikedepth import events as ev
-from helpers import events_equal, make_events, recount_stack, scalar_stack, serialize_events
+from helpers import (events_equal, forbid_large_zeros, make_events, recount_stack, scalar_stack,
+                     serialize_events)
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +412,14 @@ def test_depth_file_errors():
     for head in ("1 -1 50000", "-1 1 50000", "0 1 50000"):
         with pytest.raises(ev.ParseError, match="^line 1: "):
             ev.parse_depth_frame(head + "\n1.0\n")
+
+
+@pytest.mark.parametrize("width", [20000000, 1000000000])
+def test_depth_rows_are_counted_before_the_arrays_are_made(monkeypatch, width):
+    # a 20-byte file whose header asks for 160 MB, or for 7.45 GiB
+    forbid_large_zeros(monkeypatch)
+    with pytest.raises(ev.ParseError, match="^line 2: expected %d values, got 1$" % width):
+        ev.parse_depth_frame("1 %d 0\n1.0\n" % width)
 
 
 def test_depth_frame_rejects_nonpositive_valid():

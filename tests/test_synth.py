@@ -15,7 +15,8 @@ from spikedepth.synth import (PlaneSpec, SceneSpec, ValidationError,
                               serialize_scene_spec, write_dataset,
                               load_manifest, disparity_px)
 
-from helpers import event_rows, events_equal, make_events, serialize_events
+from helpers import (event_rows, events_equal, forbid_large_zeros, make_events,
+                     serialize_events)
 
 
 def one_plane_spec(**kw):
@@ -212,6 +213,24 @@ def test_noise_event_budget():
     assert not events_equal(data.events_left, data.events_right)
 
 
+def test_noise_events_fill_int64_columns_draw_by_draw():
+    spec = one_plane_spec(camera_velocity=0.0, noise_rate_hz=1000.0, n_windows=1)
+    n = 1000 * 16 * 16 // 20  # 12,800 events in the 50 ms window
+    rng = np.random.default_rng(9)
+    want = np.array([(rng.integers(0, spec.duration_us), rng.integers(0, spec.width),
+                      rng.integers(0, spec.height), rng.choice([-1, 1])) for _ in range(n)],
+                    dtype=np.int64).T
+    tracemalloc.start()
+    try:
+        got = synth._noise_events(spec, np.random.default_rng(9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, want)
+    # 32 bytes of columns per event; a Python tuple per event took 248
+    assert peak < 48 * n, peak / n
+
+
 def test_generation_is_deterministic():
     a = generate_scene(two_plane_spec())
     b = generate_scene(two_plane_spec())
@@ -257,7 +276,7 @@ def test_validation_overlap_and_gap_name_a_pixel():
 
 def test_frame_past_the_event_budget_is_refused_before_its_raster(monkeypatch):
     # planes that tile the frame bound at least 2 events per pixel, so a frame
-    # with 2*H*W past the budget is refused before the H x W cover raster
+    # with 2*H*W past the budget is refused whatever its planes
     zeros = np.zeros
 
     def small_zeros(shape, *args, **kw):
@@ -269,6 +288,60 @@ def test_frame_past_the_event_budget_is_refused_before_its_raster(monkeypatch):
         SceneSpec(height=10 ** 6, width=10 ** 6, planes=(PlaneSpec(1.0, 0, 0, 8, 8, 8.0),))
     with pytest.raises(ValidationError, match="budget"):  # one column past it
         SceneSpec(height=2 ** 13, width=2 ** 12 + 1, planes=(PlaneSpec(1.0, 0, 0, 8, 8, 8.0),))
+
+
+def raster_tiling_error(height, width, planes):
+    """The tiling error a spec gets, or None, from an H x W cover count."""
+    cover = np.zeros((height, width), dtype=np.int64)
+    for p in planes:
+        if p.x0 + p.width > width or p.y0 + p.height > height:
+            return "plane region (x0=%d, y0=%d, w=%d, h=%d) leaves the %dx%d frame" % (
+                p.x0, p.y0, p.width, p.height, height, width)
+        cover[p.y0:p.y0 + p.height, p.x0:p.x0 + p.width] += 1
+    for bad, what in ((cover > 1, "overlap"), (cover == 0, "leave a gap")):
+        if bad.any():
+            y, x = np.argwhere(bad)[0]
+            return "plane regions %s at (x=%d, y=%d)" % (what, x, y)
+    return None
+
+
+def test_tiling_errors_match_a_cover_raster():
+    rng = np.random.default_rng(4)
+    seen = set()
+    for _ in range(3000):
+        h, w = (int(v) for v in rng.integers(1, 10, 2))
+        planes = []
+        for _ in range(int(rng.integers(1, 6))):
+            x0, y0 = int(rng.integers(0, w)), int(rng.integers(0, h))
+            pw = int(rng.integers(1, w - x0 + 1 + (rng.random() < 0.1)))
+            ph = int(rng.integers(1, h - y0 + 1 + (rng.random() < 0.1)))
+            planes.append(PlaneSpec(1.0, x0, y0, pw, ph, 8.0))
+        if rng.random() < 0.3:  # a two-band tiling, in either order
+            cut = int(rng.integers(1, h + 1))
+            planes = [PlaneSpec(1.0, 0, 0, w, cut, 8.0)] + (
+                [PlaneSpec(2.0, 0, cut, w, h - cut, 8.0)] if cut < h else [])
+            planes = planes[::int(rng.choice([-1, 1]))]
+        want = raster_tiling_error(h, w, planes)
+        try:
+            SceneSpec(height=h, width=w, baseline_px=0.0, planes=tuple(planes))
+            got = None
+        except ValidationError as e:
+            got = str(e)
+        assert got == want, (h, w, planes)
+        seen.add(None if want is None else want.split(" at ")[0].split(" (")[0])
+    assert seen == {None, "plane region", "plane regions overlap", "plane regions leave a gap"}
+
+
+@pytest.mark.parametrize("plane, message", [
+    (PlaneSpec(1.0, 0, 0, 8192, 4096, 8.0), r"may fire 2013265920.0 events per eye"),
+    (PlaneSpec(1.0, 0, 0, 8, 8, 8.0), r"^plane regions leave a gap at \(x=8, y=0\)$"),
+], ids=["full_frame_plane", "8x8_plane"])
+def test_tiling_is_checked_without_a_frame_raster(monkeypatch, plane, message):
+    # the largest frame the frame guard lets through: an H x W cover raster took
+    # 320 MB, and np.argwhere on its gap mask 1.3 GB more
+    forbid_large_zeros(monkeypatch)
+    with pytest.raises(ValidationError, match=message):
+        SceneSpec(height=4096, width=8192, planes=(plane,))
 
 
 def test_validation_rejects_bad_numbers():
