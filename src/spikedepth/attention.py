@@ -48,16 +48,6 @@ _WEIGHTS = {"T": ("t_compress", "t_expand"), "C": ("c_compress", "c_expand"),
             "S": ("s_conv",)}
 
 
-def normalize_enabled(enabled):
-    """Validate and canonicalize a subset of 'TCS' (string or iterable)."""
-    mods = set(enabled)
-    extra = mods - set(MODULE_ORDER)
-    if extra:
-        raise tz.ArgumentError("unknown attention modules %s; valid set is T, C, S"
-                               % sorted(extra))
-    return "".join(m for m in MODULE_ORDER if m in mods)
-
-
 def weight_shapes(t_steps, channels, reduction, enabled):
     """Name -> shape of one gating site's weights, in draw order.
 
@@ -65,7 +55,6 @@ def weight_shapes(t_steps, channels, reduction, enabled):
     reduction hidden units. Disabled modules have no weights, so a site with
     enabled="CS" has the same parameter count at any step count T.
     """
-    enabled = normalize_enabled(enabled)
     shapes = {}
     for letter, axis, n in (("T", "t_steps", t_steps), ("C", "channels", channels)):
         if letter in enabled:
@@ -107,7 +96,7 @@ def _blocks(a, f):
     return a.reshape(*lead, h // f, f, w // f, f)
 
 
-def _spread(a):
+def _over_blocks(a):
     """[..., H, W] as [..., H, 1, W, 1]: a broadcast over the f x f blocks of _blocks."""
     return a[..., :, None, :, None]
 
@@ -154,7 +143,7 @@ def _mlp_grads(g, b, f, w1, w2, state, need_gx, own):
     gz = np.empty(kept)
     for lo in range(0, len(g), span):
         part = buf[:len(g) - lo]
-        np.multiply(_blocks(g[lo:lo + span], f), _spread(b[lo:lo + span]),
+        np.multiply(_blocks(g[lo:lo + span], f), _over_blocks(b[lo:lo + span]),
                     out=_blocks(part, f))
         gz[lo:lo + span] = part.reshape(part.shape[:len(kept)] + (-1,)).sum(axis=-1)
     gz = gz * gate * (1.0 - gate)
@@ -246,9 +235,9 @@ def _site(x, weights, upsample):
             # the spatial module's input, in a buffer that then takes its gradient
             buf = np.empty(shape)
             if mlps:
-                np.multiply(_spread(ins[-1]), _lift(gates[-1], 6), out=_blocks(buf, f))
+                np.multiply(_over_blocks(ins[-1]), _lift(gates[-1], 6), out=_blocks(buf, f))
             else:
-                _blocks(buf, f)[...] = _spread(xd)
+                _blocks(buf, f)[...] = _over_blocks(xd)
             g, gw = _spatial_grads(g, buf, *spatial, bool(mlps) or x.requires_grad)
             grads.append((gw,))
         for i in reversed(range(len(mlps))):

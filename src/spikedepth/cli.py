@@ -155,26 +155,23 @@ def window_loss(depth, preds, gt, loss_cfg, multiscale, layers):
     return loss
 
 
-def _mean_mde(model, samples):
-    """Mean MDE in cm of the model's untaped forward over a window list."""
-    return sum(ls.mde_cm(model.forward(s.x)[0], s.gt) for s in samples) / len(samples)
-
-
 def evaluate_dataset(model, samples, loss_cfg):
-    """Mean losses and MDE over a window list, with the summed Counts."""
+    """Mean MDE and losses over a window list, with the summed Counts.
+
+    `train`'s per-epoch validation and closing MDE, `eval` and `inspect` all
+    run this one loop. Each metric is the built-in `sum` of its per-window
+    values over n, as the benchmark's training session averages its MDE, so
+    they agree on every Python, 3.12's compensated float `sum` included.
+    """
     counts = md.Counts()
-    sums = {"mde_cm": 0.0, "loss_ssi": 0.0, "loss_reg": 0.0, "loss_total": 0.0}
+    rows = []
     for s in samples:
         depth, _, c = model.forward(s.x)
-        ssi = ls.ssi_loss(depth, s.gt, loss_cfg)
-        reg = ls.reg_loss(depth, s.gt)
-        sums["mde_cm"] += ls.mde_cm(depth, s.gt)
-        sums["loss_ssi"] += ssi
-        sums["loss_reg"] += reg
-        sums["loss_total"] += ssi + loss_cfg.lambda_reg * reg
+        rows.append((ls.mde_cm(depth, s.gt), ls.ssi_loss(depth, s.gt, loss_cfg),
+                     ls.reg_loss(depth, s.gt), ls.total_loss(depth, s.gt, loss_cfg).item()))
         counts.merge(c)
-    n = len(samples)
-    metrics = {k: v / n for k, v in sums.items()}
+    metrics = {k: sum(col) / len(samples)
+               for k, col in zip(("mde_cm", "loss_ssi", "loss_reg", "loss_total"), zip(*rows))}
     metrics["firing_rate_encoder"] = counts.rate_encoder
     metrics["firing_rate_residual"] = counts.rate_residual
     metrics["firing_rate_decoder"] = counts.rate_decoder
@@ -315,7 +312,7 @@ def cmd_train(args):
                 emit("step=%d epoch=%d lr=%r loss=%r mde_cm=%r firing_rate_total=%r"
                      % (step, epoch, lr, value, ls.mde_cm(depth, s.gt), c.rate_total))
 
-            val_mde = _mean_mde(model, val_set if val_set else train_set)
+            val_mde = evaluate_dataset(model, val_set or train_set, loss_cfg)[0]["mde_cm"]
             emit("epoch=%d val_mde_cm=%r" % (epoch, val_mde))
             extras = _train_extras(cfg, window_len_us, epoch, step, lr,
                                    min(best, val_mde), model.params)
@@ -325,7 +322,7 @@ def cmd_train(args):
                 md.save_model(os.path.join(cfg.out_dir, "best.spkc"), model, extras)
 
         emit("total_steps=%d" % step)
-        emit("final_mde_cm=%r" % _mean_mde(model, samples))
+        emit("final_mde_cm=%r" % evaluate_dataset(model, samples, loss_cfg)[0]["mde_cm"])
     return 0
 
 

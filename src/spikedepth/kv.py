@@ -75,8 +75,12 @@ def check_fields(obj, error, where=""):
     for f in fields(obj):
         value = getattr(obj, f.name)
         allowed, domain = f.metadata.get("choices"), f.metadata.get("domain")
+        letters = f.metadata.get("letters")
         if allowed is not None and value not in allowed:
             raise error("%s%s must be one of %s, got %r" % (where, f.name, allowed, value))
+        if letters is not None and not set(value) <= set(letters):
+            raise error("%s%s must hold only the letters %s, got %r"
+                        % (where, f.name, letters, value))
         if domain is not None:
             low, high, low_open, high_open = domain
             for x in value if isinstance(value, tuple) else (value,):

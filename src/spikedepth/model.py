@@ -93,7 +93,9 @@ class ModelConfig:
 
     def __post_init__(self):
         kv.check_fields(self, tz.ArgumentError)
-        object.__setattr__(self, "attention", at.normalize_enabled(self.attention))
+        # each letter once, in TCS order, as a dumped config writes it
+        object.__setattr__(self, "attention",
+                           "".join(m for m in at.MODULE_ORDER if m in self.attention))
         if not self.v_threshold > self.v_reset:
             raise tz.ArgumentError("v_threshold (%r) must exceed v_reset (%r)"
                                    % (self.v_threshold, self.v_reset))

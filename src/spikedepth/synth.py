@@ -251,10 +251,6 @@ def generate_scene(spec):
 # scene spec files (key = value dialect)
 
 
-def serialize_scene_spec(spec):
-    return "\n".join(kv.format_lines(spec)) + "\n"
-
-
 def parse_scene_spec(text):
     return SceneSpec(**kv.read(text, SceneSpec, ""))
 

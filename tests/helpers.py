@@ -5,12 +5,14 @@ scalar stepping, explicit recounts. The package must agree with these, not
 the other way around.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
 
 from spikedepth import attention as at
 from spikedepth import events as ev
+from spikedepth import kv
 from spikedepth import losses as ls
 from spikedepth import model as md
 from spikedepth import neurons as nr
@@ -471,6 +473,11 @@ def serialize_events(events):
     return "".join(ev._csv_pieces(events))
 
 
+def serialize_scene_spec(spec):
+    """Scene spec text that `synth.parse_scene_spec` reads back to spec."""
+    return "\n".join(kv.format_lines(spec)) + "\n"
+
+
 def events_equal(a, b):
     return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ev.EventArray.__slots__)
 
@@ -704,3 +711,21 @@ def forbid_large_zeros(monkeypatch, limit=2 ** 20):
         return zeros(shape, *args, **kw)
 
     monkeypatch.setattr(np, "zeros", small_zeros)
+
+
+def neumaier_sum(iterable, start=0):
+    """Built-in sum as CPython 3.12 and later compute it: exact floats are added
+    with Neumaier's compensation and an int joins them as a float; any other
+    item (a numpy scalar, say) is added with + after the compensation is
+    folded in. Patched into builtins, it shows what a 3.12 run computes."""
+    total, c = start, 0.0
+    for item in iterable:
+        if type(total) is float and type(item) is float:
+            t = total + item
+            c += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+            total = t
+        elif type(total) is float and isinstance(item, int):
+            total += float(item)
+        else:
+            total, c = (total + c if c and math.isfinite(c) else total) + item, 0.0
+    return total + c if c and math.isfinite(c) else total

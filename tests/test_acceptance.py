@@ -9,7 +9,8 @@ and then asserts, so a plain pytest run fails loudly while `pytest -s`
 streams the verdicts as they happen. The end-to-end training check (C6)
 drives the installed CLI in subprocesses and takes a few minutes; it is
 shared with C9 and C10 through a module fixture, so running the whole file
-trains exactly twice (the second run proves determinism).
+trains exactly twice (the second run proves determinism), both runs at once
+when two CPUs are usable.
 """
 
 import hashlib
@@ -101,20 +102,32 @@ def overfit_run(tmp_path_factory):
     r = _cli("--quiet", "synth", "--spec", str(scene), "--out", str(data))
     if r.returncode != 0:
         raise RuntimeError("synth failed: %s" % r.stderr)
-    walls = []
     # run a with the BLAS thread settings at 1 and run b at 2: the package
-    # pins one thread, so C6's byte-identical check covers the shell's setting
-    for tag, threads in (("a", "1"), ("b", "2")):
+    # pins one thread, so C6's byte-identical check covers the shell's setting;
+    # with two usable CPUs both train at once, on one they run in turn
+    def start(tag, threads):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        t0 = time.monotonic()
-        r = _cli("--quiet", "train", "--config", str(cfg),
-                 "--data", str(data), "--out", str(root / ("out_" + tag)), env=env)
-        walls.append(time.monotonic() - t0)
-        if r.returncode != 0:
-            raise RuntimeError("train failed: %s" % r.stderr)
+        argv = [sys.executable, "-m", "spikedepth", "--quiet", "train", "--config", str(cfg),
+                "--data", str(data), "--out", str(root / ("out_" + tag))]
+        return time.monotonic(), subprocess.Popen(argv, stdout=subprocess.PIPE,
+                                                  stderr=subprocess.PIPE, text=True, env=env)
+
+    def finish(t0, proc):
+        _, err = proc.communicate()
+        return time.monotonic() - t0, proc.returncode, err
+
+    at_once = 2 if len(os.sched_getaffinity(0)) >= 2 else 1
+    if at_once == 2:
+        a, b = start("a", "1"), start("b", "2")
+        results = [finish(*a), finish(*b)]
+    else:
+        results = [finish(*start("a", "1")), finish(*start("b", "2"))]
+    for _, code, err in results:
+        if code != 0:
+            raise RuntimeError("train failed: %s" % err)
     return {"scene": scene, "cfg": cfg, "data": data,
             "out_a": root / "out_a", "out_b": root / "out_b",
-            "wall": walls[0]}
+            "wall": results[0][0], "at_once": at_once}
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +364,10 @@ def test_c06_overfit_end_to_end(overfit_run):
 
     ok = (mde < 5.0 and steps <= 2000 and overfit_run["wall"] < 600.0
           and deterministic and eval_match)
-    _report(6, ok, "mde=%.2fcm margin=%.2fcm steps=%d wall=%.0fs deterministic=%s "
-            "eval_match=%s" % (mde, 5.0 - mde, steps, overfit_run["wall"], deterministic,
-                               eval_match))
+    _report(6, ok, "mde=%.2fcm margin=%.2fcm steps=%d wall=%.0fs at_once=%d "
+            "deterministic=%s eval_match=%s"
+            % (mde, 5.0 - mde, steps, overfit_run["wall"], overfit_run["at_once"],
+               deterministic, eval_match))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI behavior: config handling, command wiring, exit codes, artifacts."""
 
+import builtins
 import contextlib
 import importlib.util
 import io
@@ -28,7 +29,7 @@ from spikedepth import synth as sy
 from spikedepth import tensor as tz
 from spikedepth.cli import (INPUT_ERRORS, RunConfig, main, parse_run_config,
                             serialize_run_config)
-from helpers import if_run_stepwise, load_tensor
+from helpers import if_run_stepwise, load_tensor, neumaier_sum, serialize_scene_spec
 
 
 def scene_spec(**kw):
@@ -208,7 +209,7 @@ def test_readme_config_table_lists_every_key():
 
 def test_synth_prints_manifest_and_is_deterministic(tmp_path, capsys):
     spec_path = tmp_path / "scene.txt"
-    spec_path.write_text(sy.serialize_scene_spec(scene_spec()))
+    spec_path.write_text(serialize_scene_spec(scene_spec()))
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "a")]) == 0
     assert capsys.readouterr().out.strip() == str(tmp_path / "a" / "manifest.txt")
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "b")]) == 0
@@ -219,7 +220,7 @@ def test_synth_prints_manifest_and_is_deterministic(tmp_path, capsys):
 
 def test_synth_seed_flag_overrides_spec(tmp_path, capsys):
     spec_path = tmp_path / "scene.txt"
-    spec_path.write_text(sy.serialize_scene_spec(scene_spec()))
+    spec_path.write_text(serialize_scene_spec(scene_spec()))
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "a")]) == 0
     assert main(["--seed", "99", "synth", "--spec", str(spec_path),
                  "--out", str(tmp_path / "c")]) == 0
@@ -230,7 +231,7 @@ def test_synth_seed_flag_overrides_spec(tmp_path, capsys):
 
 def test_seed_and_quiet_also_follow_the_subcommand(tmp_path, capsys):
     spec_path = tmp_path / "scene.txt"
-    spec_path.write_text(sy.serialize_scene_spec(scene_spec()))
+    spec_path.write_text(serialize_scene_spec(scene_spec()))
     assert main(["--seed", "99", "synth", "--spec", str(spec_path),
                  "--out", str(tmp_path / "a")]) == 0
     capsys.readouterr()
@@ -272,7 +273,7 @@ def test_synth_overlap_is_exit_2(tmp_path, capsys):
     ("noise_rate_hz = 0.0", "noise_rate_hz = 1e300"),
 ])
 def test_synth_bad_spec_value_is_exit_2(tmp_path, old, new, capsys):
-    text = sy.serialize_scene_spec(scene_spec())
+    text = serialize_scene_spec(scene_spec())
     assert old in text
     spec_path = tmp_path / "scene.spec"
     spec_path.write_text(text.replace(old, new))
@@ -490,10 +491,27 @@ def load_workloads():
     return module
 
 
-def test_benchmark_times_the_step_train_runs(tmp_path, dataset):
+@pytest.fixture(params=["builtin_sum", "neumaier_sum"])
+def float_sum(request, monkeypatch):
+    """The built-in sum of this Python, or the compensated float sum of 3.12
+    and later in its place."""
+    if request.param == "neumaier_sum":
+        monkeypatch.setattr(builtins, "sum", neumaier_sum)
+
+
+def test_neumaier_sum_compensates_as_3_12_does():
+    # the two examples of Python 3.12's release notes; ints and numpy
+    # scalars add as before
+    assert neumaier_sum([0.1] * 10) == 1.0 and neumaier_sum([1e100, 1.0, -1e100]) == 1.0
+    assert neumaier_sum(range(5)) == 10 and neumaier_sum([], 0.5) == 0.5
+    values = [np.float64(0.1)] * 10
+    assert neumaier_sum(values) == builtins.sum(values) != 1.0
+
+
+def test_benchmark_times_the_step_train_runs(tmp_path, dataset, float_sum):
     # the benchmark's train64 and sensor ops are TrainSession.op; run over the
     # same windows and epochs, it must write what train writes, all but
-    # train's two closing lines
+    # train's two closing lines, with either float sum
     cfg_path = str(tmp_path / "run.cfg")
     cfg = write_cfg(cfg_path, epochs=2, val_fraction=0.0, data_dir=dataset,
                     out_dir=str(tmp_path / "train"))
@@ -536,12 +554,19 @@ def test_fused_neurons_train_the_same_bytes_as_the_per_step_oracle(tmp_path, dat
     assert outputs[0] == outputs[1]
 
 
-def test_eval_reproduces_final_train_mde(trained, dataset, capsys):
-    final = float(log_values(trained["log"], "final_mde_cm")[0])
-    assert main(["eval", "--model", os.path.join(trained["out"], "last.spkc"),
-                 "--data", dataset]) == 0
+def test_eval_reproduces_final_train_mde(tmp_path, capsys, float_sum):
+    # one loop gives both numbers; under the compensated sum a += loop in eval
+    # and the sum in train end this run's MDE in different last bits
+    data = str(tmp_path / "data")
+    sy.write_dataset(scene_spec(n_windows=6), data)
+    cfg_path = str(tmp_path / "run.cfg")
+    write_cfg(cfg_path, epochs=2, val_fraction=0.0, seed=1)
+    out = str(tmp_path / "out")
+    assert main(["--quiet", "train", "--config", cfg_path, "--data", data, "--out", out]) == 0
+    final = log_values(read_text(os.path.join(out, "train.log")), "final_mde_cm")[0]
+    assert main(["eval", "--model", os.path.join(out, "last.spkc"), "--data", data]) == 0
     report = capsys.readouterr().out
-    assert float(log_values(report, "mde_cm")[0]) == final
+    assert log_values(report, "mde_cm")[0] == final
     assert report.endswith("\n") and [line.split("=")[0] for line in report.split("\n")] == [
         "mde_cm", "loss_ssi", "loss_reg", "loss_total", "firing_rate_encoder",
         "firing_rate_residual", "firing_rate_decoder", "firing_rate_total", ""]
@@ -1298,7 +1323,7 @@ def test_non_utf8_text_input_is_exit_2(tmp_path, dataset, reader):
         args = ("train", "--config", str(bad))
     elif reader == "spec":
         bad = tmp_path / "scene.spec"
-        bad.write_text(sy.serialize_scene_spec(scene_spec()))
+        bad.write_text(serialize_scene_spec(scene_spec()))
         args = ("synth", "--spec", str(bad), "--out", str(tmp_path / "new"))
     elif reader == "events":
         bad = data / "events_left.csv"

@@ -19,6 +19,7 @@ from spikedepth import synth as sy
 from spikedepth.tensor import ArgumentError
 from spikedepth.cli import (INPUT_ERRORS, RunConfig, load_run_config, main, parse_run_config,
                             serialize_run_config)
+from helpers import serialize_scene_spec
 
 TOKENS = ("", "x", "nan", "inf", "-1", "1.5", "yes", "²")
 
@@ -29,7 +30,7 @@ RUN_CONFIG = serialize_run_config(RunConfig(height=16, width=16, base_channels=2
 SCENE = sy.SceneSpec(seed=3, height=16, width=16, n_windows=2, noise_rate_hz=20.0,
                      planes=(sy.PlaneSpec(1.0, 0, 0, 16, 8, 8.0),
                              sy.PlaneSpec(2.0, 0, 8, 16, 8, 6.0)))
-SCENE_SPEC = sy.serialize_scene_spec(SCENE)
+SCENE_SPEC = serialize_scene_spec(SCENE)
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +212,10 @@ def declared_domains():
                 for ok in f.metadata["choices"]:
                     yield pytest.param(cls, f.name, ok, ok + "x",
                                        id="%s.%s=%sx" % (cls.__name__, f.name, ok))
+            if "letters" in f.metadata:
+                ok = f.metadata["letters"]
+                yield pytest.param(cls, f.name, ok, ok + "x",
+                                   id="%s.%s=%sx" % (cls.__name__, f.name, ok))
             if "domain" in f.metadata:
                 kind = float if f.type is tuple else f.type
                 for ok, bad in edge_pairs(kind, f.metadata["domain"]):

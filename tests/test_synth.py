@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from spikedepth import events as ev
 from spikedepth import synth
 from spikedepth.synth import (PlaneSpec, SceneSpec, ValidationError,
-                              generate_scene, parse_scene_spec,
-                              serialize_scene_spec, write_dataset,
+                              generate_scene, parse_scene_spec, write_dataset,
                               load_manifest, disparity_px)
 
 from helpers import (event_rows, events_equal, forbid_large_zeros, make_events,
-                     serialize_events)
+                     serialize_events, serialize_scene_spec)
 
 
 def one_plane_spec(**kw):
