@@ -19,15 +19,30 @@ upsample.
 
 A gating site is one tape entry that covers every enabled module and, at a
 decoder site, the nearest 2x upsample of its input in front of them. The
-forward runs pools, MLP or conv, sigmoid and gating in numpy and drops each
-gated intermediate once the next module has read it; the entry keeps the
-site's input (not its upsampled copy), each module's pools, hidden units,
-gate and spatial maps, and the weights. The backward rebuilds each module's
+forward runs pools, MLP or conv, sigmoid and gating in numpy and gates in
+place: the upsample is written into the output buffer and each module
+gates that buffer, so no gated intermediate outlives its module; the entry
+keeps the site's input (not its upsampled copy), each module's pools, hidden
+units, gate and spatial maps, and the weights. The backward rebuilds each module's
 input from the site's input and the earlier gates with the forward's own
 multiplications, broadcasting the input over each f x f block instead of
 upsampling it, then runs the closed-form module backwards in reverse order
 and ends with the upsample's block sum. So every value is the same
 expression on the same operands as a chain of one entry per module.
+
+Both directions run in stages over blocks of frames, through `tz._spread`:
+at the sensor size a block is one or two frames and the blocks go to the
+kernel pool; when the site's output fits one `tz._CHUNK_FLOATS` buffer, as
+at 64x64, one block holds every frame and runs inline. Per block run the
+upsample, the pools (one value per frame for T, per (t, c) for C, the
+channel maps for S), the sigmoid of the spatial gate and the gating, and in
+the backward the rebuilt inputs, the sums of the output gradient times the
+input, the first-max routing, the input-gradient terms and the block sum;
+a stage ends with the next module's pools or sums on the same block. On the
+calling thread, between stages, run the MLPs and their gradients, every
+weight-gradient sum over T, and the spatial gate's 2 -> 1 conv and its
+backward (which spread their own items). Each block writes only its own
+frames, so the bits do not depend on the number of workers.
 
 A max pool routes its gradient to the first maximum along the pooled axes
 (row-major), which matters on binary spike inputs where ties are common.
@@ -78,10 +93,10 @@ def site_macs(weights, shape):
     return sum(n * weights[name].data.size for name, n in per_weight.items() if name in weights)
 
 
-def _sigmoid(z):
+def _sigmoid(z, out=None):
     """Numerically stable logistic; saturates to 0/1 without overflow."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def _linear_grads(g, v, w):
@@ -106,46 +121,38 @@ def _lift(gate, ndim):
     return gate.reshape(gate.shape + (1,) * (ndim - gate.ndim))
 
 
-def _mlp_state(a, n_kept, w1, w2):
-    """(pools, hidden, relus, gate) of the MLP module that keeps a's first
-    n_kept axes: the pools reduce every axis after them, so the gate holds
-    one value per kept index."""
-    flat = a.reshape(a.shape[:n_kept] + (-1,))
-    pools = (flat.mean(axis=-1), flat.max(axis=-1))
+def _summarize(m, a, frames, pools):
+    """Module m's summaries of a's frames into the same frames of pools: a T
+    or C gate's (average, max) pair over every axis after the one it keeps,
+    the spatial gate's channel-average and channel-max maps [T, 2, H, W]."""
+    if m == "S":
+        np.mean(a[frames], axis=1, out=pools[frames, 0])
+        np.max(a[frames], axis=1, out=pools[frames, 1])
+    else:
+        part = a[frames]
+        flat = part.reshape(part.shape[:"TC".index(m) + 1] + (-1,))
+        flat.mean(axis=-1, out=pools[0][frames])
+        flat.max(axis=-1, out=pools[1][frames])
+
+
+def _mlp_gate(pools, w1, w2):
+    """(hidden, relus, gate) of an MLP module from its (average, max) pools."""
     hidden = tuple(v @ w1.T for v in pools)
     relus = tuple(np.maximum(h, 0.0) for h in hidden)
-    return pools, hidden, relus, _sigmoid(relus[0] @ w2.T + relus[1] @ w2.T)
+    return hidden, relus, _sigmoid(relus[0] @ w2.T + relus[1] @ w2.T)
 
 
-def _spatial_state(a, wd):
-    """(maps, gate) of the spatial module: a's channel-average and
-    channel-max maps, and the sigmoid of their conv with wd."""
-    t, _, h, w = a.shape
-    maps = np.empty((t, 2, h, w))
-    np.mean(a, axis=1, out=maps[:, 0])
-    np.max(a, axis=1, out=maps[:, 1])
-    return maps, _sigmoid(tz._shifted_conv(maps, wd))
+def _mlp_sums(g, b, f, part, gz):
+    """gz = the sum per kept index of g * (the f x f upsample of b), for one
+    block of frames; part is a scratch buffer of at least g's frames."""
+    part = part[:len(g)]
+    np.multiply(_blocks(g, f), _over_blocks(b), out=_blocks(part, f))
+    part.reshape(gz.shape + (-1,)).sum(axis=-1, out=gz)
 
 
-def _mlp_grads(g, b, f, w1, w2, state, need_gx, own):
-    """(d loss / d up, d w_compress, d w_expand) of an MLP module gating
-    up = the f x f upsample of b, given g = d loss / d (up * gate).
-
-    The input gradient is None unless need_gx; with own it is written into g.
-    """
-    pools, hidden, relus, gate = state
-    kept = gate.shape
-    # g * up summed per kept index over as many time steps at a time as fit
-    # in tz._CHUNK_FLOATS (at least one): the same row sums as over the whole
-    # product, without a [T, C, H, W] array
-    span = max(1, tz._CHUNK_FLOATS // g[0].size)
-    buf = np.empty((min(span, len(g)),) + g.shape[1:])
-    gz = np.empty(kept)
-    for lo in range(0, len(g), span):
-        part = buf[:len(g) - lo]
-        np.multiply(_blocks(g[lo:lo + span], f), _over_blocks(b[lo:lo + span]),
-                    out=_blocks(part, f))
-        gz[lo:lo + span] = part.reshape(part.shape[:len(kept)] + (-1,)).sum(axis=-1)
+def _mlp_grads(gz, w1, w2, pools, hidden, relus, gate):
+    """(d average pool, d max pool, d w_compress, d w_expand) of an MLP module,
+    given gz, the sums of its output gradient times its input per kept index."""
     gz = gz * gate * (1.0 - gate)
     grads = []  # per branch: (d pool, d w_compress, d w_expand)
     for v, h, r in zip(pools, hidden, relus):
@@ -153,10 +160,14 @@ def _mlp_grads(g, b, f, w1, w2, state, need_gx, own):
         gv, gw1 = _linear_grads(gr * (h > 0), v, w1)
         grads.append((gv, gw1, gw2))
     (g_avg, gw1_a, gw2_a), (g_max, gw1_m, gw2_m) = grads
-    if not need_gx:
-        return None, gw1_m + gw1_a, gw2_m + gw2_a
+    return g_avg, g_max, gw1_m + gw1_a, gw2_m + gw2_a
+
+
+def _mlp_input_grad(g, b, f, gate, g_avg, g_max, out):
+    """d loss / d up into out, for one block of frames of an MLP module gating
+    up = the f x f upsample of b, given g = d loss / d (up * gate)."""
     gate_b = _lift(gate, g.ndim)
-    gx = np.multiply(g, gate_b, out=g if own else None)
+    gx = np.multiply(g, gate_b, out=out)
     rows = gx.reshape(gate.size, -1)
     # the first maximum of an upsampled row is its copy of b's first maximum
     # at row f*r, column f*c: it comes first in row-major order
@@ -165,20 +176,20 @@ def _mlp_grads(g, b, f, w1, w2, state, need_gx, own):
     first = first // width * (f * f * width) + first % width * f
     rows[np.arange(gate.size), first] += g_max.reshape(-1)
     gx += (g_avg / rows.shape[1]).reshape(gate_b.shape)
-    return gx, gw1_m + gw1_a, gw2_m + gw2_a
 
 
-def _spatial_grads(g, a, wd, state, need_gx):
-    """(d loss / d a, d s_conv) of the spatial module gating a, given
-    g = d loss / d (a * gate). The input gradient, None unless need_gx, is
-    written into a."""
-    maps, gate = state
+def _spatial_sums(g, a, gate, gz):
+    """gz = the channel sum of g * a, times the gate's derivative, for one
+    block of frames of the spatial module gating a; no [T, C, H, W] product."""
+    np.einsum("tchw,tchw->thw", g, a, out=gz[:, 0])
+    gz *= gate
+    gz *= 1.0 - gate
+
+
+def _spatial_input_grad(g, a, gate, maps, gmaps):
+    """d loss / d a written into a, for one block of frames of the spatial
+    module gating a, given g = d loss / d (a * gate) and the maps' gradient."""
     t, c, h, w = a.shape
-    # the channel sum of g * a without a [T, C, H, W] product
-    gz = np.einsum("tchw,tchw->thw", g, a)[:, None] * gate * (1.0 - gate)
-    gw, gmaps = tz._shifted_grads(maps, wd, gz, need_gx)
-    if gmaps is None:
-        return None, gw
     # first channel at the maximum: c minus the largest (c - channel) over
     # the hits; a max reduce, where argmax over axis 1 would copy a
     rank = np.arange(c, 0, -1, dtype=np.min_scalar_type(c)).reshape(c, 1, 1)
@@ -188,7 +199,6 @@ def _spatial_grads(g, a, wd, state, need_gx):
     pos = (np.arange(t)[:, None] * c + first.reshape(t, hw)) * hw + np.arange(hw)
     gx.reshape(-1)[pos] += gmaps[:, 1].reshape(t, hw)
     gx += gmaps[:, :1] / c
-    return gx, gw
 
 
 def _site(x, weights, upsample):
@@ -208,45 +218,119 @@ def _site(x, weights, upsample):
             raise tz.DimensionError("%s axis is %d, parameters expect %d"
                                     % (("time", "channel")[axis], xd.shape[axis],
                                        w.data.shape[1]))
-    a = xd if f == 1 else tz._upsample(xd, f)
-    shape = a.shape
-    mlps, spatial = [], None  # the T and C modules' (weights, state); S's (weight, state)
-    for m, ws in modules:
+    t_steps, c, h, w = xd.shape
+    shape = (t_steps, c, h * f, w * f)
+    frame = c * h * w * f * f
+    step = max(1, tz._CHUNK_FLOATS // frame)  # frames per item, as conv2d's chunks
+
+    def spread(work, buffered=False):
+        """work(frames, buffer) for each block of step frames, over tz._spread;
+        the buffer is a worker's scratch block of step frames when buffered."""
+        tz._spread(lambda lo, buf: work(slice(lo, lo + step), buf),
+                   range(0, t_steps, step), t_steps * frame,
+                   lambda: (np.empty((min(step, t_steps),) + shape[1:]) if buffered else None,))
+
+    # the forward gates in place: out takes the upsample, then each module's
+    # gating, and each frame block's pass ends with the next module's pools
+    out = np.empty(shape)
+    pools = [np.empty((t_steps, 2) + shape[2:]) if m == "S"
+             else tuple(np.empty(shape[:"TC".index(m) + 1]) for _ in range(2))
+             for m, _ in modules]
+    src = xd if f == 1 else out  # the first module's input
+
+    def upsampled(frames, _):
+        if f != 1:
+            tz._upsample(xd[frames], f, out=out[frames])
+        if modules:
+            _summarize(modules[0][0], src, frames, pools[0])
+
+    spread(upsampled)
+    mlps, spatial = [], None  # the T and C modules' state; S's (weight, maps, gate)
+    for i, (m, ws) in enumerate(modules):
         wd = tuple(w.data for w in ws)
         if m == "S":
-            spatial = wd[0], _spatial_state(a, wd[0])
-            gate = spatial[1][1]
+            gate = tz._shifted_conv(pools[i], wd[0])  # its sigmoid is taken in place
+            spatial = wd[0], pools[i], gate
         else:
-            mlps.append((wd, _mlp_state(a, "TC".index(m) + 1, *wd)))
-            gate = _lift(mlps[-1][1][-1], a.ndim)
-        a = a * gate  # the module's input is dropped here, unless it is x
-    out = Tensor(a)
+            hidden, relus, gate = _mlp_gate(pools[i], *wd)
+            mlps.append((*wd, pools[i], hidden, relus, gate))
+        lifted = _lift(gate, 4)
+
+        def gated(frames, _, i=i, m=m, src=src):
+            if m == "S":
+                _sigmoid(gate[frames], out=gate[frames])
+            np.multiply(src[frames], lifted[frames], out=out[frames])
+            if i + 1 < len(modules):
+                _summarize(modules[i + 1][0], out, frames, pools[i + 1])
+
+        spread(gated)
+        src = out
+    out = Tensor(out)
 
     def bw(g):
         # each T or C module's input before the upsample: x, then x times each
         # gate in turn; the forward gated the upsample of each
-        gates = [state[-1] for _, state in mlps]
-        ins = [xd]
-        for gate in gates[:-1]:
-            ins.append(ins[-1] * _lift(gate, 4))
+        gates = [state[-1] for state in mlps]
+        ins = [xd] + [np.empty(xd.shape) for _ in gates[1:]]
+        a = np.empty(shape) if spatial else None  # S's input, then its input gradient
+        sums = [np.empty(gate.shape) for gate in gates]
+        if spatial:
+            sums.append(np.empty(spatial[2].shape))
+        n = len(sums)
+
+        def summed(i, g, frames, buf):
+            """Module i's sums of g, its output gradient, over frames; for
+            i = -1 the upsample's block sum into gx."""
+            if i == len(mlps):
+                _spatial_sums(g[frames], a[frames], spatial[2][frames], sums[i][frames])
+            elif i >= 0:
+                _mlp_sums(g[frames], ins[i][frames], f, buf, sums[i][frames])
+            elif f != 1:
+                tz._block_sum(g[frames], f, out=gx[frames])
+
+        def rebuilt(frames, buf):
+            for i in range(1, len(ins)):
+                np.multiply(ins[i - 1][frames], _lift(gates[i - 1], 4)[frames],
+                            out=ins[i][frames])
+            if spatial and mlps:
+                np.multiply(_over_blocks(ins[-1][frames]), _lift(gates[-1], 6)[frames],
+                            out=_blocks(a[frames], f))
+            elif spatial:
+                tz._upsample(xd[frames], f, out=a[frames])
+            summed(n - 1, g, frames, buf)
+
+        # the input gradient when x needs one: the upsample's block sums
+        gx = np.empty(xd.shape) if f != 1 and x.requires_grad else None
+        spread(rebuilt, buffered=mlps and not spatial)
         grads = []
-        own = spatial is not None  # whether g is a buffer bw may overwrite
-        if own:
-            # the spatial module's input, in a buffer that then takes its gradient
-            buf = np.empty(shape)
-            if mlps:
-                np.multiply(_over_blocks(ins[-1]), _lift(gates[-1], 6), out=_blocks(buf, f))
+        own = False  # whether g is a buffer bw may overwrite
+        for i in reversed(range(n)):
+            need = i > 0 or x.requires_grad
+            if i == len(mlps):
+                wd, maps, gate = spatial
+                gw, gmaps = tz._shifted_grads(maps, wd, sums[i], need)
+                grads.append((gw,))
             else:
-                _blocks(buf, f)[...] = _over_blocks(xd)
-            g, gw = _spatial_grads(g, buf, *spatial, bool(mlps) or x.requires_grad)
-            grads.append((gw,))
-        for i in reversed(range(len(mlps))):
-            (w1, w2), state = mlps[i]
-            g, *gws = _mlp_grads(g, ins[i], f, w1, w2, state, i > 0 or x.requires_grad, own)
-            grads.append(gws)
-            own = True
+                g_avg, g_max, *gws = _mlp_grads(sums[i], *mlps[i])
+                grads.append(gws)
+            if not need:
+                g = None
+                break
+            dst = a if i == len(mlps) else g if own else np.empty(shape)
+
+            def input_grad(frames, buf, i=i, g=g, dst=dst):
+                if i == len(mlps):
+                    _spatial_input_grad(g[frames], a[frames], gate[frames], maps[frames],
+                                        gmaps[frames])
+                else:
+                    _mlp_input_grad(g[frames], ins[i][frames], f, gates[i][frames],
+                                    g_avg[frames], g_max[frames], dst[frames])
+                summed(i - 1, dst, frames, buf)
+
+            spread(input_grad, buffered=i > 0)
+            g, own = dst, True
         if g is not None and f != 1:
-            g = tz._block_sum(g, f)
+            g = gx
         return (g,) + tuple(gw for gws in reversed(grads) for gw in gws)
 
     tz.record(out, (x,) + tuple(w for _, ws in modules for w in ws), bw)

@@ -25,7 +25,18 @@ differentiate membrane_new = charged - (charged - v_reset) * spike as
 written. The charged membranes h are all the backward keeps: each step's
 spikes are a function of h alone, so the backward fires them again from h
 and the spike train is freed once the forward's callers drop it.
+
+The recurrence is sequential over T but independent per neuron, so the
+forward and the backward each run over blocks of channels (axis 1) through
+`tz._spread`, each block through all T steps with its own scratch buffers.
+A block holds as many channels as fit one `tz._CHUNK_FLOATS` buffer over T
+steps: at the sensor size the [5, 8, 136, 176] populations split 4 + 4 over
+the kernel pool, and a population that fits one buffer, as at 64x64, is one
+block run inline. Every value keeps its expression, so the bits do not
+depend on the number of workers.
 """
+
+import math
 
 import numpy as np
 
@@ -35,9 +46,16 @@ from .tensor import Tensor
 MODES = ("spiking", "smooth")
 
 
-def _triangle(h, v_threshold, alpha):
-    """Unit-area triangular window centered on the threshold, peak 1/alpha."""
-    return np.maximum(0.0, 1.0 - np.abs(h - v_threshold) / alpha) / alpha
+def _triangle(h, v_threshold, alpha, out=None):
+    """Unit-area triangular window centered on the threshold, peak 1/alpha;
+    into out when given."""
+    tri = np.subtract(h, v_threshold, out=np.empty(np.shape(h)) if out is None else out)
+    np.abs(tri, out=tri)
+    tri /= alpha
+    np.subtract(1.0, tri, out=tri)
+    np.maximum(0.0, tri, out=tri)
+    tri /= alpha
+    return tri
 
 
 def _smooth_ramp(h, v_threshold, alpha):
@@ -62,16 +80,44 @@ def if_run(x, cfg):
     if xd.ndim < 1 or shape[0] < 1:
         raise tz.DimensionError("if_run needs a leading time axis of size >= 1")
     t_steps = shape[0]
-    v = np.zeros(shape[1:])
     th, v_reset, alpha = cfg.v_threshold, cfg.v_reset, cfg.surrogate_alpha
     spiking = cfg.neuron_mode == "spiking"
+    # the arrays are viewed as [T, C, M]: an item is a block of step channels
+    c = shape[1] if xd.ndim > 1 else 1
+    m = math.prod(shape[2:])
+    step = max(1, tz._CHUNK_FLOATS // max(1, t_steps * m))
+    floats = xd.size  # not xd itself: the backward's closure must not pin x
+
+    def spread(work, buffers):
+        """work(channels, *scratch) for each channel block, over tz._spread;
+        each worker has `buffers` scratch arrays [step, M]."""
+        def item(lo, *bufs):
+            work(slice(lo, lo + step), *(b[:min(step, c - lo)] for b in bufs))
+
+        tz._spread(item, range(0, c, step), floats,
+                   lambda: tuple(np.empty((min(step, c), m)) for _ in range(buffers)))
 
     h = np.empty(shape)  # charged membranes: all the backward keeps
     s = np.empty(shape)
-    for t in range(t_steps):
-        h[t] = v + xd[t]
-        s[t] = h[t] >= th if spiking else _smooth_ramp(h[t], th, alpha)
-        v = h[t] - (h[t] - v_reset) * s[t]
+    x3, h3, s3 = (a.reshape(t_steps, c, m) for a in (xd, h, s))
+
+    def fire(ch):
+        np.add(0.0, x3[0, ch], out=h3[0, ch])  # from a zero membrane
+        for t in range(t_steps):
+            ht, st = h3[t, ch], s3[t, ch]
+            if spiking:
+                np.greater_equal(ht, th, out=st)
+            else:
+                st[...] = _smooth_ramp(ht, th, alpha)
+            if t + 1 < t_steps:
+                # the next charged membrane, built in its own slot:
+                # (h - (h - v_reset) * s) + x
+                nxt = np.subtract(ht, v_reset, out=h3[t + 1, ch])
+                nxt *= st
+                np.subtract(ht, nxt, out=nxt)
+                nxt += x3[t + 1, ch]
+
+    spread(fire, 0)
     spikes = Tensor(s)
 
     def bw(gs):
@@ -79,15 +125,31 @@ def if_run(x, cfg):
         # reverse-sweep order: charged gets gv, then -gv * s through the reset,
         # then (gs - gv * (charged - v_reset)) * tri through the fire; gv is the
         # membrane's gradient, 0 after the last step; s is fired again from h,
-        # so the spike train is not kept for the backward
+        # so the spike train is not kept for the backward. Each term is written
+        # as a subtraction of gv times a factor, which is the same IEEE value as
+        # the addition of -gv times it
         gx = np.empty(shape)
-        gv = 0.0
-        for t in range(t_steps - 1, -1, -1):
-            neg = -gv
-            tri = _triangle(h[t], th, alpha)
-            st = (h[t] >= th).astype(np.float64) if spiking else _smooth_ramp(h[t], th, alpha)
-            gx[t] = (gv + neg * st) + (gs[t] + neg * (h[t] - v_reset)) * tri
-            gv = gx[t]
+        h3, g3, gx3 = (np.reshape(a, (t_steps, c, m)) for a in (h, gs, gx))
+
+        def through_time(ch, tri, tmp):
+            gv = 0.0
+            for t in range(t_steps - 1, -1, -1):
+                ht, gt = h3[t, ch], gx3[t, ch]
+                _triangle(ht, th, alpha, out=tri)
+                if spiking:
+                    np.greater_equal(ht, th, out=gt)
+                else:
+                    gt[...] = _smooth_ramp(ht, th, alpha)
+                gt *= gv
+                np.subtract(gv, gt, out=gt)            # gv - gv * s
+                np.subtract(ht, v_reset, out=tmp)
+                tmp *= gv
+                np.subtract(g3[t, ch], tmp, out=tmp)
+                tmp *= tri                             # (gs - gv * (h - v_reset)) * tri
+                gt += tmp
+                gv = gt
+
+        spread(through_time, 2)
         return (gx,)
 
     tz.record(spikes, (x,), bw)

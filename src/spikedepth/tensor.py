@@ -14,14 +14,17 @@ conv2d is same-padded: it takes [T, C_in, H, W] and an odd square kernel,
 zero-pads every side by k // 2, and returns [T, C_out, ceil(H/s), ceil(W/s)]
 for stride s. There is no padding argument.
 
-A conv kernel whose data spans more than one _CHUNK_FLOATS buffer (the
-sensor-size convs) splits its frame chunks, row blocks or frames over a
-thread pool with one thread per usable CPU, made on first use; smaller
-convs run inline. Each item writes its own slice of the output and each
-weight-gradient partial is added in item order, so the CPU count never
-changes the bits. Importing the package pins BLAS to one thread, so that
-the pool and BLAS do not compete for the same CPUs. Only those kernels run
-on the pool: no op, tape entry or backward sweep does.
+A kernel whose data spans more than one _CHUNK_FLOATS buffer (at the
+sensor size) splits its items over a thread pool with one thread per usable
+CPU, made on first use (`_spread`); smaller kernels run inline. The items
+are a conv's frame chunks, row blocks or frames, an attention site's frame
+blocks and an IF population's channel blocks. Each item writes its own slice
+of the output and each weight-gradient partial is added in item order, so
+the CPU count never changes the bits. Importing the package pins BLAS to one
+thread, so that the pool and BLAS do not compete for the same CPUs. Only
+those items run on the pool: no op, tape entry or backward sweep does, and
+the work between a kernel's stages (a site's MLP and weight-gradient sums)
+stays on the calling thread.
 """
 
 import math
@@ -254,14 +257,16 @@ def _pool():
 def _spread(work, items, floats, scratch):
     """work(item, *buffers) for every item of the range items.
 
-    scratch() makes one worker's buffers. When floats, the size of the
-    kernel's data, fits one _CHUNK_FLOATS buffer, or on a pool thread, one
-    set of buffers is made and the items run inline. Otherwise
+    The conv kernels, the attention site's stages and the IF population's
+    forward and backward all run their items through here. scratch() makes
+    one worker's buffers. When floats, the size of the kernel's data, fits
+    one _CHUNK_FLOATS buffer, or on a pool thread, one set of buffers is
+    made and the items run inline. Otherwise
     workers = min(_WORKERS, len(items)) sets are made here on the calling
     thread, and worker j takes items j, j + workers, ... in order on its own
     set. The caller waits for every worker; the first failing worker's
     exception is raised unchanged. work must write only its own item's
-    outputs.
+    outputs and must not touch the tape.
     """
     workers = min(_WORKERS, len(items))
     if floats <= _CHUNK_FLOATS or workers == 1 or getattr(_THREAD, "worker", False):
@@ -538,19 +543,29 @@ def conv2d(x, weight, stride=1):
     return out
 
 
-def _upsample(a, factor):
-    """a with every pixel of the last two axes replicated into an f x f block."""
+def _upsample(a, factor, out=None):
+    """a with every pixel of the last two axes replicated into an f x f
+    block, into out when given."""
     if a.ndim < 2:
         raise DimensionError("nearest upsample needs rank >= 2")
     if not isinstance(factor, int) or factor < 1:
         raise ArgumentError("upsample factor must be an integer >= 1, got %r" % (factor,))
-    return np.repeat(np.repeat(a, factor, axis=-2), factor, axis=-1)
+    if out is None:
+        out = np.empty(a.shape[:-2] + (a.shape[-2] * factor, a.shape[-1] * factor), a.dtype)
+    # f*f strided-slice copies, so no repeated intermediate is made
+    for u in range(factor):
+        for v in range(factor):
+            out[..., u::factor, v::factor] = a
+    return out
 
 
-def _block_sum(g, factor):
-    """The sum of each f x f block of the last two axes: the upsample's backward."""
+def _block_sum(g, factor, out=None):
+    """The sum of each f x f block of the last two axes: the upsample's
+    backward, into out when given."""
     # f*f strided-slice adds; a strided reduce over a 6-axis view is far slower
-    gx = g[..., ::factor, ::factor].copy()
+    corner = g[..., ::factor, ::factor]
+    gx = np.empty(corner.shape) if out is None else out
+    gx[...] = corner
     for u in range(factor):
         for v in range(factor):
             if u or v:

@@ -5,6 +5,7 @@ scalar stepping, explicit recounts. The package must agree with these, not
 the other way around.
 """
 
+import contextlib
 import math
 from unittest import mock
 
@@ -729,3 +730,35 @@ def neumaier_sum(iterable, start=0):
         else:
             total, c = (total + c if c and math.isfinite(c) else total) + item, 0.0
     return total + c if c and math.isfinite(c) else total
+
+
+@contextlib.contextmanager
+def conv_workers(monkeypatch, workers):
+    """The kernels' pool (tz._spread's) sized to workers for the block, then shut down."""
+    monkeypatch.setattr(tz, "_WORKERS", workers)
+    monkeypatch.setattr(tz, "_POOL", None)
+    try:
+        yield
+    finally:
+        if tz._POOL is not None:
+            tz._POOL.shutdown()
+
+
+def closure_arrays(fn):
+    """Every distinct array that fn's closure holds, through tuples, lists,
+    Tensors and the closures of the functions it holds."""
+    arrays, seen, todo = [], set(), [fn]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, tz.Tensor):
+            todo.append(obj.data)
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            todo.extend(cell.cell_contents for cell in obj.__closure__)
+    return arrays

@@ -1,4 +1,5 @@
-import weakref
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from spikedepth import tensor as tz
 from spikedepth import attention as at
-from helpers import (attention_params, check_op_gradient, mul, nearest_upsample, sum_all,
-                     tcsa_composed)
+from helpers import (attention_params, check_op_gradient, closure_arrays, conv_workers, mul,
+                     nearest_upsample, sum_all, tcsa_composed)
 
 
 def rand(shape, seed=0):
@@ -346,20 +347,6 @@ def test_folded_upsample_matches_upsample_then_gates(t, c, h, w, f, enabled, kin
     assert got[3] == (3 if enabled else want[3])
 
 
-def closure_arrays(fn):
-    """Every array that fn's closure holds, through tuples, lists and Tensors."""
-    arrays, todo = [], [cell.cell_contents for cell in fn.__closure__]
-    while todo:
-        obj = todo.pop()
-        if isinstance(obj, np.ndarray):
-            arrays.append(obj)
-        elif isinstance(obj, tz.Tensor):
-            arrays.append(obj.data)
-        elif isinstance(obj, (tuple, list)):
-            todo.extend(obj)
-    return arrays
-
-
 @pytest.mark.parametrize("enabled", ["T", "C", "S", "TC", "TS", "CS", "TCS"])
 def test_folded_upsample_entry_keeps_the_input_not_its_copy(enabled):
     # the site keeps x and per-module state, no gated intermediate and no
@@ -379,27 +366,124 @@ def test_folded_upsample_entry_keeps_the_input_not_its_copy(enabled):
         assert max(a.nbytes for a in arrays) == x.data.nbytes
 
 
-def test_channel_gate_output_is_freed_after_the_forward(monkeypatch):
-    # the spatial module reads the channel gate's output; once the forward is
-    # done nothing holds it, and the backward rebuilds it from x and the gate
-    seen = []
-    state = at._spatial_state
-
-    def watched(a, wd):
-        seen.append(weakref.ref(a))
-        return state(a, wd)
-
-    monkeypatch.setattr(at, "_spatial_state", watched)
-    x = rand((4, 6, 5, 7), seed=42)
+def test_channel_gate_output_is_freed_after_the_forward():
+    # the spatial module reads the channel gate's output; the forward gates in
+    # place, so once it is done nothing but the site's output and the entry's
+    # small state holds memory, and the backward rebuilds that input from x and
+    # the gate
+    # (frames large enough that an output dwarfs the tape entry's own objects)
+    h, w = 20, 28
+    x = rand((4, 6, h, w), seed=42)
     p = rand_params("CS", seed=43)
-    weight = rand((4, 6, 10, 14), seed=44)
+    weight = rand((4, 6, 2 * h, 2 * w), seed=44)
     for f in (1, 2):
         xt = tz.Tensor(x, requires_grad=True)
         for wt in p.values():
             wt.requires_grad, wt.grad = True, None
+        at.tcsa(xt, p, upsample=f)  # first-call caches are not the entry's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with tz.Tape() as tape:
+                out = at.tcsa(xt, p, upsample=f)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        [(_, _, site_backward)] = tape._ops
+        state = sum(a.nbytes for a in closure_arrays(site_backward)
+                    if a is not xt.data and all(a is not wt.data for wt in p.values()))
+        # a kept copy of the channel gate's output would hold out.data.nbytes
+        # more, in the entry's state or beside it
+        assert state < out.data.nbytes
+        assert held - out.data.nbytes - state < out.data.nbytes // 2
         with tz.Tape() as tape:
             out = at.tcsa(xt, p, upsample=f)
-            loss = sum_all(mul(out, tz.Tensor(weight[:, :, :5 * f, :7 * f])))
-        assert seen[-1]() is None
+            loss = sum_all(mul(out, tz.Tensor(weight[:, :, :h * f, :w * f])))
         tz.backward(loss, tape)
         assert np.isfinite(xt.grad).all() and xt.grad.shape == x.shape
+
+
+# ---------------------------------------------------------------------------
+# the kernel pool
+
+
+def site_grads(x, p, f, g):
+    """(output, input gradient, weight gradients) of one taped site whose
+    output gradient is g."""
+    with tz.Tape() as tape:
+        out = at.tcsa(x, p, upsample=f)
+    [(_, _, site_backward)] = tape._ops
+    gx, *gws = site_backward(g)
+    return out.data, gx, gws
+
+
+@pytest.mark.parametrize("enabled", ["CS", "TCS", "C", "S"])
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("x_needs_grad", [True, False])
+def test_site_bits_do_not_depend_on_the_worker_count(monkeypatch, enabled, f, x_needs_grad):
+    # 7 frames and buffers of two frames' floats: every stage of the site, and
+    # the spatial gate's 2 -> 1 conv and its backward, spread 3 or more items
+    # (frame blocks, conv chunks or row blocks) over the pool
+    t, c, h, w = 7, 4, 5, 6
+    x = tz.Tensor(rand((t, c, h, w), seed=60), requires_grad=x_needs_grad)
+    p = rand_params(enabled, t=t, c=c, seed=61)
+    for wt in p.values():
+        wt.requires_grad = True
+    g = rand((t, c, h * f, w * f), seed=62)
+    monkeypatch.setattr(tz, "_CHUNK_FLOATS", 2 * c * h * w * f * f)
+    spread, items = tz._spread, []
+
+    def counted(work, todo, floats, scratch):
+        items.append((len(todo), floats > tz._CHUNK_FLOATS))
+        return spread(work, todo, floats, scratch)
+
+    monkeypatch.setattr(tz, "_spread", counted)
+    results = []
+    for workers in (1, 2, 3):
+        with conv_workers(monkeypatch, workers):
+            results.append(site_grads(x, p, f, g))
+            assert (tz._POOL is not None) == (workers > 1)
+    # the same stages at every worker count, each spread over 3 or more items
+    assert items and len(items) % 3 == 0 and all(n >= 3 and big for n, big in items)
+    for out, gx, gws in results[1:]:
+        assert np.array_equal(out, results[0][0])
+        assert gx is None if not x_needs_grad else np.array_equal(gx, results[0][1])
+        assert all(np.array_equal(a, b) for a, b in zip(gws, results[0][2]))
+
+
+def test_site_worker_error_reaches_the_caller(monkeypatch):
+    # the error raised by one frame block on a pool thread is the caller's,
+    # unchanged, in the forward's upsample and in the backward's rebuild of the
+    # spatial module's input, and the next call gives the inline bits
+    t, c, h, w = 7, 4, 5, 6
+    x = tz.Tensor(rand((t, c, h, w), seed=63), requires_grad=True)
+    p = rand_params("S", t=t, c=c, seed=64)
+    for wt in p.values():
+        wt.requires_grad = True
+    g = rand((t, c, 2 * h, 2 * w), seed=65)
+    monkeypatch.setattr(tz, "_CHUNK_FLOATS", 2 * c * h * w * 4)
+    with conv_workers(monkeypatch, 1):
+        want = site_grads(x, p, 2, g)
+    upsample, err, threads = tz._upsample, MemoryError("frame 6"), set()
+
+    def failing(a, factor, out=None):
+        threads.add(threading.current_thread().name)
+        if len(a) == 1:  # the last block: frame 6 alone
+            raise err
+        return upsample(a, factor, out=out)
+
+    with conv_workers(monkeypatch, 3):
+        with tz.Tape() as tape:
+            at.tcsa(x, p, upsample=2)
+        [(_, _, site_backward)] = tape._ops
+        for call in (lambda: at.tcsa(x, p, upsample=2), lambda: site_backward(g)):
+            threads.clear()
+            monkeypatch.setattr(tz, "_upsample", failing)
+            with pytest.raises(MemoryError) as info:
+                call()
+            assert info.value is err
+            assert threads and all(t.startswith("spikedepth-conv") for t in threads)
+            monkeypatch.setattr(tz, "_upsample", upsample)
+        out, gx, gws = site_grads(x, p, 2, g)
+    assert np.array_equal(out, want[0]) and np.array_equal(gx, want[1])
+    assert all(np.array_equal(a, b) for a, b in zip(gws, want[2]))

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from spikedepth import model as md
 from spikedepth import tensor as tz
 from spikedepth import neurons as nr
-from helpers import (brute_if_trace, central_diff, assert_grads_close, if_run_charged,
+from helpers import (brute_if_trace, central_diff, assert_grads_close, closure_arrays,
+                     conv_workers, if_run_charged,
                      if_run_stepwise, mul, sum_all, surrogate_grad)
 
 
@@ -202,7 +205,7 @@ def _run_with_loss(run, x, cfg, weights):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), t_steps=st.integers(1, 8),
-       tail=st.lists(st.integers(1, 3), max_size=2),
+       tail=st.lists(st.integers(0, 3), max_size=2),
        mode=st.sampled_from(nr.MODES), v_reset=st.sampled_from((0.0, 0.25, -0.4)))
 def test_fused_if_run_matches_the_per_step_oracle(seed, t_steps, tail, mode, v_reset):
     rng = np.random.default_rng(seed)
@@ -234,9 +237,83 @@ def test_fused_if_run_backward_keeps_only_the_charged_membranes(mode):
         spikes = nr.if_run(x, md.ModelConfig(neuron_mode=mode))
     _, _, if_backward = tape._ops[0]
     assert if_backward.__qualname__ == "if_run.<locals>.bw"
-    held = [c.cell_contents for c in if_backward.__closure__]
-    arrays = [a for a in held if isinstance(a, np.ndarray)]
-    arrays += [t.data for t in held if isinstance(t, tz.Tensor)]
-    [h] = arrays
+    [h] = closure_arrays(if_backward)
     assert h.shape == x.data.shape and not np.shares_memory(h, spikes.data)
     np.testing.assert_array_equal(h[0], x.data[0])  # charged from a zero membrane
+
+
+# ---------------------------------------------------------------------------
+# the kernel pool
+
+
+def if_grads(x, cfg, g):
+    """(spikes, input gradient) of one taped population whose output gradient is g."""
+    with tz.Tape() as tape:
+        spikes = nr.if_run(x, cfg)
+    [(_, _, if_backward)] = tape._ops
+    [gx] = if_backward(g)
+    return spikes.data, gx
+
+
+@pytest.mark.parametrize("mode", nr.MODES)
+def test_if_bits_do_not_depend_on_the_worker_count(monkeypatch, mode):
+    # 7 channels and buffers of two channels' floats: the forward and the
+    # backward each spread 4 channel blocks (2, 2, 2 and 1) over the pool
+    t, c, h, w = 5, 7, 4, 6
+    rng = np.random.default_rng(70)
+    x = tz.Tensor(rng.uniform(-1.0, 2.5, (t, c, h, w)), requires_grad=True)
+    g = rng.uniform(-1.0, 1.0, (t, c, h, w))
+    cfg = md.ModelConfig(neuron_mode=mode, v_reset=0.25)
+    monkeypatch.setattr(tz, "_CHUNK_FLOATS", 2 * t * h * w)
+    spread, items = tz._spread, []
+
+    def counted(work, todo, floats, scratch):
+        items.append((len(todo), floats > tz._CHUNK_FLOATS))
+        return spread(work, todo, floats, scratch)
+
+    monkeypatch.setattr(tz, "_spread", counted)
+    results = []
+    for workers in (1, 2, 3):
+        with conv_workers(monkeypatch, workers):
+            results.append(if_grads(x, cfg, g))
+            assert (tz._POOL is not None) == (workers > 1)
+    assert items == [(4, True)] * 6  # one forward and one backward per worker count
+    assert 0.0 < results[0][0].mean() < 1.0
+    for spikes, gx in results[1:]:
+        assert np.array_equal(spikes, results[0][0]) and np.array_equal(gx, results[0][1])
+
+
+def test_if_worker_error_reaches_the_caller(monkeypatch):
+    # the error raised by one channel block on a pool thread is the caller's,
+    # unchanged, in the forward and the backward alike, and the next call
+    # gives the inline bits
+    t, c, h, w = 5, 7, 4, 6
+    rng = np.random.default_rng(71)
+    x = tz.Tensor(rng.uniform(-1.0, 2.5, (t, c, h, w)), requires_grad=True)
+    g = rng.uniform(-1.0, 1.0, (t, c, h, w))
+    cfg = md.ModelConfig(neuron_mode="smooth")
+    monkeypatch.setattr(tz, "_CHUNK_FLOATS", 2 * t * h * w)
+    with conv_workers(monkeypatch, 1):
+        want = if_grads(x, cfg, g)
+    smooth_ramp, err, threads = nr._smooth_ramp, MemoryError("channel 6"), set()
+
+    def failing(h, v_threshold, alpha):
+        threads.add(threading.current_thread().name)
+        if len(h) == 1:  # the last block: channel 6 alone
+            raise err
+        return smooth_ramp(h, v_threshold, alpha)
+
+    with conv_workers(monkeypatch, 3):
+        with tz.Tape() as tape:
+            nr.if_run(x, cfg)
+        [(_, _, if_backward)] = tape._ops
+        for call in (lambda: nr.if_run(x, cfg), lambda: if_backward(g)):
+            threads.clear()
+            monkeypatch.setattr(nr, "_smooth_ramp", failing)
+            with pytest.raises(MemoryError) as info:
+                call()
+            assert info.value is err
+            assert threads and all(t.startswith("spikedepth-conv") for t in threads)
+            monkeypatch.setattr(nr, "_smooth_ramp", smooth_ramp)
+        spikes, gx = if_grads(x, cfg, g)
+    assert np.array_equal(spikes, want[0]) and np.array_equal(gx, want[1])
