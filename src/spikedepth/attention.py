@@ -30,18 +30,16 @@ upsampling it, then runs the closed-form module backwards in reverse order
 and ends with the upsample's block sum. So every value is the same
 expression on the same operands as a chain of one entry per module.
 
-Both directions run in stages over blocks of frames, through `tz._spread`:
-at the sensor size a block is one or two frames and the blocks go to the
-kernel pool; when the site's output fits one `tz._CHUNK_FLOATS` buffer, as
-at 64x64, one block holds every frame and runs inline. Per block run the
-upsample, the pools (one value per frame for T, per (t, c) for C, the
+Both directions run in stages over blocks of frames, cut and spread by
+`tz._spread` with one frame of the site's output as the unit. Per block run
+the upsample, the pools (one value per frame for T, per (t, c) for C, the
 channel maps for S), the sigmoid of the spatial gate and the gating, and in
 the backward the rebuilt inputs, the sums of the output gradient times the
 input, the first-max routing, the input-gradient terms and the block sum;
 a stage ends with the next module's pools or sums on the same block. On the
 calling thread, between stages, run the MLPs and their gradients, every
 weight-gradient sum over T, and the spatial gate's 2 -> 1 conv and its
-backward (which spread their own items). Each block writes only its own
+backward (which spread their own blocks). Each block writes only its own
 frames, so the bits do not depend on the number of workers.
 
 A max pool routes its gradient to the first maximum along the pooled axes
@@ -220,15 +218,12 @@ def _site(x, weights, upsample):
                                        w.data.shape[1]))
     t_steps, c, h, w = xd.shape
     shape = (t_steps, c, h * f, w * f)
-    frame = c * h * w * f * f
-    step = max(1, tz._CHUNK_FLOATS // frame)  # frames per item, as conv2d's chunks
 
     def spread(work, buffered=False):
-        """work(frames, buffer) for each block of step frames, over tz._spread;
-        the buffer is a worker's scratch block of step frames when buffered."""
-        tz._spread(lambda lo, buf: work(slice(lo, lo + step), buf),
-                   range(0, t_steps, step), t_steps * frame,
-                   lambda: (np.empty((min(step, t_steps),) + shape[1:]) if buffered else None,))
+        """work(frames, buffer) for each block of frames, over tz._spread; the
+        buffer is a worker's scratch block of frames when buffered."""
+        tz._spread(work, t_steps, c * h * w * f * f,
+                   lambda size: (np.empty((size,) + shape[1:]) if buffered else None,))
 
     # the forward gates in place: out takes the upsample, then each module's
     # gating, and each frame block's pass ends with the next module's pools
@@ -341,5 +336,7 @@ def tcsa(x, weights, upsample=1):
     """Gate the f x f nearest upsample of x (f = upsample) by the modules
     whose weights are in `weights`, in T, C, S order, as one tape entry; only
     the upsample when the dict is empty."""
+    if not isinstance(upsample, int) or upsample < 1:
+        raise tz.ArgumentError("upsample factor must be an integer >= 1, got %r" % (upsample,))
     x = tz.as_tensor(x)
     return _site(x, weights, upsample) if weights or upsample != 1 else x

@@ -27,13 +27,10 @@ spikes are a function of h alone, so the backward fires them again from h
 and the spike train is freed once the forward's callers drop it.
 
 The recurrence is sequential over T but independent per neuron, so the
-forward and the backward each run over blocks of channels (axis 1) through
-`tz._spread`, each block through all T steps with its own scratch buffers.
-A block holds as many channels as fit one `tz._CHUNK_FLOATS` buffer over T
-steps: at the sensor size the [5, 8, 136, 176] populations split 4 + 4 over
-the kernel pool, and a population that fits one buffer, as at 64x64, is one
-block run inline. Every value keeps its expression, so the bits do not
-depend on the number of workers.
+forward and the backward each run over blocks of channels (axis 1), cut and
+spread by `tz._spread` with one channel over all T steps as the unit; each
+block runs through all T steps with its own scratch buffers. Every value
+keeps its expression, so the bits do not depend on the number of workers.
 """
 
 import math
@@ -82,20 +79,9 @@ def if_run(x, cfg):
     t_steps = shape[0]
     th, v_reset, alpha = cfg.v_threshold, cfg.v_reset, cfg.surrogate_alpha
     spiking = cfg.neuron_mode == "spiking"
-    # the arrays are viewed as [T, C, M]: an item is a block of step channels
+    # the arrays are viewed as [T, C, M]: a block is a slice of channels
     c = shape[1] if xd.ndim > 1 else 1
     m = math.prod(shape[2:])
-    step = max(1, tz._CHUNK_FLOATS // max(1, t_steps * m))
-    floats = xd.size  # not xd itself: the backward's closure must not pin x
-
-    def spread(work, buffers):
-        """work(channels, *scratch) for each channel block, over tz._spread;
-        each worker has `buffers` scratch arrays [step, M]."""
-        def item(lo, *bufs):
-            work(slice(lo, lo + step), *(b[:min(step, c - lo)] for b in bufs))
-
-        tz._spread(item, range(0, c, step), floats,
-                   lambda: tuple(np.empty((min(step, c), m)) for _ in range(buffers)))
 
     h = np.empty(shape)  # charged membranes: all the backward keeps
     s = np.empty(shape)
@@ -117,7 +103,7 @@ def if_run(x, cfg):
                 np.subtract(ht, nxt, out=nxt)
                 nxt += x3[t + 1, ch]
 
-    spread(fire, 0)
+    tz._spread(fire, c, t_steps * m, lambda size: ())
     spikes = Tensor(s)
 
     def bw(gs):
@@ -132,6 +118,7 @@ def if_run(x, cfg):
         h3, g3, gx3 = (np.reshape(a, (t_steps, c, m)) for a in (h, gs, gx))
 
         def through_time(ch, tri, tmp):
+            tri, tmp = tri[:ch.stop - ch.start], tmp[:ch.stop - ch.start]
             gv = 0.0
             for t in range(t_steps - 1, -1, -1):
                 ht, gt = h3[t, ch], gx3[t, ch]
@@ -149,7 +136,8 @@ def if_run(x, cfg):
                 gt += tmp
                 gv = gt
 
-        spread(through_time, 2)
+        tz._spread(through_time, c, t_steps * m,
+                   lambda size: (np.empty((size, m)), np.empty((size, m))))
         return (gx,)
 
     tz.record(spikes, (x,), bw)

@@ -14,17 +14,17 @@ conv2d is same-padded: it takes [T, C_in, H, W] and an odd square kernel,
 zero-pads every side by k // 2, and returns [T, C_out, ceil(H/s), ceil(W/s)]
 for stride s. There is no padding argument.
 
-A kernel whose data spans more than one _CHUNK_FLOATS buffer (at the
-sensor size) splits its items over a thread pool with one thread per usable
-CPU, made on first use (`_spread`); smaller kernels run inline. The items
-are a conv's frame chunks, row blocks or frames, an attention site's frame
-blocks and an IF population's channel blocks. Each item writes its own slice
-of the output and each weight-gradient partial is added in item order, so
-the CPU count never changes the bits. Importing the package pins BLAS to one
-thread, so that the pool and BLAS do not compete for the same CPUs. Only
-those items run on the pool: no op, tape entry or backward sweep does, and
-the work between a kernel's stages (a site's MLP and weight-gradient sums)
-stays on the calling thread.
+Every conv, attention site and IF population hands its units of work to
+`_spread`, which cuts them into blocks of as many units as fit one
+_CHUNK_FLOATS buffer and, when there are two blocks or more (at the sensor
+size), spreads the blocks over a thread pool with one thread per usable
+CPU, made on first use; one block runs inline. Each block writes its
+own slice of the output and each weight-gradient partial is added in block
+order, so the CPU count never changes the bits. Importing the package pins
+BLAS to one thread, so that the pool and BLAS do not compete for the same
+CPUs. Only those blocks run on the pool: no op, tape entry or backward sweep
+does, and the work between a kernel's stages (a site's MLP and
+weight-gradient sums) stays on the calling thread.
 """
 
 import math
@@ -224,10 +224,9 @@ def add(a, b):
 # convolution
 
 
-# Size of each stride-1 conv buffer: each stays under the 4 MiB from which numpy asks
-# for huge pages. Forward chunks hold whole frames, so small frames share one batched
-# GEMM per tap and sensor-size frames go one at a time; backward blocks hold rows of the
-# tall image, several small frames or a row block of one large frame.
+# Size of one block's buffer in _spread: it stays under the 4 MiB from which numpy asks
+# for huge pages, so small frames share one batched GEMM per tap and sensor-size frames
+# go one at a time.
 _CHUNK_FLOATS = (4 << 20) // 8
 
 
@@ -254,31 +253,34 @@ def _pool():
         return _POOL
 
 
-def _spread(work, items, floats, scratch):
-    """work(item, *buffers) for every item of the range items.
+def _spread(work, n, unit, scratch):
+    """[work(block, *buffers) for each block of range(n)], in block order.
 
-    The conv kernels, the attention site's stages and the IF population's
-    forward and backward all run their items through here. scratch() makes
-    one worker's buffers. When floats, the size of the kernel's data, fits
-    one _CHUNK_FLOATS buffer, or on a pool thread, one set of buffers is
-    made and the items run inline. Otherwise
-    workers = min(_WORKERS, len(items)) sets are made here on the calling
-    thread, and worker j takes items j, j + workers, ... in order on its own
-    set. The caller waits for every worker; the first failing worker's
-    exception is raised unchanged. work must write only its own item's
-    outputs and must not touch the tape.
+    The one place a kernel's work is sized (the convs, the attention site's
+    stages, the IF population's forward and backward): n units (frames,
+    tall-image rows or channels) of unit floats each are cut into
+    consecutive slices of size = max(1, min(n, _CHUNK_FLOATS // unit))
+    units, so a block's data fits one _CHUNK_FLOATS buffer when one unit
+    does, and scratch(size) makes one worker's buffers for such a block.
+    With one block, or on a pool thread, one set of buffers is made and the
+    blocks run inline. Otherwise workers = min(_WORKERS, blocks) sets are
+    made here on the calling thread, and worker j takes blocks j,
+    j + workers, ... in order on its own set. The caller waits for every
+    worker; the first failing worker's exception is raised unchanged. work
+    must write only its own block's outputs and must not touch the tape.
     """
-    workers = min(_WORKERS, len(items))
-    if floats <= _CHUNK_FLOATS or workers == 1 or getattr(_THREAD, "worker", False):
-        buffers = scratch()
-        for item in items:
-            work(item, *buffers)
-        return
-    buffers = [scratch() for _ in range(workers)]
+    size = max(1, min(n, _CHUNK_FLOATS // max(1, unit)))
+    blocks = [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    workers = min(_WORKERS, len(blocks))
+    if workers <= 1 or getattr(_THREAD, "worker", False):
+        buffers = scratch(size)
+        return [work(block, *buffers) for block in blocks]
+    buffers = [scratch(size) for _ in range(workers)]
+    results = [None] * len(blocks)
 
     def run(j):
-        for item in items[j::workers]:
-            work(item, *buffers[j])
+        for i in range(j, len(blocks), workers):
+            results[i] = work(blocks[i], *buffers[j])
 
     pool = _pool()
     futures = [pool.submit(run, j) for j in range(workers)]
@@ -286,6 +288,7 @@ def _spread(work, items, floats, scratch):
         f.exception()   # waits, so no worker still writes once the caller goes on
     for f in futures:
         f.result()
+    return results
 
 
 def _shifted_conv(xd, wd):
@@ -296,9 +299,8 @@ def _shifted_conv(xd, wd):
     by k - 1 zeros, so that the slice [u*Wp + v : u*Wp + v + H*Wp] of a row
     exists for every tap (u, v). Tap (u, v) is one GEMM W[:, :, u, v] @ that
     slice, added into a [C_out, H*Wp] accumulator whose last k - 1 columns
-    of each row are cropped at the end. A chunk holds as many frames as keep
-    max(C_in, C_out) padded frames each under _CHUNK_FLOATS, at least one.
-    Several chunks are spread over the pool (see _spread).
+    of each row are cropped at the end. _spread cuts the frames into chunks;
+    a frame counts as the floats of max(C_in, C_out) padded frames.
     """
     n, c_in, h, w = xd.shape
     c_out, _, k, _ = wd.shape
@@ -307,18 +309,16 @@ def _shifted_conv(xd, wd):
     hp, wp = h + 2 * p, w + 2 * p
     span = h * wp
     taps = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))
-    frame = max(c_in, c_out) * hp * wp
-    step = min(n, max(1, _CHUNK_FLOATS // frame))
 
-    def scratch():
+    def scratch(step):
         xp = np.zeros((step, c_in, hp * wp + k - 1))
         inner = xp[:, :, :hp * wp].reshape(step, c_in, hp, wp)[:, :, p:p + h, p:p + w]
         acc = np.empty((step, c_out, span))
         return xp, inner, acc, np.empty_like(acc)
 
-    def chunk(lo, xp, inner, acc, part):
-        m = min(step, n - lo)
-        inner[:m] = xd[lo:lo + m]
+    def chunk(frames, xp, inner, acc, part):
+        m = frames.stop - frames.start
+        inner[:m] = xd[frames]
         for u in range(k):
             for v in range(k):
                 shifted = xp[:m, :, u * wp + v:u * wp + v + span]
@@ -327,9 +327,9 @@ def _shifted_conv(xd, wd):
                 else:
                     np.matmul(taps[u, v], shifted, out=part[:m])
                     acc[:m] += part[:m]
-        out[lo:lo + m] = acc[:m].reshape(m, c_out, h, wp)[..., :w]
+        out[frames] = acc[:m].reshape(m, c_out, h, wp)[..., :w]
 
-    _spread(chunk, range(0, n, step), n * frame, scratch)
+    _spread(chunk, n, max(c_in, c_out) * hp * wp, scratch)
     return out
 
 
@@ -347,10 +347,9 @@ def _shifted_grads(xd, wd, g, need_gx):
     Then one GEMM W_flip [C_in, k*k*C_out] @ cols gives gx, whose first W
     columns per row are copied into the frames, and one GEMM cols @ x_wide^T
     adds into the flipped gW; x_wide is x at the same row width, zero past
-    column W and in the gaps. A block holds several frames when they fit
-    under _CHUNK_FLOATS and part of a frame when one does not. Several
-    blocks are spread over the pool (see _spread); each block's gW term is
-    kept and the terms are added in block order.
+    column W and in the gaps. _spread cuts the rows into blocks, so a block
+    holds several frames when they fit one buffer and part of a frame when
+    one does not; the blocks' gW terms are added in block order.
     """
     n, c_in, h, w = xd.shape
     c_out, _, k, _ = wd.shape
@@ -358,21 +357,17 @@ def _shifted_grads(xd, wd, g, need_gx):
     wq = w + k - 1
     period = h + p                # tall-image rows per frame: its x rows, then a gap
     rows = (n - 1) * period + h   # tall-image rows that hold some frame's x
-    row = max(k * k * c_out, c_in) * wq
-    block = max(1, min(rows, _CHUNK_FLOATS // row))
     w_flip = np.ascontiguousarray(wd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0)).reshape(
         c_in, k * k * c_out)
-    gw_parts = np.empty((-(-rows // block), k * k * c_out, c_in))
     gx = np.empty(xd.shape) if need_gx else None
 
-    def scratch():
+    def scratch(block):
         return (np.empty(c_out * ((block + k - 1) * wq + k - 1)),
                 np.empty(k * k * c_out * block * wq), np.empty(c_in * block * wq),
                 np.empty(c_in * block * wq) if need_gx else None)
 
-    def row_block(j, gp_buf, cols_buf, xw_buf, gx_buf):
-        r0 = j * block
-        nb = min(block, rows - r0)
+    def row_block(block, gp_buf, cols_buf, xw_buf, gx_buf):
+        r0, nb = block.start, block.stop - block.start
         span = nb * wq
         gp = gp_buf[:c_out * ((nb + k - 1) * wq + k - 1)].reshape(c_out, -1)
         gp[:] = 0.0
@@ -397,16 +392,15 @@ def _shifted_grads(xd, wd, g, need_gx):
             for v in range(k):
                 cols[u, v] = gp[:, u * wq + v:u * wq + v + span]
         cols = cols.reshape(k * k * c_out, span)
-        np.matmul(cols, xw.reshape(c_in, span).T, out=gw_parts[j])
         if need_gx:
             gxw = np.matmul(w_flip, cols, out=gx_buf[:c_in * span].reshape(c_in, span))
             gxw = gxw.reshape(c_in, nb, wq)
             for i, rb, rf in x_rows:
                 gx[i, :, rf] = gxw[:, rb, :w]
+        return cols @ xw.reshape(c_in, span).T
 
-    _spread(row_block, range(len(gw_parts)), rows * row, scratch)
     gw = np.zeros((k * k * c_out, c_in))
-    for part in gw_parts:
+    for part in _spread(row_block, rows, max(k * k * c_out, c_in) * wq, scratch):
         gw += part
     return gw.reshape(k, k, c_out, c_in)[::-1, ::-1].transpose(2, 3, 0, 1), gx
 
@@ -440,9 +434,8 @@ def _strided_grads(xd, wd, g, stride, need_gx):
     Each frame's columns are rebuilt rather than kept on the tape; g_i @ cols^T
     is frame i's weight-gradient term, and the terms are added in frame
     order. Then W^T @ g_i overwrites the same column buffer and is scattered
-    back onto the padded input gradient with k*k strided adds (col2im). The
-    frame loop is spread over the pool when the frames' columns span more
-    than one _CHUNK_FLOATS buffer.
+    back onto the padded input gradient with k*k strided adds (col2im).
+    _spread cuts the frames into blocks; a frame counts as its columns' floats.
     """
     n, c_in, h, w = xd.shape
     c_out, _, k, _ = wd.shape
@@ -450,23 +443,26 @@ def _strided_grads(xd, wd, g, stride, need_gx):
     ho, wo = g.shape[2:]
     w2 = wd.reshape(c_out, c_in * k * k)
     g3 = g.reshape(n, c_out, ho * wo)
-    gw_parts = np.empty((n, c_out, c_in * k * k))
     gxp = np.zeros((n, c_in, h + 2 * p, w + 2 * p)) if need_gx else None
 
-    def work(i, cols_of):
-        cols = cols_of(i)
-        np.matmul(g3[i], cols.T, out=gw_parts[i])
-        if need_gx:
-            gcols = np.matmul(w2.T, g3[i], out=cols).reshape(c_in, k, k, ho, wo)
-            for u in range(k):
-                for v in range(k):
-                    gxp[i, :, u:u + ho * stride:stride, v:v + wo * stride:stride] += gcols[:, u, v]
+    def work(frames, cols_of):
+        parts = []  # the block's per-frame gW terms
+        for i in range(frames.start, frames.stop):
+            cols = cols_of(i)
+            parts.append(g3[i] @ cols.T)
+            if need_gx:
+                gcols = np.matmul(w2.T, g3[i], out=cols).reshape(c_in, k, k, ho, wo)
+                for u in range(k):
+                    for v in range(k):
+                        gxp[i, :, u:u + ho * stride:stride,
+                            v:v + wo * stride:stride] += gcols[:, u, v]
+        return parts
 
-    _spread(work, range(n), n * c_in * k * k * ho * wo,
-            lambda: (_frame_columns(xd, k, stride, ho, wo),))
     gw = np.zeros((c_out, c_in * k * k))
-    for part in gw_parts:
-        gw += part
+    for parts in _spread(work, n, c_in * k * k * ho * wo,
+                         lambda size: (_frame_columns(xd, k, stride, ho, wo),)):
+        for part in parts:
+            gw += part
     gx = gxp[:, :, p:p + h, p:p + w] if need_gx else None
     return gw.reshape(wd.shape), gx
 
@@ -486,21 +482,17 @@ def conv2d(x, weight, stride=1):
     views of the zero-padded output gradient into one column buffer and runs
     two GEMMs on it, one for the input gradient and one for the weight
     gradient (see _shifted_grads). The forward goes in chunks of frames and
-    the backward in row blocks, each buffer under 4 MiB. A 1x1 kernel takes
-    the same path with one tap.
+    the backward in row blocks. A 1x1 kernel takes the same path with one
+    tap.
 
     Stride > 1 is one GEMM per frame: its columns [C_in*k*k, Ho*Wo] (k*k
     strided slices of the zero-padded frame, see _frame_columns) times the
     weight viewed as [C_out, C_in*k*k]; the backward is _strided_grads.
     The input gradient is None when x does not require one.
 
-    When a kernel's data spans more than one _CHUNK_FLOATS buffer, as at
-    the 260x346 sensor size, its chunks, row blocks or frames run on a pool
-    with one thread per usable CPU, each worker with its own buffers; at
-    64x64 every conv runs inline. Each output value keeps the expression
-    it has inline, so the CPU count never changes the bits. conv2d and its
-    backward closure run on the calling thread; only the kernels' items go
-    to the pool.
+    _spread sizes the chunks, row blocks and frame blocks and runs them on
+    the pool when there are several (at the sensor size; at 64x64 every conv
+    runs inline). conv2d and its backward closure run on the calling thread.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     xd, wd = x.data, weight.data
@@ -526,11 +518,12 @@ def conv2d(x, weight, stride=1):
         w2 = wd.reshape(c_out, c_in * k * k)
         out = Tensor(np.empty((n, c_out, ho, wo)))
 
-        def frame(i, cols_of):
-            np.matmul(w2, cols_of(i), out=out.data[i].reshape(c_out, ho * wo))
+        def frames(block, cols_of):
+            for i in range(block.start, block.stop):
+                np.matmul(w2, cols_of(i), out=out.data[i].reshape(c_out, ho * wo))
 
-        _spread(frame, range(n), n * c_in * k * k * ho * wo,
-                lambda: (_frame_columns(xd, k, stride, ho, wo),))
+        _spread(frames, n, c_in * k * k * ho * wo,
+                lambda size: (_frame_columns(xd, k, stride, ho, wo),))
 
     def bw(g):
         if stride == 1:

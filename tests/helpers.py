@@ -7,6 +7,7 @@ the other way around.
 
 import contextlib
 import math
+import threading
 from unittest import mock
 
 import numpy as np
@@ -742,6 +743,28 @@ def conv_workers(monkeypatch, workers):
     finally:
         if tz._POOL is not None:
             tz._POOL.shutdown()
+
+
+def spread_calls(monkeypatch):
+    """A list that gets one (n, unit, blocks, pooled) per later tz._spread
+    call: its units, floats per unit, the length of each block it ran in
+    block order, and whether every block ran on a pool thread."""
+    calls, spread = [], tz._spread
+
+    def spy(work, n, unit, scratch):
+        ran = []  # (start, length, thread); list.append is atomic, so workers share it
+
+        def tracked(block, *buffers):
+            ran.append((block.start, block.stop - block.start, threading.current_thread().name))
+            return work(block, *buffers)
+
+        results = spread(tracked, n, unit, scratch)
+        calls.append((n, unit, tuple(length for _, length, _ in sorted(ran)),
+                      bool(ran) and all(t.startswith("spikedepth-conv") for *_, t in ran)))
+        return results
+
+    monkeypatch.setattr(tz, "_spread", spy)
+    return calls
 
 
 def closure_arrays(fn):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from spikedepth import tensor as tz
 from spikedepth import attention as at
 from helpers import (attention_params, check_op_gradient, closure_arrays, conv_workers, mul,
-                     nearest_upsample, sum_all, tcsa_composed)
+                     nearest_upsample, spread_calls, sum_all, tcsa_composed)
 
 
 def rand(shape, seed=0):
@@ -192,6 +192,15 @@ def test_shape_validation():
         at.tcsa(tz.Tensor(np.zeros((2, 4, 4, 4))), rand_params("T", t=3, c=4))
     with pytest.raises(tz.DimensionError):
         at.tcsa(tz.Tensor(np.zeros((3, 4, 4))), p)
+
+
+@pytest.mark.parametrize("factor", [0, -1, 2.0])
+@pytest.mark.parametrize("enabled", ["", "C"])
+def test_bad_upsample_factor_is_an_argument_error(factor, enabled):
+    # checked before any size is computed from the factor, bare upsample or not
+    x = tz.Tensor(np.zeros((3, 4, 4, 4)))
+    with pytest.raises(tz.ArgumentError, match="upsample factor"):
+        at.tcsa(x, rand_params(enabled, t=3, c=4), upsample=factor)
 
 
 # ---------------------------------------------------------------------------
@@ -431,20 +440,18 @@ def test_site_bits_do_not_depend_on_the_worker_count(monkeypatch, enabled, f, x_
         wt.requires_grad = True
     g = rand((t, c, h * f, w * f), seed=62)
     monkeypatch.setattr(tz, "_CHUNK_FLOATS", 2 * c * h * w * f * f)
-    spread, items = tz._spread, []
-
-    def counted(work, todo, floats, scratch):
-        items.append((len(todo), floats > tz._CHUNK_FLOATS))
-        return spread(work, todo, floats, scratch)
-
-    monkeypatch.setattr(tz, "_spread", counted)
-    results = []
+    calls = spread_calls(monkeypatch)
+    results, stages = [], []
     for workers in (1, 2, 3):
         with conv_workers(monkeypatch, workers):
             results.append(site_grads(x, p, f, g))
             assert (tz._POOL is not None) == (workers > 1)
-    # the same stages at every worker count, each spread over 3 or more items
-    assert items and len(items) % 3 == 0 and all(n >= 3 and big for n, big in items)
+        # every stage on 3 or more blocks, all on the pool when it has workers
+        assert calls and all(len(blocks) >= 3 and pooled == (workers > 1)
+                             for _, _, blocks, pooled in calls)
+        stages.append([call[:3] for call in calls])
+        calls.clear()
+    assert stages[0] == stages[1] == stages[2]  # the same stages at every worker count
     for out, gx, gws in results[1:]:
         assert np.array_equal(out, results[0][0])
         assert gx is None if not x_needs_grad else np.array_equal(gx, results[0][1])

@@ -9,7 +9,7 @@ from spikedepth import tensor as tz
 from spikedepth import neurons as nr
 from helpers import (brute_if_trace, central_diff, assert_grads_close, closure_arrays,
                      conv_workers, if_run_charged,
-                     if_run_stepwise, mul, sum_all, surrogate_grad)
+                     if_run_stepwise, mul, spread_calls, sum_all, surrogate_grad)
 
 
 def run_trace(inputs, **kw):
@@ -265,19 +265,15 @@ def test_if_bits_do_not_depend_on_the_worker_count(monkeypatch, mode):
     g = rng.uniform(-1.0, 1.0, (t, c, h, w))
     cfg = md.ModelConfig(neuron_mode=mode, v_reset=0.25)
     monkeypatch.setattr(tz, "_CHUNK_FLOATS", 2 * t * h * w)
-    spread, items = tz._spread, []
-
-    def counted(work, todo, floats, scratch):
-        items.append((len(todo), floats > tz._CHUNK_FLOATS))
-        return spread(work, todo, floats, scratch)
-
-    monkeypatch.setattr(tz, "_spread", counted)
+    calls = spread_calls(monkeypatch)
     results = []
     for workers in (1, 2, 3):
         with conv_workers(monkeypatch, workers):
             results.append(if_grads(x, cfg, g))
             assert (tz._POOL is not None) == (workers > 1)
-    assert items == [(4, True)] * 6  # one forward and one backward per worker count
+        # one forward and one backward, each on blocks of 2, 2, 2 and 1 channels
+        assert calls == [(c, t * h * w, (2, 2, 2, 1), workers > 1)] * 2
+        calls.clear()
     assert 0.0 < results[0][0].mean() < 1.0
     for spikes, gx in results[1:]:
         assert np.array_equal(spikes, results[0][0]) and np.array_equal(gx, results[0][1])

@@ -1,5 +1,6 @@
 import gc
 import io
+import sys
 import threading
 import weakref
 
@@ -15,7 +16,7 @@ from helpers import (naive_conv2d, naive_conv2d_grads, central_diff, assert_grad
                      check_op_gradient, reference_backward, avg_downsample, mean_all,
                      load_tensor, total_params, param_names, pool, linear, relu, sigmoid,
                      sub, mul, absolute, sum_all, concat, if_run_stepwise, nearest_upsample,
-                     conv_workers)
+                     conv_workers, spread_calls)
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
@@ -191,13 +192,7 @@ def test_conv_bits_do_not_depend_on_the_worker_count(monkeypatch, stride, x_need
     x, wt = rand((7, 3, 9, 11), seed=50), rand((4, 3, 3, 3), seed=51)
     g = rand((7, 4, same_size(9, stride), same_size(11, stride)), seed=52)
     monkeypatch.setattr(tz, "_CHUNK_FLOATS", 2 * 4 * 11 * 13)
-    spread, items = tz._spread, []
-
-    def counted(work, todo, floats, scratch):
-        items.append((len(todo), floats > tz._CHUNK_FLOATS))
-        return spread(work, todo, floats, scratch)
-
-    monkeypatch.setattr(tz, "_spread", counted)
+    calls = spread_calls(monkeypatch)
     results = []
     for workers in (1, 2, 3):
         with conv_workers(monkeypatch, workers):
@@ -207,9 +202,11 @@ def test_conv_bits_do_not_depend_on_the_worker_count(monkeypatch, stride, x_need
             _, _, conv_backward = tape._ops[0]
             gx, gw = conv_backward(g)
             assert (tz._POOL is not None) == (workers > 1)
+            # one forward and one backward kernel, each on 3 or more blocks
+            assert len(calls) == 2 and all(len(blocks) >= 3 and pooled == (workers > 1)
+                                           for _, _, blocks, pooled in calls)
+            calls.clear()
         results.append((out.data, gw, gx))
-    # one forward and one backward kernel per worker count
-    assert len(items) == 3 * 2 and all(n >= 3 and big for n, big in items)
     for out, gw, gx in results[1:]:
         assert np.array_equal(out, results[0][0]) and np.array_equal(gw, results[0][1])
         assert gx is None if not x_needs_grad else np.array_equal(gx, results[0][2])
@@ -261,18 +258,52 @@ def test_conv_worker_error_reaches_the_caller(monkeypatch):
         assert np.array_equal(gx, want_gx) and np.array_equal(gw, want_gw)
 
 
+@pytest.mark.parametrize("n,unit,chunk,lengths",
+                         [(7, 3, 6, (2, 2, 2, 1)),   # a partial last block
+                          (6, 2, 6, (3, 3)),
+                          (5, 10, 4, (1,) * 5),      # a unit over the buffer: one per block
+                          (4, 1, 100, (4,)),         # all in one buffer: one block, inline
+                          (40, 1, 1, (1,) * 40),     # many blocks on every worker
+                          (0, 5, 10, ()),            # an empty IF population: no work
+                          (3, 0, 8, (3,))])          # units of no floats
+def test_spread_cuts_range_n_into_consecutive_blocks(monkeypatch, n, unit, chunk, lengths):
+    # the blocks cover range(n) in order, each of at most max(1, chunk // unit)
+    # units, every worker's scratch is sized for one block, and the results come
+    # back in block order; the pool is made only for two blocks or more. A short
+    # switch interval interleaves the workers' writes to the result list
+    monkeypatch.setattr(tz, "_CHUNK_FLOATS", chunk)
+    for workers in (1, 2, 3):
+        sizes, switch = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with conv_workers(monkeypatch, workers):
+                got = tz._spread(lambda block, size: (block, size), n, unit,
+                                 lambda size: sizes.append(size) or (size,))
+                pooled = workers > 1 and len(lengths) >= 2
+                assert (tz._POOL is not None) == pooled
+        finally:
+            sys.setswitchinterval(switch)
+        blocks = [block for block, _ in got]
+        assert tuple(b.stop - b.start for b in blocks) == lengths
+        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+        assert all(length <= max(1, chunk // max(1, unit)) for length in lengths)
+        if lengths:
+            assert sizes == [lengths[0]] * (min(workers, len(lengths)) if pooled else 1)
+            assert all(size == lengths[0] for _, size in got)
+
+
 def test_spread_runs_a_nested_call_inline(monkeypatch):
     # a pool thread never submits to the pool: a nested call runs on that thread
     # (the third worker is idle, so a nested submit would finish there, not hang)
     seen = []
 
-    def outer(i, _):
+    def outer(block, _):
         name = threading.current_thread().name
-        tz._spread(lambda j, _: seen.append((name, threading.current_thread().name)),
-                   range(3), tz._CHUNK_FLOATS + 1, lambda: (None,))
+        tz._spread(lambda inner, _: seen.append((name, threading.current_thread().name)),
+                   3, tz._CHUNK_FLOATS, lambda size: (None,))
 
     with conv_workers(monkeypatch, 3):
-        tz._spread(outer, range(2), tz._CHUNK_FLOATS + 1, lambda: (None,))
+        tz._spread(outer, 2, tz._CHUNK_FLOATS, lambda size: (None,))
     assert len(seen) == 6
     assert all(name.startswith("spikedepth-conv") and name == inner for name, inner in seen)
 
