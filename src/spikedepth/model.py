@@ -53,6 +53,7 @@ front of an encoder conv (CE-Att, DE-Att1) makes its input continuous; a
 decoder conv or depth head never reads spikes.
 """
 
+import math
 import os
 import struct
 from dataclasses import dataclass, fields
@@ -99,7 +100,18 @@ class ModelConfig:
         if not self.v_threshold > self.v_reset:
             raise tz.ArgumentError("v_threshold (%r) must exceed v_reset (%r)"
                                    % (self.v_threshold, self.v_reset))
-        param_shapes(self)  # rejects a reduction that does not divide a gated axis
+        top = np.iinfo(np.intp).max // 8  # elements in numpy's largest float64 array
+        # a residual conv is [C, C, 3, 3], C = base_channels * 2**(layers - 1): bounding
+        # C's bits first keeps the ladder's ints, and so param_shapes, small
+        if self.base_channels.bit_length() + self.layers - 1 > top.bit_length():
+            raise tz.ArgumentError("base_channels = %d and layers = %d give a weight larger "
+                                   "than numpy's largest array"
+                                   % (self.base_channels, self.layers))
+        # param_shapes also rejects a reduction that does not divide a gated axis
+        for name, shape in param_shapes(self).items():
+            if math.prod(shape) > top:
+                raise tz.ArgumentError("weight %r of shape %s is larger than numpy's "
+                                       "largest array" % (name, shape))
 
     @property
     def channel_ladder(self):
@@ -475,8 +487,9 @@ def load_model(path):
     The stored parameters are checked against the table the stored config
     implies (no entry missing, none extra, every shape as listed) and for
     non-finite values before the model is built, so a config they do not
-    match (say cfg.layers = 40, whose widest weight alone needs GiBs)
-    allocates nothing.
+    match (say cfg.layers = 10 in a 2-layer checkpoint) allocates nothing.
+    A config whose widest weight numpy could not hold (say cfg.layers =
+    300000) is refused by ModelConfig before any table is built.
     """
     entries = load_checkpoint(path)
     cfg = ModelConfig(**kv.from_entries(ModelConfig, entries))

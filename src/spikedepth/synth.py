@@ -36,14 +36,16 @@ class ValidationError(InputError):
 AMPLITUDE = 1.0
 
 
-# The most events one eye may fire. SceneSpec bounds a scene's events before
-# any is made and refuses a bound past this: crossings are listed in Python and
-# each event takes 32 bytes of int64 columns, so a tiny contrast_threshold would
-# otherwise run for hours. 2**26 is about 2 GB of columns and 15 times the bound
-# of the largest scene in use (8 windows of the two-plane scene at 260x346,
-# about 4.3 million). Noise events are drawn one scalar at a time, about 20 us
-# each, so a scene that spends the budget on noise takes over 20 minutes per eye.
+# The most events one eye may fire, a noise event counted as NOISE_COST. SceneSpec
+# bounds a scene's events before any is made and refuses a bound past this:
+# crossings are listed in Python and each event takes 32 bytes of int64 columns,
+# so a tiny contrast_threshold would otherwise run for hours. 2**26 is about 2 GB
+# of columns and 15 times the bound of the largest scene in use (8 windows of the
+# two-plane scene at 260x346, about 4.3 million, made in about 0.25 us per event).
+# A noise event is drawn one scalar at a time, about 24 us, so it is charged as
+# 100 plane events, and the budget bounds a scene's time whatever fills it.
 EVENT_BUDGET = 2 ** 26
+NOISE_COST = 100
 
 
 @dataclass(frozen=True)
@@ -97,15 +99,16 @@ class SceneSpec:
                                   "than the %d-px width" % (self.baseline_px, nearest,
                                                             self.width))
         duration_s = self.duration_us * 1e-6
-        bound = self.noise_rate_hz * self.height * self.width * duration_s
+        bound = NOISE_COST * self.noise_rate_hz * self.height * self.width * duration_s
         for p in self.planes:
             # (segments of the stripe signal) x (grid levels one segment crosses) x pixels
             omega = self.camera_velocity / p.depth_m / p.period_px
             bound += ((2.0 * omega * duration_s + 2.0)
                       * (2.0 * AMPLITUDE / self.contrast_threshold + 1.0) * p.width * p.height)
         if not bound <= EVENT_BUDGET:
-            raise ValidationError("the scene may fire %r events per eye, more than the "
-                                  "budget of %d" % (bound, EVENT_BUDGET))
+            raise ValidationError("the scene may fire %r events per eye, a noise event "
+                                  "counted as %d, more than the budget of %d"
+                                  % (bound, NOISE_COST, EVENT_BUDGET))
 
     @property
     def duration_us(self):

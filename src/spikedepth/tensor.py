@@ -14,17 +14,18 @@ conv2d is same-padded: it takes [T, C_in, H, W] and an odd square kernel,
 zero-pads every side by k // 2, and returns [T, C_out, ceil(H/s), ceil(W/s)]
 for stride s. There is no padding argument.
 
-Every conv, attention site and IF population hands its units of work to
-`_spread`, which cuts them into blocks of as many units as fit one
-_CHUNK_FLOATS buffer and, when there are two blocks or more (at the sensor
-size), spreads the blocks over a thread pool with one thread per usable
-CPU, made on first use; one block runs inline. Each block writes its
-own slice of the output and each weight-gradient partial is added in block
-order, so the CPU count never changes the bits. Importing the package pins
-BLAS to one thread, so that the pool and BLAS do not compete for the same
-CPUs. Only those blocks run on the pool: no op, tape entry or backward sweep
-does, and the work between a kernel's stages (a site's MLP and
-weight-gradient sums) stays on the calling thread.
+Every conv, attention site and IF population hands its units of work
+(a stride-1 conv's rows of one tall image of its frames, see _tall_rows;
+a stride-2 conv's frames) to `_spread`, which cuts them into blocks of as
+many units as fit one _CHUNK_FLOATS buffer and, when there are two blocks
+or more (at the sensor size), spreads the blocks over a thread pool with
+one thread per usable CPU, made on first use; one block runs inline. Each
+block writes its own slice of the output and each weight-gradient partial
+is added in block order, so the CPU count never changes the bits.
+Importing the package pins BLAS to one thread, so that the pool and BLAS
+do not compete for the same CPUs. Only those blocks run on the pool: no
+op, tape entry or backward sweep does, and the work between a kernel's
+stages (a site's MLP and weight-gradient sums) stays on the calling thread.
 """
 
 import math
@@ -291,72 +292,91 @@ def _spread(work, n, unit, scratch):
     return results
 
 
+def _tall_rows(a, block, p, k, buf):
+    """Row block `block` of the zero-padded tall image of a [N, C, H, W], into buf.
+
+    The tall image stacks the frames at row width W + k - 1 and period
+    H + p: frame i's output rows are tall rows i*(H + p) + [0, H), its
+    padded rows start at i*(H + p) + p, column p, and the rest is zero. So
+    (N - 1)(H + p) + H rows hold output, and tap (u, v) of the block's output
+    rows [r0, r0 + nb) is one flat slice [u*(W + k - 1) + v :][:nb*(W + k - 1)]
+    of buf's padded rows [r0, r0 + nb + k - 1), which end in k - 1 zeros;
+    columns past W and gap rows are dropped. Returns buf's [C, ...] view and
+    (frame, block rows, frame rows) for each frame whose output rows meet
+    the block.
+    """
+    n, c, h, w = a.shape
+    wq, period = w + k - 1, h + p
+    r0, nb = block.start, block.stop - block.start
+    pad = buf[:c * ((nb + k - 1) * wq + k - 1)].reshape(c, -1)
+    pad[:] = 0.0
+    pad_rows = pad[:, :(nb + k - 1) * wq].reshape(c, nb + k - 1, wq)
+    rows = []
+    # frames before r0 // period end their padded rows before r0; the first padded
+    # rows of the frame after the last, which the last taps reach, meet only gap rows
+    for i in range(r0 // period, min(n, (r0 + nb - 1) // period + 1)):
+        top = i * period + p
+        lo, hi = max(r0, top), min(r0 + nb + k - 1, top + h)
+        pad_rows[:, lo - r0:hi - r0, p:p + w] = a[i, :, lo - top:hi - top]
+        top = i * period
+        lo, hi = max(r0, top), min(r0 + nb, top + h)
+        if lo < hi:
+            rows.append((i, slice(lo - r0, hi - r0), slice(lo - top, hi - top)))
+    return pad, rows
+
+
 def _shifted_conv(xd, wd):
     """Same-padded stride-1 cross-correlation of xd [N, C_in, H, W] with wd [C_out, C_in, k, k].
 
-    A chunk of frames at a time is zero-padded by p = k // 2 into one
-    buffer, each frame laid out row by row at width Wp = W + 2p and followed
-    by k - 1 zeros, so that the slice [u*Wp + v : u*Wp + v + H*Wp] of a row
-    exists for every tap (u, v). Tap (u, v) is one GEMM W[:, :, u, v] @ that
-    slice, added into a [C_out, H*Wp] accumulator whose last k - 1 columns
-    of each row are cropped at the end. _spread cuts the frames into chunks;
-    a frame counts as the floats of max(C_in, C_out) padded frames.
+    Per row block of _tall_rows' image of xd, tap (u, v) is one GEMM
+    W[:, :, u, v] @ its slice of the padded rows, added in tap order into a
+    [C_out, rows*(W + k - 1)] accumulator whose first W columns per row are
+    copied into the frames.
     """
     n, c_in, h, w = xd.shape
     c_out, _, k, _ = wd.shape
+    p, wq = k // 2, w + k - 1
     out = np.empty((n, c_out, h, w))
-    p = k // 2
-    hp, wp = h + 2 * p, w + 2 * p
-    span = h * wp
     taps = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))
 
-    def scratch(step):
-        xp = np.zeros((step, c_in, hp * wp + k - 1))
-        inner = xp[:, :, :hp * wp].reshape(step, c_in, hp, wp)[:, :, p:p + h, p:p + w]
-        acc = np.empty((step, c_out, span))
-        return xp, inner, acc, np.empty_like(acc)
+    def scratch(block):
+        return (np.empty(c_in * ((block + k - 1) * wq + k - 1)), np.empty(c_out * block * wq),
+                np.empty(c_out * block * wq))
 
-    def chunk(frames, xp, inner, acc, part):
-        m = frames.stop - frames.start
-        inner[:m] = xd[frames]
+    def row_block(block, xp_buf, acc_buf, part_buf):
+        xp, rows = _tall_rows(xd, block, p, k, xp_buf)
+        span = (block.stop - block.start) * wq
+        acc, part = (b[:c_out * span].reshape(c_out, span) for b in (acc_buf, part_buf))
         for u in range(k):
             for v in range(k):
-                shifted = xp[:m, :, u * wp + v:u * wp + v + span]
+                shifted = xp[:, u * wq + v:u * wq + v + span]
                 if u == v == 0:
-                    np.matmul(taps[0, 0], shifted, out=acc[:m])
+                    np.matmul(taps[0, 0], shifted, out=acc)
                 else:
-                    np.matmul(taps[u, v], shifted, out=part[:m])
-                    acc[:m] += part[:m]
-        out[frames] = acc[:m].reshape(m, c_out, h, wp)[..., :w]
+                    np.matmul(taps[u, v], shifted, out=part)
+                    acc += part
+        for i, rb, rf in rows:
+            out[i, :, rf] = acc.reshape(c_out, -1, wq)[:, rb, :w]
 
-    _spread(chunk, n, max(c_in, c_out) * hp * wp, scratch)
+    _spread(row_block, (n - 1) * (h + p) + h, max(c_in, c_out) * wq, scratch)
     return out
 
 
 def _shifted_grads(xd, wd, g, need_gx):
     """(d loss / d W, d loss / d x or None) of a stride-1 conv, from one column buffer of g.
 
-    With same padding p = k // 2, gx is the correlation of g, zero-padded by
-    p, with the flipped kernel, and gW[:, :, u, v] sums g times x shifted by
-    (u, v): both read the same k*k shifted views of the padded g (im2col
-    applied to g, not x; Chellapilla et al., 2006). The frames are stacked as
-    one tall image of row width W + k - 1: frame i's x rows start at row
-    i*(H + p), the p rows after them are a gap, and its g rows start p rows
-    lower. Each block of rows copies the shifted views into one buffer
-    cols [k*k*C_out, L], row (u, v, o) holding g channel o shifted by (u, v).
-    Then one GEMM W_flip [C_in, k*k*C_out] @ cols gives gx, whose first W
-    columns per row are copied into the frames, and one GEMM cols @ x_wide^T
-    adds into the flipped gW; x_wide is x at the same row width, zero past
-    column W and in the gaps. _spread cuts the rows into blocks, so a block
-    holds several frames when they fit one buffer and part of a frame when
-    one does not; the blocks' gW terms are added in block order.
+    gx is the correlation of the padded g with the flipped kernel, and
+    gW[:, :, u, v] sums g times x shifted by (u, v): both read the k*k
+    shifted views of g padded as in _tall_rows (im2col applied to g, not x;
+    Chellapilla et al., 2006), copied per row block into cols
+    [k*k*C_out, L], row (u, v, o) holding g channel o shifted by (u, v).
+    One GEMM W_flip [C_in, k*k*C_out] @ cols gives gx, and one GEMM
+    cols @ x_wide^T adds into the flipped gW, block by block in order;
+    x_wide is x on the block's output rows, zero past column W and in the gaps.
     """
     n, c_in, h, w = xd.shape
     c_out, _, k, _ = wd.shape
-    p = k // 2
-    wq = w + k - 1
-    period = h + p                # tall-image rows per frame: its x rows, then a gap
-    rows = (n - 1) * period + h   # tall-image rows that hold some frame's x
+    p, wq = k // 2, w + k - 1
     w_flip = np.ascontiguousarray(wd[:, :, ::-1, ::-1].transpose(1, 2, 3, 0)).reshape(
         c_in, k * k * c_out)
     gx = np.empty(xd.shape) if need_gx else None
@@ -367,25 +387,12 @@ def _shifted_grads(xd, wd, g, need_gx):
                 np.empty(c_in * block * wq) if need_gx else None)
 
     def row_block(block, gp_buf, cols_buf, xw_buf, gx_buf):
-        r0, nb = block.start, block.stop - block.start
+        nb = block.stop - block.start
         span = nb * wq
-        gp = gp_buf[:c_out * ((nb + k - 1) * wq + k - 1)].reshape(c_out, -1)
-        gp[:] = 0.0
-        gp_rows = gp[:, :(nb + k - 1) * wq].reshape(c_out, nb + k - 1, wq)
+        gp, rows = _tall_rows(g, block, p, k, gp_buf)
         xw = xw_buf[:c_in * span].reshape(c_in, nb, wq)
         xw[:] = 0.0
-        x_rows = []   # (frame, block rows, frame rows) of the x rows in the block
-        # frame i's x rows are tall rows i*period + [0, h), its g rows i*period + p + [0, h);
-        # the next frame's first g rows, which the last taps reach, meet only gap rows
-        for i in range(r0 // period, min(n, (r0 + nb - 1) // period + 1)):
-            top = i * period + p
-            lo, hi = max(r0, top), min(r0 + nb + k - 1, top + h)
-            gp_rows[:, lo - r0:hi - r0, p:p + w] = g[i, :, lo - top:hi - top]
-            top = i * period
-            lo, hi = max(r0, top), min(r0 + nb, top + h)
-            if lo < hi:
-                x_rows.append((i, slice(lo - r0, hi - r0), slice(lo - top, hi - top)))
-        for i, rb, rf in x_rows:
+        for i, rb, rf in rows:
             xw[:, rb, :w] = xd[i, :, rf]
         cols = cols_buf[:k * k * c_out * span].reshape(k, k, c_out, span)
         for u in range(k):
@@ -395,12 +402,13 @@ def _shifted_grads(xd, wd, g, need_gx):
         if need_gx:
             gxw = np.matmul(w_flip, cols, out=gx_buf[:c_in * span].reshape(c_in, span))
             gxw = gxw.reshape(c_in, nb, wq)
-            for i, rb, rf in x_rows:
+            for i, rb, rf in rows:
                 gx[i, :, rf] = gxw[:, rb, :w]
         return cols @ xw.reshape(c_in, span).T
 
     gw = np.zeros((k * k * c_out, c_in))
-    for part in _spread(row_block, rows, max(k * k * c_out, c_in) * wq, scratch):
+    for part in _spread(row_block, (n - 1) * (h + p) + h, max(k * k * c_out, c_in) * wq,
+                        scratch):
         gw += part
     return gw.reshape(k, k, c_out, c_in)[::-1, ::-1].transpose(2, 3, 0, 1), gx
 
@@ -475,24 +483,16 @@ def conv2d(x, weight, stride=1):
     input pixel (r*s, c*s) for stride s, and any H, W >= 1 fits any kernel.
     The time axis is handled as a batch.
 
-    The stride-1 forward builds no column buffer (the kn2row / shifted-GEMM
-    family): the frames are zero-padded into flat rows, and each of the k*k
-    taps is one GEMM on a shifted view of them (see _shifted_conv). The
-    backward keeps nothing padded on the tape: it copies the k*k shifted
-    views of the zero-padded output gradient into one column buffer and runs
-    two GEMMs on it, one for the input gradient and one for the weight
-    gradient (see _shifted_grads). The forward goes in chunks of frames and
-    the backward in row blocks. A 1x1 kernel takes the same path with one
-    tap.
-
-    Stride > 1 is one GEMM per frame: its columns [C_in*k*k, Ho*Wo] (k*k
-    strided slices of the zero-padded frame, see _frame_columns) times the
-    weight viewed as [C_out, C_in*k*k]; the backward is _strided_grads.
-    The input gradient is None when x does not require one.
-
-    _spread sizes the chunks, row blocks and frame blocks and runs them on
-    the pool when there are several (at the sensor size; at 64x64 every conv
-    runs inline). conv2d and its backward closure run on the calling thread.
+    Stride 1 (a 1x1 kernel too) is kn2row (Anderson et al., arXiv:1709.03395):
+    k*k GEMMs on shifted views of the padded frames, with no column buffer
+    (see _shifted_conv); its backward copies the k*k shifted views of the
+    padded output gradient into one column buffer and runs two GEMMs on it
+    (see _shifted_grads). Both go in row blocks of one tall image of the frames.
+    Stride > 1 is one GEMM per frame on its columns (see _frame_columns);
+    the backward is _strided_grads. The input gradient is None when x does
+    not require one. conv2d and its backward closure run on the calling
+    thread; _spread runs the blocks on the pool when there are several (at
+    the sensor size; at 64x64 every conv runs inline).
     """
     x, weight = as_tensor(x), as_tensor(weight)
     xd, wd = x.data, weight.data

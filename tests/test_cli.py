@@ -158,6 +158,10 @@ def test_config_comments_and_blanks(tmp_path):
     {"surrogate_alpha": "0"},
     {"epochs": "0"},
     {"reduction": "3"},
+    # a model whose widest weight numpy cannot hold: train drew weights until
+    # "array is too big"; listing 2000000 layers' channels ran out of memory
+    {"base_channels": "1000000000000000000"},
+    {"layers": "2000000"},
 ])
 def test_config_training_would_reject_fails_at_parse(tmp_path, dataset, bad, capsys):
     path = tmp_path / "run.cfg"
@@ -271,6 +275,9 @@ def test_synth_overlap_is_exit_2(tmp_path, capsys):
     ("contrast_threshold = 0.4", "contrast_threshold = 1e-300"),
     ("plane.0 = 1.0, 0, 0, 16, 8, 8.0", "plane.0 = 1.0, 0, 0, 16, 8, 1e-300"),
     ("noise_rate_hz = 0.0", "noise_rate_hz = 1e300"),
+    # 2,048,000 noise events per eye, inside the budget as events, but drawn one
+    # scalar at a time they take minutes: each is charged as 100 plane events
+    ("noise_rate_hz = 0.0", "noise_rate_hz = 40000"),
 ])
 def test_synth_bad_spec_value_is_exit_2(tmp_path, old, new, capsys):
     text = serialize_scene_spec(scene_spec())
@@ -652,15 +659,26 @@ def test_checkpoint_choice_index_out_of_range_is_exit_2(trained, dataset, tmp_pa
 def test_load_model_rejects_mismatched_config_before_building(trained, dataset, tmp_path,
                                                              monkeypatch, capsys):
     entries = md.load_checkpoint(os.path.join(trained["out"], "last.spkc"))
-    entries["cfg.layers"] = np.float64(40.0)
+    entries["cfg.layers"] = np.float64(10.0)
     md.save_checkpoint(str(tmp_path / "deep.spkc"), entries)
 
     def build(*args, **kwargs):
-        raise AssertionError("a 40-layer DepthNet was built")
+        raise AssertionError("a 10-layer DepthNet was built")
 
     monkeypatch.setattr(md, "DepthNet", build)
     assert main(["eval", "--model", str(tmp_path / "deep.spkc"), "--data", dataset]) == 2
     assert capsys.readouterr().err == "error: checkpoint lacks parameter 'enc2.conv'\n"
+
+
+def test_checkpoint_of_a_model_numpy_cannot_hold_is_exit_2(trained, dataset, tmp_path):
+    # 300000 layers: the channel ladder alone, whose ints have up to 300000 bits, used to
+    # run the process out of memory before any stored parameter was compared
+    entries = md.load_checkpoint(os.path.join(trained["out"], "last.spkc"))
+    entries["cfg.layers"] = np.float64(300000.0)
+    md.save_checkpoint(str(tmp_path / "deep.spkc"), entries)
+    line = assert_single_error_line(run_cli("eval", "--model", str(tmp_path / "deep.spkc"),
+                                            "--data", dataset))
+    assert "layers = 300000" in line and "numpy's largest array" in line
 
 
 def test_unknown_parameter_is_exit_2(trained, dataset, tmp_path, capsys):

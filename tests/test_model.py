@@ -42,6 +42,20 @@ def test_config_validation():
     assert cfg.attention == "CS"  # canonical order
 
 
+@pytest.mark.parametrize("fields,message", [
+    # refused from the bit lengths, before any channel count is built
+    ({"layers": 10 ** 18}, "layers = %d" % 10 ** 18),
+    ({"base_channels": 2 ** 29, "layers": 1}, "'res0.conv1' of shape (%d, %d, 3, 3)"
+     % (2 ** 29, 2 ** 29)),
+    ({"in_channels": 2 ** 62}, "'enc0.conv'"),
+])
+def test_config_of_a_weight_numpy_cannot_hold_is_refused(fields, message):
+    with pytest.raises(tz.ArgumentError, match="numpy's largest array") as info:
+        md.ModelConfig(**fields)
+    assert message in str(info.value)
+    md.ModelConfig(base_channels=2 ** 27, layers=1)  # a 9 * 2**54-element residual conv
+
+
 def test_channel_ladder():
     cfg = md.ModelConfig(in_channels=4, base_channels=8, layers=4)
     assert cfg.channel_ladder == [4, 8, 16, 32, 64]

@@ -212,6 +212,20 @@ def test_noise_event_budget():
     assert not events_equal(data.events_left, data.events_right)
 
 
+def test_noise_that_fills_the_event_budget_is_refused():
+    # 64x64, 8 windows of 50 ms at 40 kHz: 65,536,000 noise events per eye, inside
+    # 2**26 events, but drawn one scalar at a time they took about 24 minutes per eye;
+    # charged at NOISE_COST plane events each, they pass the budget. A hundredth of
+    # that rate fills 97.7% of it and passes
+    spec = dict(height=64, width=64, n_windows=8, camera_velocity=0.0,
+                planes=(PlaneSpec(1.0, 0, 0, 64, 64, 8.0),))
+    assert synth.NOISE_COST == 100
+    with pytest.raises(ValidationError, match=r"may fire 65536\d{5}\.\d+ events per eye, "
+                                              "a noise event counted as 100"):
+        SceneSpec(noise_rate_hz=40000.0, **spec)
+    SceneSpec(noise_rate_hz=400.0, **spec)
+
+
 def test_noise_events_fill_int64_columns_draw_by_draw():
     spec = one_plane_spec(camera_velocity=0.0, noise_rate_hz=1000.0, n_windows=1)
     n = 1000 * 16 * 16 // 20  # 12,800 events in the 50 ms window

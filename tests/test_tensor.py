@@ -137,15 +137,15 @@ def test_conv_forward_and_backward_match_scalar_loops(t, c_in, c_out, k, stride,
         assert conv_backward(g)[0] is None
 
 
-def stride1_grad_rows(n, h, k):
-    """(rows per frame, rows) of the tall image _shifted_grads stacks n frames into."""
+def stride1_rows(n, h, k):
+    """(rows per frame, rows) of the tall image that the stride-1 kernels cut n frames into."""
     period = h + k // 2
     return period, (n - 1) * period + h
 
 
-def stride1_grad_row_floats(c_in, c_out, k, w):
-    """Floats per tall-image row in _shifted_grads' largest buffer."""
-    return max(k * k * c_out, c_in) * (w + k - 1)
+def stride1_row_floats(c_in, c_out, k, w):
+    """Floats per tall-image row in the largest buffer of _shifted_conv and of _shifted_grads."""
+    return max(c_in, c_out) * (w + k - 1), max(k * k * c_out, c_in) * (w + k - 1)
 
 
 # padding is the oracle's: k // 2, the same padding conv2d applies
@@ -153,42 +153,52 @@ def stride1_grad_row_floats(c_in, c_out, k, w):
                          [(3, 2, 3, 1), (2, 3, 1, 0), (2, 1, 3, 1), (1, 2, 3, 1),
                           (2, 2, 1, 0), (3, 2, 5, 2), (2, 3, 5, 2)])
 def test_conv_stride1_chunks_with_partial_last_chunk(monkeypatch, c_in, c_out, k, padding):
-    # 5 frames, 2 per forward chunk, then 2 per backward block: chunks or blocks of 2, 2
-    # and 1 frames through the same buffers
+    # 5 frames in a buffer of two frames' tall-image rows, sized by the forward's row
+    # unit and then by the backward's: that kernel cuts blocks of 2, 2 and 1 frames
+    # (the last without its gap) through the same buffers
     assert padding == k // 2
     h, w = 6, 7
     x = rand((5, c_in, h, w), seed=21)
     wt = rand((c_out, c_in, k, k), seed=22)
-    monkeypatch.setattr(tz, "_CHUNK_FLOATS",
-                        2 * max(c_in, c_out) * (h + 2 * padding) * (w + 2 * padding) + 1)
-    check_conv_grads(x, wt, 1, seed=23)
-    period, _ = stride1_grad_rows(5, h, k)
-    monkeypatch.setattr(tz, "_CHUNK_FLOATS",
-                        2 * period * stride1_grad_row_floats(c_in, c_out, k, w))
-    check_conv_grads(x, wt, 1, seed=23)
+    period, rows = stride1_rows(5, h, k)
+    calls = spread_calls(monkeypatch)
+    for kernel, unit in enumerate(stride1_row_floats(c_in, c_out, k, w)):
+        monkeypatch.setattr(tz, "_CHUNK_FLOATS", 2 * period * unit)
+        check_conv_grads(x, wt, 1, seed=23)
+        assert calls[kernel][:3] == (rows, unit, (2 * period, 2 * period, h))
+        calls.clear()
 
 
 @pytest.mark.parametrize("c_in,c_out,k,padding",
                          [(2, 1, 3, 1), (3, 2, 3, 1), (1, 2, 3, 1), (2, 3, 5, 2),
                           (2, 2, 5, 2), (1, 2, 5, 2)])
 def test_conv_stride1_splits_frames_into_row_blocks(monkeypatch, c_in, c_out, k, padding):
-    # 3 frames of 7 rows in blocks of 4 rows: blocks cut frames, and the last is partial
+    # 3 frames of 7 rows in blocks of 4 rows, sized by the forward's row unit and then
+    # by the backward's: that kernel's blocks cut frames, and its last is partial.
+    # Both kernels cut the one tall image's rows
     assert padding == k // 2
     h, w, block = 7, 6, 4
     x = rand((3, c_in, h, w), seed=32)
     wt = rand((c_out, c_in, k, k), seed=33)
-    _, rows = stride1_grad_rows(3, h, k)
+    _, rows = stride1_rows(3, h, k)
     assert rows % block
-    monkeypatch.setattr(tz, "_CHUNK_FLOATS", block * stride1_grad_row_floats(c_in, c_out, k, w))
-    check_conv_grads(x, wt, 1, seed=34)
-    check_conv_grads(x, wt, 1, x_needs_grad=False, seed=35)
+    units = stride1_row_floats(c_in, c_out, k, w)
+    calls = spread_calls(monkeypatch)
+    for kernel, unit in enumerate(units):
+        monkeypatch.setattr(tz, "_CHUNK_FLOATS", block * unit)
+        check_conv_grads(x, wt, 1, seed=34)
+        check_conv_grads(x, wt, 1, x_needs_grad=False, seed=35)
+        assert [(n, u) for n, u, _, _ in calls] == [(rows, units[0]), (rows, units[1])] * 2
+        assert calls[kernel][2] == (block,) * (rows // block) + (rows % block,)
+        calls.clear()
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("x_needs_grad", [True, False])
 def test_conv_bits_do_not_depend_on_the_worker_count(monkeypatch, stride, x_needs_grad):
-    # 7 frames and buffers of two frames' floats: every kernel spreads 3 or more
-    # items (forward chunks, backward row blocks, stride-2 frames) over the pool
+    # 7 frames in a buffer of 1,144 floats: every kernel spreads 3 or more blocks
+    # over the pool (stride-1 blocks of 22 tall-image rows forward and 2 backward,
+    # one stride-2 frame per block)
     x, wt = rand((7, 3, 9, 11), seed=50), rand((4, 3, 3, 3), seed=51)
     g = rand((7, 4, same_size(9, stride), same_size(11, stride)), seed=52)
     monkeypatch.setattr(tz, "_CHUNK_FLOATS", 2 * 4 * 11 * 13)
